@@ -569,11 +569,12 @@ def iter_spaces(config: SearchConfig) -> Iterable[BiSoftSpace]:
         return
     for nx, ne in config.factorizations():
         ctx = standard_context(nx, ne)
-        topos = _point_topologies(nx * ne)
-        for opens1 in topos:
-            t1 = as_soft_topology(opens1, ctx)
-            for opens2 in topos:
-                yield BiSoftSpace(t1, as_soft_topology(opens2, ctx))
+        topos = [
+            as_soft_topology(opens, ctx) for opens in _point_topologies(nx * ne)
+        ]
+        for t1 in topos:
+            for t2 in topos:
+                yield BiSoftSpace(t1, t2)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -66,46 +65,60 @@ class ParameterSet:
 
 @dataclass(frozen=True)
 class Context:
-    """A (universe, parameter set) pair; every soft value carries one."""
+    """A (universe, parameter set) pair; every soft value carries one.
+
+    Sizes, masks, element rows and the name-to-index maps are derived once
+    at construction.  They are excluded from equality, hashing and repr, so
+    a context compares and prints by its two name lists alone.
+    """
 
     universe: Universe
     parameters: ParameterSet
+    nx: int = field(init=False, compare=False, repr=False)
+    ne: int = field(init=False, compare=False, repr=False)
+    full_mask: int = field(init=False, compare=False, repr=False)
+    block_mask: int = field(init=False, compare=False, repr=False)
+    _rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _element_ids: dict[str, int] = field(init=False, compare=False, repr=False)
+    _parameter_ids: dict[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        elements = self.universe.elements
+        parameters = self.parameters.parameters
+        nx, ne = len(elements), len(parameters)
+        derived = {
+            "nx": nx,
+            "ne": ne,
+            "full_mask": (1 << (nx * ne)) - 1,
+            "block_mask": (1 << nx) - 1,
+            "_rows": tuple(
+                sum(1 << (e * nx + x) for e in range(ne)) for x in range(nx)
+            ),
+            "_element_ids": {name: i for i, name in enumerate(elements)},
+            "_parameter_ids": {name: i for i, name in enumerate(parameters)},
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def of(cls, elements: Iterable[str], parameters: Iterable[str]) -> "Context":
         return cls(Universe(tuple(elements)), ParameterSet(tuple(parameters)))
 
-    @property
-    def nx(self) -> int:
-        return len(self.universe.elements)
-
-    @property
-    def ne(self) -> int:
-        return len(self.parameters.parameters)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << (self.nx * self.ne)) - 1
-
-    @property
-    def block_mask(self) -> int:
-        return (1 << self.nx) - 1
-
     def element_index(self, name: str) -> int:
         try:
-            return _indices(self)[0][name]
+            return self._element_ids[name]
         except KeyError:
             raise UnknownElementError(name) from None
 
     def parameter_index(self, name: str) -> int:
         try:
-            return _indices(self)[1][name]
+            return self._parameter_ids[name]
         except KeyError:
             raise UnknownParameterError(name) from None
 
     def row(self, element: str) -> int:
         """Bits of one element across every parameter block."""
-        return _rows(self)[self.element_index(element)]
+        return self._rows[self.element_index(element)]
 
     def subset_mask(self, names: Iterable[str]) -> int:
         mask = 0
@@ -116,21 +129,6 @@ class Context:
     def subset_names(self, mask: int) -> tuple[str, ...]:
         elems = self.universe.elements
         return tuple(elems[i] for i in range(self.nx) if mask >> i & 1)
-
-
-@lru_cache(maxsize=None)
-def _indices(ctx: Context):
-    ei = {name: i for i, name in enumerate(ctx.universe.elements)}
-    pi = {name: i for i, name in enumerate(ctx.parameters.parameters)}
-    return ei, pi
-
-
-@lru_cache(maxsize=None)
-def _rows(ctx: Context) -> tuple[int, ...]:
-    nx = ctx.nx
-    return tuple(
-        sum(1 << (e * nx + x) for e in range(ctx.ne)) for x in range(nx)
-    )
 
 
 @dataclass(frozen=True)

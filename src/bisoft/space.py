@@ -33,9 +33,13 @@ class BiSoftSpace:
 def sup_topology(s: BiSoftSpace) -> SoftTopology:
     """Smallest soft topology containing both topologies.
 
-    Computed on demand rather than stored: generation can be exponential
-    in the context size, so the space value stays small and callers may
-    memoize the result themselves.
+    ``generate_topology`` over the members of both: each point's minimal
+    open neighbourhood is the intersection of the members of either
+    family that contain it, and the opens are the unions of those
+    neighbourhoods.  Exact for any two member families, topologies or
+    not.  Computed on demand rather than stored, because the number of
+    opens can be exponential in the context size; callers may memoize the
+    result themselves.
     """
     return generate_topology(s.context, s.t1.members + s.t2.members)
 

@@ -10,7 +10,7 @@ equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContextMismatchError, InvalidTopologyError
@@ -41,9 +41,13 @@ class SoftTopology:
 
     context: Context
     members: tuple[SoftSet, ...]
+    _masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_masks", tuple(m.mask for m in self.members))
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(m.mask for m in self.members)
+        return self._masks
 
     def __len__(self) -> int:
         return len(self.members)
@@ -116,25 +120,30 @@ def generate_topology(
 ) -> SoftTopology:
     """Smallest soft topology containing the subbasis.
 
-    Worklist fixpoint closing under pairwise union and intersection,
-    seeded with the null and absolute soft sets.  Termination is bounded
-    by the finite lattice of all soft sets over the context.
+    Built from minimal open neighbourhoods (Alexandrov 1937): for each
+    point ``p`` of ``X x E``, ``U_p`` is the intersection of the subbasis
+    members containing ``p``, or the absolute set if none does.  Every
+    soft topology containing the subbasis contains each ``U_p``, a finite
+    intersection of its members, and each of its members ``O`` equals the
+    union of ``U_p`` over ``p`` in ``O``.  The union-closure of the
+    ``U_p`` (with the null set as the empty union) is closed under
+    intersection as well, because ``U_q`` lies inside ``U_p`` whenever
+    ``q`` lies in ``U_p``.  So it is exactly the generated topology, for
+    any subbasis, in O(points * members) plus the size of the output.
     """
     _shared_context(list(subbasis) or [SoftSet(ctx, 0)], ctx)
-    masks = {0, ctx.full_mask} | {s.mask for s in subbasis}
-    work = sorted(masks)
-    while True:
-        added = []
-        for i, a in enumerate(work):
-            for b in work[i + 1 :]:
-                for c in (a | b, a & b):
-                    if c not in masks:
-                        masks.add(c)
-                        added.append(c)
-        if not added:
-            break
-        work = sorted(masks)
-    return _canonical(ctx, masks)
+    masks = {s.mask for s in subbasis}
+    neighbourhoods = set()
+    for p in range(ctx.nx * ctx.ne):
+        u = ctx.full_mask
+        for m in masks:
+            if m >> p & 1:
+                u &= m
+        neighbourhoods.add(u)
+    opens = {0}
+    for u in neighbourhoods:
+        opens |= {o | u for o in opens}
+    return _canonical(ctx, opens)
 
 
 def closed_sets(t: SoftTopology) -> tuple[SoftSet, ...]:
@@ -146,14 +155,19 @@ def closed_sets(t: SoftTopology) -> tuple[SoftSet, ...]:
 
 
 def soft_closure(t: SoftTopology, a: SoftSet) -> SoftSet:
-    """Intersection of every soft closed superset of ``a`` in ``t``."""
+    """Intersection of every soft closed superset of ``a`` in ``t``.
+
+    A closed set ``full & ~o`` contains ``a`` exactly when the open ``o``
+    misses ``a``, so the intersection is the complement of the union of
+    the members disjoint from ``a``.
+    """
     if a.context != t.context:
         raise ContextMismatchError("soft set and topology contexts differ")
-    acc = t.context.full_mask
-    for c in closed_sets(t):
-        if a.mask & ~c.mask == 0:
-            acc &= c.mask
-    return SoftSet(t.context, acc)
+    outside = 0
+    for o in t.masks():
+        if o & a.mask == 0:
+            outside |= o
+    return SoftSet(t.context, t.context.full_mask & ~outside)
 
 
 def relative_topology(t: SoftTopology, keep: Iterable[str]) -> SoftTopology:
@@ -162,25 +176,37 @@ def relative_topology(t: SoftTopology, keep: Iterable[str]) -> SoftTopology:
     Members are intersected with the kept elements and re-homed to a
     context whose universe is exactly those elements (declaration order
     preserved); the restricted absolute set plays the top role there.
+    Re-homing reads only the kept bits, so members are first intersected
+    with the kept rows and deduplicated, and each distinct block value is
+    re-indexed once; the result is the same set of traces as re-homing
+    every member.
     """
     ctx = t.context
-    kept = [e for e in ctx.universe.elements if e in set(keep)]
-    unknown = set(keep) - set(ctx.universe.elements)
+    keep = set(keep)
+    unknown = keep - set(ctx.universe.elements)
     if unknown:
         raise ValueError(f"elements not in universe: {sorted(unknown)}")
+    kept = [e for e in ctx.universe.elements if e in keep]
     if not kept:
         raise ValueError("sub-universe must not be empty")
     sub = Context.of(kept, ctx.parameters.parameters)
     old_idx = [ctx.element_index(e) for e in kept]
+    kept_rows = 0
+    for e in kept:
+        kept_rows |= ctx.row(e)
+    rehomed = {}  # old block value -> block value over the kept elements
     out = set()
-    for m in t.masks():
+    for m in {m & kept_rows for m in t.masks()}:
         new_mask = 0
         for e in range(ctx.ne):
             block = (m >> (e * ctx.nx)) & ctx.block_mask
-            nb = 0
-            for j, i in enumerate(old_idx):
-                if block >> i & 1:
-                    nb |= 1 << j
+            nb = rehomed.get(block)
+            if nb is None:
+                nb = 0
+                for j, i in enumerate(old_idx):
+                    if block >> i & 1:
+                        nb |= 1 << j
+                rehomed[block] = nb
             new_mask |= nb << (e * sub.nx)
         out.add(new_mask)
     return _canonical(sub, out)

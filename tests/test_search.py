@@ -165,6 +165,28 @@ class TestFindCounterexample:
         assert record is not None
         assert replay(record)
 
+    def test_pinned_pairwise_t1_gap_record(self):
+        cfg = SearchConfig(max_universe=4, n_params=3)
+        record = find_counterexample("pairwise-t1-implies-pairwise-t2", cfg)
+        assert (record.universe, record.parameters) == (
+            ("x1", "x2"),
+            ("e1", "e2"),
+        )
+        assert record.t1_masks == (0, 5, 10, 15)
+        assert record.t2_masks == (0, 2, 7, 10, 15)
+        assert record.target_mask is None
+
+    def test_pinned_upper_idempotence_record(self):
+        cfg = SearchConfig(max_universe=4, n_params=2)
+        record = find_counterexample("upper-idempotence-equality", cfg)
+        assert (record.universe, record.parameters) == (
+            ("x1", "x2", "x3"),
+            ("e1",),
+        )
+        assert record.t1_masks == (0, 1, 7)
+        assert record.t2_masks == (0, 3, 7)
+        assert record.target_mask == 4
+
     def test_random_mode_is_deterministic(self):
         cfg = SearchConfig(
             max_universe=3, n_params=1, mode="random", samples=60, seed=9
@@ -192,6 +214,18 @@ class TestVerifyImplications:
         )
         report = verify_implications(cfg)
         assert report.ok
+        # exact premise counts: a generator that builds different
+        # topologies changes them even when every claim still holds
+        pinned = {
+            "hereditary-t0": 73,
+            "prop1": 73,
+            "prop2": 68,
+            "strong-t0-propagation": 15,
+            "thm1-equivalence": 100,
+        }
+        assert {
+            cid: res.premise_hits for cid, res in report.results.items()
+        } == {cid: pinned.get(cid, 0) for cid in TRUE_CLAIM_IDS}
 
     def test_reports_are_byte_identical_across_runs(self):
         cfg = SearchConfig(

@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bisoft.errors import ContextMismatchError, UnknownElementError
+from bisoft.errors import (
+    ContextMismatchError,
+    UnknownElementError,
+    UnknownParameterError,
+)
 from bisoft.softset import (
     Context,
     SoftSet,
@@ -30,6 +34,35 @@ def soft_sets(ctx=CTX):
     return st.integers(min_value=0, max_value=ctx.full_mask).map(
         lambda m: SoftSet(ctx, m)
     )
+
+
+class TestContext:
+    def test_equal_contexts_are_interchangeable(self):
+        a = Context.of(["h1", "h2", "h3"], ["e1", "e2"])
+        b = Context.of(iter(["h1", "h2", "h3"]), ("e1", "e2"))
+        assert a is not b
+        assert a == b == CTX
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b) == (
+            "Context(universe=Universe(elements=('h1', 'h2', 'h3')), "
+            "parameters=ParameterSet(parameters=('e1', 'e2')))"
+        )
+        assert a != Context.of(["h1", "h2", "h3"], ["e2", "e1"])
+        assert {a: 1}[b] == 1
+
+    def test_unknown_names_raise(self):
+        with pytest.raises(UnknownElementError):
+            CTX.element_index("h9")
+        with pytest.raises(UnknownElementError):
+            CTX.row("e1")
+        with pytest.raises(UnknownElementError):
+            CTX.subset_mask(["h1", "h9"])
+        with pytest.raises(UnknownParameterError):
+            CTX.parameter_index("h1")
+        with pytest.raises(UnknownParameterError):
+            null_soft_set(CTX).block("e9")
+        with pytest.raises(UnknownParameterError):
+            extend_parameters({"e9": ["h1"]}, CTX)
 
 
 class TestUnion:

@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bisoft.errors import InvalidTopologyError
 from bisoft.search import _point_topologies, standard_context
@@ -15,6 +16,7 @@ from bisoft.softset import (
     soft_subset,
 )
 from bisoft.topology import (
+    SoftTopology,
     closed_sets,
     generate_topology,
     parameterize,
@@ -32,6 +34,54 @@ from conftest import make_soft
 
 def masks_of(t):
     return set(t.masks())
+
+
+def worklist_topology(ctx, submasks):
+    """Definitional oracle: close under pairwise union and intersection.
+
+    Seeded with the null and absolute soft sets and iterated until a
+    round adds nothing; the finite lattice of soft sets bounds it.
+    """
+    masks = {0, ctx.full_mask} | set(submasks)
+    work = sorted(masks)
+    while True:
+        added = []
+        for i, a in enumerate(work):
+            for b in work[i + 1 :]:
+                for c in (a | b, a & b):
+                    if c not in masks:
+                        masks.add(c)
+                        added.append(c)
+        if not added:
+            break
+        work = sorted(masks)
+    return tuple(sorted(masks))
+
+
+GENERATION_CONTEXTS = [
+    standard_context(nx, ne) for nx in (1, 2, 3) for ne in (1, 2, 3)
+] + [standard_context(5, 2)]
+
+
+@st.composite
+def subbases(draw):
+    """A context and 0-6 subbasis masks, duplicates, null and absolute allowed."""
+    ctx = draw(st.sampled_from(GENERATION_CONTEXTS))
+    mask = st.one_of(
+        st.just(0),
+        st.just(ctx.full_mask),
+        st.integers(min_value=0, max_value=ctx.full_mask),
+    )
+    return ctx, draw(st.lists(mask, max_size=6))
+
+
+def raw_families(rng, ctx, count):
+    """Random member families that are usually not topologies."""
+    for _ in range(count):
+        masks = sorted(
+            {rng.randrange(ctx.full_mask + 1) for _ in range(rng.randint(0, 6))}
+        )
+        yield SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in masks))
 
 
 class TestValidate:
@@ -126,6 +176,12 @@ class TestGenerate:
                 assert not topology_violations(list(got.members))
                 assert submasks <= masks_of(got)
 
+    @given(subbases())
+    def test_matches_worklist_oracle(self, case):
+        ctx, submasks = case
+        got = generate_topology(ctx, [SoftSet(ctx, m) for m in submasks])
+        assert got.masks() == worklist_topology(ctx, submasks)
+
 
 class TestClosedSets:
     def test_indiscrete(self):
@@ -187,6 +243,21 @@ class TestSoftClosure:
             # the closure really is closed: its complement is a member
             assert ctx.full_mask & ~ca.mask in masks_of(t)
 
+    def test_matches_closed_superset_intersection_on_raw_families(self):
+        # oracle: intersect the closed supersets listed by closed_sets;
+        # raw families need not be topologies, so nothing may rely on it
+        rng = random.Random(29)
+        for nx, ne in [(1, 1), (2, 2), (3, 2), (2, 3)]:
+            ctx = standard_context(nx, ne)
+            for t in raw_families(rng, ctx, 20):
+                closed = closed_sets(t)
+                for m in range(ctx.full_mask + 1):
+                    acc = ctx.full_mask
+                    for c in closed:
+                        if m & ~c.mask == 0:
+                            acc &= c.mask
+                    assert soft_closure(t, SoftSet(ctx, m)).mask == acc
+
 
 class TestRelativeTopology:
     def test_whole_universe_is_identity(self, fx):
@@ -217,21 +288,35 @@ class TestRelativeTopology:
         assert masks_of(sub) == expected
 
     def test_restriction_matches_per_member_oracle(self, fx):
+        def check(t, keep):
+            sub = relative_topology(t, keep)
+            oracle = set()
+            for m in t.members:
+                table = {
+                    p: [x for x in v if x in keep] for p, v in m.table().items()
+                }
+                oracle.add(
+                    make_soft(
+                        sub.context, **{p: " ".join(v) for p, v in table.items()}
+                    ).mask
+                )
+            assert masks_of(sub) == oracle
+            return len(sub) < len(t)
+
         doc = fx("t0a")
-        t = doc.topology("T2")
-        keep = ["h1", "h2"]
-        sub = relative_topology(t, keep)
-        oracle = set()
-        for m in t.members:
-            table = {
-                p: [x for x in v if x in keep] for p, v in m.table().items()
-            }
-            oracle.add(
-                make_soft(
-                    sub.context, **{p: " ".join(v) for p, v in table.items()}
-                ).mask
-            )
-        assert masks_of(sub) == oracle
+        check(doc.topology("T2"), ["h1", "h2"])
+        # raw families over every nonempty keep subset, including ones
+        # where distinct members collide after restriction
+        rng = random.Random(23)
+        collisions = 0
+        for nx, ne in [(2, 2), (3, 2), (2, 3), (4, 1)]:
+            ctx = standard_context(nx, ne)
+            elems = ctx.universe.elements
+            for t in raw_families(rng, ctx, 15):
+                for r in range(1, nx + 1):
+                    for keep in combinations(elems, r):
+                        collisions += check(t, list(keep))
+        assert collisions > 0
 
     def test_hereditary_validity(self):
         ctx = standard_context(3, 2)
