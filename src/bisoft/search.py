@@ -8,15 +8,20 @@ topology over every context with |X|*|E| <= 4, and because the packed
 bitmask layout is shared by both readings the reinterpretation is the
 identity on masks.
 
-Two evaluation routes cover every registered claim:
+A space claim in ``CLAIMS`` is a premise and a conclusion over named
+facts of one space, and the registry is the only place a claim's logic
+lives.  Two routes produce the facts:
 
-* a plain route through the public checkers in ``axioms``/``rough``,
-  used for fixtures, random corpora and counterexample replay;
-* a table-driven route used for exhaustive Cartesian-square scans, which
-  precomputes per-topology separation bitsets so that the inner pair
-  loop is a handful of integer operations.
+* ``SpaceFacts`` runs the public checkers in ``axioms`` and
+  ``bitopology`` on one space at a time; fixtures, random corpora,
+  counterexample hunts and ``replay`` use it;
+* the exhaustive scan reads the same facts off minimal open
+  neighbourhoods, one profile per enumerated topology, and counts the
+  topology pairs per distinct fact vector; each claim then runs once per
+  vector, weighted by its count.
 
-The two routes are cross-checked against each other in the test suite.
+The test suite compares the scan's facts with ``SpaceFacts`` field by
+field and its reports with the public route on whole small corpora.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence, Union
+from operator import and_, or_
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .axioms import (
     hausdorff_char,
@@ -729,17 +735,25 @@ def verify_implications(
     corpus: Union[SearchConfig, Iterable[BiSoftSpace]],
     claim_ids: Optional[Sequence[str]] = None,
 ) -> ImplicationReport:
-    """Check the expected implications over a corpus; violations are data.
+    """Check space claims over a corpus; violations are data, not errors.
 
-    Exhaustive configs run through the table-driven engine; anything else
-    goes through the public checkers space by space.
+    ``claim_ids`` defaults to every claim expected to hold; gap claims may
+    be named too.  Exhaustive configs are counted by the profile scan,
+    which reads every fact off minimal open neighbourhoods; a subspace on
+    Y reads ``N(x)`` intersected with Y's rows, so ``relative_topology``
+    runs only on the other route.  Random configs and explicit corpora go
+    space by space through ``SpaceFacts`` and the public checkers.  Rough
+    claims quantify over targets as well as spaces and are rejected here;
+    ``find_counterexample`` searches them.
     """
     ids = tuple(claim_ids) if claim_ids is not None else TRUE_CLAIM_IDS
-    for cid in ids:
-        get_claim(cid)
+    claims = [get_claim(cid) for cid in ids]
+    rough = [c.id for c in claims if c.kind == "rough"]
+    if rough:
+        raise ValueError(f"rough claims {rough} need targets; use find_counterexample")
     if isinstance(corpus, SearchConfig):
         if corpus.mode == "exhaustive":
-            return _engine_verify(corpus, ids)
+            return _verify_exhaustive(corpus, claims)
         return _verify_over_spaces(iter_spaces(corpus), ids, corpus.describe())
     spaces = list(corpus)
     if not spaces:
@@ -756,8 +770,8 @@ def find_counterexample(
         return _find_rough_counterexample(claim, config)
     if claim.holds and config.mode == "exhaustive":
         # expected theorems usually have no counterexample, so the full
-        # table-driven sweep is the fast way to conclude "not found"
-        res = _engine_verify(config, (claim.id,)).results[claim.id]
+        # profile scan is the fast way to conclude "not found"
+        res = _verify_exhaustive(config, [claim]).results[claim.id]
         return res.records[0] if res.records else None
     for s in iter_spaces(config):
         facts = SpaceFacts(s)
@@ -787,565 +801,251 @@ def _find_rough_counterexample(
 
 
 # ---------------------------------------------------------------------------
-# table-driven exhaustive engine
+# exhaustive scan over neighbourhood profiles
 #
-# Everything below trades generality for speed on the Cartesian square of
-# enumerated topologies.  Per-topology data is packed into integers:
-#
-# * separation facts are bitsets indexed by ordered/unordered point-pair
-#   ids, so a pairwise axiom for a topology pair is one AND/OR and one
-#   comparison;
-# * existential facts over the 2^n mask space ("some member around x
-#   fits inside c") are bitsets indexed by the mask value, so a disjoint
-#   witness search is a single AND of two precomputed integers.
+# A finite topology is fixed by the smallest open set U_p around each point
+# p (Alexandroff 1937; Stong 1966).  The smallest member strongly
+# containing an element x is N(x), the union of U_p over x's row.
 
 
-class _FactorTables:
-    def __init__(self, nx: int, ne: int):
-        self.nx, self.ne = nx, ne
-        n = nx * ne
-        self.n = n
-        full = (1 << n) - 1
-        self.full = full
-        bm = (1 << nx) - 1
-        rows = [sum(1 << (e * nx + x) for e in range(ne)) for x in range(nx)]
-        self.rows = rows
-        self.opairs = [(x, y) for x in range(nx) for y in range(nx) if x != y]
-        self.upairs = list(combinations(range(nx), 2))
-        oid = {p: k for k, p in enumerate(self.opairs)}
-        self.full_o = (1 << len(self.opairs)) - 1
-        self.full_u = (1 << len(self.upairs)) - 1
-        self.swap = [oid[(y, x)] for (x, y) in self.opairs]
-        # unordered-pair bit masks restricted to each sub-universe
-        self.pairs_u_by_y = {}
-        self.pairs_o_by_y = {}
-        for ymask in range(1, 1 << nx):
-            ub = ob = 0
-            for k, (x, y) in enumerate(self.upairs):
-                if ymask >> x & 1 and ymask >> y & 1:
-                    ub |= 1 << k
-            for k, (x, y) in enumerate(self.opairs):
-                if ymask >> x & 1 and ymask >> y & 1:
-                    ob |= 1 << k
-            self.pairs_u_by_y[ymask] = ub
-            self.pairs_o_by_y[ymask] = ob
-        self.ybits = {
-            ymask: sum(ymask << (e * nx) for e in range(ne))
-            for ymask in range(1, 1 << nx)
-        }
+def _minimal_neighbourhoods(opens: Sequence[int], n: int) -> tuple[int, ...]:
+    """U_p for each of the n points: the AND of the opens containing p."""
+    return tuple(reduce(and_, [o for o in opens if o >> p & 1]) for p in range(n))
 
-        topos = _point_topologies(n)
-        self.topos = topos
-        self.K = len(topos)
-        self.famb = [sum(1 << m for m in op) for op in topos]
-        self.idx_of_famb = {fb: i for i, fb in enumerate(self.famb)}
 
-        K = self.K
-        self.memx = []  # [i][x] -> tuple of member masks strongly containing x
-        self.sep = []  # ordered-pair bitset: some member around x misses y
-        self.sepsw = []
-        self.sym0 = []  # unordered coverage of sep in either direction
-        self.ssep = []  # strong variant: y inside the member's complement
-        self.ssepsw = []
-        self.ssym0 = []
-        self.soft_t0 = []
-        self.soft_t1 = []
-        self.membits = []  # [i][x] bitset over member masks around x
-        self.compbits = []  # [i][x] bitset of complements of members around x
-        self.avail = []  # [i][x] bitset over c: some member around x fits in c
-        self.cl = []  # [i][m] closure of m in topology i
-        self.clfree = []  # [i][y] bitset over m: closure(m) misses y's row
-        self.csep = []  # [i][e] classical slice sep bitsets
-        self.csepsw = []
-        self.csym0 = []
-        self.ccomp = []  # [i][e][x] complements of slice opens around x
-        self.cavail = []  # [i][e][x] slice opens around x fitting in c
-        self._yavail_cache: dict = {}
-        self._ycomp_cache: dict = {}
+class _Separation(NamedTuple):
+    """Separation bitsets of one topology over groups of points.
 
-        nmask = full + 1
-        cbm = bm + 1
-        for opens in topos:
-            memx = tuple(
-                tuple(m for m in opens if m & r == r) for r in rows
-            )
-            self.memx.append(memx)
-            sep = ssep = 0
-            for k, (x, y) in enumerate(self.opairs):
-                ry = rows[y]
-                mx = memx[x]
-                if any(m & ry != ry for m in mx):
-                    sep |= 1 << k
-                if any(m & ry == 0 for m in mx):
-                    ssep |= 1 << k
-            sepsw = ssepsw = 0
-            for k in range(len(self.opairs)):
-                if sep >> self.swap[k] & 1:
-                    sepsw |= 1 << k
-                if ssep >> self.swap[k] & 1:
-                    ssepsw |= 1 << k
-            sym0 = ssym0 = 0
-            for k, (x, y) in enumerate(self.upairs):
-                a, b = oid[(x, y)], oid[(y, x)]
-                if sep >> a & 1 or sep >> b & 1:
-                    sym0 |= 1 << k
-                if ssep >> a & 1 or ssep >> b & 1:
-                    ssym0 |= 1 << k
-            self.sep.append(sep)
-            self.sepsw.append(sepsw)
-            self.sym0.append(sym0)
-            self.ssep.append(ssep)
-            self.ssepsw.append(ssepsw)
-            self.ssym0.append(ssym0)
-            self.soft_t0.append(sym0 == self.full_u)
-            self.soft_t1.append(sep == self.full_o)
+    A group lists the points of one space with their smallest open
+    neighbourhoods and their rows.  Bit k is the k-th ordered pair (x, y)
+    of distinct points of a group: ``t0`` sets it when neither point is
+    apart from the other, ``fwd`` when x is not apart from y, and ``bwd``
+    when y is not apart from x.  Each slot of ``near`` holds one point's
+    neighbourhood, and the same slot of ``far`` the union of the
+    neighbourhoods of the other points of its group.
 
-            self.membits.append(
-                tuple(sum(1 << m for m in mx) for mx in memx)
-            )
-            self.compbits.append(
-                tuple(sum(1 << (full ^ m) for m in mx) for mx in memx)
-            )
-            avail = []
-            for mx in memx:
-                bits = 0
-                for c in range(nmask):
-                    if any(m & ~c == 0 for m in mx):
-                        bits |= 1 << c
-                avail.append(bits)
-            self.avail.append(tuple(avail))
+    For two topologies over the same groups, pairwise T0 fails where both
+    ``t0`` have a bit, T1 where the first ``fwd`` or the second ``bwd`` has
+    one, and T2 (N1(x) and N2(y) disjoint for every ordered pair) where
+    the first ``far`` meets the second ``near``.  A topology's soft axioms
+    are its pairwise axioms with itself.
+    """
 
-            closed = [full ^ o for o in opens]
-            cl = []
-            for m in range(nmask):
-                acc = full
-                for c in closed:
-                    if m & ~c == 0:
-                        acc &= c
-                cl.append(acc)
-            self.cl.append(tuple(cl))
-            clfree = []
-            for r in rows:
-                bits = 0
-                for m in range(nmask):
-                    if cl[m] & r == 0:
-                        bits |= 1 << m
-                clfree.append(bits)
-            self.clfree.append(tuple(clfree))
+    t0: int
+    fwd: int
+    bwd: int
+    near: int
+    far: int
 
-            csep_l, csepsw_l, csym0_l, ccomp_l, cavail_l = [], [], [], [], []
-            for e in range(ne):
-                sop = sorted({(o >> (e * nx)) & bm for o in opens})
-                cs = 0
-                for k, (x, y) in enumerate(self.opairs):
-                    if any(o >> x & 1 and not o >> y & 1 for o in sop):
-                        cs |= 1 << k
-                csw = 0
-                for k in range(len(self.opairs)):
-                    if cs >> self.swap[k] & 1:
-                        csw |= 1 << k
-                cy0 = 0
-                for k, (x, y) in enumerate(self.upairs):
-                    a, b = oid[(x, y)], oid[(y, x)]
-                    if cs >> a & 1 or cs >> b & 1:
-                        cy0 |= 1 << k
-                ccomp = []
-                cavail = []
-                for x in range(nx):
-                    around = [o for o in sop if o >> x & 1]
-                    ccomp.append(sum(1 << (bm ^ o) for o in set(around)))
-                    bits = 0
-                    for c in range(cbm):
-                        if any(o & ~c == 0 for o in around):
-                            bits |= 1 << c
-                    cavail.append(bits)
-                csep_l.append(cs)
-                csepsw_l.append(csw)
-                csym0_l.append(cy0)
-                ccomp_l.append(tuple(ccomp))
-                cavail_l.append(tuple(cavail))
-            self.csep.append(tuple(csep_l))
-            self.csepsw.append(tuple(csepsw_l))
-            self.csym0.append(tuple(csym0_l))
-            self.ccomp.append(tuple(ccomp_l))
-            self.cavail.append(tuple(cavail_l))
 
-    # subspace witness tables are built lazily: they are only consulted
-    # when a pair is pairwise soft T2, which is rare in the square.
-    def ycomp(self, i: int, ymask: int):
-        key = (i, ymask)
-        got = self._ycomp_cache.get(key)
-        if got is None:
-            yb = self.ybits[ymask]
-            full = self.full
-            got = tuple(
-                sum(1 << (full ^ (m & yb)) for m in set(mx)) for mx in self.memx[i]
-            )
-            self._ycomp_cache[key] = got
-        return got
+def _separation(groups, width: int, apart: Callable[[int, int], bool]) -> _Separation:
+    """``apart(nbhd_x, row_y)`` decides whether x is separated from y."""
+    t0 = fwd = bwd = near = far = bit = shift = 0
+    for nbhds, rows in groups:
+        for y, nbhd_y in enumerate(nbhds):
+            others = 0
+            for x, nbhd_x in enumerate(nbhds):
+                if x != y:
+                    others |= nbhd_x
+                    xy, yx = apart(nbhd_x, rows[y]), apart(nbhd_y, rows[x])
+                    t0 |= (not (xy or yx)) << bit
+                    fwd |= (not xy) << bit
+                    bwd |= (not yx) << bit
+                    bit += 1
+            near |= nbhd_y << shift
+            far |= others << shift
+            shift += width
+    return _Separation(t0, fwd, bwd, near, far)
 
-    def yavail(self, i: int, ymask: int):
-        key = (i, ymask)
-        got = self._yavail_cache.get(key)
-        if got is None:
-            yb = self.ybits[ymask]
-            out = []
-            for mx in self.memx[i]:
-                restricted = {m & yb for m in mx}
-                bits = 0
-                for c in range(self.full + 1):
-                    if any(m & ~c == 0 for m in restricted):
-                        bits |= 1 << c
-                out.append(bits)
-            got = tuple(out)
-            self._yavail_cache[key] = got
-        return got
+
+def _weakly_apart(nbhd: int, row: int) -> bool:
+    return nbhd & row != row
+
+
+def _strongly_apart(nbhd: int, row: int) -> bool:
+    return not nbhd & row
+
+
+class _Profile(NamedTuple):
+    """One enumerated topology read over a factorization (|X|, |E|).
+
+    Closures are read off U: cl(A) = {p : U_p meets A}.  They enter as
+    two tables with one bit per element x and mask A, at x * 2^n + A:
+    ``closure_escapes`` when cl(A) meets a row other than x's, and
+    ``closure_not_row`` when cl(A) is not x's row.  ``nbhd_index`` sets
+    the bit of (x, N(x)) for every element, so ANDing it with another
+    topology's table tests cl2(N1(x)) for every x at once.
+    """
+
+    opens: tuple[int, ...]  # the topology itself, for records
+    soft: tuple[bool, bool, bool]  # soft T0, T1, T2
+    cor2: bool  # every row's complement is open
+    whole: _Separation  # neighbourhoods N(x), weakly apart
+    strong: _Separation  # neighbourhoods N(x), strongly apart
+    slices: _Separation  # a group per parameter e, neighbourhoods block_e(U_(x,e))
+    subspaces: _Separation  # a group per nonempty sub-universe Y, N(x) & Y's rows
+    nbhd_index: int
+    closure_escapes: int
+    closure_not_row: int
 
 
 @lru_cache(maxsize=None)
-def _factor_tables(nx: int, ne: int) -> _FactorTables:
-    return _FactorTables(nx, ne)
+def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
+    """Profiles of every topology on nx*ne points, in enumeration order.
 
-
-def _close_family_bits(famb: int, nmask: int) -> int:
-    while True:
-        masks = [m for m in range(nmask) if famb >> m & 1]
-        out = famb
-        for i, a in enumerate(masks):
-            for b in masks[i:]:
-                out |= (1 << (a | b)) | (1 << (a & b))
-        if out == famb:
-            return famb
-        famb = out
+    ``_point_topologies`` rejects nx*ne > EXHAUSTIVE_POINT_BOUND, so at
+    most eight factorizations are ever cached.
+    """
+    n = nx * ne
+    span = 1 << n  # masks per element in the closure tables
+    ctx = standard_context(nx, ne)
+    rows = [ctx.row(x) for x in ctx.universe.elements]
+    points = [1 << x for x in range(nx)]
+    subuniverses = []
+    for ym in range(1, 1 << nx):
+        keep = [x for x in range(nx) if ym >> x & 1]
+        subuniverses.append((keep, reduce(or_, [rows[x] for x in keep])))
+    out = []
+    for opens in _point_topologies(n):
+        u = _minimal_neighbourhoods(opens, n)
+        nbhd = [reduce(or_, u[x::nx]) for x in range(nx)]  # U over x's row
+        whole = _separation([(nbhd, rows)], n, _weakly_apart)
+        slices = [
+            ([u[e * nx + x] >> (e * nx) & ctx.block_mask for x in range(nx)], points)
+            for e in range(ne)
+        ]
+        subspaces = [
+            ([nbhd[x] & kept for x in keep], [rows[x] for x in keep])
+            for keep, kept in subuniverses
+        ]
+        closure = [sum(1 << p for p in range(n) if u[p] & a) for a in range(span)]
+        nbhd_index = escapes = not_row = 0
+        for x, r in enumerate(rows):
+            nbhd_index |= 1 << (x * span + nbhd[x])
+            for a, c in enumerate(closure):
+                escapes |= bool(c & ~r) << (x * span + a)
+                not_row |= (c != r) << (x * span + a)
+        out.append(
+            _Profile(
+                opens=opens,
+                soft=(not whole.t0, not whole.fwd, not whole.far & whole.near),
+                cor2=all(ctx.full_mask ^ r in opens for r in rows),
+                whole=whole,
+                strong=_separation([(nbhd, rows)], n, _strongly_apart),
+                slices=_separation(slices, n, _weakly_apart),
+                subspaces=_separation(subspaces, n, _weakly_apart),
+                nbhd_index=nbhd_index,
+                closure_escapes=escapes,
+                closure_not_row=not_row,
+            )
+        )
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _join_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Index table of the join (smallest common refinement) of topology pairs.
+def _sup_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Index of the supremum of every ordered pair of topologies on n points.
 
-    The join of two topologies on the same point set is again one of the
-    enumerated topologies, so the table maps index pairs to an index.
+    The supremum's U_p is U1_p & U2_p.  With each topology's U packed into
+    one integer, n bits per point, that is one AND, and the packed U
+    identifies the topology.  Shared by every factorization of n.
     """
-    topos = _point_topologies(n)
-    K = len(topos)
-    famb = [sum(1 << m for m in op) for op in topos]
-    idx = {fb: i for i, fb in enumerate(famb)}
-    nmask = 1 << n
-    memo: dict[int, int] = {}
-    join = [[0] * K for _ in range(K)]
-    for i in range(K):
-        fi = famb[i]
-        row = join[i]
-        for j in range(i, K):
-            u = fi | famb[j]
-            v = idx.get(u)
-            if v is None:
-                v = memo.get(u)
-                if v is None:
-                    v = idx[_close_family_bits(u, nmask)]
-                    memo[u] = v
-            row[j] = v
-            join[j][i] = v
-    return tuple(tuple(r) for r in join)
+    packed = [
+        sum(u << (p * n) for p, u in enumerate(_minimal_neighbourhoods(opens, n)))
+        for opens in _point_topologies(n)
+    ]
+    index = {key: k for k, key in enumerate(packed)}
+    return tuple(tuple(index[a & b] for b in packed) for a in packed)
 
 
-def _engine_record(
-    t: _FactorTables, claim_id: str, i: int, j: int, note: str = ""
-) -> CounterexampleRecord:
-    return CounterexampleRecord(
-        claim_id=claim_id,
-        universe=tuple(f"x{k + 1}" for k in range(t.nx)),
-        parameters=tuple(f"e{k + 1}" for k in range(t.ne)),
-        t1_masks=t.topos[i],
-        t2_masks=t.topos[j],
-        note=note,
-    )
+# The attributes of ``SpaceFacts`` that the space claims read, in the order
+# ``_pair_facts`` returns them.
+_PairFacts = NamedTuple(
+    "_PairFacts",
+    [
+        (name, bool)
+        for name in "t1_soft_t0 t1_soft_t1 t1_soft_t2 t2_soft_t0 t2_soft_t1 "
+        "t2_soft_t2 sup_soft_t0 sup_soft_t1 sup_soft_t2 pairwise_t0 pairwise_t1 "
+        "pairwise_t2 strong_t0 strong_t1 slices_pw_t0 slices_pw_t1 slices_pw_t2 "
+        "hereditary_t0 hereditary_t1 hereditary_t2 thm1_agrees cor1_ok cor2_ok".split()
+    ],
+)
 
 
-def _engine_pair_facts(nx: int, ne: int, i: int, j: int) -> dict:
-    """Axiom facts for one enumerated pair via the table route.
+def _pair_facts(p: _Profile, q: _Profile, sup: _Profile) -> tuple[bool, ...]:
+    """Facts of the space (p, q) whose supremum is ``sup``, in ``_PairFacts`` order.
 
-    Test support: lets the suite compare the fast engine against the
-    public checkers space by space.
+    N1(x) is the smallest first-topology member around x and closure is
+    monotone, so cl2(N1(x)) is both the best witness for the closure
+    characterization, which needs it to miss every other row, and the
+    point closure intersection of Corollary 1, which must equal x's row.
     """
-    t = _factor_tables(nx, ne)
-    cov0 = t.sym0[i] | t.sym0[j]
-    cov1 = t.sep[i] & t.sepsw[j]
-    comp1, memb1 = t.compbits[i], t.membits[i]
-    avail2, clfree2 = t.avail[j], t.clfree[j]
-    t2cov = chcov = 0
-    for k, (x, y) in enumerate(t.opairs):
-        if comp1[x] & avail2[y]:
-            t2cov |= 1 << k
-        if memb1[x] & clfree2[y]:
-            chcov |= 1 << k
-    pw2 = t2cov == t.full_o
-    slices_t0 = all(
-        (t.csym0[i][e] | t.csym0[j][e]) == t.full_u for e in range(ne)
+    w1, w2 = p.whole, q.whole
+    s1, s2 = p.strong, q.strong
+    l1, l2 = p.slices, q.slices
+    h1, h2 = p.subspaces, q.subspaces
+    pairwise_t2 = not w1.far & w2.near
+    return p.soft + q.soft + sup.soft + (
+        not w1.t0 & w2.t0,
+        not (w1.fwd | w2.bwd),
+        pairwise_t2,
+        not s1.t0 & s2.t0,
+        not (s1.fwd | s2.bwd),
+        not l1.t0 & l2.t0,
+        not (l1.fwd | l2.bwd),
+        not l1.far & l2.near,
+        not h1.t0 & h2.t0,
+        not (h1.fwd | h2.bwd),
+        not h1.far & h2.near,
+        (not p.nbhd_index & q.closure_escapes) == pairwise_t2,
+        not p.nbhd_index & q.closure_not_row,
+        p.cor2 and q.cor2,
     )
-    slices_t1 = all(
-        (t.csep[i][e] & t.csepsw[j][e]) == t.full_o for e in range(ne)
-    )
-    slices_t2 = all(
-        all(t.ccomp[i][e][x] & t.cavail[j][e][y] for x, y in t.opairs)
-        for e in range(ne)
-    )
-    hered_t2 = True
-    for ym, po in t.pairs_o_by_y.items():
-        if not po:
-            continue
-        yc, ya = t.ycomp(i, ym), t.yavail(j, ym)
-        for k, (x, y) in enumerate(t.opairs):
-            if po >> k & 1 and not yc[x] & ya[y]:
-                hered_t2 = False
-                break
-        if not hered_t2:
-            break
-    cor1 = True
-    for x, row in enumerate(t.rows):
-        acc = t.full
-        for m in t.memx[i][x]:
-            acc &= t.cl[j][m]
-        if acc != row:
-            cor1 = False
-            break
-    cor2 = all(
-        t.famb[i] >> (t.full ^ row) & 1 and t.famb[j] >> (t.full ^ row) & 1
-        for row in t.rows
-    )
-    sup_idx = _join_table(t.n)[i][j]
-    return {
-        "pairwise_t0": cov0 == t.full_u,
-        "pairwise_t1": cov1 == t.full_o,
-        "pairwise_t2": pw2,
-        "strong_t0": (t.ssym0[i] | t.ssym0[j]) == t.full_u,
-        "strong_t1": (t.ssep[i] & t.ssepsw[j]) == t.full_o,
-        "thm1_agrees": t2cov == chcov,
-        "slices_pw_t0": slices_t0,
-        "slices_pw_t1": slices_t1,
-        "slices_pw_t2": slices_t2,
-        "hereditary_t2": hered_t2,
-        "cor1_ok": cor1,
-        "cor2_ok": cor2,
-        "t1_soft_t0": t.soft_t0[i],
-        "t2_soft_t0": t.soft_t0[j],
-        "t1_soft_t1": t.soft_t1[i],
-        "t2_soft_t1": t.soft_t1[j],
-        "sup_soft_t0": t.soft_t0[sup_idx],
-        "sup_soft_t1": t.soft_t1[sup_idx],
-    }
 
 
-def _engine_verify(config: SearchConfig, claim_ids: Sequence[str]) -> ImplicationReport:
-    results = {cid: ClaimResult(cid) for cid in claim_ids}
-    want = set(claim_ids)
-    for nx, ne in config.factorizations():
-        _engine_scan(nx, ne, want, results)
+def _scan(config: SearchConfig) -> tuple[int, dict, dict]:
+    """Count the spaces of an exhaustive corpus per distinct fact vector.
+
+    Returns the number of spaces, the count per vector, and per vector its
+    first ``_MAX_RECORDS_PER_CLAIM`` positions (factorization index, i, j).
+    """
+    counts: dict = {}
+    firsts: dict = {}
+    total = 0
+    for k, (nx, ne) in enumerate(config.factorizations()):
+        profiles = _profiles(nx, ne)
+        sups = _sup_table(nx * ne)
+        total += len(profiles) ** 2
+        for i, p in enumerate(profiles):
+            for j, s in enumerate(sups[i]):
+                vec = _pair_facts(p, profiles[j], profiles[s])
+                count = counts[vec] = counts.get(vec, 0) + 1
+                if count <= _MAX_RECORDS_PER_CLAIM:
+                    firsts.setdefault(vec, []).append((k, i, j))
+    return total, counts, firsts
+
+
+def _verify_exhaustive(
+    config: SearchConfig, claims: Sequence[Claim]
+) -> ImplicationReport:
+    """Run each claim once per distinct fact vector, weighted by its count."""
+    total, counts, firsts = _scan(config)
+    sizes = config.factorizations()
+    table = [(_PairFacts(*vec), n, firsts[vec]) for vec, n in counts.items()]
+    results = {}
+    for c in claims:
+        res = results[c.id] = ClaimResult(c.id, tested=total)
+        violating = []
+        for facts, count, positions in table:
+            if c.premise(facts):
+                res.premise_hits += count
+                if not c.conclusion(facts):
+                    res.violation_count += count
+                    violating += positions
+        for k, i, j in sorted(violating)[:_MAX_RECORDS_PER_CLAIM]:
+            ctx, profiles = standard_context(*sizes[k]), _profiles(*sizes[k])
+            names = (ctx.universe.elements, ctx.parameters.parameters)
+            res.records.append(
+                CounterexampleRecord(c.id, *names, profiles[i].opens, profiles[j].opens)
+            )
     return ImplicationReport(config.describe(), results)
-
-
-def _engine_scan(nx: int, ne: int, want: set, results: dict) -> None:
-    """One Cartesian-square pass; appends into the per-claim results."""
-    t = _factor_tables(nx, ne)
-    K = t.K
-    n_spaces = K * K
-    for cid in want:
-        results[cid].tested += n_spaces
-
-    need_join = bool({"prop1", "prop3"} & want)
-    join = _join_table(t.n) if need_join else None
-
-    opairs = t.opairs
-    pairbits = [1 << k for k in range(len(opairs))]
-    full_o, full_u = t.full_o, t.full_u
-    ne_range = range(ne)
-    ymasks = [ym for ym in t.pairs_u_by_y if t.pairs_u_by_y[ym]]
-    rows = t.rows
-    full = t.full
-
-    sep_l, sepsw_l, sym0_l = t.sep, t.sepsw, t.sym0
-    ssep_l, ssepsw_l, ssym0_l = t.ssep, t.ssepsw, t.ssym0
-    soft_t0_l, soft_t1_l = t.soft_t0, t.soft_t1
-    membits_l, compbits_l = t.membits, t.compbits
-    avail_l, clfree_l, cl_l = t.avail, t.clfree, t.cl
-    csep_l, csepsw_l, csym0_l = t.csep, t.csepsw, t.csym0
-    ccomp_l, cavail_l = t.ccomp, t.cavail
-    famb_l, memx_l = t.famb, t.memx
-    pairs_u_by_y, pairs_o_by_y = t.pairs_u_by_y, t.pairs_o_by_y
-
-    def violate(cid, i, j, note=""):
-        res = results[cid]
-        res.violation_count += 1
-        if len(res.records) < _MAX_RECORDS_PER_CLAIM:
-            res.records.append(_engine_record(t, cid, i, j, note))
-
-    w = want.__contains__
-    do_prop1, do_prop2, do_prop3 = w("prop1"), w("prop2"), w("prop3")
-    do_p4f, do_p4b = w("prop4-forward"), w("prop4-backward")
-    do_p521, do_p510 = w("prop5-t2-t1"), w("prop5-t1-t0")
-    do_s0, do_s1 = w("strong-t0-propagation"), w("strong-t1-propagation")
-    do_h0, do_h1, do_h2 = (
-        w("hereditary-t0"),
-        w("hereditary-t1"),
-        w("hereditary-t2"),
-    )
-    do_t2slice = w("t2-slice-propagation")
-    do_thm1 = w("thm1-equivalence")
-    do_cor1, do_cor2 = w("cor1-point-closure"), w("cor2-point-complement-open")
-    need_t2 = do_p521 or do_h2 or do_t2slice or do_thm1 or do_cor1 or do_cor2
-
-    for i in range(K):
-        sep1, sym01 = sep_l[i], sym0_l[i]
-        ssep1, ssym01 = ssep_l[i], ssym0_l[i]
-        soft0_1, soft1_1 = soft_t0_l[i], soft_t1_l[i]
-        comp1, memb1, memx1 = compbits_l[i], membits_l[i], memx_l[i]
-        csep1, csym01, ccomp1 = csep_l[i], csym0_l[i], ccomp_l[i]
-        famb1 = famb_l[i]
-        join_row = join[i] if join is not None else None
-        for j in range(K):
-            # pairwise axioms from precomputed per-topology bitsets
-            cov0 = sym01 | sym0_l[j]
-            pw0 = cov0 == full_u
-            cov1 = sep1 & sepsw_l[j]
-            pw1 = cov1 == full_o
-            pw2 = True
-            if need_t2:
-                avail2 = avail_l[j]
-                clfree2 = clfree_l[j]
-                t2cov = 0
-                chcov = 0
-                for k, (x, y) in enumerate(opairs):
-                    if comp1[x] & avail2[y]:
-                        t2cov |= pairbits[k]
-                    if memb1[x] & clfree2[y]:
-                        chcov |= pairbits[k]
-                pw2 = t2cov == full_o
-                if do_thm1 and t2cov != chcov:
-                    violate(
-                        "thm1-equivalence",
-                        i,
-                        j,
-                        note=f"pair bitsets differ: t2={t2cov:x} char={chcov:x}",
-                    )
-            if do_prop2:
-                results["prop2"].premise_hits += soft0_1 or soft_t0_l[j]
-                if (soft0_1 or soft_t0_l[j]) and not pw0:
-                    violate("prop2", i, j)
-            if do_p4f:
-                results["prop4-forward"].premise_hits += pw1
-                if pw1 and not (soft1_1 and soft_t1_l[j]):
-                    violate("prop4-forward", i, j)
-            if do_p4b:
-                both = soft1_1 and soft_t1_l[j]
-                results["prop4-backward"].premise_hits += both
-                if both and not pw1:
-                    violate("prop4-backward", i, j)
-            if do_prop1 and pw0:
-                results["prop1"].premise_hits += 1
-                if not soft_t0_l[join_row[j]]:
-                    violate("prop1", i, j)
-            if do_prop3 and pw1:
-                results["prop3"].premise_hits += 1
-                if not soft_t1_l[join_row[j]]:
-                    violate("prop3", i, j)
-            if do_p521 and pw2:
-                results["prop5-t2-t1"].premise_hits += 1
-                if not pw1:
-                    violate("prop5-t2-t1", i, j)
-            if do_p510 and pw1:
-                results["prop5-t1-t0"].premise_hits += 1
-                if not pw0:
-                    violate("prop5-t1-t0", i, j)
-            if do_s0:
-                s0 = (ssym01 | ssym0_l[j]) == full_u
-                if s0:
-                    results["strong-t0-propagation"].premise_hits += 1
-                    ok = pw0
-                    if ok:
-                        csym02 = csym0_l[j]
-                        for e in ne_range:
-                            if (csym01[e] | csym02[e]) != full_u:
-                                ok = False
-                                break
-                    if not ok:
-                        violate("strong-t0-propagation", i, j)
-            if do_s1:
-                s1 = (ssep1 & ssepsw_l[j]) == full_o
-                if s1:
-                    results["strong-t1-propagation"].premise_hits += 1
-                    ok = pw1
-                    if ok:
-                        csepsw2 = csepsw_l[j]
-                        for e in ne_range:
-                            if (csep1[e] & csepsw2[e]) != full_o:
-                                ok = False
-                                break
-                    if not ok:
-                        violate("strong-t1-propagation", i, j)
-            if do_h0 and pw0:
-                results["hereditary-t0"].premise_hits += 1
-                for ym in ymasks:
-                    pu = pairs_u_by_y[ym]
-                    if cov0 & pu != pu:
-                        violate("hereditary-t0", i, j, note=f"sub-universe {ym:x}")
-                        break
-            if do_h1 and pw1:
-                results["hereditary-t1"].premise_hits += 1
-                for ym in ymasks:
-                    po = pairs_o_by_y[ym]
-                    if cov1 & po != po:
-                        violate("hereditary-t1", i, j, note=f"sub-universe {ym:x}")
-                        break
-            if pw2 and (do_h2 or do_t2slice or do_cor1 or do_cor2):
-                if do_h2:
-                    results["hereditary-t2"].premise_hits += 1
-                    bad_y = None
-                    for ym in ymasks:
-                        yc = t.ycomp(i, ym)
-                        ya = t.yavail(j, ym)
-                        po = pairs_o_by_y[ym]
-                        for k, (x, y) in enumerate(opairs):
-                            if po >> k & 1 and not yc[x] & ya[y]:
-                                bad_y = ym
-                                break
-                        if bad_y is not None:
-                            break
-                    if bad_y is not None:
-                        violate(
-                            "hereditary-t2", i, j, note=f"sub-universe {bad_y:x}"
-                        )
-                if do_t2slice:
-                    results["t2-slice-propagation"].premise_hits += 1
-                    cavail2 = cavail_l[j]
-                    ok = True
-                    for e in ne_range:
-                        cc1 = ccomp1[e]
-                        ca2 = cavail2[e]
-                        for x, y in opairs:
-                            if not cc1[x] & ca2[y]:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        violate("t2-slice-propagation", i, j, note="slice not T2")
-                if do_cor1:
-                    results["cor1-point-closure"].premise_hits += 1
-                    cl2 = cl_l[j]
-                    for x, row in enumerate(rows):
-                        acc = full
-                        for m in memx1[x]:
-                            acc &= cl2[m]
-                        if acc != row:
-                            violate("cor1-point-closure", i, j, note=f"x{x + 1}")
-                            break
-                if do_cor2:
-                    results["cor2-point-complement-open"].premise_hits += 1
-                    famb2 = famb_l[j]
-                    for row in rows:
-                        comp = full ^ row
-                        if not (famb1 >> comp & 1 and famb2 >> comp & 1):
-                            violate("cor2-point-complement-open", i, j)
-                            break
-            if do_thm1:
-                results["thm1-equivalence"].premise_hits += 1

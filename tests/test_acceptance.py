@@ -255,6 +255,40 @@ def test_criterion_7_implication_matrix():
     ):
         exhaustive = verify_implications(SearchConfig(max_universe=4, n_params=4))
         assert exhaustive.ok, exhaustive.to_json()
+        # exact premise counts over all 379,790 spaces: a scan that reads a
+        # fact wrongly changes them even when every claim still holds
+        premise_hits = {
+            **dict.fromkeys(
+                (
+                    "cor1-point-closure",
+                    "cor2-point-complement-open",
+                    "hereditary-t2",
+                    "prop5-t2-t1",
+                    "strong-t1-propagation",
+                    "t2-slice-propagation",
+                ),
+                127142,
+            ),
+            **dict.fromkeys(
+                (
+                    "hereditary-t1",
+                    "prop3",
+                    "prop4-backward",
+                    "prop4-forward",
+                    "prop5-t1-t0",
+                ),
+                145382,
+            ),
+            "hereditary-t0": 374338,
+            "prop1": 374338,
+            "prop2": 360664,
+            "strong-t0-propagation": 344242,
+            "thm1-equivalence": 379790,
+        }
+        assert {
+            cid: (r.tested, r.premise_hits, r.violation_count, r.records)
+            for cid, r in exhaustive.results.items()
+        } == {cid: (379790, hits, 0, []) for cid, hits in premise_hits.items()}
         randomized = verify_implications(
             SearchConfig(
                 max_universe=3, n_params=2, mode="random", samples=1000, seed=2024

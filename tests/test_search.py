@@ -7,12 +7,17 @@ import pytest
 
 from bisoft.errors import UnknownClaimError
 from bisoft.search import (
+    CLAIMS,
     SearchConfig,
     SpaceFacts,
-    _engine_pair_facts,
+    _PairFacts,
+    _pair_facts,
     _point_topologies,
+    _profiles,
+    _sup_table,
     _verify_over_spaces,
     TRUE_CLAIM_IDS,
+    as_soft_topology,
     enumerate_topologies,
     find_counterexample,
     get_claim,
@@ -22,7 +27,10 @@ from bisoft.search import (
     standard_context,
     verify_implications,
 )
+from bisoft.space import BiSoftSpace
 from bisoft.topology import topology_violations
+
+SPACE_CLAIM_IDS = tuple(c.id for c in CLAIMS.values() if c.kind == "space")
 
 
 def brute_force_topology_count(n):
@@ -237,6 +245,34 @@ class TestVerifyImplications:
         with pytest.raises(ValueError):
             verify_implications([])
 
+    def test_gap_claims_are_evaluated_on_exhaustive_configs(self):
+        cfg = SearchConfig(max_universe=2, n_params=1)
+        # two pairwise T1 spaces, both pairwise T2: evaluated, not vacuous
+        held = verify_implications(cfg, ["pairwise-t1-implies-pairwise-t2"])
+        public = _verify_over_spaces(
+            iter_spaces(cfg), ["pairwise-t1-implies-pairwise-t2"], cfg.describe()
+        )
+        assert held.to_json() == public.to_json()
+        assert held.results["pairwise-t1-implies-pairwise-t2"].premise_hits == 2
+        refuted = verify_implications(cfg, ["pairwise-t0-implies-pairwise-t1"])
+        assert not refuted.ok
+        (res,) = refuted.results.values()
+        assert res.records and all(replay(r) for r in res.records)
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            SearchConfig(max_universe=2, n_params=1),
+            SearchConfig(max_universe=2, n_params=1, mode="random", samples=3),
+            "fixture",
+        ],
+    )
+    def test_rough_claims_are_rejected(self, fx, corpus):
+        if corpus == "fixture":
+            corpus = [fx("rough").space("S")]
+        with pytest.raises(ValueError, match="find_counterexample"):
+            verify_implications(corpus, ["rough-item-11-equality"])
+
     def test_violation_is_reported_as_data(self, fx):
         # feed a false claim through the generic corpus path
         report = verify_implications(
@@ -251,56 +287,58 @@ class TestVerifyImplications:
 
 class TestDualRoute:
     def test_engine_agrees_with_public_route_exhaustively_small(self):
-        cfg = SearchConfig(max_universe=3, n_params=1)
-        engine = verify_implications(cfg)
-        public = _verify_over_spaces(
-            iter_spaces(cfg), TRUE_CLAIM_IDS, cfg.describe()
-        )
-        for cid in TRUE_CLAIM_IDS:
-            a, b = engine.results[cid], public.results[cid]
-            assert (a.tested, a.premise_hits, a.violation_count) == (
-                b.tested,
-                b.premise_hits,
-                b.violation_count,
-            ), cid
+        refuted_by_size = {
+            (3, 1): {
+                "pairwise-t0-implies-components-soft-t0",
+                "pairwise-t0-implies-pairwise-t1",
+                "sup-soft-t1-implies-pairwise-t1",
+                "sup-soft-t2-implies-pairwise-t2",
+            },
+            (1, 3): set(),
+            (2, 1): {
+                "pairwise-t0-implies-pairwise-t1",
+                "sup-soft-t1-implies-pairwise-t1",
+                "sup-soft-t2-implies-pairwise-t2",
+            },
+        }
+        for (max_x, params), refuted in refuted_by_size.items():
+            cfg = SearchConfig(max_universe=max_x, n_params=params)
+            scan = verify_implications(cfg, SPACE_CLAIM_IDS)
+            public = _verify_over_spaces(
+                iter_spaces(cfg), SPACE_CLAIM_IDS, cfg.describe()
+            )
+            assert scan.to_json() == public.to_json(), cfg
+            assert {
+                cid for cid, r in scan.results.items() if r.violation_count
+            } == refuted, cfg
 
-    @pytest.mark.parametrize("nx,ne", [(2, 2), (4, 1), (1, 3)])
+    @pytest.mark.parametrize("nx,ne", [(2, 2), (4, 1), (1, 4), (1, 3)])
     def test_engine_pair_facts_agree_with_public_checkers(self, nx, ne):
         rng = random.Random(nx * 100 + ne)
-        topos = _point_topologies(nx * ne)
+        profiles = _profiles(nx, ne)
+        sups = _sup_table(nx * ne)
         ctx = standard_context(nx, ne)
-        from bisoft.search import as_soft_topology
-        from bisoft.space import BiSoftSpace
-
-        keys = [
-            "pairwise_t0",
-            "pairwise_t1",
-            "pairwise_t2",
-            "strong_t0",
-            "strong_t1",
-            "thm1_agrees",
-            "slices_pw_t0",
-            "slices_pw_t1",
-            "slices_pw_t2",
-            "hereditary_t2",
-            "cor1_ok",
-            "cor2_ok",
-            "t1_soft_t0",
-            "t2_soft_t0",
-            "t1_soft_t1",
-            "t2_soft_t1",
-            "sup_soft_t0",
-            "sup_soft_t1",
-        ]
-        for _ in range(60):
-            i = rng.randrange(len(topos))
-            j = rng.randrange(len(topos))
-            fast = _engine_pair_facts(nx, ne, i, j)
+        k = len(profiles)
+        # the indiscrete (first) and discrete (last) topologies make every
+        # fact but thm1_agrees false and true respectively once nx > 1
+        pairs = [(0, 0), (k - 1, k - 1), (0, k - 1), (k - 1, 0)]
+        pairs += [(rng.randrange(k), rng.randrange(k)) for _ in range(60)]
+        seen = {name: set() for name in _PairFacts._fields}
+        for i, j in pairs:
+            sup = profiles[sups[i][j]]
+            fast = _PairFacts(*_pair_facts(profiles[i], profiles[j], sup))
             facts = SpaceFacts(
                 BiSoftSpace(
-                    as_soft_topology(topos[i], ctx),
-                    as_soft_topology(topos[j], ctx),
+                    as_soft_topology(profiles[i].opens, ctx),
+                    as_soft_topology(profiles[j].opens, ctx),
                 )
             )
-            for key in keys:
-                assert fast[key] == getattr(facts, key), (nx, ne, i, j, key)
+            for name in _PairFacts._fields:
+                assert getattr(fast, name) == getattr(facts, name), (nx, ne, i, j, name)
+                seen[name].add(getattr(fast, name))
+        if nx > 1:
+            assert all(
+                values == {True, False}
+                for name, values in seen.items()
+                if name != "thm1_agrees"
+            ), seen
