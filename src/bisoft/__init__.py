@@ -8,6 +8,7 @@ from .axioms import (
     pairwise_soft_t0,
     pairwise_soft_t1,
     pairwise_soft_t2,
+    pairwise_verdicts,
     point_closure_intersection,
     soft_t0,
     soft_t1,
@@ -15,7 +16,6 @@ from .axioms import (
     strong_t0,
     strong_t1,
 )
-from .bitopology import Bitopology, pw_t0, pw_t1, pw_t2
 from .errors import (
     BisoftError,
     ContextMismatchError,
@@ -62,15 +62,12 @@ from .softset import (
 )
 from .space import BiSoftSpace, slice_space, subspace, sup_topology
 from .topology import (
-    PointTopology,
     SoftTopology,
     Violation,
     closed_sets,
     generate_topology,
+    minimal_neighbourhoods,
     parameterize,
-    point_topology,
-    pt_closure,
-    pt_interior,
     relative_topology,
     soft_closure,
     topology_violations,

@@ -6,6 +6,15 @@ belong as soon as one parameter leaves it out.  That asymmetry is exactly
 why pairwise soft T0 need not survive parameterization, so these checkers
 never fall back to pointwise reasoning.
 
+Every checker reads minimal open neighbourhoods: every member around x
+contains ``N(x)``, the smallest one (see ``topology``).  So some member
+around x does not strongly contain y iff ``N(x) ⊉ row y``, one misses y's
+row iff ``N(x)`` does, disjoint members around x and y exist iff
+``N1(x) ∩ N2(y) = ∅``, and, closure being monotone, ``cl2(N1(x))`` is the
+best witness for the closure characterization.  A topology's soft axioms
+are its pairwise axioms with itself.  Each pairwise checker finds the
+first failing pair, which ``axiom_report`` keeps as a witness.
+
 Quantification conventions: soft/pairwise T0 ranges over unordered pairs
 and accepts a separating member from either topology in either direction
 (a strict fixed-orientation variant is available for comparison); T1 and
@@ -16,59 +25,69 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .bitopology import pw_t0, pw_t1, pw_t2
 from .errors import UnknownElementError
 from .softset import SoftSet
 from .space import BiSoftSpace, slice_space, sup_topology
-from .topology import SoftTopology, soft_closure
+from .topology import SoftTopology, _strongly_apart, _weakly_apart, soft_closure
+
+_Pair = Optional[tuple[str, str]]  # the first failing pair, or None
 
 
-def _rows(t: SoftTopology) -> list[tuple[str, int]]:
-    ctx = t.context
-    return [(x, ctx.row(x)) for x in ctx.universe.elements]
+def _neighbourhoods(s: BiSoftSpace):
+    """``N1`` and ``N2`` per element, and the elements' rows."""
+    return s.t1.element_neighbourhoods(), s.t2.element_neighbourhoods(), s.context.rows
 
 
-def _sep(masks, rx: int, ry: int) -> bool:
-    """Some member strongly contains x while not strongly containing y."""
-    return any(m & rx == rx and m & ry != ry for m in masks)
+def _first_failure(s: BiSoftSpace, pairs, separated: Callable) -> _Pair:
+    """First pair of elements, in ``pairs`` order, that ``separated``
+    rejects; ``separated`` takes element indices."""
+    names = s.context.universe.elements
+    for x, y in pairs(range(len(names)), 2):
+        if not separated(x, y):
+            return names[x], names[y]
+    return None
 
 
-def _strong_sep(masks, rx: int, ry: int) -> bool:
-    """Some member strongly contains x with y in its complement everywhere."""
-    return any(m & rx == rx and m & ry == 0 for m in masks)
+def _t0_failure(s: BiSoftSpace, apart, strict_orientation: bool = False) -> _Pair:
+    n1, n2, r = _neighbourhoods(s)
+    if strict_orientation:
+        return _first_failure(
+            s, permutations, lambda x, y: apart(n1[x], r[y]) or apart(n2[y], r[x])
+        )
+    return _first_failure(
+        s,
+        combinations,
+        lambda x, y: apart(n1[x], r[y])
+        or apart(n1[y], r[x])
+        or apart(n2[x], r[y])
+        or apart(n2[y], r[x]),
+    )
+
+
+def _t1_failure(s: BiSoftSpace, apart) -> _Pair:
+    n1, n2, r = _neighbourhoods(s)
+    return _first_failure(
+        s, permutations, lambda x, y: apart(n1[x], r[y]) and apart(n2[y], r[x])
+    )
+
+
+def _t2_failure(s: BiSoftSpace) -> _Pair:
+    n1, n2, _ = _neighbourhoods(s)
+    return _first_failure(s, permutations, lambda x, y: not n1[x] & n2[y])
 
 
 def soft_t0(t: SoftTopology) -> bool:
-    masks = t.masks()
-    rows = _rows(t)
-    for (_, rx), (_, ry) in combinations(rows, 2):
-        if not (_sep(masks, rx, ry) or _sep(masks, ry, rx)):
-            return False
-    return True
+    return pairwise_soft_t0(BiSoftSpace(t, t))
 
 
 def soft_t1(t: SoftTopology) -> bool:
-    masks = t.masks()
-    rows = _rows(t)
-    for (_, rx), (_, ry) in permutations(rows, 2):
-        if not _sep(masks, rx, ry):
-            return False
-    return True
+    return pairwise_soft_t1(BiSoftSpace(t, t))
 
 
 def soft_t2(t: SoftTopology) -> bool:
-    masks = t.masks()
-    rows = _rows(t)
-    for (_, rx), (_, ry) in combinations(rows, 2):
-        if not any(
-            f & rx == rx and g & ry == ry and f & g == 0
-            for f in masks
-            for g in masks
-        ):
-            return False
-    return True
+    return pairwise_soft_t2(BiSoftSpace(t, t))
 
 
 def pairwise_soft_t0(s: BiSoftSpace, strict_orientation: bool = False) -> bool:
@@ -79,69 +98,24 @@ def pairwise_soft_t0(s: BiSoftSpace, strict_orientation: bool = False) -> bool:
     (x, y), either a first-topology member around x avoiding y, or a
     second-topology member around y avoiding x.
     """
-    m1, m2 = s.t1.masks(), s.t2.masks()
-    rows = _rows(s.t1)
-    if strict_orientation:
-        pairs = permutations(rows, 2)
-    else:
-        pairs = combinations(rows, 2)
-    for (_, rx), (_, ry) in pairs:
-        if strict_orientation:
-            if not (_sep(m1, rx, ry) or _sep(m2, ry, rx)):
-                return False
-        else:
-            if not (
-                _sep(m1, rx, ry)
-                or _sep(m1, ry, rx)
-                or _sep(m2, rx, ry)
-                or _sep(m2, ry, rx)
-            ):
-                return False
-    return True
+    return _t0_failure(s, _weakly_apart, strict_orientation) is None
 
 
 def pairwise_soft_t1(s: BiSoftSpace) -> bool:
-    m1, m2 = s.t1.masks(), s.t2.masks()
-    rows = _rows(s.t1)
-    for (_, rx), (_, ry) in permutations(rows, 2):
-        if not (_sep(m1, rx, ry) and _sep(m2, ry, rx)):
-            return False
-    return True
+    return _t1_failure(s, _weakly_apart) is None
 
 
 def pairwise_soft_t2(s: BiSoftSpace) -> bool:
-    m1, m2 = s.t1.masks(), s.t2.masks()
-    rows = _rows(s.t1)
-    for (_, rx), (_, ry) in permutations(rows, 2):
-        if not any(
-            f & rx == rx and g & ry == ry and f & g == 0 for f in m1 for g in m2
-        ):
-            return False
-    return True
+    return _t2_failure(s) is None
 
 
 def strong_t0(s: BiSoftSpace) -> bool:
     """Pairwise T0 with non-membership strengthened to complement membership."""
-    m1, m2 = s.t1.masks(), s.t2.masks()
-    rows = _rows(s.t1)
-    for (_, rx), (_, ry) in combinations(rows, 2):
-        if not (
-            _strong_sep(m1, rx, ry)
-            or _strong_sep(m1, ry, rx)
-            or _strong_sep(m2, rx, ry)
-            or _strong_sep(m2, ry, rx)
-        ):
-            return False
-    return True
+    return _t0_failure(s, _strongly_apart) is None
 
 
 def strong_t1(s: BiSoftSpace) -> bool:
-    m1, m2 = s.t1.masks(), s.t2.masks()
-    rows = _rows(s.t1)
-    for (_, rx), (_, ry) in permutations(rows, 2):
-        if not (_strong_sep(m1, rx, ry) and _strong_sep(m2, ry, rx)):
-            return False
-    return True
+    return _t1_failure(s, _strongly_apart) is None
 
 
 def hausdorff_char(s: BiSoftSpace) -> bool:
@@ -150,14 +124,9 @@ def hausdorff_char(s: BiSoftSpace) -> bool:
     For each ordered pair (x, y): some first-topology member contains x
     while y strongly avoids its closure taken in the second topology.
     """
-    rows = _rows(s.t1)
-    closures = [
-        (m.mask, soft_closure(s.t2, m).mask) for m in s.t1.members
-    ]
-    for (_, rx), (_, ry) in permutations(rows, 2):
-        if not any(m & rx == rx and cl & ry == 0 for m, cl in closures):
-            return False
-    return True
+    n1, _, r = _neighbourhoods(s)
+    closures = [soft_closure(s.t2, SoftSet(s.context, n)).mask for n in n1]
+    return _first_failure(s, permutations, lambda x, y: not closures[x] & r[y]) is None
 
 
 class PointClosure(NamedTuple):
@@ -171,36 +140,31 @@ class PointClosure(NamedTuple):
 def point_closure_intersection(s: BiSoftSpace, element: str) -> PointClosure:
     """Intersect second-topology closures of first-topology members around x.
 
-    The empty intersection convention returns the absolute soft set with
-    a diagnostic flag; with a well-formed first topology the absolute
-    member always contains x, so the flag only fires on raw families.
+    On a topology that is the closure of ``N1(x)``.  The empty intersection
+    convention returns the absolute soft set with a diagnostic flag; with
+    a well-formed first topology the absolute member always contains x,
+    so the flag only fires on raw families.  It is the one test here that
+    reads members: ``U`` cannot tell "no member contains x" from "only the
+    absolute set does".
     """
     ctx = s.context
     if element not in ctx.universe.elements:
         raise UnknownElementError(element)
     rx = ctx.row(element)
-    acc = ctx.full_mask
-    found = False
-    for m in s.t1.members:
-        if m.mask & rx == rx:
-            found = True
-            acc &= soft_closure(s.t2, m).mask
-    return PointClosure(SoftSet(ctx, acc if found else ctx.full_mask), not found)
-
-
-def _first_failing_pair(names, pred) -> Optional[tuple[str, str]]:
-    for x, y in pred(names):
-        return (x, y)
-    return None
+    if not any(m & rx == rx for m in s.t1.masks()):
+        return PointClosure(SoftSet(ctx, ctx.full_mask), True)
+    n1 = s.t1.element_neighbourhoods()[ctx.element_index(element)]
+    return PointClosure(soft_closure(s.t2, SoftSet(ctx, n1)), False)
 
 
 @dataclass(frozen=True)
 class AxiomReport:
     """All axiom verdicts for one bi-soft space.
 
-    Witnesses, when collected, map an axiom key to one failing pair of
-    points; re-running the matching checker on that pair reproduces the
-    failure.
+    Witnesses map each false pairwise axiom (``pairwise_t0``,
+    ``pairwise_t1``, ``pairwise_t2``) to the first pair of points its
+    checker found unseparated; re-running the matching checker on that
+    pair reproduces the failure.
     """
 
     soft1: dict[str, bool]
@@ -214,66 +178,40 @@ class AxiomReport:
     witnesses: dict = field(default_factory=dict)
 
 
-def _axiom_witnesses(s: BiSoftSpace, report_bools: dict) -> dict:
-    """Failing point pair per false pairwise axiom, for diagnostics."""
-    m1, m2 = s.t1.masks(), s.t2.masks()
-    rows = _rows(s.t1)
-    out = {}
-    if not report_bools["t0"]:
-        for (x, rx), (y, ry) in combinations(rows, 2):
-            if not (
-                _sep(m1, rx, ry)
-                or _sep(m1, ry, rx)
-                or _sep(m2, rx, ry)
-                or _sep(m2, ry, rx)
-            ):
-                out["pairwise_t0"] = (x, y)
-                break
-    if not report_bools["t1"]:
-        for (x, rx), (y, ry) in permutations(rows, 2):
-            if not (_sep(m1, rx, ry) and _sep(m2, ry, rx)):
-                out["pairwise_t1"] = (x, y)
-                break
-    if not report_bools["t2"]:
-        for (x, rx), (y, ry) in permutations(rows, 2):
-            if not any(
-                f & rx == rx and g & ry == ry and f & g == 0
-                for f in m1
-                for g in m2
-            ):
-                out["pairwise_t2"] = (x, y)
-                break
-    return out
-
-
-def axiom_report(
-    s: BiSoftSpace,
-    strict_orientation: bool = False,
-    collect_witnesses: bool = False,
-) -> AxiomReport:
-    """Evaluate every axiom this package knows about on one space."""
-    sup = sup_topology(s)
-    pairwise = {
+def pairwise_verdicts(s: BiSoftSpace) -> dict[str, bool]:
+    """Pairwise soft T0, T1 and T2, keyed ``t0``, ``t1`` and ``t2``."""
+    return {
         "t0": pairwise_soft_t0(s),
         "t1": pairwise_soft_t1(s),
         "t2": pairwise_soft_t2(s),
     }
-    slices = {}
-    for e in s.context.parameters.parameters:
-        b = slice_space(s, e)
-        slices[e] = {"t0": pw_t0(b), "t1": pw_t1(b), "t2": pw_t2(b)}
+
+
+def axiom_report(s: BiSoftSpace, strict_orientation: bool = False) -> AxiomReport:
+    """Evaluate every axiom this package knows about on one space."""
+    sup = sup_topology(s)
+    failures = {
+        "t0": _t0_failure(s, _weakly_apart),
+        "t1": _t1_failure(s, _weakly_apart),
+        "t2": _t2_failure(s),
+    }
     return AxiomReport(
-        soft1={"t0": soft_t0(s.t1), "t1": soft_t1(s.t1), "t2": soft_t2(s.t1)},
-        soft2={"t0": soft_t0(s.t2), "t1": soft_t1(s.t2), "t2": soft_t2(s.t2)},
-        pairwise=pairwise,
+        soft1=pairwise_verdicts(BiSoftSpace(s.t1, s.t1)),
+        soft2=pairwise_verdicts(BiSoftSpace(s.t2, s.t2)),
+        pairwise={k: pair is None for k, pair in failures.items()},
         strong={"t0": strong_t0(s), "t1": strong_t1(s)},
         hausdorff=hausdorff_char(s),
-        sup={"t0": soft_t0(sup), "t1": soft_t1(sup), "t2": soft_t2(sup)},
-        slices=slices,
+        sup=pairwise_verdicts(BiSoftSpace(sup, sup)),
+        slices={
+            e: pairwise_verdicts(slice_space(s, e))
+            for e in s.context.parameters.parameters
+        },
         strict_pairwise_t0=(
             pairwise_soft_t0(s, strict_orientation=True)
             if strict_orientation
             else None
         ),
-        witnesses=_axiom_witnesses(s, pairwise) if collect_witnesses else {},
+        witnesses={
+            f"pairwise_{k}": pair for k, pair in failures.items() if pair is not None
+        },
     )

@@ -11,7 +11,7 @@ import json
 import sys
 from typing import Optional
 
-from .axioms import axiom_report
+from .axioms import axiom_report, pairwise_verdicts
 from .errors import (
     BisoftError,
     FixtureError,
@@ -29,7 +29,6 @@ from .search import (
 )
 from .softset import SoftSet
 from .space import BiSoftSpace, slice_space, subspace, sup_topology
-from .bitopology import pw_t0, pw_t1, pw_t2
 from .topology import topology_violations
 
 EXIT_OK = 0
@@ -106,9 +105,7 @@ def _space_or_die(doc: FixtureDocument, name: str) -> BiSoftSpace:
 def _cmd_axioms(args) -> int:
     doc = _load(args.file)
     s = _space_or_die(doc, args.space)
-    rep = axiom_report(
-        s, strict_orientation=args.strict_orientation, collect_witnesses=True
-    )
+    rep = axiom_report(s, strict_orientation=args.strict_orientation)
     t1n, t2n = doc.space_pairs[args.space]
     if args.json:
         payload = {
@@ -199,9 +196,9 @@ def _cmd_slice(args) -> int:
         raise FixtureError(f"unknown parameter {args.param!r}")
     b = slice_space(s, args.param)
     t1n, t2n = doc.space_pairs[args.space]
-    opens1 = [sorted(b.p.subset_names(o)) for o in b.p.opens]
-    opens2 = [sorted(b.q.subset_names(o)) for o in b.q.opens]
-    verdicts = {"t0": pw_t0(b), "t1": pw_t1(b), "t2": pw_t2(b)}
+    opens1 = [sorted(m.table()[args.param]) for m in b.t1.members]
+    opens2 = [sorted(m.table()[args.param]) for m in b.t2.members]
+    verdicts = pairwise_verdicts(b)
     if args.json:
         _dump(
             {
@@ -227,7 +224,10 @@ def _cmd_subspace(args) -> int:
     doc = _load(args.file)
     s = _space_or_die(doc, args.space)
     keep = [e.strip() for e in args.keep.split(",") if e.strip()]
-    sub = subspace(s, keep)
+    try:
+        sub = subspace(s, keep)
+    except ValueError as exc:  # an unknown element, or nothing kept
+        raise _UsageError(f"--keep: {exc}") from None
     ctx = sub.context
     trivial = {0, ctx.full_mask}
     named: dict[int, str] = {}

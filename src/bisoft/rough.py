@@ -1,8 +1,12 @@
 """Rough approximation of a soft set inside a bi-soft topological space.
 
-Approximations are computed slice-wise: at each parameter the target's
+Approximations are defined slice-wise: at each parameter the target's
 subset is approximated in the two classical slice topologies, taking the
-intersection of interiors below and the union of closures above.
+intersection of interiors below and the union of closures above.  The
+smallest slice open around x at parameter e is ``U_(x,e)`` cut to e's
+block, so a point p of block ``blk(p)`` is in a slice interior of A when
+``U_p ∩ blk(p) ⊆ A``, and in a slice closure when ``U_p`` meets
+``A ∩ blk(p)``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 from .errors import ContextMismatchError
 from .softset import SoftSet
 from .space import BiSoftSpace
-from .topology import parameterize, pt_closure, pt_interior
 
 
 @dataclass(frozen=True)
@@ -30,30 +33,29 @@ def _check(s: BiSoftSpace, a: SoftSet) -> None:
         raise ContextMismatchError("target lives over a different context")
 
 
+def _reaches(s: BiSoftSpace) -> list[int]:
+    """Per point p: ``(U1_p ∪ U2_p) ∩ blk(p)``, what both slice
+    neighbourhoods of p cover at p's parameter."""
+    ctx = s.context
+    u1, u2 = s.t1.neighbourhoods(), s.t2.neighbourhoods()
+    return [
+        (u1[p] | u2[p]) & ctx.block_mask << (p // ctx.nx * ctx.nx)
+        for p in range(ctx.nx * ctx.ne)
+    ]
+
+
 def lower_approx(s: BiSoftSpace, a: SoftSet) -> SoftSet:
     """Per parameter: intersection of the two slice interiors."""
     _check(s, a)
-    ctx = s.context
-    mask = 0
-    for e, pname in enumerate(ctx.parameters.parameters):
-        block = (a.mask >> (e * ctx.nx)) & ctx.block_mask
-        i1 = pt_interior(parameterize(s.t1, pname), block)
-        i2 = pt_interior(parameterize(s.t2, pname), block)
-        mask |= (i1 & i2) << (e * ctx.nx)
-    return SoftSet(ctx, mask)
+    reaches = enumerate(_reaches(s))
+    return SoftSet(s.context, sum(1 << p for p, r in reaches if not r & ~a.mask))
 
 
 def upper_approx(s: BiSoftSpace, a: SoftSet) -> SoftSet:
     """Per parameter: union of the two slice closures."""
     _check(s, a)
-    ctx = s.context
-    mask = 0
-    for e, pname in enumerate(ctx.parameters.parameters):
-        block = (a.mask >> (e * ctx.nx)) & ctx.block_mask
-        c1 = pt_closure(parameterize(s.t1, pname), block)
-        c2 = pt_closure(parameterize(s.t2, pname), block)
-        mask |= (c1 | c2) << (e * ctx.nx)
-    return SoftSet(ctx, mask)
+    reaches = enumerate(_reaches(s))
+    return SoftSet(s.context, sum(1 << p for p, r in reaches if r & a.mask))
 
 
 def rough_regions(s: BiSoftSpace, a: SoftSet) -> RoughResult:

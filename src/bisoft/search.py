@@ -12,13 +12,13 @@ A space claim in ``CLAIMS`` is a premise and a conclusion over named
 facts of one space, and the registry is the only place a claim's logic
 lives.  Two routes produce the facts:
 
-* ``SpaceFacts`` runs the public checkers in ``axioms`` and
-  ``bitopology`` on one space at a time; fixtures, random corpora,
+* ``SpaceFacts`` runs the public checkers in ``axioms`` on one space at a
+  time (on its one-parameter slices too); fixtures, random corpora,
   counterexample hunts and ``replay`` use it;
-* the exhaustive scan reads the same facts off minimal open
-  neighbourhoods, one profile per enumerated topology, and counts the
-  topology pairs per distinct fact vector; each claim then runs once per
-  vector, weighted by its count.
+* the exhaustive scan summarises each enumerated topology once, in a
+  profile of integers read off the same minimal open neighbourhoods the
+  checkers read, and counts the topology pairs per distinct fact vector;
+  each claim then runs once per vector, weighted by its count.
 
 The test suite compares the scan's facts with ``SpaceFacts`` field by
 field and its reports with the public route on whole small corpora.
@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from operator import and_, or_
+from operator import or_
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .axioms import (
@@ -46,12 +46,18 @@ from .axioms import (
     strong_t0,
     strong_t1,
 )
-from .bitopology import pw_t0, pw_t1, pw_t2
 from .errors import UnknownClaimError
 from .rough import lower_approx, upper_approx
 from .softset import Context, SoftSet, point_soft_set
 from .space import BiSoftSpace, slice_space, sup_topology, subspace
-from .topology import PointTopology, SoftTopology, generate_topology
+from .topology import (
+    SoftTopology,
+    _row_neighbourhoods,
+    _strongly_apart,
+    _weakly_apart,
+    generate_topology,
+    minimal_neighbourhoods,
+)
 
 EXHAUSTIVE_POINT_BOUND = 4  # topologies on <= 4 points are enumerable (355 on 4)
 
@@ -92,11 +98,12 @@ def _point_topologies(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def enumerate_topologies(n_points: int) -> Iterable[PointTopology]:
-    """Stream every topology on an n-point set exactly once."""
-    points = tuple(f"p{i + 1}" for i in range(n_points))
+def enumerate_topologies(n_points: int) -> Iterable[SoftTopology]:
+    """Stream every topology on an n-point set exactly once, as a soft
+    topology over n elements and one parameter."""
+    ctx = standard_context(n_points, 1)
     for opens in _point_topologies(n_points):
-        yield PointTopology(points, opens)
+        yield as_soft_topology(opens, ctx)
 
 
 def standard_context(nx: int, ne: int) -> Context:
@@ -212,6 +219,7 @@ class SpaceFacts:
     def strong_t1(self):
         return strong_t1(self.space)
 
+    @cached_property
     def _slices(self):
         return [
             slice_space(self.space, e)
@@ -220,15 +228,15 @@ class SpaceFacts:
 
     @cached_property
     def slices_pw_t0(self):
-        return all(pw_t0(b) for b in self._slices())
+        return all(pairwise_soft_t0(b) for b in self._slices)
 
     @cached_property
     def slices_pw_t1(self):
-        return all(pw_t1(b) for b in self._slices())
+        return all(pairwise_soft_t1(b) for b in self._slices)
 
     @cached_property
     def slices_pw_t2(self):
-        return all(pw_t2(b) for b in self._slices())
+        return all(pairwise_soft_t2(b) for b in self._slices)
 
     def _subspaces(self):
         elems = self.space.context.universe.elements
@@ -747,6 +755,8 @@ def verify_implications(
     ``find_counterexample`` searches them.
     """
     ids = tuple(claim_ids) if claim_ids is not None else TRUE_CLAIM_IDS
+    if not ids:
+        raise ValueError("no claims to verify")
     claims = [get_claim(cid) for cid in ids]
     rough = [c.id for c in claims if c.kind == "rough"]
     if rough:
@@ -801,16 +811,8 @@ def _find_rough_counterexample(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive scan over neighbourhood profiles
-#
-# A finite topology is fixed by the smallest open set U_p around each point
-# p (Alexandroff 1937; Stong 1966).  The smallest member strongly
-# containing an element x is N(x), the union of U_p over x's row.
-
-
-def _minimal_neighbourhoods(opens: Sequence[int], n: int) -> tuple[int, ...]:
-    """U_p for each of the n points: the AND of the opens containing p."""
-    return tuple(reduce(and_, [o for o in opens if o >> p & 1]) for p in range(n))
+# exhaustive scan over neighbourhood profiles, read off U_p and N(x) (see
+# ``topology``)
 
 
 class _Separation(NamedTuple):
@@ -858,14 +860,6 @@ def _separation(groups, width: int, apart: Callable[[int, int], bool]) -> _Separ
     return _Separation(t0, fwd, bwd, near, far)
 
 
-def _weakly_apart(nbhd: int, row: int) -> bool:
-    return nbhd & row != row
-
-
-def _strongly_apart(nbhd: int, row: int) -> bool:
-    return not nbhd & row
-
-
 class _Profile(NamedTuple):
     """One enumerated topology read over a factorization (|X|, |E|).
 
@@ -899,7 +893,7 @@ def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
     n = nx * ne
     span = 1 << n  # masks per element in the closure tables
     ctx = standard_context(nx, ne)
-    rows = [ctx.row(x) for x in ctx.universe.elements]
+    rows = ctx.rows
     points = [1 << x for x in range(nx)]
     subuniverses = []
     for ym in range(1, 1 << nx):
@@ -907,8 +901,8 @@ def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
         subuniverses.append((keep, reduce(or_, [rows[x] for x in keep])))
     out = []
     for opens in _point_topologies(n):
-        u = _minimal_neighbourhoods(opens, n)
-        nbhd = [reduce(or_, u[x::nx]) for x in range(nx)]  # U over x's row
+        u = minimal_neighbourhoods(opens, n)
+        nbhd = _row_neighbourhoods(u, nx)
         whole = _separation([(nbhd, rows)], n, _weakly_apart)
         slices = [
             ([u[e * nx + x] >> (e * nx) & ctx.block_mask for x in range(nx)], points)
@@ -951,7 +945,7 @@ def _sup_table(n: int) -> tuple[tuple[int, ...], ...]:
     identifies the topology.  Shared by every factorization of n.
     """
     packed = [
-        sum(u << (p * n) for p, u in enumerate(_minimal_neighbourhoods(opens, n)))
+        sum(u << (p * n) for p, u in enumerate(minimal_neighbourhoods(opens, n)))
         for opens in _point_topologies(n)
     ]
     index = {key: k for k, key in enumerate(packed)}

@@ -78,7 +78,7 @@ class Context:
     ne: int = field(init=False, compare=False, repr=False)
     full_mask: int = field(init=False, compare=False, repr=False)
     block_mask: int = field(init=False, compare=False, repr=False)
-    _rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _element_ids: dict[str, int] = field(init=False, compare=False, repr=False)
     _parameter_ids: dict[str, int] = field(init=False, compare=False, repr=False)
 
@@ -91,7 +91,7 @@ class Context:
             "ne": ne,
             "full_mask": (1 << (nx * ne)) - 1,
             "block_mask": (1 << nx) - 1,
-            "_rows": tuple(
+            "rows": tuple(
                 sum(1 << (e * nx + x) for e in range(ne)) for x in range(nx)
             ),
             "_element_ids": {name: i for i, name in enumerate(elements)},
@@ -118,7 +118,7 @@ class Context:
 
     def row(self, element: str) -> int:
         """Bits of one element across every parameter block."""
-        return self._rows[self.element_index(element)]
+        return self.rows[self.element_index(element)]
 
     def subset_mask(self, names: Iterable[str]) -> int:
         mask = 0

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bitopology import Bitopology
 from .errors import ContextMismatchError
 from .softset import Context
 from .topology import (
@@ -44,13 +43,11 @@ def sup_topology(s: BiSoftSpace) -> SoftTopology:
     return generate_topology(s.context, s.t1.members + s.t2.members)
 
 
-def slice_space(s: BiSoftSpace, parameter: str) -> Bitopology:
-    """Classical bitopological space at one parameter."""
-    return Bitopology(
-        s.context.universe.elements,
-        parameterize(s.t1, parameter),
-        parameterize(s.t2, parameter),
-    )
+def slice_space(s: BiSoftSpace, parameter: str) -> BiSoftSpace:
+    """The classical bitopological slice at one parameter, as a bi-soft
+    space over that parameter alone (where strong membership is plain
+    membership, so the pairwise soft checkers decide its axioms)."""
+    return BiSoftSpace(parameterize(s.t1, parameter), parameterize(s.t2, parameter))
 
 
 def subspace(s: BiSoftSpace, keep: Iterable[str]) -> BiSoftSpace:

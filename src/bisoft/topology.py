@@ -1,4 +1,4 @@
-"""Soft topologies and per-parameter point topologies.
+"""Soft topologies and their minimal open neighbourhoods.
 
 A soft topology is a family of soft sets over one context that contains
 the null and absolute soft sets and is closed under pairwise union and
@@ -6,15 +6,23 @@ pairwise intersection; on a finite context that pairwise closure already
 gives closure under arbitrary unions.  Members are kept deduplicated and
 sorted by their packed bitmask, so equality of topologies is plain value
 equality.
+
+A finite topology is fixed by the smallest open set ``U_p`` around each
+point p of ``X x E`` (Alexandroff 1937; Stong 1966), so each topology
+stores its ``U`` once; the smallest member strongly containing an element
+x is ``N(x)``, the union of ``U_p`` over x's row.  The checkers, the search
+scan and the rough approximations read these instead of scanning members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContextMismatchError, InvalidTopologyError
-from .softset import Context, SoftSet
+from .softset import Context, ParameterSet, SoftSet
 
 
 @dataclass(frozen=True)
@@ -35,6 +43,36 @@ class Violation:
         return f"{op} of {a!r} and {b!r} escapes the family ({self.missing!r})"
 
 
+def minimal_neighbourhoods(masks: Iterable[int], n_points: int) -> tuple[int, ...]:
+    """``U_p`` for each point p < n_points: the AND of the masks containing
+    p, or the full mask when none does; in a topology, the smallest open."""
+    full = (1 << n_points) - 1
+    masks = [m for m in masks if m != full]  # ANDing the full mask changes nothing
+    out = []
+    for p in range(n_points):
+        u = full
+        for m in masks:
+            if m >> p & 1:
+                u &= m
+        out.append(u)
+    return tuple(out)
+
+
+def _row_neighbourhoods(u: Sequence[int], nx: int) -> tuple[int, ...]:
+    """``N(x)`` for each element x: the OR of ``U_p`` over x's row."""
+    return tuple(reduce(or_, u[x::nx]) for x in range(nx))
+
+
+def _weakly_apart(nbhd: int, row: int) -> bool:
+    """Some member around x does not strongly contain y: ``N(x) ⊉ row y``."""
+    return nbhd & row != row
+
+
+def _strongly_apart(nbhd: int, row: int) -> bool:
+    """Some member around x misses y's row: ``N(x) ∩ row y = ∅``."""
+    return not nbhd & row
+
+
 @dataclass(frozen=True)
 class SoftTopology:
     """Canonically ordered, duplicate-free family of soft open sets."""
@@ -42,12 +80,27 @@ class SoftTopology:
     context: Context
     members: tuple[SoftSet, ...]
     _masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _u: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _n: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_masks", tuple(m.mask for m in self.members))
+        ctx = self.context
+        masks = tuple(m.mask for m in self.members)
+        u = minimal_neighbourhoods(masks, ctx.nx * ctx.ne)
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_u", u)
+        object.__setattr__(self, "_n", _row_neighbourhoods(u, ctx.nx))
 
     def masks(self) -> tuple[int, ...]:
         return self._masks
+
+    def neighbourhoods(self) -> tuple[int, ...]:
+        """``U_p`` per point p of ``X x E``, in packed bit order."""
+        return self._u
+
+    def element_neighbourhoods(self) -> tuple[int, ...]:
+        """``N(x)`` per element x, in universe order."""
+        return self._n
 
     def __len__(self) -> int:
         return len(self.members)
@@ -120,9 +173,7 @@ def generate_topology(
 ) -> SoftTopology:
     """Smallest soft topology containing the subbasis.
 
-    Built from minimal open neighbourhoods (Alexandrov 1937): for each
-    point ``p`` of ``X x E``, ``U_p`` is the intersection of the subbasis
-    members containing ``p``, or the absolute set if none does.  Every
+    Built from the ``minimal_neighbourhoods`` ``U_p`` of the subbasis.  Every
     soft topology containing the subbasis contains each ``U_p``, a finite
     intersection of its members, and each of its members ``O`` equals the
     union of ``U_p`` over ``p`` in ``O``.  The union-closure of the
@@ -133,15 +184,8 @@ def generate_topology(
     """
     _shared_context(list(subbasis) or [SoftSet(ctx, 0)], ctx)
     masks = {s.mask for s in subbasis}
-    neighbourhoods = set()
-    for p in range(ctx.nx * ctx.ne):
-        u = ctx.full_mask
-        for m in masks:
-            if m >> p & 1:
-                u &= m
-        neighbourhoods.add(u)
     opens = {0}
-    for u in neighbourhoods:
+    for u in set(minimal_neighbourhoods(masks, ctx.nx * ctx.ne)):
         opens |= {o | u for o in opens}
     return _canonical(ctx, opens)
 
@@ -212,51 +256,12 @@ def relative_topology(t: SoftTopology, keep: Iterable[str]) -> SoftTopology:
     return _canonical(sub, out)
 
 
-@dataclass(frozen=True)
-class PointTopology:
-    """Classical topology on a finite indexed point set, opens as bitmasks."""
-
-    points: tuple[str, ...]
-    opens: tuple[int, ...]
-
-    @property
-    def full(self) -> int:
-        return (1 << len(self.points)) - 1
-
-    def subset_mask(self, names: Iterable[str]) -> int:
-        idx = {p: i for i, p in enumerate(self.points)}
-        mask = 0
-        for n in names:
-            mask |= 1 << idx[n]
-        return mask
-
-    def subset_names(self, mask: int) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
-
-
-def point_topology(points: Sequence[str], opens: Iterable[int]) -> PointTopology:
-    return PointTopology(tuple(points), tuple(sorted(set(opens))))
-
-
-def parameterize(t: SoftTopology, parameter: str) -> PointTopology:
-    """Classical topology of the members' subsets at one parameter."""
+def parameterize(t: SoftTopology, parameter: str) -> SoftTopology:
+    """Slice at one parameter: the members' subsets there, as a soft
+    topology over the same universe and that parameter alone."""
     ctx = t.context
     shift = ctx.parameter_index(parameter) * ctx.nx
-    return point_topology(
-        ctx.universe.elements, ((m >> shift) & ctx.block_mask for m in t.masks())
+    return _canonical(
+        Context(ctx.universe, ParameterSet((parameter,))),
+        ((m >> shift) & ctx.block_mask for m in t.masks()),
     )
-
-
-def pt_interior(p: PointTopology, subset: int) -> int:
-    """Union of the opens contained in the subset."""
-    acc = 0
-    for o in p.opens:
-        if o & ~subset == 0:
-            acc |= o
-    return acc
-
-
-def pt_closure(p: PointTopology, subset: int) -> int:
-    """Smallest closed superset, via the complement of the interior."""
-    full = p.full
-    return full & ~pt_interior(p, full & ~subset)

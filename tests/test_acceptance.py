@@ -17,7 +17,6 @@ from bisoft.axioms import (
     soft_t1,
     soft_t2,
 )
-from bisoft.bitopology import pw_t0, pw_t1
 from bisoft.fixtures import builtin_fixture_names, load_fixture
 from bisoft.rough import lower_approx, rough_regions, upper_approx
 from bisoft.search import (
@@ -63,8 +62,9 @@ def criterion(num, desc, budget=None):
     print(f"criterion {num:2d} PASS ({elapsed:6.2f}s): {desc}")
 
 
-def names_of(point_topology):
-    return {point_topology.subset_names(o) for o in point_topology.opens}
+def names_of(one_parameter_topology):
+    (e,) = one_parameter_topology.context.parameters.parameters
+    return {m.table()[e] for m in one_parameter_topology.members}
 
 
 def test_criterion_1_fixture_validity():
@@ -158,7 +158,7 @@ def test_criterion_4_axiom_matrix():
         assert pairwise_soft_t0(s) is True
         assert soft_t0(s.t1) is False
         assert soft_t0(s.t2) is False
-        assert pw_t0(slice_space(s, "e1")) is False
+        assert pairwise_soft_t0(slice_space(s, "e1")) is False
 
         s = load_fixture("t0b").space("S")
         assert pairwise_soft_t0(s) is False
@@ -178,8 +178,8 @@ def test_criterion_4_axiom_matrix():
 
         s = load_fixture("t1c").space("S")
         assert pairwise_soft_t1(s) is True
-        assert pw_t1(slice_space(s, "e1")) is False
-        assert pw_t1(slice_space(s, "e2")) is False
+        assert pairwise_soft_t1(slice_space(s, "e1")) is False
+        assert pairwise_soft_t1(slice_space(s, "e2")) is False
 
         s = load_fixture("t2a").space("S")
         assert pairwise_soft_t2(s) is False

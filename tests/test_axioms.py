@@ -204,7 +204,7 @@ class TestAxiomReport:
     def test_report_matches_individual_checkers(self, fx):
         doc = fx("t1a")
         s = doc.space("S")
-        rep = axiom_report(s, strict_orientation=True, collect_witnesses=True)
+        rep = axiom_report(s, strict_orientation=True)
         assert rep.soft1 == {"t0": True, "t1": True, "t2": False}
         assert rep.soft2 == {"t0": True, "t1": True, "t2": True}
         assert rep.pairwise == {"t0": True, "t1": True, "t2": False}
@@ -214,7 +214,7 @@ class TestAxiomReport:
 
     def test_witnesses_reverify(self, fx):
         s = fx("t2a").space("S")
-        rep = axiom_report(s, collect_witnesses=True)
+        rep = axiom_report(s)
         x, y = rep.witnesses["pairwise_t2"]
         rx, ry = s.context.row(x), s.context.row(y)
         assert not any(

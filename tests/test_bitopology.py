@@ -1,68 +1,64 @@
-"""Classical pairwise separation axioms on finite bitopological spaces."""
+"""Classical pairwise separation axioms: the pairwise soft checkers on
+one-parameter spaces, where strong membership is plain membership."""
 
 from itertools import product
 
-from bisoft.bitopology import Bitopology, pw_t0, pw_t1, pw_t2
-from bisoft.space import slice_space
-from bisoft.topology import point_topology
+from bisoft.axioms import pairwise_soft_t0, pairwise_soft_t1, pairwise_soft_t2
+from bisoft.search import enumerate_topologies
+from bisoft.softset import Context, SoftSet
+from bisoft.space import BiSoftSpace, slice_space
+from bisoft.topology import validate_topology
 
-POINTS = ("a", "b")
-DISCRETE = point_topology(POINTS, [0, 1, 2, 3])
-INDISCRETE = point_topology(POINTS, [0, 3])
-
-
-def bt(p, q):
-    return Bitopology(POINTS, p, q)
+CTX = Context.of(("a", "b"), ("e",))
+DISCRETE = validate_topology([SoftSet(CTX, m) for m in (0, 1, 2, 3)])
+INDISCRETE = validate_topology([SoftSet(CTX, m) for m in (0, 3)])
 
 
 class TestPwT0:
     def test_discrete_side_suffices(self):
-        assert pw_t0(bt(DISCRETE, INDISCRETE))
+        assert pairwise_soft_t0(BiSoftSpace(DISCRETE, INDISCRETE))
 
     def test_two_indiscrete_fail(self):
-        assert not pw_t0(bt(INDISCRETE, INDISCRETE))
+        assert not pairwise_soft_t0(BiSoftSpace(INDISCRETE, INDISCRETE))
 
     def test_slice_failure_example(self, space_of):
-        assert not pw_t0(slice_space(space_of("t0a"), "e1"))
-        assert pw_t0(slice_space(space_of("t0a"), "e2"))
+        assert not pairwise_soft_t0(slice_space(space_of("t0a"), "e1"))
+        assert pairwise_soft_t0(slice_space(space_of("t0a"), "e2"))
 
 
 class TestPwT1:
     def test_discrete_pair(self):
-        assert pw_t1(bt(DISCRETE, DISCRETE))
+        assert pairwise_soft_t1(BiSoftSpace(DISCRETE, DISCRETE))
 
     def test_indiscrete_second_topology_fails(self):
-        assert not pw_t1(bt(DISCRETE, INDISCRETE))
+        assert not pairwise_soft_t1(BiSoftSpace(DISCRETE, INDISCRETE))
 
     def test_one_sided_slices_fail(self, space_of):
         s = space_of("t1c")
-        assert not pw_t1(slice_space(s, "e1"))
-        assert not pw_t1(slice_space(s, "e2"))
+        assert not pairwise_soft_t1(slice_space(s, "e1"))
+        assert not pairwise_soft_t1(slice_space(s, "e2"))
 
 
 class TestPwT2:
     def test_discrete_pair(self):
-        assert pw_t2(bt(DISCRETE, DISCRETE))
+        assert pairwise_soft_t2(BiSoftSpace(DISCRETE, DISCRETE))
 
     def test_indiscrete_first_topology_fails(self):
-        assert not pw_t2(bt(INDISCRETE, DISCRETE))
+        assert not pairwise_soft_t2(BiSoftSpace(INDISCRETE, DISCRETE))
 
     def test_green_slice_fails(self, space_of):
-        assert not pw_t2(slice_space(space_of("rough"), "Green"))
+        assert not pairwise_soft_t2(slice_space(space_of("rough"), "Green"))
 
 
 def _enumerated_bitopologies(n):
-    from bisoft.search import _point_topologies
-
-    points = tuple(f"p{i}" for i in range(n))
-    topos = [point_topology(points, opens) for opens in _point_topologies(n)]
+    topos = list(enumerate_topologies(n))
     for p, q in product(topos, repeat=2):
-        yield Bitopology(points, p, q)
+        yield BiSoftSpace(p, q)
 
 
 def test_implication_ladder_over_enumerated_spaces():
     for b in _enumerated_bitopologies(3):
-        t2, t1, t0 = pw_t2(b), pw_t1(b), pw_t0(b)
+        t2, t1, t0 = pairwise_soft_t2(b), pairwise_soft_t1(b), pairwise_soft_t0(b)
         if t2:
             assert t1
         if t1:
@@ -71,7 +67,7 @@ def test_implication_ladder_over_enumerated_spaces():
 
 def test_swap_invariance_over_enumerated_spaces():
     for b in _enumerated_bitopologies(3):
-        swapped = Bitopology(b.points, b.q, b.p)
-        assert pw_t0(b) == pw_t0(swapped)
-        assert pw_t1(b) == pw_t1(swapped)
-        assert pw_t2(b) == pw_t2(swapped)
+        swapped = BiSoftSpace(b.t2, b.t1)
+        assert pairwise_soft_t0(b) == pairwise_soft_t0(swapped)
+        assert pairwise_soft_t1(b) == pairwise_soft_t1(swapped)
+        assert pairwise_soft_t2(b) == pairwise_soft_t2(swapped)

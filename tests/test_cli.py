@@ -115,6 +115,15 @@ class TestSubspace:
 
         assert pairwise_soft_t0(s)
 
+    def test_unknown_or_empty_keep_exits_1(self, capsys):
+        for keep, message in (("zz", "'zz'"), (",", "must not be empty")):
+            code, out, err = run(
+                capsys, "subspace", "t0a", "--space", "S", "--keep", keep
+            )
+            assert code == 1, keep
+            assert out == ""
+            assert err.startswith("error: ") and message in err, err
+
 
 class TestRough:
     def test_reports_regions(self, capsys):

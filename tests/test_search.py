@@ -63,13 +63,13 @@ class TestEnumeration:
 
     def test_each_enumerated_family_is_a_topology(self):
         for p in enumerate_topologies(3):
-            opens = set(p.opens)
-            assert 0 in opens and p.full in opens
+            opens = set(p.masks())
+            assert 0 in opens and p.context.full_mask in opens
             assert all(a | b in opens and a & b in opens for a in opens for b in opens)
 
     def test_no_duplicates_and_stable_order(self):
-        once = [p.opens for p in enumerate_topologies(3)]
-        twice = [p.opens for p in enumerate_topologies(3)]
+        once = [p.masks() for p in enumerate_topologies(3)]
+        twice = [p.masks() for p in enumerate_topologies(3)]
         assert once == twice
         assert len(set(once)) == len(once)
 
@@ -244,6 +244,18 @@ class TestVerifyImplications:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             verify_implications([])
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SearchConfig(max_universe=1, n_params=1),
+            SearchConfig(max_universe=2, n_params=1, mode="random", samples=3),
+        ],
+    )
+    def test_empty_claim_list_rejected(self, cfg):
+        # an empty claim list checks nothing, so it cannot report "ok"
+        with pytest.raises(ValueError, match="no claims"):
+            verify_implications(cfg, claim_ids=[])
 
     def test_gap_claims_are_evaluated_on_exhaustive_configs(self):
         cfg = SearchConfig(max_universe=2, n_params=1)

@@ -70,14 +70,14 @@ class TestSliceSpace:
     def test_second_parameter_worked_example(self, fx):
         doc = fx("param")
         b = slice_space(doc.space("S"), "e2")
-        assert {b.p.subset_names(o) for o in b.p.opens} == {
+        assert {m.table()["e2"] for m in b.t1.members} == {
             (),
             ("h1", "h2", "h3"),
             ("h1",),
             ("h1", "h3"),
             ("h1", "h2"),
         }
-        assert {b.q.subset_names(o) for o in b.q.opens} == {
+        assert {m.table()["e2"] for m in b.t2.members} == {
             (),
             ("h1", "h2", "h3"),
             ("h2",),
@@ -86,7 +86,7 @@ class TestSliceSpace:
     def test_blue_slice_worked_example(self, fx):
         doc = fx("rough")
         b = slice_space(doc.space("S"), "Blue")
-        assert {b.p.subset_names(o) for o in b.p.opens} == {
+        assert {m.table()["Blue"] for m in b.t1.members} == {
             (),
             ("x1", "x2", "x3", "x4", "x5"),
             ("x1",),
@@ -95,7 +95,7 @@ class TestSliceSpace:
             ("x1", "x2"),
             ("x1", "x2", "x3"),
         }
-        assert {b.q.subset_names(o) for o in b.q.opens} == {
+        assert {m.table()["Blue"] for m in b.t2.members} == {
             (),
             ("x1", "x2", "x3", "x4", "x5"),
             ("x2",),
@@ -107,8 +107,8 @@ class TestSliceSpace:
         ctx = Context.of(["a", "b"], ["p", "q"])
         t = validate_topology([null_soft_set(ctx), absolute_soft_set(ctx)])
         b = slice_space(BiSoftSpace(t, t), "p")
-        assert set(b.p.opens) == {0, 3}
-        assert set(b.q.opens) == {0, 3}
+        assert set(b.t1.masks()) == {0, 3}
+        assert set(b.t2.masks()) == {0, 3}
 
 
 class TestSubspace:

@@ -7,22 +7,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bisoft.errors import InvalidTopologyError
-from bisoft.search import _point_topologies, standard_context
+from bisoft.rough import lower_approx, upper_approx
+from bisoft.search import _point_topologies, enumerate_topologies, standard_context
 from bisoft.softset import (
     Context,
     SoftSet,
     absolute_soft_set,
+    constant_soft_set,
     null_soft_set,
+    soft_complement,
     soft_subset,
 )
+from bisoft.space import BiSoftSpace
 from bisoft.topology import (
     SoftTopology,
     closed_sets,
     generate_topology,
     parameterize,
-    point_topology,
-    pt_closure,
-    pt_interior,
     relative_topology,
     soft_closure,
     topology_violations,
@@ -335,11 +336,17 @@ class TestRelativeTopology:
             relative_topology(fx("bisoft1").topology("T1"), [])
 
 
+def slice_names(t):
+    """The members of a one-parameter topology as element-name tuples."""
+    (e,) = t.context.parameters.parameters
+    return {m.table()[e] for m in t.members}
+
+
 class TestParameterize:
     def test_first_parameter_slices(self, fx):
         doc = fx("param")
         p = parameterize(doc.topology("T1"), "e1")
-        names = {p.subset_names(o) for o in p.opens}
+        names = slice_names(p)
         assert names == {
             (),
             ("h1", "h2", "h3"),
@@ -348,7 +355,7 @@ class TestParameterize:
             ("h2", "h3"),
         }
         q = parameterize(doc.topology("T2"), "e2")
-        assert {q.subset_names(o) for o in q.opens} == {
+        assert slice_names(q) == {
             (),
             ("h1", "h2", "h3"),
             ("h2",),
@@ -357,7 +364,7 @@ class TestParameterize:
     def test_color_slices(self, fx):
         doc = fx("rough")
         t1red = parameterize(doc.topology("T1"), "Red")
-        assert {t1red.subset_names(o) for o in t1red.opens} == {
+        assert slice_names(t1red) == {
             (),
             ("x1", "x2", "x3", "x4", "x5"),
             ("x2",),
@@ -369,7 +376,7 @@ class TestParameterize:
         ctx = Context.of(["a", "b"], ["p", "q"])
         t = validate_topology([null_soft_set(ctx), absolute_soft_set(ctx)])
         p = parameterize(t, "q")
-        assert set(p.opens) == {0, p.full}
+        assert set(p.masks()) == {0, p.context.full_mask}
 
     def test_slices_are_topologies(self, fx):
         # per-parameter slices always satisfy the classical axioms
@@ -379,29 +386,36 @@ class TestParameterize:
                 t = doc.topology(tname)
                 for e in doc.context.parameters.parameters:
                     p = parameterize(t, e)
-                    opens = set(p.opens)
-                    assert 0 in opens and p.full in opens
+                    opens = set(p.masks())
+                    assert 0 in opens and p.context.full_mask in opens
                     for a in opens:
                         for b in opens:
                             assert a | b in opens and a & b in opens
 
 
+def interior(t, a):
+    """Interior in a one-parameter topology: the lower approximation of
+    the space whose two topologies are both ``t``."""
+    return lower_approx(BiSoftSpace(t, t), a)
+
+
 class TestPointOperators:
     def test_interior_of_full_set(self):
-        p = point_topology(["a", "b"], [0, 1, 3])
-        assert pt_interior(p, 3) == 3
+        ctx = Context.of(["a", "b"], ["e"])
+        p = validate_topology([SoftSet(ctx, m) for m in (0, 1, 3)])
+        assert interior(p, SoftSet(ctx, 3)).mask == 3
 
     def test_interior_worked_example(self, fx):
         doc = fx("rough")
         t1red = parameterize(doc.topology("T1"), "Red")
-        subset = t1red.subset_mask(["x2", "x4", "x5"])
-        assert t1red.subset_names(pt_interior(t1red, subset)) == ("x2", "x4")
+        subset = constant_soft_set(["x2", "x4", "x5"], t1red.context)
+        assert interior(t1red, subset).table()["Red"] == ("x2", "x4")
 
     def test_closure_worked_example(self, fx):
         doc = fx("rough")
         t2red = parameterize(doc.topology("T2"), "Red")
-        subset = t2red.subset_mask(["x2", "x4", "x5"])
-        assert t2red.subset_names(pt_closure(t2red, subset)) == (
+        subset = constant_soft_set(["x2", "x4", "x5"], t2red.context)
+        assert soft_closure(t2red, subset).table()["Red"] == (
             "x2",
             "x3",
             "x4",
@@ -409,23 +423,27 @@ class TestPointOperators:
         )
 
     def test_closure_matches_closed_superset_scan(self, fx):
-        # oracle: intersect every closed superset directly
+        # oracle: intersect every closed superset directly; the closure is
+        # also the upper approximation of the space (p, p)
         doc = fx("rough")
         for tname in ("T1", "T2"):
             for e in doc.context.parameters.parameters:
                 p = parameterize(doc.topology(tname), e)
-                closed = [p.full & ~o for o in p.opens]
-                for subset in range(p.full + 1):
-                    acc = p.full
+                full = p.context.full_mask
+                closed = [full & ~o for o in p.masks()]
+                for subset in range(full + 1):
+                    acc = full
                     for c in closed:
                         if subset & ~c == 0:
                             acc &= c
-                    assert pt_closure(p, subset) == acc
+                    a = SoftSet(p.context, subset)
+                    assert soft_closure(p, a).mask == acc
+                    assert upper_approx(BiSoftSpace(p, p), a).mask == acc
 
     def test_duality(self):
-        for opens in _point_topologies(3):
-            p = point_topology(["a", "b", "c"], opens)
+        for p in enumerate_topologies(3):
             for subset in range(8):
-                assert pt_closure(p, subset) == p.full & ~pt_interior(
-                    p, p.full & ~subset
+                a = SoftSet(p.context, subset)
+                assert soft_closure(p, a) == soft_complement(
+                    interior(p, soft_complement(a))
                 )
