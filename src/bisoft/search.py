@@ -14,14 +14,28 @@ lives.  Two routes produce the facts:
 
 * ``SpaceFacts`` runs the public checkers in ``axioms`` on one space at a
   time (on its one-parameter slices too); fixtures, random corpora,
-  counterexample hunts and ``replay`` use it;
-* the exhaustive scan summarises each enumerated topology once, in a
-  profile of integers read off the same minimal open neighbourhoods the
-  checkers read, and counts the topology pairs per distinct fact vector;
-  each claim then runs once per vector, weighted by its count.
+  random-mode hunts and ``replay`` use it;
+* the exhaustive scan in ``scan`` summarises each enumerated topology
+  once, in a profile of integers read off the same minimal open
+  neighbourhoods the checkers read, and counts the topology pairs per
+  distinct fact vector; each claim then runs once per vector, weighted
+  by its count.
+
+Every fact is unchanged when the universe and the parameters are
+relabelled together, so the scan evaluates one pair per orbit of
+S_|X| x S_|E| on ordered topology pairs and adds the orbit's size
+|G.i| * |Stab(i).j|, so counts stay exact labelled counts (the
+orbit-stabilizer count that relates labelled and unlabelled topologies;
+Brinkmann and McKay, J. Integer Sequences, 2005).  Each representative
+is the lexicographic minimum of its orbit, so the first violating
+representative is the first violating space: exhaustive hunts stop
+there, without ``SpaceFacts``, and a report's three records come from
+expanding the orbits of the first three violating representatives.
 
 The test suite compares the scan's facts with ``SpaceFacts`` field by
-field and its reports with the public route on whole small corpora.
+field, its reports with the public route on whole small corpora, and its
+counts, reports and hunts with an unreduced labelled scan
+(``tests/labelled_scan.py``).
 """
 
 from __future__ import annotations
@@ -29,10 +43,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import or_
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .axioms import (
     hausdorff_char,
@@ -50,14 +63,7 @@ from .errors import UnknownClaimError
 from .rough import lower_approx, upper_approx
 from .softset import Context, SoftSet, point_soft_set
 from .space import BiSoftSpace, slice_space, sup_topology, subspace
-from .topology import (
-    SoftTopology,
-    _row_neighbourhoods,
-    _strongly_apart,
-    _weakly_apart,
-    generate_topology,
-    minimal_neighbourhoods,
-)
+from .topology import SoftTopology, generate_topology, validate_topology
 
 EXHAUSTIVE_POINT_BOUND = 4  # topologies on <= 4 points are enumerable (355 on 4)
 
@@ -611,10 +617,15 @@ class CounterexampleRecord:
         return Context.of(self.universe, self.parameters)
 
     def space(self) -> BiSoftSpace:
+        """The recorded space; raises ``InvalidTopologyError`` when a mask
+        family is not a topology, since the checkers would otherwise
+        answer for the topology it generates."""
         ctx = self.context()
         return BiSoftSpace(
-            as_soft_topology(self.t1_masks, ctx),
-            as_soft_topology(self.t2_masks, ctx),
+            *(
+                validate_topology([SoftSet(ctx, m) for m in masks], ctx)
+                for masks in (self.t1_masks, self.t2_masks)
+            )
         )
 
     def target(self) -> Optional[SoftSet]:
@@ -749,7 +760,12 @@ def verify_implications(
     be named too.  Exhaustive configs are counted by the profile scan,
     which reads every fact off minimal open neighbourhoods; a subspace on
     Y reads ``N(x)`` intersected with Y's rows, so ``relative_topology``
-    runs only on the other route.  Random configs and explicit corpora go
+    runs only on the other route.  The scan evaluates one pair per orbit
+    of the relabellings of universe and parameters and adds the orbit's
+    size, so ``tested``, ``premise_hits`` and violation counts are exact
+    labelled counts; the records are the first three violating spaces in
+    canonical order, taken from the orbits of the first three violating
+    representatives.  Random configs and explicit corpora go
     space by space through ``SpaceFacts`` and the public checkers.  Rough
     claims quantify over targets as well as spaces and are rejected here;
     ``find_counterexample`` searches them.
@@ -763,6 +779,8 @@ def verify_implications(
         raise ValueError(f"rough claims {rough} need targets; use find_counterexample")
     if isinstance(corpus, SearchConfig):
         if corpus.mode == "exhaustive":
+            from .scan import _verify_exhaustive
+
             return _verify_exhaustive(corpus, claims)
         return _verify_over_spaces(iter_spaces(corpus), ids, corpus.describe())
     spaces = list(corpus)
@@ -774,15 +792,22 @@ def verify_implications(
 def find_counterexample(
     claim_id: str, config: SearchConfig
 ) -> Optional[CounterexampleRecord]:
-    """First space (in canonical or seed order) refuting the claim, if any."""
+    """First space (in canonical or seed order) refuting the claim, if any.
+
+    On exhaustive configs a space claim walks the orbit representatives of
+    the profile scan in canonical order and stops at the first violating
+    one; each representative is the first space of its orbit, so that is
+    the first violating space, and no ``SpaceFacts`` is built.  Random
+    configs go space by space through ``SpaceFacts``; rough claims try
+    every target of every space (random configs: one seeded target each).
+    """
     claim = get_claim(claim_id)
     if claim.kind == "rough":
         return _find_rough_counterexample(claim, config)
-    if claim.holds and config.mode == "exhaustive":
-        # expected theorems usually have no counterexample, so the full
-        # profile scan is the fast way to conclude "not found"
-        res = _verify_exhaustive(config, [claim]).results[claim.id]
-        return res.records[0] if res.records else None
+    if config.mode == "exhaustive":
+        from .scan import _first_violation
+
+        return _first_violation(config, claim)
     for s in iter_spaces(config):
         facts = SpaceFacts(s)
         if claim.premise(facts) and not claim.conclusion(facts):
@@ -808,238 +833,3 @@ def _find_rough_counterexample(
             if claim.premise(s, a) and not claim.conclusion(s, a):
                 return record_for(claim.id, s, target=a)
     return None
-
-
-# ---------------------------------------------------------------------------
-# exhaustive scan over neighbourhood profiles, read off U_p and N(x) (see
-# ``topology``)
-
-
-class _Separation(NamedTuple):
-    """Separation bitsets of one topology over groups of points.
-
-    A group lists the points of one space with their smallest open
-    neighbourhoods and their rows.  Bit k is the k-th ordered pair (x, y)
-    of distinct points of a group: ``t0`` sets it when neither point is
-    apart from the other, ``fwd`` when x is not apart from y, and ``bwd``
-    when y is not apart from x.  Each slot of ``near`` holds one point's
-    neighbourhood, and the same slot of ``far`` the union of the
-    neighbourhoods of the other points of its group.
-
-    For two topologies over the same groups, pairwise T0 fails where both
-    ``t0`` have a bit, T1 where the first ``fwd`` or the second ``bwd`` has
-    one, and T2 (N1(x) and N2(y) disjoint for every ordered pair) where
-    the first ``far`` meets the second ``near``.  A topology's soft axioms
-    are its pairwise axioms with itself.
-    """
-
-    t0: int
-    fwd: int
-    bwd: int
-    near: int
-    far: int
-
-
-def _separation(groups, width: int, apart: Callable[[int, int], bool]) -> _Separation:
-    """``apart(nbhd_x, row_y)`` decides whether x is separated from y."""
-    t0 = fwd = bwd = near = far = bit = shift = 0
-    for nbhds, rows in groups:
-        for y, nbhd_y in enumerate(nbhds):
-            others = 0
-            for x, nbhd_x in enumerate(nbhds):
-                if x != y:
-                    others |= nbhd_x
-                    xy, yx = apart(nbhd_x, rows[y]), apart(nbhd_y, rows[x])
-                    t0 |= (not (xy or yx)) << bit
-                    fwd |= (not xy) << bit
-                    bwd |= (not yx) << bit
-                    bit += 1
-            near |= nbhd_y << shift
-            far |= others << shift
-            shift += width
-    return _Separation(t0, fwd, bwd, near, far)
-
-
-class _Profile(NamedTuple):
-    """One enumerated topology read over a factorization (|X|, |E|).
-
-    Closures are read off U: cl(A) = {p : U_p meets A}.  They enter as
-    two tables with one bit per element x and mask A, at x * 2^n + A:
-    ``closure_escapes`` when cl(A) meets a row other than x's, and
-    ``closure_not_row`` when cl(A) is not x's row.  ``nbhd_index`` sets
-    the bit of (x, N(x)) for every element, so ANDing it with another
-    topology's table tests cl2(N1(x)) for every x at once.
-    """
-
-    opens: tuple[int, ...]  # the topology itself, for records
-    soft: tuple[bool, bool, bool]  # soft T0, T1, T2
-    cor2: bool  # every row's complement is open
-    whole: _Separation  # neighbourhoods N(x), weakly apart
-    strong: _Separation  # neighbourhoods N(x), strongly apart
-    slices: _Separation  # a group per parameter e, neighbourhoods block_e(U_(x,e))
-    subspaces: _Separation  # a group per nonempty sub-universe Y, N(x) & Y's rows
-    nbhd_index: int
-    closure_escapes: int
-    closure_not_row: int
-
-
-@lru_cache(maxsize=None)
-def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
-    """Profiles of every topology on nx*ne points, in enumeration order.
-
-    ``_point_topologies`` rejects nx*ne > EXHAUSTIVE_POINT_BOUND, so at
-    most eight factorizations are ever cached.
-    """
-    n = nx * ne
-    span = 1 << n  # masks per element in the closure tables
-    ctx = standard_context(nx, ne)
-    rows = ctx.rows
-    points = [1 << x for x in range(nx)]
-    subuniverses = []
-    for ym in range(1, 1 << nx):
-        keep = [x for x in range(nx) if ym >> x & 1]
-        subuniverses.append((keep, reduce(or_, [rows[x] for x in keep])))
-    out = []
-    for opens in _point_topologies(n):
-        u = minimal_neighbourhoods(opens, n)
-        nbhd = _row_neighbourhoods(u, nx)
-        whole = _separation([(nbhd, rows)], n, _weakly_apart)
-        slices = [
-            ([u[e * nx + x] >> (e * nx) & ctx.block_mask for x in range(nx)], points)
-            for e in range(ne)
-        ]
-        subspaces = [
-            ([nbhd[x] & kept for x in keep], [rows[x] for x in keep])
-            for keep, kept in subuniverses
-        ]
-        closure = [sum(1 << p for p in range(n) if u[p] & a) for a in range(span)]
-        nbhd_index = escapes = not_row = 0
-        for x, r in enumerate(rows):
-            nbhd_index |= 1 << (x * span + nbhd[x])
-            for a, c in enumerate(closure):
-                escapes |= bool(c & ~r) << (x * span + a)
-                not_row |= (c != r) << (x * span + a)
-        out.append(
-            _Profile(
-                opens=opens,
-                soft=(not whole.t0, not whole.fwd, not whole.far & whole.near),
-                cor2=all(ctx.full_mask ^ r in opens for r in rows),
-                whole=whole,
-                strong=_separation([(nbhd, rows)], n, _strongly_apart),
-                slices=_separation(slices, n, _weakly_apart),
-                subspaces=_separation(subspaces, n, _weakly_apart),
-                nbhd_index=nbhd_index,
-                closure_escapes=escapes,
-                closure_not_row=not_row,
-            )
-        )
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _sup_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Index of the supremum of every ordered pair of topologies on n points.
-
-    The supremum's U_p is U1_p & U2_p.  With each topology's U packed into
-    one integer, n bits per point, that is one AND, and the packed U
-    identifies the topology.  Shared by every factorization of n.
-    """
-    packed = [
-        sum(u << (p * n) for p, u in enumerate(minimal_neighbourhoods(opens, n)))
-        for opens in _point_topologies(n)
-    ]
-    index = {key: k for k, key in enumerate(packed)}
-    return tuple(tuple(index[a & b] for b in packed) for a in packed)
-
-
-# The attributes of ``SpaceFacts`` that the space claims read, in the order
-# ``_pair_facts`` returns them.
-_PairFacts = NamedTuple(
-    "_PairFacts",
-    [
-        (name, bool)
-        for name in "t1_soft_t0 t1_soft_t1 t1_soft_t2 t2_soft_t0 t2_soft_t1 "
-        "t2_soft_t2 sup_soft_t0 sup_soft_t1 sup_soft_t2 pairwise_t0 pairwise_t1 "
-        "pairwise_t2 strong_t0 strong_t1 slices_pw_t0 slices_pw_t1 slices_pw_t2 "
-        "hereditary_t0 hereditary_t1 hereditary_t2 thm1_agrees cor1_ok cor2_ok".split()
-    ],
-)
-
-
-def _pair_facts(p: _Profile, q: _Profile, sup: _Profile) -> tuple[bool, ...]:
-    """Facts of the space (p, q) whose supremum is ``sup``, in ``_PairFacts`` order.
-
-    N1(x) is the smallest first-topology member around x and closure is
-    monotone, so cl2(N1(x)) is both the best witness for the closure
-    characterization, which needs it to miss every other row, and the
-    point closure intersection of Corollary 1, which must equal x's row.
-    """
-    w1, w2 = p.whole, q.whole
-    s1, s2 = p.strong, q.strong
-    l1, l2 = p.slices, q.slices
-    h1, h2 = p.subspaces, q.subspaces
-    pairwise_t2 = not w1.far & w2.near
-    return p.soft + q.soft + sup.soft + (
-        not w1.t0 & w2.t0,
-        not (w1.fwd | w2.bwd),
-        pairwise_t2,
-        not s1.t0 & s2.t0,
-        not (s1.fwd | s2.bwd),
-        not l1.t0 & l2.t0,
-        not (l1.fwd | l2.bwd),
-        not l1.far & l2.near,
-        not h1.t0 & h2.t0,
-        not (h1.fwd | h2.bwd),
-        not h1.far & h2.near,
-        (not p.nbhd_index & q.closure_escapes) == pairwise_t2,
-        not p.nbhd_index & q.closure_not_row,
-        p.cor2 and q.cor2,
-    )
-
-
-def _scan(config: SearchConfig) -> tuple[int, dict, dict]:
-    """Count the spaces of an exhaustive corpus per distinct fact vector.
-
-    Returns the number of spaces, the count per vector, and per vector its
-    first ``_MAX_RECORDS_PER_CLAIM`` positions (factorization index, i, j).
-    """
-    counts: dict = {}
-    firsts: dict = {}
-    total = 0
-    for k, (nx, ne) in enumerate(config.factorizations()):
-        profiles = _profiles(nx, ne)
-        sups = _sup_table(nx * ne)
-        total += len(profiles) ** 2
-        for i, p in enumerate(profiles):
-            for j, s in enumerate(sups[i]):
-                vec = _pair_facts(p, profiles[j], profiles[s])
-                count = counts[vec] = counts.get(vec, 0) + 1
-                if count <= _MAX_RECORDS_PER_CLAIM:
-                    firsts.setdefault(vec, []).append((k, i, j))
-    return total, counts, firsts
-
-
-def _verify_exhaustive(
-    config: SearchConfig, claims: Sequence[Claim]
-) -> ImplicationReport:
-    """Run each claim once per distinct fact vector, weighted by its count."""
-    total, counts, firsts = _scan(config)
-    sizes = config.factorizations()
-    table = [(_PairFacts(*vec), n, firsts[vec]) for vec, n in counts.items()]
-    results = {}
-    for c in claims:
-        res = results[c.id] = ClaimResult(c.id, tested=total)
-        violating = []
-        for facts, count, positions in table:
-            if c.premise(facts):
-                res.premise_hits += count
-                if not c.conclusion(facts):
-                    res.violation_count += count
-                    violating += positions
-        for k, i, j in sorted(violating)[:_MAX_RECORDS_PER_CLAIM]:
-            ctx, profiles = standard_context(*sizes[k]), _profiles(*sizes[k])
-            names = (ctx.universe.elements, ctx.parameters.parameters)
-            res.records.append(
-                CounterexampleRecord(c.id, *names, profiles[i].opens, profiles[j].opens)
-            )
-    return ImplicationReport(config.describe(), results)

@@ -1,0 +1,69 @@
+"""Unreduced labelled scan: the reference for the orbit scan in
+``bisoft.scan``.
+
+It walks every ordered topology pair of every factorization, counts the
+pairs per fact vector and keeps each vector's first three positions, the
+way the exhaustive scan did before it walked one pair per symmetry orbit.
+The facts come from the same profiles; the dual-route tests check those
+against the public checkers.
+"""
+
+from functools import lru_cache
+
+from bisoft.scan import _PairFacts, _pair_facts, _profiles, _sup_table
+from bisoft.search import (
+    ClaimResult,
+    CounterexampleRecord,
+    ImplicationReport,
+    SearchConfig,
+    _point_topologies,
+    get_claim,
+    standard_context,
+)
+
+MAX_RECORDS = 3
+
+
+@lru_cache(maxsize=None)
+def labelled_counts(nx, ne):
+    """Pairs per fact vector over (nx, ne), and each vector's first
+    ``MAX_RECORDS`` positions (i, j)."""
+    profiles = _profiles(nx, ne)
+    sups = _sup_table(nx * ne)
+    counts, firsts = {}, {}
+    for i, p in enumerate(profiles):
+        for j, s in enumerate(sups[i]):
+            vec = _pair_facts(p, profiles[j], profiles[s])
+            count = counts[vec] = counts.get(vec, 0) + 1
+            if count <= MAX_RECORDS:
+                firsts.setdefault(vec, []).append((i, j))
+    return counts, firsts
+
+
+def labelled_report(config: SearchConfig, claim_ids) -> ImplicationReport:
+    """The implication report of an exhaustive config, from labelled counts."""
+    sizes = config.factorizations()
+    table = []
+    total = 0
+    for k, (nx, ne) in enumerate(sizes):
+        counts, firsts = labelled_counts(nx, ne)
+        total += len(_profiles(nx, ne)) ** 2
+        for vec, n in counts.items():
+            table.append((_PairFacts(*vec), n, [(k, i, j) for i, j in firsts[vec]]))
+    results = {}
+    for cid in claim_ids:
+        c = get_claim(cid)
+        res = results[c.id] = ClaimResult(c.id, tested=total)
+        violating = []
+        for facts, count, positions in table:
+            if c.premise(facts):
+                res.premise_hits += count
+                if not c.conclusion(facts):
+                    res.violation_count += count
+                    violating += positions
+        for k, i, j in sorted(violating)[:MAX_RECORDS]:
+            nx, ne = sizes[k]
+            ctx, opens = standard_context(nx, ne), _point_topologies(nx * ne)
+            names = (ctx.universe.elements, ctx.parameters.parameters)
+            res.records.append(CounterexampleRecord(c.id, *names, opens[i], opens[j]))
+    return ImplicationReport(config.describe(), results)

@@ -1,6 +1,9 @@
 """Command line behavior: outputs, exit codes, JSON stability."""
 
+import hashlib
 import json
+
+import pytest
 
 from bisoft.cli import main
 from bisoft.fixtures import load_fixture, loads_fixture, serialize_fixture
@@ -192,6 +195,33 @@ class TestSearch:
         )
         assert out1 == out2
         assert json.loads(out1)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "argv,code,digest",
+        [
+            (
+                "--max-x 4 --params 4",
+                0,
+                "a7a6a89189bfb89faafd26541e3fab23a88e6a8775fcfe4247bd6cf7b92add81",
+            ),
+            (
+                "--claim pairwise-t1-implies-pairwise-t2 --max-x 4 --params 3",
+                3,
+                "da6c9deb71e315c82b8dcf86c03178331ccbe91beb08dd71722aee6e23f41602",
+            ),
+            (
+                "--claim upper-idempotence-equality --max-x 4 --params 2",
+                3,
+                "6f2eb31ee4e2110bee17af6b05743c9287853e6e7ecc5ee012fa09724e61d59a",
+            ),
+        ],
+    )
+    def test_json_output_is_pinned(self, capsys, argv, code, digest):
+        # the bytes of the exhaustive matrix and of the two benchmark hunts,
+        # fixed across versions: a faster scan must print the same document
+        rc, out, _ = run(capsys, "search", *argv.split(), "--json")
+        assert rc == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_unknown_claim_lists_known_ones(self, capsys):
         code, _, err = run(

@@ -5,16 +5,21 @@ from itertools import chain, combinations
 
 import pytest
 
-from bisoft.errors import UnknownClaimError
+from bisoft.errors import InvalidTopologyError, UnknownClaimError
+from bisoft.scan import (
+    _PairFacts,
+    _orbits,
+    _pair_facts,
+    _profiles,
+    _representatives,
+    _sup_table,
+)
 from bisoft.search import (
     CLAIMS,
+    CounterexampleRecord,
     SearchConfig,
     SpaceFacts,
-    _PairFacts,
-    _pair_facts,
     _point_topologies,
-    _profiles,
-    _sup_table,
     _verify_over_spaces,
     TRUE_CLAIM_IDS,
     as_soft_topology,
@@ -23,14 +28,19 @@ from bisoft.search import (
     get_claim,
     iter_spaces,
     random_soft_topology,
+    record_for,
     replay,
     standard_context,
     verify_implications,
 )
 from bisoft.space import BiSoftSpace
 from bisoft.topology import topology_violations
+from labelled_scan import labelled_counts, labelled_report
 
 SPACE_CLAIM_IDS = tuple(c.id for c in CLAIMS.values() if c.kind == "space")
+GAP_SPACE_CLAIM_IDS = tuple(
+    c.id for c in CLAIMS.values() if c.kind == "space" and not c.holds
+)
 
 
 def brute_force_topology_count(n):
@@ -329,6 +339,7 @@ class TestDualRoute:
         rng = random.Random(nx * 100 + ne)
         profiles = _profiles(nx, ne)
         sups = _sup_table(nx * ne)
+        opens = _point_topologies(nx * ne)
         ctx = standard_context(nx, ne)
         k = len(profiles)
         # the indiscrete (first) and discrete (last) topologies make every
@@ -341,8 +352,8 @@ class TestDualRoute:
             fast = _PairFacts(*_pair_facts(profiles[i], profiles[j], sup))
             facts = SpaceFacts(
                 BiSoftSpace(
-                    as_soft_topology(profiles[i].opens, ctx),
-                    as_soft_topology(profiles[j].opens, ctx),
+                    as_soft_topology(opens[i], ctx),
+                    as_soft_topology(opens[j], ctx),
                 )
             )
             for name in _PairFacts._fields:
@@ -354,3 +365,107 @@ class TestDualRoute:
                 for name, values in seen.items()
                 if name != "thm1_agrees"
             ), seen
+
+
+class TestRecords:
+    def test_non_topology_record_is_rejected(self):
+        # {x1,x2} & {x1,x3} = {x1} is missing, and the topology this family
+        # generates is discrete, so a U-reading checker would call it T2
+        family = [0, 3, 5, 6, 7]
+        record = CounterexampleRecord.from_dict(
+            {
+                "claim": "pairwise-t1-implies-pairwise-t2",
+                "universe": ["x1", "x2", "x3"],
+                "parameters": ["e1"],
+                "t1": family,
+                "t2": family,
+            }
+        )
+        with pytest.raises(InvalidTopologyError, match="intersection"):
+            record.space()
+        with pytest.raises(InvalidTopologyError):
+            replay(record)
+
+
+SMALL_TRUE_CLAIM_IDS = (
+    "prop1",
+    "prop4-backward",
+    "hereditary-t2",
+    "thm1-equivalence",
+    "cor1-point-closure",
+)
+
+
+class TestOrbitScan:
+    """The orbit scan against the unreduced labelled scan in ``labelled_scan``."""
+
+    @pytest.mark.parametrize("nx,ne", SearchConfig(4, 4).factorizations())
+    def test_representatives_are_orbit_minima_weighted_by_orbit_size(self, nx, ne):
+        action, reps = _orbits(nx, ne)
+        k = len(_point_topologies(nx * ne))
+        assert len(set(map(tuple, action))) == len(action)
+        assert all(sorted(g) == list(range(k)) for g in action)
+        total = 0
+        for i, js, weights in reps:
+            for j, w in zip(js, weights):
+                orbit = {(g[i], g[j]) for g in action}
+                assert min(orbit) == (i, j)
+                assert len(orbit) == w
+                total += w
+        assert total == k * k
+
+    @pytest.mark.parametrize("nx,ne", [(2, 2), (1, 3), (3, 1)])
+    def test_relabelling_preserves_every_fact(self, nx, ne):
+        rng = random.Random(nx * 10 + ne)
+        action = _orbits(nx, ne)[0]
+        profiles, sups = _profiles(nx, ne), _sup_table(nx * ne)
+
+        def facts(i, j):
+            return _pair_facts(profiles[i], profiles[j], profiles[sups[i][j]])
+
+        k = len(profiles)
+        for _ in range(40):
+            i, j = rng.randrange(k), rng.randrange(k)
+            assert {facts(g[i], g[j]) for g in action} == {facts(i, j)}
+
+    def test_vector_counts_match_labelled_scan(self):
+        cfg = SearchConfig(4, 4)
+        counts = [{} for _ in cfg.factorizations()]
+        for k, _, _, w, vec in _representatives(cfg):
+            counts[k][vec] = counts[k].get(vec, 0) + w
+        for k, (nx, ne) in enumerate(cfg.factorizations()):
+            assert counts[k] == labelled_counts(nx, ne)[0], (nx, ne)
+
+    @pytest.mark.parametrize("max_x,params", [(4, 4), (4, 2), (3, 3)])
+    def test_reports_match_labelled_scan(self, max_x, params):
+        cfg = SearchConfig(max_x, params)
+        assert (
+            verify_implications(cfg, SPACE_CLAIM_IDS).to_json()
+            == labelled_report(cfg, SPACE_CLAIM_IDS).to_json()
+        )
+
+    @pytest.mark.parametrize("claim_id", GAP_SPACE_CLAIM_IDS + SMALL_TRUE_CLAIM_IDS)
+    def test_hunt_is_labelled_first_violation(self, claim_id):
+        cfg = SearchConfig(4, 4)
+        records = labelled_report(cfg, [claim_id]).results[claim_id].records
+        # every gap but one is refuted on four points
+        clean = get_claim(claim_id).holds or claim_id == (
+            "pairwise-t2-implies-components-soft-t2"
+        )
+        assert bool(records) != clean
+        assert find_counterexample(claim_id, cfg) == (records[0] if records else None)
+
+    @pytest.mark.parametrize("claim_id", GAP_SPACE_CLAIM_IDS)
+    def test_hunt_is_public_route_first_record(self, claim_id):
+        cfg = SearchConfig(2, 2)
+        record = find_counterexample(claim_id, cfg)
+
+        def spaces_through_record():
+            # every space before the record and the record's own space
+            for s in iter_spaces(cfg):
+                yield s
+                if record is not None and record_for(claim_id, s) == record:
+                    return
+
+        public = _verify_over_spaces(spaces_through_record(), [claim_id], "")
+        assert public.results[claim_id].records[:1] == ([record] if record else [])
