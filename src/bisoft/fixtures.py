@@ -76,42 +76,64 @@ class FixtureDocument:
         return None
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise FixtureError(f"{path} must be an object")
+    return value
+
+
+def _strings(value, path: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise FixtureError(f"{path} must be a list of strings")
+    return value
+
+
 def parse_fixture(data: dict) -> FixtureDocument:
+    """Check the document's shape, then build and resolve it; every
+    problem raises ``FixtureError`` naming its JSON path."""
+    for key in ("universe", "parameters"):
+        if key not in data:
+            raise FixtureError(f"missing top-level key: {key!r}")
     try:
-        universe = list(data["universe"])
-        parameters = list(data["parameters"])
-    except KeyError as exc:
-        raise FixtureError(f"missing top-level key: {exc}") from None
-    try:
-        ctx = Context.of(universe, parameters)
+        ctx = Context.of(
+            _strings(data["universe"], "$.universe"),
+            _strings(data["parameters"], "$.parameters"),
+        )
     except ValueError as exc:
         raise FixtureError(str(exc)) from None
 
     soft_sets: dict[str, SoftSet] = {}
-    for name, table in data.get("soft_sets", {}).items():
+    for name, table in _object(data.get("soft_sets", {}), "$.soft_sets").items():
+        path = f"$.soft_sets[{name!r}]"
         if name in RESERVED_NAMES:
             raise FixtureError(f"soft set name {name!r} is reserved")
+        for pname, elems in _object(table, path).items():
+            _strings(elems, f"{path}[{pname!r}]")
         try:
             soft_sets[name] = extend_parameters(table, ctx)
         except KeyError as exc:
             raise FixtureError(f"soft set {name!r}: unknown name {exc}") from None
 
+    topologies = _object(data.get("topologies", {}), "$.topologies")
+    target = data.get("target")
+    if target is not None and not isinstance(target, str):
+        raise FixtureError("$.target must be a string")
     doc = FixtureDocument(
         context=ctx,
         soft_sets=soft_sets,
         topology_members={
-            name: tuple(members)
-            for name, members in data.get("topologies", {}).items()
+            name: tuple(_strings(members, f"$.topologies[{name!r}]"))
+            for name, members in topologies.items()
         },
         space_pairs={},
-        target=data.get("target"),
+        target=target,
     )
     # resolve every reference now so later commands can trust the document
     for name, members in doc.topology_members.items():
         for m in members:
             doc.resolve(m)
-    for name, pair in data.get("spaces", {}).items():
-        if len(pair) != 2:
+    for name, pair in _object(data.get("spaces", {}), "$.spaces").items():
+        if len(_strings(pair, f"$.spaces[{name!r}]")) != 2:
             raise FixtureError(f"space {name!r} must name exactly two topologies")
         for t in pair:
             if t not in doc.topology_members:

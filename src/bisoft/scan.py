@@ -1,39 +1,50 @@
-"""The exhaustive scan: neighbourhood profiles and symmetry orbits.
+"""The one fact function: neighbourhood profiles, read per space or per orbit.
 
-Every enumerated topology is summarised once per factorization (|X|, |E|)
-in a profile of integers read off its minimal open neighbourhoods, and
-the scan reads the facts of a topology pair off two profiles and the
-profile of their supremum.  It visits one pair per orbit of the
-relabellings of universe and parameters and weights it by the orbit's
-size; ``search`` describes what that guarantees for counts, records and
-hunts.  ``search`` imports this module on the first exhaustive call, so
-``import bisoft`` and the commands that never scan do not load it.
+``profile`` summarises a soft topology over any context in integers read
+off its minimal open neighbourhoods ``U``, and ``_pair_facts`` reads every
+fact of a space off the profiles of its two topologies and the soft axioms
+of their supremum, whose ``U_p`` is ``U1_p & U2_p``.  Every corpus goes
+through that pair:
+
+* ``space_facts`` profiles one space at a time, for explicit and random
+  corpora, random-mode hunts and ``replay``;
+* the exhaustive scan profiles each enumerated topology once per
+  factorization (|X|, |E|), visits one pair per orbit of the relabellings
+  of universe and parameters and weights it by the orbit's size;
+  ``search`` describes what that guarantees for counts, records and hunts.
+
+``search`` imports this module on the first verification, hunt or replay,
+so ``import bisoft`` and the commands that check no claim do not load it.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations
-from operator import or_
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .search import (
-    _MAX_RECORDS_PER_CLAIM,
     Claim,
     ClaimResult,
     CounterexampleRecord,
     ImplicationReport,
     SearchConfig,
     _point_topologies,
+    iter_spaces,
+    record_for,
     standard_context,
 )
+from .softset import Context
+from .space import BiSoftSpace
 from .topology import (
     _row_neighbourhoods,
     _strongly_apart,
     _weakly_apart,
     minimal_neighbourhoods,
 )
+
+_MAX_RECORDS_PER_CLAIM = 3
 
 
 class _Separation(NamedTuple):
@@ -81,26 +92,109 @@ def _separation(groups, width: int, apart: Callable[[int, int], bool]) -> _Separ
     return _Separation(t0, fwd, bwd, near, far)
 
 
-class _Profile(NamedTuple):
-    """One enumerated topology read over a factorization (|X|, |E|).
+def _pairwise(a: _Separation, b: _Separation) -> tuple[bool, bool, bool]:
+    """Pairwise T0, T1 and T2 of two topologies over the same groups."""
+    return not a.t0 & b.t0, not (a.fwd | b.bwd), not a.far & b.near
 
-    Closures are read off U: cl(A) = {p : U_p meets A}.  They enter as
-    two tables with one bit per element x and mask A, at x * 2^n + A:
-    ``closure_escapes`` when cl(A) meets a row other than x's, and
-    ``closure_not_row`` when cl(A) is not x's row.  ``nbhd_index`` sets
-    the bit of (x, N(x)) for every element, so ANDing it with another
-    topology's table tests cl2(N1(x)) for every x at once.
-    """
+
+class _Profile(NamedTuple):
+    """One soft topology over a context, read off its ``U``."""
 
     soft: tuple[bool, bool, bool]  # soft T0, T1, T2
     cor2: bool  # every row's complement is open
     whole: _Separation  # neighbourhoods N(x), weakly apart
     strong: _Separation  # neighbourhoods N(x), strongly apart
     slices: _Separation  # a group per parameter e, neighbourhoods block_e(U_(x,e))
-    subspaces: _Separation  # a group per nonempty sub-universe Y, N(x) & Y's rows
-    nbhd_index: int
-    closure_escapes: int
-    closure_not_row: int
+
+
+def _whole(ctx: Context, nbhd: Sequence[int], apart=_weakly_apart) -> _Separation:
+    """One group of every element, neighbourhoods N(x)."""
+    return _separation([(nbhd, ctx.rows)], ctx.nx * ctx.ne, apart)
+
+
+def profile(ctx: Context, u: Sequence[int]) -> _Profile:
+    """The profile of the topology over ``ctx`` whose ``U_p`` is ``u[p]``.
+
+    A row's complement is open when no ``U_p`` outside the row meets it,
+    that is when the row misses ``far`` in its own slot.
+    """
+    nx, n, rows = ctx.nx, ctx.nx * ctx.ne, ctx.rows
+    nbhd = _row_neighbourhoods(u, nx)
+    whole = _whole(ctx, nbhd)
+    points = [1 << x for x in range(nx)]
+    slices = [
+        ([u[e * nx + x] >> (e * nx) & ctx.block_mask for x in range(nx)], points)
+        for e in range(ctx.ne)
+    ]
+    return _Profile(
+        soft=_pairwise(whole, whole),
+        cor2=not whole.far & sum(r << (x * n) for x, r in enumerate(rows)),
+        whole=whole,
+        strong=_whole(ctx, nbhd, _strongly_apart),
+        slices=_separation(slices, n, _weakly_apart),
+    )
+
+
+# The facts the space claims read, in the order ``_pair_facts`` returns them.
+_PairFacts = NamedTuple(
+    "_PairFacts",
+    [
+        (name, bool)
+        for name in "t1_soft_t0 t1_soft_t1 t1_soft_t2 t2_soft_t0 t2_soft_t1 "
+        "t2_soft_t2 sup_soft_t0 sup_soft_t1 sup_soft_t2 pairwise_t0 pairwise_t1 "
+        "pairwise_t2 strong_t0 strong_t1 slices_pw_t0 slices_pw_t1 slices_pw_t2 "
+        "hereditary_t0 hereditary_t1 hereditary_t2 thm1_agrees cor1_ok cor2_ok".split()
+    ],
+)
+
+
+def _pair_facts(p: _Profile, q: _Profile, sup_soft: tuple) -> tuple[bool, ...]:
+    """Facts of the space (p, q) whose supremum has the soft axioms
+    ``sup_soft``, in ``_PairFacts`` order.
+
+    N1(x) is the smallest first-topology member around x and closure is
+    monotone, so cl2(N1(x)) is both the best witness for the closure
+    characterization, which needs it to miss every other row, and the
+    point closure intersection of Corollary 1, which must equal x's row
+    and always contains it.  cl2(A) = {p : U2_p meets A} meets y's row
+    exactly when N2(y) meets A, so cl2(N1(x)) misses the other rows when
+    N1(x) misses the second topology's ``far`` in x's slot.
+
+    The subspace on Y has the neighbourhoods N(x) & Y's rows, so a test of
+    x, y in Y that passes on X passes on Y: the T0 and T1 tests read only
+    y's row, which lies in Y, and N1(x) & N2(y) & Y is empty when
+    N1(x) & N2(y) is.  X is a subspace of itself, so the space is pairwise
+    T0, T1 or T2 on every subspace exactly when it is on X.
+    """
+    w1, w2 = p.whole, q.whole
+    s1, s2 = p.strong, q.strong
+    l1, l2 = p.slices, q.slices
+    pairwise = _pairwise(w1, w2)
+    closure_t2 = not w1.near & w2.far
+    return (
+        *p.soft,
+        *q.soft,
+        *sup_soft,
+        *pairwise,
+        not s1.t0 & s2.t0,
+        not (s1.fwd | s2.bwd),
+        not l1.t0 & l2.t0,
+        not (l1.fwd | l2.bwd),
+        not l1.far & l2.near,
+        *pairwise,
+        closure_t2 == pairwise[2],
+        closure_t2,
+        p.cor2 and q.cor2,
+    )
+
+
+def space_facts(s: BiSoftSpace) -> _PairFacts:
+    """The facts of one space, read off the ``U`` of its two topologies."""
+    ctx, u1, u2 = s.context, s.t1.neighbourhoods(), s.t2.neighbourhoods()
+    sup = _whole(ctx, _row_neighbourhoods([a & b for a, b in zip(u1, u2)], ctx.nx))
+    return _PairFacts(
+        *_pair_facts(profile(ctx, u1), profile(ctx, u2), _pairwise(sup, sup))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -110,49 +204,10 @@ def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
     ``_point_topologies`` rejects nx*ne > EXHAUSTIVE_POINT_BOUND, so at
     most eight factorizations are ever cached.
     """
-    n = nx * ne
-    span = 1 << n  # masks per element in the closure tables
-    ctx = standard_context(nx, ne)
-    rows = ctx.rows
-    points = [1 << x for x in range(nx)]
-    subuniverses = []
-    for ym in range(1, 1 << nx):
-        keep = [x for x in range(nx) if ym >> x & 1]
-        subuniverses.append((keep, reduce(or_, [rows[x] for x in keep])))
-    out = []
-    for opens in _point_topologies(n):
-        u = minimal_neighbourhoods(opens, n)
-        nbhd = _row_neighbourhoods(u, nx)
-        whole = _separation([(nbhd, rows)], n, _weakly_apart)
-        slices = [
-            ([u[e * nx + x] >> (e * nx) & ctx.block_mask for x in range(nx)], points)
-            for e in range(ne)
-        ]
-        subspaces = [
-            ([nbhd[x] & kept for x in keep], [rows[x] for x in keep])
-            for keep, kept in subuniverses
-        ]
-        closure = [sum(1 << p for p in range(n) if u[p] & a) for a in range(span)]
-        nbhd_index = escapes = not_row = 0
-        for x, r in enumerate(rows):
-            nbhd_index |= 1 << (x * span + nbhd[x])
-            for a, c in enumerate(closure):
-                escapes |= bool(c & ~r) << (x * span + a)
-                not_row |= (c != r) << (x * span + a)
-        out.append(
-            _Profile(
-                soft=(not whole.t0, not whole.fwd, not whole.far & whole.near),
-                cor2=all(ctx.full_mask ^ r in opens for r in rows),
-                whole=whole,
-                strong=_separation([(nbhd, rows)], n, _strongly_apart),
-                slices=_separation(slices, n, _weakly_apart),
-                subspaces=_separation(subspaces, n, _weakly_apart),
-                nbhd_index=nbhd_index,
-                closure_escapes=escapes,
-                closure_not_row=not_row,
-            )
-        )
-    return tuple(out)
+    ctx, n = standard_context(nx, ne), nx * ne
+    return tuple(
+        profile(ctx, minimal_neighbourhoods(opens, n)) for opens in _point_topologies(n)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -169,51 +224,6 @@ def _sup_table(n: int) -> tuple[tuple[int, ...], ...]:
     ]
     index = {key: k for k, key in enumerate(packed)}
     return tuple(tuple(index[a & b] for b in packed) for a in packed)
-
-
-# The attributes of ``SpaceFacts`` that the space claims read, in the order
-# ``_pair_facts`` returns them.
-_PairFacts = NamedTuple(
-    "_PairFacts",
-    [
-        (name, bool)
-        for name in "t1_soft_t0 t1_soft_t1 t1_soft_t2 t2_soft_t0 t2_soft_t1 "
-        "t2_soft_t2 sup_soft_t0 sup_soft_t1 sup_soft_t2 pairwise_t0 pairwise_t1 "
-        "pairwise_t2 strong_t0 strong_t1 slices_pw_t0 slices_pw_t1 slices_pw_t2 "
-        "hereditary_t0 hereditary_t1 hereditary_t2 thm1_agrees cor1_ok cor2_ok".split()
-    ],
-)
-
-
-def _pair_facts(p: _Profile, q: _Profile, sup: _Profile) -> tuple[bool, ...]:
-    """Facts of the space (p, q) whose supremum is ``sup``, in ``_PairFacts`` order.
-
-    N1(x) is the smallest first-topology member around x and closure is
-    monotone, so cl2(N1(x)) is both the best witness for the closure
-    characterization, which needs it to miss every other row, and the
-    point closure intersection of Corollary 1, which must equal x's row.
-    """
-    w1, w2 = p.whole, q.whole
-    s1, s2 = p.strong, q.strong
-    l1, l2 = p.slices, q.slices
-    h1, h2 = p.subspaces, q.subspaces
-    pairwise_t2 = not w1.far & w2.near
-    return p.soft + q.soft + sup.soft + (
-        not w1.t0 & w2.t0,
-        not (w1.fwd | w2.bwd),
-        pairwise_t2,
-        not s1.t0 & s2.t0,
-        not (s1.fwd | s2.bwd),
-        not l1.t0 & l2.t0,
-        not (l1.fwd | l2.bwd),
-        not l1.far & l2.near,
-        not h1.t0 & h2.t0,
-        not (h1.fwd | h2.bwd),
-        not h1.far & h2.near,
-        (not p.nbhd_index & q.closure_escapes) == pairwise_t2,
-        not p.nbhd_index & q.closure_not_row,
-        p.cor2 and q.cor2,
-    )
 
 
 def _orbit_minima(perms: Sequence[array], k: int) -> Iterable[tuple[int, int]]:
@@ -274,41 +284,22 @@ def _orbits(nx: int, ne: int) -> tuple[tuple[array, ...], tuple]:
 
 
 def _representatives(config: SearchConfig):
-    """(factorization index, i, j, orbit size, fact vector) for each orbit
+    """((factorization index, i, j), orbit size, fact vector) for each orbit
     representative of an exhaustive corpus, in canonical order."""
     for k, (nx, ne) in enumerate(config.factorizations()):
         profiles = _profiles(nx, ne)
+        softs = [q.soft for q in profiles]
         sups = _sup_table(nx * ne)
         for i, js, weights in _orbits(nx, ne)[1]:
             p, row = profiles[i], sups[i]
             for j, w in zip(js, weights):
-                yield k, i, j, w, _pair_facts(p, profiles[j], profiles[row[j]])
-
-
-def _scan(config: SearchConfig) -> tuple[int, dict, dict]:
-    """Count the spaces of an exhaustive corpus per distinct fact vector.
-
-    Returns the number of spaces, the count per vector, and per vector its
-    first ``_MAX_RECORDS_PER_CLAIM`` orbit representatives (factorization
-    index, i, j).  Each representative adds its orbit's size, so the
-    counts are exact labelled counts.
-    """
-    counts: dict = {}
-    firsts: dict = {}
-    for k, i, j, w, vec in _representatives(config):
-        counts[vec] = counts.get(vec, 0) + w
-        reps = firsts.setdefault(vec, [])
-        if len(reps) < _MAX_RECORDS_PER_CLAIM:
-            reps.append((k, i, j))
-    total = sum(
-        len(_point_topologies(nx * ne)) ** 2 for nx, ne in config.factorizations()
-    )
-    return total, counts, firsts
+                yield (k, i, j), w, _pair_facts(p, profiles[j], softs[row[j]])
 
 
 def _pair_record(
-    claim_id: str, nx: int, ne: int, i: int, j: int
+    claim_id: str, config: SearchConfig, k: int, i: int, j: int
 ) -> CounterexampleRecord:
+    nx, ne = config.factorizations()[k]
     ctx, opens = standard_context(nx, ne), _point_topologies(nx * ne)
     names = (ctx.universe.elements, ctx.parameters.parameters)
     return CounterexampleRecord(claim_id, *names, opens[i], opens[j])
@@ -317,48 +308,91 @@ def _pair_record(
 def _first_violation(
     config: SearchConfig, claim: Claim
 ) -> Optional[CounterexampleRecord]:
-    """The first violating representative, which is the first violating
-    space in canonical order: every earlier space lies in the orbit of an
-    earlier representative, and that representative did not violate."""
+    """The first violating space of a corpus, in canonical or seed order.
+
+    On exhaustive configs that is the first violating representative:
+    every earlier space lies in the orbit of an earlier representative,
+    and that representative did not violate.
+    """
+    if config.mode == "exhaustive":
+        items = ((pos, vec) for pos, _, vec in _representatives(config))
+    else:
+        items = ((s, space_facts(s)) for s in iter_spaces(config))
     verdicts: dict = {}
-    sizes = config.factorizations()
-    for k, i, j, _, vec in _representatives(config):
+    for pos, vec in items:
         bad = verdicts.get(vec)
         if bad is None:
             facts = _PairFacts(*vec)
             bad = verdicts[vec] = claim.premise(facts) and not claim.conclusion(facts)
         if bad:
-            return _pair_record(claim.id, *sizes[k], i, j)
+            if config.mode == "exhaustive":
+                return _pair_record(claim.id, config, *pos)
+            return record_for(claim.id, pos)
     return None
 
 
-def _verify_exhaustive(
-    config: SearchConfig, claims: Sequence[Claim]
+def _report(
+    corpus: str, claims: Sequence[Claim], items: Iterable, records: Callable
 ) -> ImplicationReport:
     """Run each claim once per distinct fact vector, weighted by its count.
 
-    A claim's first three violating spaces lie in the orbits of its first
-    three violating representatives (each representative is its orbit's
-    minimum), so those orbits are expanded, sorted and cut to three.
+    ``items`` yields (position, weight, fact vector), positions in corpus
+    order; ``records(claim_id, positions)`` turns the first violating
+    positions, at most ``_MAX_RECORDS_PER_CLAIM``, into records.
     """
-    total, counts, firsts = _scan(config)
-    sizes = config.factorizations()
+    counts, firsts = {}, {}
+    for pos, w, vec in items:
+        counts[vec] = counts.get(vec, 0) + w
+        reps = firsts.setdefault(vec, [])
+        if len(reps) < _MAX_RECORDS_PER_CLAIM:
+            reps.append(pos)
+    total = sum(counts.values())
     table = [(_PairFacts(*vec), n, firsts[vec]) for vec, n in counts.items()]
     results = {}
     for c in claims:
         res = results[c.id] = ClaimResult(c.id, tested=total)
         violating = []
-        for facts, count, reps in table:
+        for facts, count, positions in table:
             if c.premise(facts):
                 res.premise_hits += count
                 if not c.conclusion(facts):
                     res.violation_count += count
-                    violating += reps
+                    violating += positions
+        res.records = records(c.id, sorted(violating)[:_MAX_RECORDS_PER_CLAIM])
+    return ImplicationReport(corpus, results)
+
+
+def _verify_over_spaces(
+    spaces: Iterable[BiSoftSpace], claims: Sequence[Claim], corpus: str
+) -> ImplicationReport:
+    """The report of a corpus of explicit spaces; a position is (index,
+    space), so the first violating positions give the records."""
+    return _report(
+        corpus,
+        claims,
+        (((k, s), 1, space_facts(s)) for k, s in enumerate(spaces)),
+        lambda cid, positions: [record_for(cid, s) for _, s in positions],
+    )
+
+
+def _verify_exhaustive(
+    config: SearchConfig, claims: Sequence[Claim]
+) -> ImplicationReport:
+    """The report of an exhaustive corpus.
+
+    A claim's first three violating spaces lie in the orbits of its first
+    three violating representatives (each representative is its orbit's
+    minimum), so those orbits are expanded, sorted and cut to three.
+    """
+    sizes = config.factorizations()
+
+    def records(claim_id, positions):
         spaces = {
-            (k, g[i], g[j])
-            for k, i, j in sorted(violating)[:_MAX_RECORDS_PER_CLAIM]
-            for g in _orbits(*sizes[k])[0]
+            (k, g[i], g[j]) for k, i, j in positions for g in _orbits(*sizes[k])[0]
         }
-        for k, i, j in sorted(spaces)[:_MAX_RECORDS_PER_CLAIM]:
-            res.records.append(_pair_record(c.id, *sizes[k], i, j))
-    return ImplicationReport(config.describe(), results)
+        return [
+            _pair_record(claim_id, config, *pos)
+            for pos in sorted(spaces)[:_MAX_RECORDS_PER_CLAIM]
+        ]
+
+    return _report(config.describe(), claims, _representatives(config), records)

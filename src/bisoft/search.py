@@ -10,16 +10,12 @@ identity on masks.
 
 A space claim in ``CLAIMS`` is a premise and a conclusion over named
 facts of one space, and the registry is the only place a claim's logic
-lives.  Two routes produce the facts:
-
-* ``SpaceFacts`` runs the public checkers in ``axioms`` on one space at a
-  time (on its one-parameter slices too); fixtures, random corpora,
-  random-mode hunts and ``replay`` use it;
-* the exhaustive scan in ``scan`` summarises each enumerated topology
-  once, in a profile of integers read off the same minimal open
-  neighbourhoods the checkers read, and counts the topology pairs per
-  distinct fact vector; each claim then runs once per vector, weighted
-  by its count.
+lives.  One fact function in ``scan`` produces the facts, off a profile
+of integers read from each topology's minimal open neighbourhoods, and
+each claim runs once per distinct fact vector, weighted by its count.
+Explicit and random corpora, random-mode hunts and ``replay`` profile
+one space at a time; the exhaustive scan profiles each enumerated
+topology once.
 
 Every fact is unchanged when the universe and the parameters are
 relabelled together, so the scan evaluates one pair per orbit of
@@ -29,13 +25,13 @@ orbit-stabilizer count that relates labelled and unlabelled topologies;
 Brinkmann and McKay, J. Integer Sequences, 2005).  Each representative
 is the lexicographic minimum of its orbit, so the first violating
 representative is the first violating space: exhaustive hunts stop
-there, without ``SpaceFacts``, and a report's three records come from
-expanding the orbits of the first three violating representatives.
+there, and a report's three records come from expanding the orbits of
+the first three violating representatives.
 
-The test suite compares the scan's facts with ``SpaceFacts`` field by
-field, its reports with the public route on whole small corpora, and its
-counts, reports and hunts with an unreduced labelled scan
-(``tests/labelled_scan.py``).
+The test suite compares the facts with a member-quantifying oracle
+(``tests/member_oracle.py``) field by field, the scan's reports with the
+per-space reports on whole small corpora, and its counts, reports and
+hunts with an unreduced labelled scan (``tests/labelled_scan.py``).
 """
 
 from __future__ import annotations
@@ -43,26 +39,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import combinations
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .axioms import (
-    hausdorff_char,
-    pairwise_soft_t0,
-    pairwise_soft_t1,
-    pairwise_soft_t2,
-    point_closure_intersection,
-    soft_t0,
-    soft_t1,
-    soft_t2,
-    strong_t0,
-    strong_t1,
-)
 from .errors import UnknownClaimError
 from .rough import lower_approx, upper_approx
-from .softset import Context, SoftSet, point_soft_set
-from .space import BiSoftSpace, slice_space, sup_topology, subspace
+from .softset import Context, SoftSet
+from .space import BiSoftSpace
 from .topology import SoftTopology, generate_topology, validate_topology
 
 EXHAUSTIVE_POINT_BOUND = 4  # topologies on <= 4 points are enumerable (355 on 4)
@@ -157,133 +140,6 @@ def random_spaces(ctx: Context, count: int, seed: int) -> Iterable[BiSoftSpace]:
 
 # ---------------------------------------------------------------------------
 # claim registry
-
-
-class SpaceFacts:
-    """Lazily evaluated axiom facts for one space, shared across claims."""
-
-    def __init__(self, space: BiSoftSpace):
-        self.space = space
-
-    @cached_property
-    def t1_soft_t0(self):
-        return soft_t0(self.space.t1)
-
-    @cached_property
-    def t2_soft_t0(self):
-        return soft_t0(self.space.t2)
-
-    @cached_property
-    def t1_soft_t1(self):
-        return soft_t1(self.space.t1)
-
-    @cached_property
-    def t2_soft_t1(self):
-        return soft_t1(self.space.t2)
-
-    @cached_property
-    def t1_soft_t2(self):
-        return soft_t2(self.space.t1)
-
-    @cached_property
-    def t2_soft_t2(self):
-        return soft_t2(self.space.t2)
-
-    @cached_property
-    def sup(self):
-        return sup_topology(self.space)
-
-    @cached_property
-    def sup_soft_t0(self):
-        return soft_t0(self.sup)
-
-    @cached_property
-    def sup_soft_t1(self):
-        return soft_t1(self.sup)
-
-    @cached_property
-    def sup_soft_t2(self):
-        return soft_t2(self.sup)
-
-    @cached_property
-    def pairwise_t0(self):
-        return pairwise_soft_t0(self.space)
-
-    @cached_property
-    def pairwise_t1(self):
-        return pairwise_soft_t1(self.space)
-
-    @cached_property
-    def pairwise_t2(self):
-        return pairwise_soft_t2(self.space)
-
-    @cached_property
-    def strong_t0(self):
-        return strong_t0(self.space)
-
-    @cached_property
-    def strong_t1(self):
-        return strong_t1(self.space)
-
-    @cached_property
-    def _slices(self):
-        return [
-            slice_space(self.space, e)
-            for e in self.space.context.parameters.parameters
-        ]
-
-    @cached_property
-    def slices_pw_t0(self):
-        return all(pairwise_soft_t0(b) for b in self._slices)
-
-    @cached_property
-    def slices_pw_t1(self):
-        return all(pairwise_soft_t1(b) for b in self._slices)
-
-    @cached_property
-    def slices_pw_t2(self):
-        return all(pairwise_soft_t2(b) for b in self._slices)
-
-    def _subspaces(self):
-        elems = self.space.context.universe.elements
-        for r in range(1, len(elems) + 1):
-            for names in combinations(elems, r):
-                yield subspace(self.space, names)
-
-    @cached_property
-    def hereditary_t0(self):
-        return all(pairwise_soft_t0(s) for s in self._subspaces())
-
-    @cached_property
-    def hereditary_t1(self):
-        return all(pairwise_soft_t1(s) for s in self._subspaces())
-
-    @cached_property
-    def hereditary_t2(self):
-        return all(pairwise_soft_t2(s) for s in self._subspaces())
-
-    @cached_property
-    def thm1_agrees(self):
-        return hausdorff_char(self.space) == self.pairwise_t2
-
-    @cached_property
-    def cor1_ok(self):
-        ctx = self.space.context
-        for x in ctx.universe.elements:
-            pc = point_closure_intersection(self.space, x)
-            if pc.vacuous or pc.value != point_soft_set(x, ctx):
-                return False
-        return True
-
-    @cached_property
-    def cor2_ok(self):
-        ctx = self.space.context
-        m1, m2 = set(self.space.t1.masks()), set(self.space.t2.masks())
-        for x in ctx.universe.elements:
-            comp = ctx.full_mask & ~ctx.row(x)
-            if comp not in m1 or comp not in m2:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -681,7 +537,9 @@ def replay(record: CounterexampleRecord) -> bool:
         if target is None:
             return False
         return claim.premise(space, target) and not claim.conclusion(space, target)
-    facts = SpaceFacts(space)
+    from .scan import space_facts
+
+    facts = space_facts(space)
     return claim.premise(facts) and not claim.conclusion(facts)
 
 
@@ -727,29 +585,6 @@ class ImplicationReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-_MAX_RECORDS_PER_CLAIM = 3
-
-
-def _verify_over_spaces(
-    spaces: Iterable[BiSoftSpace], claim_ids: Sequence[str], corpus: str
-) -> ImplicationReport:
-    claims = [get_claim(c) for c in claim_ids]
-    results = {c.id: ClaimResult(c.id) for c in claims}
-    for s in spaces:
-        facts = SpaceFacts(s)
-        for c in claims:
-            res = results[c.id]
-            res.tested += 1
-            if not c.premise(facts):
-                continue
-            res.premise_hits += 1
-            if not c.conclusion(facts):
-                res.violation_count += 1
-                if len(res.records) < _MAX_RECORDS_PER_CLAIM:
-                    res.records.append(record_for(c.id, s))
-    return ImplicationReport(corpus, results)
-
-
 def verify_implications(
     corpus: Union[SearchConfig, Iterable[BiSoftSpace]],
     claim_ids: Optional[Sequence[str]] = None,
@@ -757,18 +592,18 @@ def verify_implications(
     """Check space claims over a corpus; violations are data, not errors.
 
     ``claim_ids`` defaults to every claim expected to hold; gap claims may
-    be named too.  Exhaustive configs are counted by the profile scan,
-    which reads every fact off minimal open neighbourhoods; a subspace on
-    Y reads ``N(x)`` intersected with Y's rows, so ``relative_topology``
-    runs only on the other route.  The scan evaluates one pair per orbit
-    of the relabellings of universe and parameters and adds the orbit's
-    size, so ``tested``, ``premise_hits`` and violation counts are exact
-    labelled counts; the records are the first three violating spaces in
-    canonical order, taken from the orbits of the first three violating
-    representatives.  Random configs and explicit corpora go
-    space by space through ``SpaceFacts`` and the public checkers.  Rough
-    claims quantify over targets as well as spaces and are rejected here;
-    ``find_counterexample`` searches them.
+    be named too.  Every corpus is read by the one fact function in
+    ``scan``, off the minimal open neighbourhoods of each topology, and
+    each claim runs once per distinct fact vector.  Random configs and
+    explicit corpora profile one space at a time, and their records are
+    the first three violating spaces.  Exhaustive configs evaluate one
+    pair per orbit of the relabellings of universe and parameters and add
+    the orbit's size, so ``tested``, ``premise_hits`` and violation counts
+    are exact labelled counts; the records are the first three violating
+    spaces in canonical order, taken from the orbits of the first three
+    violating representatives.  Rough claims quantify over targets as
+    well as spaces and are rejected here; ``find_counterexample`` searches
+    them.
     """
     ids = tuple(claim_ids) if claim_ids is not None else TRUE_CLAIM_IDS
     if not ids:
@@ -777,16 +612,16 @@ def verify_implications(
     rough = [c.id for c in claims if c.kind == "rough"]
     if rough:
         raise ValueError(f"rough claims {rough} need targets; use find_counterexample")
+    from .scan import _verify_exhaustive, _verify_over_spaces
+
     if isinstance(corpus, SearchConfig):
         if corpus.mode == "exhaustive":
-            from .scan import _verify_exhaustive
-
             return _verify_exhaustive(corpus, claims)
-        return _verify_over_spaces(iter_spaces(corpus), ids, corpus.describe())
+        return _verify_over_spaces(iter_spaces(corpus), claims, corpus.describe())
     spaces = list(corpus)
     if not spaces:
         raise ValueError("corpus must not be empty")
-    return _verify_over_spaces(spaces, ids, f"explicit:{len(spaces)} spaces")
+    return _verify_over_spaces(spaces, claims, f"explicit:{len(spaces)} spaces")
 
 
 def find_counterexample(
@@ -794,25 +629,19 @@ def find_counterexample(
 ) -> Optional[CounterexampleRecord]:
     """First space (in canonical or seed order) refuting the claim, if any.
 
-    On exhaustive configs a space claim walks the orbit representatives of
-    the profile scan in canonical order and stops at the first violating
-    one; each representative is the first space of its orbit, so that is
-    the first violating space, and no ``SpaceFacts`` is built.  Random
-    configs go space by space through ``SpaceFacts``; rough claims try
-    every target of every space (random configs: one seeded target each).
+    A space claim reads each space's facts through the fact function in
+    ``scan``.  On exhaustive configs it walks the orbit representatives in
+    canonical order and stops at the first violating one; each
+    representative is the first space of its orbit, so that is the first
+    violating space.  Rough claims try every target of every space
+    (random configs: one seeded target each).
     """
     claim = get_claim(claim_id)
     if claim.kind == "rough":
         return _find_rough_counterexample(claim, config)
-    if config.mode == "exhaustive":
-        from .scan import _first_violation
+    from .scan import _first_violation
 
-        return _first_violation(config, claim)
-    for s in iter_spaces(config):
-        facts = SpaceFacts(s)
-        if claim.premise(facts) and not claim.conclusion(facts):
-            return record_for(claim.id, s)
-    return None
+    return _first_violation(config, claim)
 
 
 def _find_rough_counterexample(

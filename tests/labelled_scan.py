@@ -5,7 +5,7 @@ It walks every ordered topology pair of every factorization, counts the
 pairs per fact vector and keeps each vector's first three positions, the
 way the exhaustive scan did before it walked one pair per symmetry orbit.
 The facts come from the same profiles; the dual-route tests check those
-against the public checkers.
+against the member oracle.
 """
 
 from functools import lru_cache
@@ -33,7 +33,7 @@ def labelled_counts(nx, ne):
     counts, firsts = {}, {}
     for i, p in enumerate(profiles):
         for j, s in enumerate(sups[i]):
-            vec = _pair_facts(p, profiles[j], profiles[s])
+            vec = _pair_facts(p, profiles[j], profiles[s].soft)
             count = counts[vec] = counts.get(vec, 0) + 1
             if count <= MAX_RECORDS:
                 firsts.setdefault(vec, []).append((i, j))

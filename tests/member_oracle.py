@@ -3,8 +3,9 @@ stated by quantifying over members, as the paper defines them.
 
 The package reads all of these off minimal open neighbourhoods.  This
 module keeps the member scans for the tests to compare against; it reads
-only the packed masks of the values it is given and imports nothing from
-the package.
+only the packed masks of the values it is given, and imports from the
+package only ``sup_topology``, whose members the topology tests check
+against a worklist closure, to list the supremum for ``facts``.
 
 Rows are element masks over every parameter block; ``m1``/``m2`` are the
 mask lists of the first and second topology.
@@ -149,6 +150,48 @@ def point_closure_intersection(s, element):
             found = True
             acc &= closure(s.t2.masks(), ctx.full_mask, m)
     return (acc if found else ctx.full_mask), not found
+
+
+def facts(s):
+    """The facts the space claims read, keyed by the field names of the
+    package's fact vector, each by a member scan.  A subspace on Y traces
+    every member on Y's rows and quantifies over Y's elements."""
+    from bisoft.space import sup_topology
+
+    ctx = s.context
+    m1, m2 = s.t1.masks(), s.t2.masks()
+    out = {}
+    for name, t in (("t1", s.t1), ("t2", s.t2), ("sup", sup_topology(s))):
+        for k, soft in enumerate((soft_t0, soft_t1, soft_t2)):
+            out[f"{name}_soft_t{k}"] = soft(t)
+    failures = pairwise_failures(s)
+    out.update({f"pairwise_{k}": pair is None for k, pair in failures.items()})
+    out.update(strong_t0=strong_t0(s), strong_t1=strong_t1(s))
+    slices = [(slice_opens(s.t1, e), slice_opens(s.t2, e)) for e in range(ctx.ne)]
+    for k, pw in enumerate((pw_t0, pw_t1, pw_t2)):
+        out[f"slices_pw_t{k}"] = all(pw(p, q, ctx.nx) for p, q in slices)
+    subspaces = []
+    for size in range(1, ctx.nx + 1):
+        for rows in combinations(ctx.rows, size):
+            kept = sum(rows)
+            subspaces.append(
+                (rows, {m & kept for m in m1}, {m & kept for m in m2})
+            )
+    for k, (pairs, ok) in enumerate(
+        [(combinations, t0_pair), (permutations, t1_pair), (permutations, t2_pair)]
+    ):
+        out[f"hereditary_t{k}"] = all(
+            ok(p, q, rx, ry) for rows, p, q in subspaces for rx, ry in pairs(rows, 2)
+        )
+    out["thm1_agrees"] = hausdorff_char(s) == out["pairwise_t2"]
+    out["cor1_ok"] = all(
+        point_closure_intersection(s, x) == (ctx.row(x), False)
+        for x in ctx.universe.elements
+    )
+    out["cor2_ok"] = all(
+        ctx.full_mask & ~r in m for r in ctx.rows for m in (set(m1), set(m2))
+    )
+    return out
 
 
 # -- classical slices -----------------------------------------------------------

@@ -19,9 +19,9 @@ from bisoft.axioms import (
 )
 from bisoft.fixtures import builtin_fixture_names, load_fixture
 from bisoft.rough import lower_approx, rough_regions, upper_approx
+from bisoft.scan import space_facts
 from bisoft.search import (
     SearchConfig,
-    SpaceFacts,
     _point_topologies,
     find_counterexample,
     get_claim,
@@ -315,7 +315,7 @@ def test_criterion_7_implication_matrix():
         assert len(witnesses) == 8
         for claim_id, fixture in witnesses.items():
             claim = get_claim(claim_id)
-            facts = SpaceFacts(load_fixture(fixture).space("S"))
+            facts = space_facts(load_fixture(fixture).space("S"))
             assert claim.premise(facts) and not claim.conclusion(facts), claim_id
 
 

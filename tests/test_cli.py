@@ -31,6 +31,24 @@ class TestValidate:
         assert "INVALID" in out
         assert "union" in out
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"universe": "abc"},
+            {"universe": [1, 2]},
+            {"soft_sets": []},
+            {"soft_sets": {"A": "a"}},
+            {"topologies": {"T": "PhiX"}},
+        ],
+    )
+    def test_schema_type_error_exits_1(self, capsys, tmp_path, patch):
+        doc = serialize_fixture(load_fixture("bisoft1"))
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({**doc, **patch}))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert "$." in err and "Traceback" not in err
+
     def test_parse_error_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -214,11 +232,28 @@ class TestSearch:
                 3,
                 "6f2eb31ee4e2110bee17af6b05743c9287853e6e7ecc5ee012fa09724e61d59a",
             ),
+            (
+                "--max-x 4 --params 2 --random 500 --seed 1",
+                0,
+                "ea125aef65c0cc87f62198fdca391cd16a29095ff9a7e0b1e82e40bdce4b7819",
+            ),
+            (
+                "--max-x 5 --params 3 --random 12 --seed 0",
+                0,
+                "aabcbd773aea7d21579ee96cecb8b448e33f9cddff2e63511e5a8b61a44b2fa7",
+            ),
+            (
+                "--claim pairwise-t0-implies-pairwise-t1 --max-x 3 --params 2 "
+                "--random 300 --seed 0",
+                3,
+                "64438b0b6478fb59fe77ded554fb668317d78e724fdf313d84c38aec90d31fd5",
+            ),
         ],
     )
     def test_json_output_is_pinned(self, capsys, argv, code, digest):
-        # the bytes of the exhaustive matrix and of the two benchmark hunts,
-        # fixed across versions: a faster scan must print the same document
+        # the bytes of the exhaustive matrix, of the two benchmark hunts and
+        # of the random corpora and hunt, fixed across versions: a faster
+        # fact function must print the same document
         rc, out, _ = run(capsys, "search", *argv.split(), "--json")
         assert rc == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest

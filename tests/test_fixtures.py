@@ -136,3 +136,35 @@ def test_unknown_path_mentions_builtins():
 def test_partial_tables_fill_with_empty(fx):
     target = fx("rough").resolve("F")
     assert target.table()["Green"] == ()
+
+
+@pytest.mark.parametrize(
+    "patch,path",
+    [
+        ({"universe": "abc"}, "$.universe"),
+        ({"universe": [1, 2]}, "$.universe"),
+        ({"parameters": "p"}, "$.parameters"),
+        ({"soft_sets": []}, "$.soft_sets"),
+        ({"soft_sets": {"A": "a"}}, "$.soft_sets['A']"),
+        ({"soft_sets": {"A": {"p": "a"}}}, "$.soft_sets['A']['p']"),
+        ({"topologies": {"T": "PhiX"}}, "$.topologies['T']"),
+        ({"topologies": []}, "$.topologies"),
+        ({"spaces": {"S": "TT"}}, "$.spaces['S']"),
+        ({"spaces": {"S": [1, 2]}}, "$.spaces['S']"),
+        ({"target": ["A"]}, "$.target"),
+    ],
+)
+def test_schema_types_are_checked(patch, path):
+    # a wrong type is a FixtureError naming where it sits, never a
+    # traceback and never a different model
+    doc = {
+        "universe": ["a", "b"],
+        "parameters": ["p"],
+        "soft_sets": {"A": {"p": ["a"]}},
+        "topologies": {"T": ["Phi", "X", "A"]},
+        "spaces": {"S": ["T", "T"]},
+        "target": "A",
+    }
+    with pytest.raises(FixtureError) as err:
+        parse_fixture({**doc, **patch})
+    assert path in str(err.value)

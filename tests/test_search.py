@@ -1,6 +1,7 @@
 """Model search: enumeration, random generation, claims, dual routes."""
 
 import random
+import sys
 from itertools import chain, combinations
 
 import pytest
@@ -13,14 +14,15 @@ from bisoft.scan import (
     _profiles,
     _representatives,
     _sup_table,
+    _verify_over_spaces,
+    space_facts,
 )
 from bisoft.search import (
     CLAIMS,
+    EXHAUSTIVE_POINT_BOUND,
     CounterexampleRecord,
     SearchConfig,
-    SpaceFacts,
     _point_topologies,
-    _verify_over_spaces,
     TRUE_CLAIM_IDS,
     as_soft_topology,
     enumerate_topologies,
@@ -28,14 +30,17 @@ from bisoft.search import (
     get_claim,
     iter_spaces,
     random_soft_topology,
+    random_spaces,
     record_for,
     replay,
     standard_context,
     verify_implications,
 )
 from bisoft.space import BiSoftSpace
-from bisoft.topology import topology_violations
+from bisoft.softset import SoftSet
+from bisoft.topology import generate_topology, topology_violations
 from labelled_scan import labelled_counts, labelled_report
+import member_oracle as oracle
 
 SPACE_CLAIM_IDS = tuple(c.id for c in CLAIMS.values() if c.kind == "space")
 GAP_SPACE_CLAIM_IDS = tuple(
@@ -140,7 +145,7 @@ class TestClaims:
         }
         for claim_id, fixture in witnesses.items():
             claim = get_claim(claim_id)
-            facts = SpaceFacts(fx(fixture).space("S"))
+            facts = space_facts(fx(fixture).space("S"))
             assert claim.premise(facts), (claim_id, fixture)
             assert not claim.conclusion(facts), (claim_id, fixture)
 
@@ -172,7 +177,7 @@ class TestFindCounterexample:
             "pairwise-t0-implies-components-soft-t0", cfg
         )
         assert record is not None
-        facts = SpaceFacts(record.space())
+        facts = space_facts(record.space())
         assert facts.pairwise_t0
         assert not facts.t1_soft_t0 and not facts.t2_soft_t0
         assert replay(record)
@@ -217,6 +222,23 @@ class TestFindCounterexample:
 
 
 class TestVerifyImplications:
+    def test_per_space_route_reads_neighbourhoods_only(self, monkeypatch):
+        # explicit and random corpora, random hunts and replay read every
+        # subspace, slice and supremum off U, never through these builders
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a topology the facts should read off U")
+
+        for name, module in list(sys.modules.items()):
+            if name == "bisoft" or name.startswith("bisoft."):
+                for attr in ("relative_topology", "parameterize", "sup_topology"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        cfg = SearchConfig(max_universe=4, n_params=2, mode="random", samples=50)
+        assert verify_implications(cfg).ok
+        hunt = SearchConfig(max_universe=3, n_params=2, mode="random", samples=300)
+        record = find_counterexample("pairwise-t0-implies-pairwise-t1", hunt)
+        assert record is not None and replay(record)
+
     def test_fixture_corpus_is_clean(self, fx):
         spaces = [
             fx(name).space("S")
@@ -272,7 +294,7 @@ class TestVerifyImplications:
         # two pairwise T1 spaces, both pairwise T2: evaluated, not vacuous
         held = verify_implications(cfg, ["pairwise-t1-implies-pairwise-t2"])
         public = _verify_over_spaces(
-            iter_spaces(cfg), ["pairwise-t1-implies-pairwise-t2"], cfg.describe()
+            iter_spaces(cfg), [CLAIMS["pairwise-t1-implies-pairwise-t2"]], cfg.describe()
         )
         assert held.to_json() == public.to_json()
         assert held.results["pairwise-t1-implies-pairwise-t2"].premise_hits == 2
@@ -327,37 +349,52 @@ class TestDualRoute:
             cfg = SearchConfig(max_universe=max_x, n_params=params)
             scan = verify_implications(cfg, SPACE_CLAIM_IDS)
             public = _verify_over_spaces(
-                iter_spaces(cfg), SPACE_CLAIM_IDS, cfg.describe()
+                iter_spaces(cfg), [CLAIMS[c] for c in SPACE_CLAIM_IDS], cfg.describe()
             )
             assert scan.to_json() == public.to_json(), cfg
             assert {
                 cid for cid, r in scan.results.items() if r.violation_count
             } == refuted, cfg
 
-    @pytest.mark.parametrize("nx,ne", [(2, 2), (4, 1), (1, 4), (1, 3)])
+    @pytest.mark.parametrize(
+        "nx,ne", [(2, 2), (4, 1), (1, 4), (1, 3), (3, 2), (4, 2), (2, 3), (5, 3)]
+    )
     def test_engine_pair_facts_agree_with_public_checkers(self, nx, ne):
+        # enumerated pairs through the scan's profiles, random spaces
+        # through the per-space profiles, each against member scans
         rng = random.Random(nx * 100 + ne)
-        profiles = _profiles(nx, ne)
-        sups = _sup_table(nx * ne)
-        opens = _point_topologies(nx * ne)
         ctx = standard_context(nx, ne)
-        k = len(profiles)
-        # the indiscrete (first) and discrete (last) topologies make every
-        # fact but thm1_agrees false and true respectively once nx > 1
-        pairs = [(0, 0), (k - 1, k - 1), (0, k - 1), (k - 1, 0)]
-        pairs += [(rng.randrange(k), rng.randrange(k)) for _ in range(60)]
-        seen = {name: set() for name in _PairFacts._fields}
-        for i, j in pairs:
-            sup = profiles[sups[i][j]]
-            fast = _PairFacts(*_pair_facts(profiles[i], profiles[j], sup))
-            facts = SpaceFacts(
-                BiSoftSpace(
-                    as_soft_topology(opens[i], ctx),
-                    as_soft_topology(opens[j], ctx),
+        if nx * ne <= EXHAUSTIVE_POINT_BOUND:
+            profiles, sups = _profiles(nx, ne), _sup_table(nx * ne)
+            opens = _point_topologies(nx * ne)
+            k = len(profiles)
+            # the indiscrete (first) and discrete (last) topologies make every
+            # fact but thm1_agrees false and true respectively once nx > 1
+            pairs = [(0, 0), (k - 1, k - 1), (0, k - 1), (k - 1, 0)]
+            pairs += [(rng.randrange(k), rng.randrange(k)) for _ in range(60)]
+            cases = [
+                (
+                    _pair_facts(profiles[i], profiles[j], profiles[sups[i][j]].soft),
+                    BiSoftSpace(
+                        as_soft_topology(opens[i], ctx), as_soft_topology(opens[j], ctx)
+                    ),
                 )
-            )
+                for i, j in pairs
+            ]
+        else:
+            # so do the indiscrete topology and the one whose members are
+            # the unions of rows, which has 2^nx members where the discrete
+            # one has 2^(nx*ne)
+            rows = [SoftSet(ctx, r) for r in ctx.rows]
+            extremes = [generate_topology(ctx), generate_topology(ctx, rows)]
+            spaces = [BiSoftSpace(p, q) for p in extremes for q in extremes]
+            spaces += random_spaces(ctx, 12 if nx * ne > 8 else 80, seed=nx * ne)
+            cases = [(space_facts(s), s) for s in spaces]
+        seen = {name: set() for name in _PairFacts._fields}
+        for vec, s in cases:
+            fast = _PairFacts(*vec)
+            assert fast._asdict() == oracle.facts(s), (nx, ne, s)
             for name in _PairFacts._fields:
-                assert getattr(fast, name) == getattr(facts, name), (nx, ne, i, j, name)
                 seen[name].add(getattr(fast, name))
         if nx > 1:
             assert all(
@@ -421,7 +458,7 @@ class TestOrbitScan:
         profiles, sups = _profiles(nx, ne), _sup_table(nx * ne)
 
         def facts(i, j):
-            return _pair_facts(profiles[i], profiles[j], profiles[sups[i][j]])
+            return _pair_facts(profiles[i], profiles[j], profiles[sups[i][j]].soft)
 
         k = len(profiles)
         for _ in range(40):
@@ -431,7 +468,7 @@ class TestOrbitScan:
     def test_vector_counts_match_labelled_scan(self):
         cfg = SearchConfig(4, 4)
         counts = [{} for _ in cfg.factorizations()]
-        for k, _, _, w, vec in _representatives(cfg):
+        for (k, _, _), w, vec in _representatives(cfg):
             counts[k][vec] = counts[k].get(vec, 0) + w
         for k, (nx, ne) in enumerate(cfg.factorizations()):
             assert counts[k] == labelled_counts(nx, ne)[0], (nx, ne)
@@ -467,5 +504,5 @@ class TestOrbitScan:
                 if record is not None and record_for(claim_id, s) == record:
                     return
 
-        public = _verify_over_spaces(spaces_through_record(), [claim_id], "")
+        public = _verify_over_spaces(spaces_through_record(), [CLAIMS[claim_id]], "")
         assert public.results[claim_id].records[:1] == ([record] if record else [])
