@@ -8,10 +8,13 @@ through that pair:
 
 * ``space_facts`` profiles one space at a time, for explicit and random
   corpora, random-mode hunts and ``replay``;
-* the exhaustive scan profiles each enumerated topology once per
-  factorization (|X|, |E|), visits one pair per orbit of the relabellings
-  of universe and parameters and weights it by the orbit's size;
-  ``search`` describes what that guarantees for counts, records and hunts.
+* the exhaustive scan enumerates the topologies on |X|*|E| points as
+  their ``U`` vectors, profiles each once per factorization (|X|, |E|),
+  visits one pair per orbit of the relabellings of universe and
+  parameters and weights it by the orbit's size; with |X| = 1 every fact
+  holds on every pair, so those factorizations are one all-true item
+  each; ``search`` describes what that guarantees for counts, records and
+  hunts.
 
 ``search`` imports this module on the first verification, hunt or replay,
 so ``import bisoft`` and the commands that check no claim do not load it.
@@ -25,12 +28,12 @@ from itertools import permutations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .search import (
+    EXHAUSTIVE_POINT_BOUND,
     Claim,
     ClaimResult,
     CounterexampleRecord,
     ImplicationReport,
     SearchConfig,
-    _point_topologies,
     iter_spaces,
     record_for,
     standard_context,
@@ -40,8 +43,8 @@ from .space import BiSoftSpace
 from .topology import (
     _row_neighbourhoods,
     _strongly_apart,
+    _union_closure,
     _weakly_apart,
-    minimal_neighbourhoods,
 )
 
 _MAX_RECORDS_PER_CLAIM = 3
@@ -198,16 +201,60 @@ def space_facts(s: BiSoftSpace) -> _PairFacts:
 
 
 @lru_cache(maxsize=None)
+def _point_neighbourhoods(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every topology on n points as its ``U``, in canonical order.
+
+    A vector is the ``U`` of a topology exactly when p lies in U_p and q in
+    U_p forces U_q inside U_p, that is when "q lies in U_p" is a preorder
+    (Evans, Harary and Lynn, CACM 1967); the members are the unions of the
+    U_p.  The vectors are built point by point, each U_p checked against
+    the points before it, and sorted by their member family read as a
+    bitset: listing the members in decreasing order compares families the
+    way their bitsets do.
+    """
+    if not 1 <= n <= EXHAUSTIVE_POINT_BOUND:
+        raise ValueError(
+            f"exhaustive enumeration supports 1..{EXHAUSTIVE_POINT_BOUND} points"
+        )
+    vectors = [()]
+    for p in range(n):
+        vectors = [
+            u + (up,)
+            for u in vectors
+            for up in range(1 << n)
+            if up >> p & 1
+            and all(
+                (not up >> q & 1 or uq | up == up)
+                and (not uq >> p & 1 or up | uq == uq)
+                for q, uq in enumerate(u)
+            )
+        ]
+    return tuple(
+        sorted(vectors, key=lambda u: sorted(_union_closure(u), reverse=True))
+    )
+
+
+def _members(u: Sequence[int]) -> tuple[int, ...]:
+    """The sorted members of the topology whose ``U`` is ``u``."""
+    return tuple(sorted(_union_closure(u)))
+
+
+@lru_cache(maxsize=None)
+def _point_topologies(n: int) -> tuple[tuple[int, ...], ...]:
+    """All topologies on n points as sorted member tuples, in canonical
+    order; for ``iter_spaces`` and ``enumerate_topologies``."""
+    return tuple(_members(u) for u in _point_neighbourhoods(n))
+
+
+@lru_cache(maxsize=None)
 def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
     """Profiles of every topology on nx*ne points, in enumeration order.
 
-    ``_point_topologies`` rejects nx*ne > EXHAUSTIVE_POINT_BOUND, so at
-    most eight factorizations are ever cached.
+    ``_point_neighbourhoods`` rejects nx*ne > EXHAUSTIVE_POINT_BOUND, so
+    at most eight factorizations are ever cached.
     """
-    ctx, n = standard_context(nx, ne), nx * ne
-    return tuple(
-        profile(ctx, minimal_neighbourhoods(opens, n)) for opens in _point_topologies(n)
-    )
+    ctx = standard_context(nx, ne)
+    return tuple(profile(ctx, u) for u in _point_neighbourhoods(nx * ne))
 
 
 @lru_cache(maxsize=None)
@@ -219,33 +266,38 @@ def _sup_table(n: int) -> tuple[tuple[int, ...], ...]:
     identifies the topology.  Shared by every factorization of n.
     """
     packed = [
-        sum(u << (p * n) for p, u in enumerate(minimal_neighbourhoods(opens, n)))
-        for opens in _point_topologies(n)
+        sum(up << (p * n) for p, up in enumerate(u)) for u in _point_neighbourhoods(n)
     ]
     index = {key: k for k, key in enumerate(packed)}
-    return tuple(tuple(index[a & b] for b in packed) for a in packed)
+    return tuple(tuple([index[a & b] for b in packed]) for a in packed)
 
 
-def _orbit_minima(perms: Sequence[array], k: int) -> Iterable[tuple[int, int]]:
-    """(minimum, size) of each orbit of ``perms`` on range(k), in order;
-    ``perms`` must be a group, so its orbit of j is {g[j] for g in perms}."""
+def _orbit_minima(
+    perms: Sequence[array], k: int, scale: int = 1
+) -> tuple[array, array]:
+    """The minimum of each orbit of ``perms`` on range(k), in order, and
+    the orbit's size times ``scale``; ``perms`` must be a group, so its
+    orbit of j is {g[j] for g in perms}."""
     if len(perms) == 1:  # the trivial group: most stabilizers on 2x2
-        yield from zip(range(k), [1] * k)
-        return
+        return array("H", range(k)), array("H", [scale]) * k
+    minima, sizes = array("H"), array("H")
     seen = bytearray(k)
     for j in range(k):
         if not seen[j]:
             orbit = {g[j] for g in perms}
             for t in orbit:
                 seen[t] = 1
-            yield j, len(orbit)
+            minima.append(j)
+            sizes.append(scale * len(orbit))
+    return minima, sizes
 
 
 @lru_cache(maxsize=None)
 def _orbits(nx: int, ne: int) -> tuple[tuple[array, ...], tuple]:
     """The group G = S_nx x S_ne on the topologies of (nx, ne), relabelling
     point e * nx + x as tau(e) * nx + sigma(x), and the orbit
-    representatives of the ordered topology pairs.
+    representatives of the ordered topology pairs.  The image of a
+    topology under g has the ``U`` with U'_g(p) = g(U_p).
 
     The facts of a space do not change under G, so the scan evaluates one
     pair per orbit and weights it by the orbit's size.  Returns
@@ -255,12 +307,12 @@ def _orbits(nx: int, ne: int) -> tuple[tuple[array, ...], tuple]:
     orbits of Stab(i) on topologies and the size |G.i| * |Stab(i).j| of
     the orbit of (i, j).  Each such pair is the lexicographic minimum of
     its orbit, and every orbit has exactly one.  Kept in arrays: the
-    44,060 representatives of the 4x4 corpus take well under a megabyte.
+    37,918 representatives the 4x4 corpus scans take well under a megabyte.
     At most eight factorizations are ever cached, as for ``_profiles``.
     """
     n = nx * ne
-    opens = _point_topologies(n)
-    index = {t: k for k, t in enumerate(opens)}
+    us = _point_neighbourhoods(n)
+    index = {u: k for k, u in enumerate(us)}
     action = []
     for sigma in permutations(range(nx)):
         for tau in permutations(range(ne)):
@@ -269,24 +321,33 @@ def _orbits(nx: int, ne: int) -> tuple[tuple[array, ...], tuple]:
                 sum(1 << image[p] for p in range(n) if m >> p & 1)
                 for m in range(1 << n)
             ]
+            source = sorted(range(n), key=image.__getitem__)  # g(source[q]) = q
             action.append(
-                array("H", (index[tuple(sorted(relabel[m] for m in t))] for t in opens))
+                array("H", [index[tuple([relabel[u[p]] for p in source])] for u in us])
             )
-    reps = []
-    for i, size in _orbit_minima(action, len(opens)):
-        stabilizer = [g for g in action if g[i] == i]
-        js, weights = array("H"), array("H")
-        for j, j_size in _orbit_minima(stabilizer, len(opens)):
-            js.append(j)
-            weights.append(size * j_size)
-        reps.append((i, js, weights))
-    return tuple(action), tuple(reps)
+    reps = tuple(
+        (i, *_orbit_minima([g for g in action if g[i] == i], len(us), size))
+        for i, size in zip(*_orbit_minima(action, len(us)))
+    )
+    return tuple(action), reps
+
+
+_ALL_TRUE = (True,) * len(_PairFacts._fields)
 
 
 def _representatives(config: SearchConfig):
     """((factorization index, i, j), orbit size, fact vector) for each orbit
-    representative of an exhaustive corpus, in canonical order."""
+    representative of an exhaustive corpus, in canonical order.
+
+    With |X| = 1 there is no pair of distinct elements and the row's
+    complement is empty, so every fact holds on every pair: such a
+    factorization is one item, (k, 0, 0) with weight K^2 for its K
+    topologies, and builds no profiles and no orbits.
+    """
     for k, (nx, ne) in enumerate(config.factorizations()):
+        if nx == 1:
+            yield (k, 0, 0), len(_point_neighbourhoods(ne)) ** 2, _ALL_TRUE
+            continue
         profiles = _profiles(nx, ne)
         softs = [q.soft for q in profiles]
         sups = _sup_table(nx * ne)
@@ -300,9 +361,9 @@ def _pair_record(
     claim_id: str, config: SearchConfig, k: int, i: int, j: int
 ) -> CounterexampleRecord:
     nx, ne = config.factorizations()[k]
-    ctx, opens = standard_context(nx, ne), _point_topologies(nx * ne)
+    ctx, us = standard_context(nx, ne), _point_neighbourhoods(nx * ne)
     names = (ctx.universe.elements, ctx.parameters.parameters)
-    return CounterexampleRecord(claim_id, *names, opens[i], opens[j])
+    return CounterexampleRecord(claim_id, *names, _members(us[i]), _members(us[j]))
 
 
 def _first_violation(
@@ -382,14 +443,22 @@ def _verify_exhaustive(
 
     A claim's first three violating spaces lie in the orbits of its first
     three violating representatives (each representative is its orbit's
-    minimum), so those orbits are expanded, sorted and cut to three.
+    minimum), so those orbits are expanded, sorted and cut to three.  An
+    |X| = 1 item stands for every pair of its factorization, of which only
+    the first three in canonical order can be records.
     """
     sizes = config.factorizations()
 
+    def labelled(k, i, j):
+        nx, ne = sizes[k]
+        if nx == 1:
+            n = len(_point_neighbourhoods(ne))
+            first = range(min(n * n, _MAX_RECORDS_PER_CLAIM))
+            return [(k, *divmod(t, n)) for t in first]
+        return [(k, g[i], g[j]) for g in _orbits(nx, ne)[0]]
+
     def records(claim_id, positions):
-        spaces = {
-            (k, g[i], g[j]) for k, i, j in positions for g in _orbits(*sizes[k])[0]
-        }
+        spaces = {space for pos in positions for space in labelled(*pos)}
         return [
             _pair_record(claim_id, config, *pos)
             for pos in sorted(spaces)[:_MAX_RECORDS_PER_CLAIM]

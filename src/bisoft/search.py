@@ -6,7 +6,8 @@ classical topology on |X|*|E| points.  Enumerating the topologies on up
 to four points (1, 4, 29, 355 of them) therefore enumerates every soft
 topology over every context with |X|*|E| <= 4, and because the packed
 bitmask layout is shared by both readings the reinterpretation is the
-identity on masks.
+identity on masks.  ``scan`` enumerates them as preorders, their
+vectors of minimal open neighbourhoods ``U``.
 
 A space claim in ``CLAIMS`` is a premise and a conclusion over named
 facts of one space, and the registry is the only place a claim's logic
@@ -26,7 +27,8 @@ Brinkmann and McKay, J. Integer Sequences, 2005).  Each representative
 is the lexicographic minimum of its orbit, so the first violating
 representative is the first violating space: exhaustive hunts stop
 there, and a report's three records come from expanding the orbits of
-the first three violating representatives.
+the first three violating representatives.  With |X| = 1 every fact
+holds on every pair, so those factorizations are counted in closed form.
 
 The test suite compares the facts with a member-quantifying oracle
 (``tests/member_oracle.py``) field by field, the scan's reports with the
@@ -39,7 +41,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import UnknownClaimError
@@ -55,41 +56,11 @@ EXHAUSTIVE_POINT_BOUND = 4  # topologies on <= 4 points are enumerable (355 on 4
 # enumeration of point topologies
 
 
-def _family_closed(present: int, masks: Sequence[int]) -> bool:
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            if not present >> (a | b) & 1:
-                return False
-            if not present >> (a & b) & 1:
-                return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _point_topologies(n: int) -> tuple[tuple[int, ...], ...]:
-    """All topologies on an n-point set, as sorted open-mask tuples.
-
-    Iterates every family bitset over the nontrivial masks in increasing
-    numeric order, so the output order is canonical and reproducible.
-    """
-    if not 1 <= n <= EXHAUSTIVE_POINT_BOUND:
-        raise ValueError(
-            f"exhaustive enumeration supports 1..{EXHAUSTIVE_POINT_BOUND} points"
-        )
-    full = (1 << n) - 1
-    base = 1 | (1 << full)
-    out = []
-    for famb in range(1 << max(full - 1, 0)):
-        present = base | (famb << 1)
-        masks = [m for m in range(full + 1) if present >> m & 1]
-        if _family_closed(present, masks):
-            out.append(tuple(masks))
-    return tuple(out)
-
-
 def enumerate_topologies(n_points: int) -> Iterable[SoftTopology]:
     """Stream every topology on an n-point set exactly once, as a soft
     topology over n elements and one parameter."""
+    from .scan import _point_topologies
+
     ctx = standard_context(n_points, 1)
     for opens in _point_topologies(n_points):
         yield as_soft_topology(opens, ctx)
@@ -234,21 +205,24 @@ for _c in [
     _space_claim(
         "hereditary-t0",
         True,
-        "pairwise soft T0 passes to every bi-soft subspace",
+        "pairwise soft T0 passes to every bi-soft subspace; holds on every "
+        "pair of topologies, as a subspace on Y reads N(x) & Y",
         lambda f: f.pairwise_t0,
         lambda f: f.hereditary_t0,
     ),
     _space_claim(
         "hereditary-t1",
         True,
-        "pairwise soft T1 passes to every bi-soft subspace",
+        "pairwise soft T1 passes to every bi-soft subspace; holds on every "
+        "pair of topologies, as a subspace on Y reads N(x) & Y",
         lambda f: f.pairwise_t1,
         lambda f: f.hereditary_t1,
     ),
     _space_claim(
         "hereditary-t2",
         True,
-        "pairwise soft T2 passes to every bi-soft subspace",
+        "pairwise soft T2 passes to every bi-soft subspace; holds on every "
+        "pair of topologies, as a subspace on Y reads N(x) & Y",
         lambda f: f.pairwise_t2,
         lambda f: f.hereditary_t2,
     ),
@@ -262,7 +236,9 @@ for _c in [
     _space_claim(
         "thm1-equivalence",
         True,
-        "the closure characterization agrees with pairwise soft T2",
+        "the closure characterization agrees with pairwise soft T2; holds on "
+        "every pair of topologies, as cl2(N1(x)) meets y's row iff N2(y) "
+        "meets N1(x)",
         lambda f: True,
         lambda f: f.thm1_agrees,
     ),
@@ -270,7 +246,8 @@ for _c in [
         "cor1-point-closure",
         True,
         "on pairwise soft T2 spaces the point closure intersection is the "
-        "point soft set",
+        "point soft set; holds on every pair of topologies, as that "
+        "intersection is cl2(N1(x))",
         lambda f: f.pairwise_t2,
         lambda f: f.cor1_ok,
     ),
@@ -443,6 +420,8 @@ def iter_spaces(config: SearchConfig) -> Iterable[BiSoftSpace]:
         ctx = standard_context(config.max_universe, config.n_params)
         yield from random_spaces(ctx, config.samples, config.seed)
         return
+    from .scan import _point_topologies
+
     for nx, ne in config.factorizations():
         ctx = standard_context(nx, ne)
         topos = [
@@ -601,9 +580,9 @@ def verify_implications(
     the orbit's size, so ``tested``, ``premise_hits`` and violation counts
     are exact labelled counts; the records are the first three violating
     spaces in canonical order, taken from the orbits of the first three
-    violating representatives.  Rough claims quantify over targets as
-    well as spaces and are rejected here; ``find_counterexample`` searches
-    them.
+    violating representatives.  Explicit corpora are validated as records
+    are.  Rough claims quantify over targets as well as spaces and are
+    rejected here; ``find_counterexample`` searches them.
     """
     ids = tuple(claim_ids) if claim_ids is not None else TRUE_CLAIM_IDS
     if not ids:
@@ -621,6 +600,8 @@ def verify_implications(
     spaces = list(corpus)
     if not spaces:
         raise ValueError("corpus must not be empty")
+    for t in {t for s in spaces for t in (s.t1, s.t2)}:
+        validate_topology(t.members, t.context)
     return _verify_over_spaces(spaces, claims, f"explicit:{len(spaces)} spaces")
 
 

@@ -184,10 +184,17 @@ def generate_topology(
     """
     _shared_context(list(subbasis) or [SoftSet(ctx, 0)], ctx)
     masks = {s.mask for s in subbasis}
+    u = minimal_neighbourhoods(masks, ctx.nx * ctx.ne)
+    return _canonical(ctx, _union_closure(u))
+
+
+def _union_closure(u: Iterable[int]) -> set[int]:
+    """Every union of the masks ``u``, the null set (the empty union)
+    included; when ``u`` is a topology's ``U``, its members."""
     opens = {0}
-    for u in set(minimal_neighbourhoods(masks, ctx.nx * ctx.ne)):
-        opens |= {o | u for o in opens}
-    return _canonical(ctx, opens)
+    for m in set(u):
+        opens |= {o | m for o in opens}
+    return opens
 
 
 def closed_sets(t: SoftTopology) -> tuple[SoftSet, ...]:

@@ -10,13 +10,19 @@ against the member oracle.
 
 from functools import lru_cache
 
-from bisoft.scan import _PairFacts, _pair_facts, _profiles, _sup_table
+from bisoft.scan import (
+    _PairFacts,
+    _pair_facts,
+    _point_topologies,
+    _profiles,
+    _sup_table,
+)
 from bisoft.search import (
+    Claim,
     ClaimResult,
     CounterexampleRecord,
     ImplicationReport,
     SearchConfig,
-    _point_topologies,
     get_claim,
     standard_context,
 )
@@ -41,7 +47,8 @@ def labelled_counts(nx, ne):
 
 
 def labelled_report(config: SearchConfig, claim_ids) -> ImplicationReport:
-    """The implication report of an exhaustive config, from labelled counts."""
+    """The implication report of an exhaustive config, from labelled counts;
+    ``claim_ids`` may name registered claims or hold ``Claim`` objects."""
     sizes = config.factorizations()
     table = []
     total = 0
@@ -52,7 +59,7 @@ def labelled_report(config: SearchConfig, claim_ids) -> ImplicationReport:
             table.append((_PairFacts(*vec), n, [(k, i, j) for i, j in firsts[vec]]))
     results = {}
     for cid in claim_ids:
-        c = get_claim(cid)
+        c = cid if isinstance(cid, Claim) else get_claim(cid)
         res = results[c.id] = ClaimResult(c.id, tested=total)
         violating = []
         for facts, count, positions in table:

@@ -1,5 +1,6 @@
-"""Definitional oracle: separation axioms, slices and rough approximations
-stated by quantifying over members, as the paper defines them.
+"""Definitional oracle: the topologies on n points, separation axioms,
+slices and rough approximations stated by quantifying over members, as
+the paper defines them.
 
 The package reads all of these off minimal open neighbourhoods.  This
 module keeps the member scans for the tests to compare against; it reads
@@ -76,6 +77,29 @@ def first_failure(ctx, pairs, ok):
 
 def _holds(ctx, pairs, ok):
     return first_failure(ctx, pairs, ok) is None
+
+
+# -- enumeration -------------------------------------------------------------
+
+
+def point_topologies(n):
+    """Every topology on n points as a sorted member tuple, by filtering
+    every family of subsets: each family bitset over the nontrivial masks,
+    in increasing order, is kept when its members are closed under
+    pairwise union and intersection."""
+    full = (1 << n) - 1
+    base = 1 | (1 << full)
+    out = []
+    for family in range(1 << max(full - 1, 0)):
+        present = base | (family << 1)
+        masks = [m for m in range(full + 1) if present >> m & 1]
+        if all(
+            present >> (a | b) & 1 and present >> (a & b) & 1
+            for i, a in enumerate(masks)
+            for b in masks[i + 1 :]
+        ):
+            out.append(tuple(masks))
+    return out
 
 
 # -- checkers -----------------------------------------------------------------

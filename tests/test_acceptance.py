@@ -19,10 +19,9 @@ from bisoft.axioms import (
 )
 from bisoft.fixtures import builtin_fixture_names, load_fixture
 from bisoft.rough import lower_approx, rough_regions, upper_approx
-from bisoft.scan import space_facts
+from bisoft.scan import _point_topologies, space_facts
 from bisoft.search import (
     SearchConfig,
-    _point_topologies,
     find_counterexample,
     get_claim,
     random_space,

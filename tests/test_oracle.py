@@ -20,8 +20,8 @@ from bisoft.axioms import (
     strong_t1,
 )
 from bisoft.rough import lower_approx, upper_approx
+from bisoft.scan import _point_topologies
 from bisoft.search import (
-    _point_topologies,
     as_soft_topology,
     random_spaces,
     standard_context,

@@ -9,20 +9,24 @@ import pytest
 from bisoft.errors import InvalidTopologyError, UnknownClaimError
 from bisoft.scan import (
     _PairFacts,
+    _first_violation,
     _orbits,
     _pair_facts,
+    _point_neighbourhoods,
+    _point_topologies,
     _profiles,
     _representatives,
     _sup_table,
+    _verify_exhaustive,
     _verify_over_spaces,
     space_facts,
 )
 from bisoft.search import (
     CLAIMS,
+    Claim,
     EXHAUSTIVE_POINT_BOUND,
     CounterexampleRecord,
     SearchConfig,
-    _point_topologies,
     TRUE_CLAIM_IDS,
     as_soft_topology,
     enumerate_topologies,
@@ -38,7 +42,12 @@ from bisoft.search import (
 )
 from bisoft.space import BiSoftSpace
 from bisoft.softset import SoftSet
-from bisoft.topology import generate_topology, topology_violations
+from bisoft.topology import (
+    SoftTopology,
+    generate_topology,
+    minimal_neighbourhoods,
+    topology_violations,
+)
 from labelled_scan import labelled_counts, labelled_report
 import member_oracle as oracle
 
@@ -75,6 +84,14 @@ class TestEnumeration:
 
     def test_four_point_count(self):
         assert len(_point_topologies(4)) == 355
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_family_filter_and_round_trips(self, n):
+        # the U-vectors, in order, are those of the filtered families
+        opens = _point_topologies(n)
+        assert list(opens) == oracle.point_topologies(n)
+        us = _point_neighbourhoods(n)
+        assert [minimal_neighbourhoods(o, n) for o in opens] == list(us)
 
     def test_each_enumerated_family_is_a_topology(self):
         for p in enumerate_topologies(3):
@@ -423,6 +440,14 @@ class TestRecords:
         with pytest.raises(InvalidTopologyError):
             replay(record)
 
+    def test_non_topology_in_explicit_corpus_is_rejected(self):
+        # {x1} | {x2} is missing; the family's U would read it as the
+        # topology that also has {x1, x2}
+        ctx = standard_context(3, 1)
+        family = SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in (0, 1, 2, 7)))
+        with pytest.raises(InvalidTopologyError, match="union"):
+            verify_implications([BiSoftSpace(family, family)])
+
 
 SMALL_TRUE_CLAIM_IDS = (
     "prop1",
@@ -464,6 +489,32 @@ class TestOrbitScan:
         for _ in range(40):
             i, j = rng.randrange(k), rng.randrange(k)
             assert {facts(g[i], g[j]) for g in action} == {facts(i, j)}
+
+    @pytest.mark.parametrize(
+        "ne", [ne for nx, ne in SearchConfig(4, 4).factorizations() if nx == 1]
+    )
+    def test_single_element_factorizations_have_one_all_true_vector(self, ne):
+        # what the scan counts in closed form instead of scanning
+        k = len(_point_topologies(ne))
+        all_true = (True,) * len(_PairFacts._fields)
+        assert labelled_counts(1, ne)[0] == {all_true: k * k}
+
+    @pytest.mark.parametrize("max_x,params", [(4, 4), (1, 4), (4, 1)])
+    def test_closed_form_records_match_labelled_scan(self, max_x, params):
+        # fails exactly on the all-true vector and its like, so its records
+        # start in the closed-form factorizations
+        claim = Claim(
+            "not-pairwise-t0",
+            "space",
+            False,
+            "",
+            lambda f: True,
+            lambda f: not f.pairwise_t0,
+        )
+        cfg = SearchConfig(max_x, params)
+        labelled = labelled_report(cfg, [claim])
+        assert _verify_exhaustive(cfg, [claim]).to_json() == labelled.to_json()
+        assert _first_violation(cfg, claim) == labelled.results[claim.id].records[0]
 
     def test_vector_counts_match_labelled_scan(self):
         cfg = SearchConfig(4, 4)

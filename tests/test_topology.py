@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from bisoft.errors import InvalidTopologyError
 from bisoft.rough import lower_approx, upper_approx
-from bisoft.search import _point_topologies, enumerate_topologies, standard_context
+from bisoft.scan import _point_topologies
+from bisoft.search import enumerate_topologies, standard_context
 from bisoft.softset import (
     Context,
     SoftSet,
