@@ -298,7 +298,7 @@ def _cmd_rough(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    mode = "random" if args.random else "exhaustive"
+    mode = "random" if args.random is not None else "exhaustive"
     try:
         config = SearchConfig(
             max_universe=args.max_x,

@@ -1,20 +1,35 @@
 """The one fact function: neighbourhood profiles, read per space or per orbit.
 
 ``profile`` summarises a soft topology over any context in integers read
-off its minimal open neighbourhoods ``U``, and ``_pair_facts`` reads every
+off its minimal open neighbourhoods ``U``, and ``_pair_key`` reads every
 fact of a space off the profiles of its two topologies and the soft axioms
-of their supremum, whose ``U_p`` is ``U1_p & U2_p``.  Every corpus goes
-through that pair:
+of their supremum, whose ``U_p`` is ``U1_p & U2_p``, as one int, the fact
+key.  Bit k of a key is field k of ``_PairFacts``:
+
+* bits 0-2 and 3-5 are soft T0, T1, T2 of the first and second topology,
+  and 6-8 those of the supremum;
+* 9-11 pairwise T0, T1, T2; 12-13 strong T0, T1; 14-16 pairwise T0, T1,
+  T2 of the slices; 17-19 the hereditary T0, T1, T2, set with 9-11;
+* 20 ``thm1_agrees``, 21 ``cor1_ok`` (the closure test) and 22 ``cor2_ok``.
+
+A topology settles some facts alone: its soft axioms, whether every row's
+complement is open (``cor2_ok`` needs both), and its half of each T1
+test (the first topology's ``fwd`` bitset empty, the second's ``bwd``).
+A profile keeps those in two keys, one for each place in a space, whose
+AND is the space's share of them; the T0 and T2 tests and the closure
+test AND one bitset of each topology.  Every corpus goes through
+``_pair_key``, and each claim reads the ``_PairFacts`` of a distinct key,
+decoded once:
 
 * ``space_facts`` profiles one space at a time, for explicit and random
   corpora, random-mode hunts and ``replay``;
 * the exhaustive scan enumerates the topologies on |X|*|E| points as
   their ``U`` vectors, profiles each once per factorization (|X|, |E|),
   visits one pair per orbit of the relabellings of universe and
-  parameters and weights it by the orbit's size; with |X| = 1 every fact
-  holds on every pair, so those factorizations are one all-true item
-  each; ``search`` describes what that guarantees for counts, records and
-  hunts.
+  parameters and weights it by the orbit's size, and tallies the pairs
+  by key; with |X| = 1 every fact holds on every pair, so those
+  factorizations are one all-true item each; ``search`` describes what
+  that guarantees for counts, records and hunts.
 
 ``search`` imports this module on the first verification, hunt or replay,
 so ``import bisoft`` and the commands that check no claim do not load it.
@@ -95,19 +110,70 @@ def _separation(groups, width: int, apart: Callable[[int, int], bool]) -> _Separ
     return _Separation(t0, fwd, bwd, near, far)
 
 
-def _pairwise(a: _Separation, b: _Separation) -> tuple[bool, bool, bool]:
-    """Pairwise T0, T1 and T2 of two topologies over the same groups."""
-    return not a.t0 & b.t0, not (a.fwd | b.bwd), not a.far & b.near
+def _soft(w: _Separation) -> int:
+    """Soft T0, T1 and T2 as bits 0, 1 and 2: a topology's pairwise
+    axioms with itself."""
+    return (not w.t0) | (not (w.fwd | w.bwd)) << 1 | (not w.far & w.near) << 2
+
+
+# The facts the space claims read; bit k of a fact key is field k.
+_PairFacts = NamedTuple(
+    "_PairFacts",
+    [
+        (name, bool)
+        for name in "t1_soft_t0 t1_soft_t1 t1_soft_t2 t2_soft_t0 t2_soft_t1 "
+        "t2_soft_t2 sup_soft_t0 sup_soft_t1 sup_soft_t2 pairwise_t0 pairwise_t1 "
+        "pairwise_t2 strong_t0 strong_t1 slices_pw_t0 slices_pw_t1 slices_pw_t2 "
+        "hereditary_t0 hereditary_t1 hereditary_t2 thm1_agrees cor1_ok cor2_ok".split()
+    ],
+)
+
+
+def _bits(*names: str) -> int:
+    """The fact key in which exactly the named facts hold."""
+    return sum(1 << _PairFacts._fields.index(name) for name in names)
+
+
+def _decode(key: int) -> _PairFacts:
+    """The named facts of a key."""
+    return _PairFacts(*[bool(key >> k & 1) for k in range(len(_PairFacts._fields))])
+
+
+_ALL = (1 << len(_PairFacts._fields)) - 1
+_SOFT = 0b111  # soft T0, T1, T2, as ``_soft`` returns them
+_T2_SOFT = _PairFacts._fields.index("t2_soft_t0")  # the second topology's soft bits
+_SUP = _PairFacts._fields.index("sup_soft_t0")  # and the supremum's start here
+_PW_T0 = _bits("pairwise_t0", "hereditary_t0")
+_PW_T1 = _bits("pairwise_t1", "hereditary_t1")
+_PW_T2 = _bits("pairwise_t2", "hereditary_t2")
+_STRONG_T0, _STRONG_T1 = _bits("strong_t0"), _bits("strong_t1")
+_SLICES_T0, _SLICES_T1 = _bits("slices_pw_t0"), _bits("slices_pw_t1")
+_SLICES_T2 = _bits("slices_pw_t2")
+_THM1, _COR1, _COR2 = _bits("thm1_agrees"), _bits("cor1_ok"), _bits("cor2_ok")
 
 
 class _Profile(NamedTuple):
-    """One soft topology over a context, read off its ``U``."""
+    """One soft topology over a context, read off its ``U``.
 
-    soft: tuple[bool, bool, bool]  # soft T0, T1, T2
-    cor2: bool  # every row's complement is open
-    whole: _Separation  # neighbourhoods N(x), weakly apart
-    strong: _Separation  # neighbourhoods N(x), strongly apart
-    slices: _Separation  # a group per parameter e, neighbourhoods block_e(U_(x,e))
+    ``first`` and ``second`` are fact keys holding what the topology
+    settles alone as the first or the second topology of a space, with
+    every bit the other topology settles set, so that a space's keys AND
+    to the facts its topologies settle apart: the soft axioms, ``cor2``
+    and the three pairwise T1 tests, which fail where the first
+    topology's ``fwd`` or the second's ``bwd`` has a bit.  The other
+    fields are the bitsets that the cross tests of ``_pair_key`` AND.
+    """
+
+    soft: int  # soft T0, T1, T2 as bits 0, 1, 2
+    first: int
+    second: int
+    t0: int  # whole: neighbourhoods N(x), weakly apart
+    near: int
+    far: int
+    strong_t0: int  # neighbourhoods N(x), strongly apart
+    slice_t0: int  # a group per parameter e, neighbourhoods block_e(U_(x,e))
+    slice_near: int
+    slice_far: int
 
 
 def _whole(ctx: Context, nbhd: Sequence[int], apart=_weakly_apart) -> _Separation:
@@ -124,36 +190,51 @@ def profile(ctx: Context, u: Sequence[int]) -> _Profile:
     nx, n, rows = ctx.nx, ctx.nx * ctx.ne, ctx.rows
     nbhd = _row_neighbourhoods(u, nx)
     whole = _whole(ctx, nbhd)
+    strong = _whole(ctx, nbhd, _strongly_apart)
     points = [1 << x for x in range(nx)]
-    slices = [
-        ([u[e * nx + x] >> (e * nx) & ctx.block_mask for x in range(nx)], points)
-        for e in range(ctx.ne)
-    ]
+    slices = _separation(
+        [
+            ([u[e * nx + x] >> (e * nx) & ctx.block_mask for x in range(nx)], points)
+            for e in range(ctx.ne)
+        ],
+        n,
+        _weakly_apart,
+    )
+    soft = _soft(whole)
+    cor2 = 0 if whole.far & sum(r << (x * n) for x, r in enumerate(rows)) else _COR2
+    t1_first = (
+        (not whole.fwd) * _PW_T1
+        | (not strong.fwd) * _STRONG_T1
+        | (not slices.fwd) * _SLICES_T1
+    )
+    t1_second = (
+        (not whole.bwd) * _PW_T1
+        | (not strong.bwd) * _STRONG_T1
+        | (not slices.bwd) * _SLICES_T1
+    )
     return _Profile(
-        soft=_pairwise(whole, whole),
-        cor2=not whole.far & sum(r << (x * n) for x, r in enumerate(rows)),
-        whole=whole,
-        strong=_whole(ctx, nbhd, _strongly_apart),
-        slices=_separation(slices, n, _weakly_apart),
+        soft=soft,
+        first=soft | _SOFT << _T2_SOFT | t1_first | cor2,
+        second=_SOFT | soft << _T2_SOFT | t1_second | cor2,
+        t0=whole.t0,
+        near=whole.near,
+        far=whole.far,
+        strong_t0=strong.t0,
+        slice_t0=slices.t0,
+        slice_near=slices.near,
+        slice_far=slices.far,
     )
 
 
-# The facts the space claims read, in the order ``_pair_facts`` returns them.
-_PairFacts = NamedTuple(
-    "_PairFacts",
-    [
-        (name, bool)
-        for name in "t1_soft_t0 t1_soft_t1 t1_soft_t2 t2_soft_t0 t2_soft_t1 "
-        "t2_soft_t2 sup_soft_t0 sup_soft_t1 sup_soft_t2 pairwise_t0 pairwise_t1 "
-        "pairwise_t2 strong_t0 strong_t1 slices_pw_t0 slices_pw_t1 slices_pw_t2 "
-        "hereditary_t0 hereditary_t1 hereditary_t2 thm1_agrees cor1_ok cor2_ok".split()
-    ],
-)
+def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
+    """The fact key of the space (p, q) whose supremum's soft axioms are
+    ``sup_bits``, already in bits ``_SUP`` to ``_SUP + 2``.
 
-
-def _pair_facts(p: _Profile, q: _Profile, sup_soft: tuple) -> tuple[bool, ...]:
-    """Facts of the space (p, q) whose supremum has the soft axioms
-    ``sup_soft``, in ``_PairFacts`` order.
+    The facts each topology settles alone come from ANDing ``p.first``
+    with ``q.second``; the rest is one AND test each.  Pairwise T0 fails
+    where both ``t0`` have a bit, and T2 (N1(x) and N2(y) disjoint for
+    every ordered pair) where the first ``far`` meets the second
+    ``near``; so for the strong and slice bitsets.
 
     N1(x) is the smallest first-topology member around x and closure is
     monotone, so cl2(N1(x)) is both the best witness for the closure
@@ -167,37 +248,39 @@ def _pair_facts(p: _Profile, q: _Profile, sup_soft: tuple) -> tuple[bool, ...]:
     x, y in Y that passes on X passes on Y: the T0 and T1 tests read only
     y's row, which lies in Y, and N1(x) & N2(y) & Y is empty when
     N1(x) & N2(y) is.  X is a subspace of itself, so the space is pairwise
-    T0, T1 or T2 on every subspace exactly when it is on X.
+    T0, T1 or T2 on every subspace exactly when it is on X, and each
+    hereditary bit is set with its pairwise bit.
     """
-    w1, w2 = p.whole, q.whole
-    s1, s2 = p.strong, q.strong
-    l1, l2 = p.slices, q.slices
-    pairwise = _pairwise(w1, w2)
-    closure_t2 = not w1.near & w2.far
-    return (
-        *p.soft,
-        *q.soft,
-        *sup_soft,
-        *pairwise,
-        not s1.t0 & s2.t0,
-        not (s1.fwd | s2.bwd),
-        not l1.t0 & l2.t0,
-        not (l1.fwd | l2.bwd),
-        not l1.far & l2.near,
-        *pairwise,
-        closure_t2 == pairwise[2],
-        closure_t2,
-        p.cor2 and q.cor2,
-    )
+    key = p.first & q.second | sup_bits
+    if not p.t0 & q.t0:
+        key |= _PW_T0
+    if not p.strong_t0 & q.strong_t0:
+        key |= _STRONG_T0
+    if not p.slice_t0 & q.slice_t0:
+        key |= _SLICES_T0
+    if not p.slice_far & q.slice_near:
+        key |= _SLICES_T2
+    t2 = not p.far & q.near
+    closure = not p.near & q.far
+    if t2:
+        key |= _PW_T2
+    if closure:
+        key |= _COR1
+    if t2 == closure:
+        key |= _THM1
+    return key
+
+
+def _space_key(s: BiSoftSpace) -> int:
+    """The fact key of one space, read off the ``U`` of its two topologies."""
+    ctx, u1, u2 = s.context, s.t1.neighbourhoods(), s.t2.neighbourhoods()
+    sup = _whole(ctx, _row_neighbourhoods([a & b for a, b in zip(u1, u2)], ctx.nx))
+    return _pair_key(profile(ctx, u1), profile(ctx, u2), _soft(sup) << _SUP)
 
 
 def space_facts(s: BiSoftSpace) -> _PairFacts:
-    """The facts of one space, read off the ``U`` of its two topologies."""
-    ctx, u1, u2 = s.context, s.t1.neighbourhoods(), s.t2.neighbourhoods()
-    sup = _whole(ctx, _row_neighbourhoods([a & b for a, b in zip(u1, u2)], ctx.nx))
-    return _PairFacts(
-        *_pair_facts(profile(ctx, u1), profile(ctx, u2), _pairwise(sup, sup))
-    )
+    """The facts of one space, decoded from its key."""
+    return _decode(_space_key(s))
 
 
 @lru_cache(maxsize=None)
@@ -255,21 +338,6 @@ def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
     """
     ctx = standard_context(nx, ne)
     return tuple(profile(ctx, u) for u in _point_neighbourhoods(nx * ne))
-
-
-@lru_cache(maxsize=None)
-def _sup_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Index of the supremum of every ordered pair of topologies on n points.
-
-    The supremum's U_p is U1_p & U2_p.  With each topology's U packed into
-    one integer, n bits per point, that is one AND, and the packed U
-    identifies the topology.  Shared by every factorization of n.
-    """
-    packed = [
-        sum(up << (p * n) for p, up in enumerate(u)) for u in _point_neighbourhoods(n)
-    ]
-    index = {key: k for k, key in enumerate(packed)}
-    return tuple(tuple([index[a & b] for b in packed]) for a in packed)
 
 
 def _orbit_minima(
@@ -332,11 +400,14 @@ def _orbits(nx: int, ne: int) -> tuple[tuple[array, ...], tuple]:
     return tuple(action), reps
 
 
-_ALL_TRUE = (True,) * len(_PairFacts._fields)
+def _packed(u: Sequence[int]) -> int:
+    """A topology's ``U`` in one int, n bits per point: the supremum of two
+    topologies is then the one whose packed ``U`` is the AND of theirs."""
+    return sum(up << (p * len(u)) for p, up in enumerate(u))
 
 
 def _representatives(config: SearchConfig):
-    """((factorization index, i, j), orbit size, fact vector) for each orbit
+    """((factorization index, i, j), orbit size, fact key) for each orbit
     representative of an exhaustive corpus, in canonical order.
 
     With |X| = 1 there is no pair of distinct elements and the row's
@@ -346,15 +417,15 @@ def _representatives(config: SearchConfig):
     """
     for k, (nx, ne) in enumerate(config.factorizations()):
         if nx == 1:
-            yield (k, 0, 0), len(_point_neighbourhoods(ne)) ** 2, _ALL_TRUE
+            yield (k, 0, 0), len(_point_neighbourhoods(ne)) ** 2, _ALL
             continue
         profiles = _profiles(nx, ne)
-        softs = [q.soft for q in profiles]
-        sups = _sup_table(nx * ne)
+        packed = [_packed(u) for u in _point_neighbourhoods(nx * ne)]
+        sup_bits = {key: p.soft << _SUP for key, p in zip(packed, profiles)}
         for i, js, weights in _orbits(nx, ne)[1]:
-            p, row = profiles[i], sups[i]
+            p, ui = profiles[i], packed[i]
             for j, w in zip(js, weights):
-                yield (k, i, j), w, _pair_facts(p, profiles[j], softs[row[j]])
+                yield (k, i, j), w, _pair_key(p, profiles[j], sup_bits[ui & packed[j]])
 
 
 def _pair_record(
@@ -376,15 +447,15 @@ def _first_violation(
     and that representative did not violate.
     """
     if config.mode == "exhaustive":
-        items = ((pos, vec) for pos, _, vec in _representatives(config))
+        items = ((pos, key) for pos, _, key in _representatives(config))
     else:
-        items = ((s, space_facts(s)) for s in iter_spaces(config))
+        items = ((s, _space_key(s)) for s in iter_spaces(config))
     verdicts: dict = {}
-    for pos, vec in items:
-        bad = verdicts.get(vec)
+    for pos, key in items:
+        bad = verdicts.get(key)
         if bad is None:
-            facts = _PairFacts(*vec)
-            bad = verdicts[vec] = claim.premise(facts) and not claim.conclusion(facts)
+            facts = _decode(key)
+            bad = verdicts[key] = claim.premise(facts) and not claim.conclusion(facts)
         if bad:
             if config.mode == "exhaustive":
                 return _pair_record(claim.id, config, *pos)
@@ -395,20 +466,25 @@ def _first_violation(
 def _report(
     corpus: str, claims: Sequence[Claim], items: Iterable, records: Callable
 ) -> ImplicationReport:
-    """Run each claim once per distinct fact vector, weighted by its count.
+    """Run each claim once per distinct fact key, weighted by its count.
 
-    ``items`` yields (position, weight, fact vector), positions in corpus
+    ``items`` yields (position, weight, fact key), positions in corpus
     order; ``records(claim_id, positions)`` turns the first violating
-    positions, at most ``_MAX_RECORDS_PER_CLAIM``, into records.
+    positions, at most ``_MAX_RECORDS_PER_CLAIM``, into records.  Each
+    key's entry is its count followed by its first positions, and each
+    distinct key is decoded once, for the claims.
     """
-    counts, firsts = {}, {}
-    for pos, w, vec in items:
-        counts[vec] = counts.get(vec, 0) + w
-        reps = firsts.setdefault(vec, [])
-        if len(reps) < _MAX_RECORDS_PER_CLAIM:
-            reps.append(pos)
-    total = sum(counts.values())
-    table = [(_PairFacts(*vec), n, firsts[vec]) for vec, n in counts.items()]
+    tally: dict = {}
+    for pos, w, key in items:
+        entry = tally.get(key)
+        if entry is None:
+            tally[key] = [w, pos]
+        else:
+            entry[0] += w
+            if len(entry) <= _MAX_RECORDS_PER_CLAIM:
+                entry.append(pos)
+    total = sum(entry[0] for entry in tally.values())
+    table = [(_decode(key), entry[0], entry[1:]) for key, entry in tally.items()]
     results = {}
     for c in claims:
         res = results[c.id] = ClaimResult(c.id, tested=total)
@@ -431,7 +507,7 @@ def _verify_over_spaces(
     return _report(
         corpus,
         claims,
-        (((k, s), 1, space_facts(s)) for k, s in enumerate(spaces)),
+        (((k, s), 1, _space_key(s)) for k, s in enumerate(spaces)),
         lambda cid, positions: [record_for(cid, s) for _, s in positions],
     )
 

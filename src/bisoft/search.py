@@ -12,8 +12,9 @@ vectors of minimal open neighbourhoods ``U``.
 A space claim in ``CLAIMS`` is a premise and a conclusion over named
 facts of one space, and the registry is the only place a claim's logic
 lives.  One fact function in ``scan`` produces the facts, off a profile
-of integers read from each topology's minimal open neighbourhoods, and
-each claim runs once per distinct fact vector, weighted by its count.
+of integers read from each topology's minimal open neighbourhoods, as
+one int per space with a bit per fact, and each claim runs once per
+distinct key, weighted by its count.
 Explicit and random corpora, random-mode hunts and ``replay`` profile
 one space at a time; the exhaustive scan profiles each enumerated
 topology once.
@@ -573,7 +574,7 @@ def verify_implications(
     ``claim_ids`` defaults to every claim expected to hold; gap claims may
     be named too.  Every corpus is read by the one fact function in
     ``scan``, off the minimal open neighbourhoods of each topology, and
-    each claim runs once per distinct fact vector.  Random configs and
+    each claim runs once per distinct fact key.  Random configs and
     explicit corpora profile one space at a time, and their records are
     the first three violating spaces.  Exhaustive configs evaluate one
     pair per orbit of the relabellings of universe and parameters and add

@@ -4,18 +4,21 @@
 It walks every ordered topology pair of every factorization, counts the
 pairs per fact vector and keeps each vector's first three positions, the
 way the exhaustive scan did before it walked one pair per symmetry orbit.
-The facts come from the same profiles; the dual-route tests check those
+Each pair's supremum is found here, as the topology whose ``U`` is the
+pointwise intersection of the pair's, and its facts come from the same
+profiles and fact key as the scan's; the dual-route tests check those
 against the member oracle.
 """
 
 from functools import lru_cache
 
 from bisoft.scan import (
-    _PairFacts,
-    _pair_facts,
+    _SUP,
+    _decode,
+    _pair_key,
+    _point_neighbourhoods,
     _point_topologies,
     _profiles,
-    _sup_table,
 )
 from bisoft.search import (
     Claim,
@@ -31,19 +34,34 @@ MAX_RECORDS = 3
 
 
 @lru_cache(maxsize=None)
+def _index(n):
+    return {u: k for k, u in enumerate(_point_neighbourhoods(n))}
+
+
+def pair_key(nx, ne, i, j):
+    """The fact key of the pair (i, j) of topologies over (nx, ne)."""
+    us = _point_neighbourhoods(nx * ne)
+    sup = _index(nx * ne)[tuple(a & b for a, b in zip(us[i], us[j]))]
+    profiles = _profiles(nx, ne)
+    return _pair_key(profiles[i], profiles[j], profiles[sup].soft << _SUP)
+
+
+@lru_cache(maxsize=None)
 def labelled_counts(nx, ne):
     """Pairs per fact vector over (nx, ne), and each vector's first
     ``MAX_RECORDS`` positions (i, j)."""
-    profiles = _profiles(nx, ne)
-    sups = _sup_table(nx * ne)
+    k = len(_point_neighbourhoods(nx * ne))
     counts, firsts = {}, {}
-    for i, p in enumerate(profiles):
-        for j, s in enumerate(sups[i]):
-            vec = _pair_facts(p, profiles[j], profiles[s].soft)
-            count = counts[vec] = counts.get(vec, 0) + 1
+    for i in range(k):
+        for j in range(k):
+            key = pair_key(nx, ne, i, j)
+            count = counts[key] = counts.get(key, 0) + 1
             if count <= MAX_RECORDS:
-                firsts.setdefault(vec, []).append((i, j))
-    return counts, firsts
+                firsts.setdefault(key, []).append((i, j))
+    return (
+        {_decode(key): n for key, n in counts.items()},
+        {_decode(key): pos for key, pos in firsts.items()},
+    )
 
 
 def labelled_report(config: SearchConfig, claim_ids) -> ImplicationReport:
@@ -56,7 +74,7 @@ def labelled_report(config: SearchConfig, claim_ids) -> ImplicationReport:
         counts, firsts = labelled_counts(nx, ne)
         total += len(_profiles(nx, ne)) ** 2
         for vec, n in counts.items():
-            table.append((_PairFacts(*vec), n, [(k, i, j) for i, j in firsts[vec]]))
+            table.append((vec, n, [(k, i, j) for i, j in firsts[vec]]))
     results = {}
     for cid in claim_ids:
         c = cid if isinstance(cid, Claim) else get_claim(cid)

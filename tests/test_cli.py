@@ -269,6 +269,16 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--max-x", "9", "--params", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_non_positive_random_count_usage_error(self, capsys, count):
+        # a zero count asks for random mode too; it must not fall back to
+        # the exhaustive corpus
+        argv = "search --max-x 2 --params 1 --json --random".split() + [count]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "positive sample count" in err
+
     def test_alias_accepted(self, capsys):
         code, out, _ = run(
             capsys,

@@ -9,14 +9,13 @@ import pytest
 from bisoft.errors import InvalidTopologyError, UnknownClaimError
 from bisoft.scan import (
     _PairFacts,
+    _bits,
+    _decode,
     _first_violation,
     _orbits,
-    _pair_facts,
     _point_neighbourhoods,
     _point_topologies,
-    _profiles,
     _representatives,
-    _sup_table,
     _verify_exhaustive,
     _verify_over_spaces,
     space_facts,
@@ -48,7 +47,7 @@ from bisoft.topology import (
     minimal_neighbourhoods,
     topology_violations,
 )
-from labelled_scan import labelled_counts, labelled_report
+from labelled_scan import labelled_counts, labelled_report, pair_key
 import member_oracle as oracle
 
 SPACE_CLAIM_IDS = tuple(c.id for c in CLAIMS.values() if c.kind == "space")
@@ -382,16 +381,15 @@ class TestDualRoute:
         rng = random.Random(nx * 100 + ne)
         ctx = standard_context(nx, ne)
         if nx * ne <= EXHAUSTIVE_POINT_BOUND:
-            profiles, sups = _profiles(nx, ne), _sup_table(nx * ne)
             opens = _point_topologies(nx * ne)
-            k = len(profiles)
+            k = len(opens)
             # the indiscrete (first) and discrete (last) topologies make every
             # fact but thm1_agrees false and true respectively once nx > 1
             pairs = [(0, 0), (k - 1, k - 1), (0, k - 1), (k - 1, 0)]
             pairs += [(rng.randrange(k), rng.randrange(k)) for _ in range(60)]
             cases = [
                 (
-                    _pair_facts(profiles[i], profiles[j], profiles[sups[i][j]].soft),
+                    _decode(pair_key(nx, ne, i, j)),
                     BiSoftSpace(
                         as_soft_topology(opens[i], ctx), as_soft_topology(opens[j], ctx)
                     ),
@@ -408,8 +406,7 @@ class TestDualRoute:
             spaces += random_spaces(ctx, 12 if nx * ne > 8 else 80, seed=nx * ne)
             cases = [(space_facts(s), s) for s in spaces]
         seen = {name: set() for name in _PairFacts._fields}
-        for vec, s in cases:
-            fast = _PairFacts(*vec)
+        for fast, s in cases:
             assert fast._asdict() == oracle.facts(s), (nx, ne, s)
             for name in _PairFacts._fields:
                 seen[name].add(getattr(fast, name))
@@ -419,6 +416,31 @@ class TestDualRoute:
                 for name, values in seen.items()
                 if name != "thm1_agrees"
             ), seen
+
+
+class TestFactKey:
+    def test_every_field_round_trips(self):
+        fields = _PairFacts._fields
+        assert _decode(0) == (False,) * len(fields)
+        for k, name in enumerate(fields):
+            assert _bits(name) == 1 << k
+            facts = _decode(1 << k)
+            assert [f for f in fields if getattr(facts, f)] == [name]
+        rng = random.Random(5)
+        for _ in range(200):
+            key = rng.getrandbits(len(fields))
+            facts = _decode(key)
+            assert _bits(*(f for f in fields if getattr(facts, f))) == key
+
+    def test_every_bit_is_seen_set_and_unset_on_2x2(self):
+        # thm1_agrees is the one identity among the facts: the closure
+        # test and pairwise T2 agree on every pair of topologies
+        keys = [key for _, _, key in _representatives(SearchConfig(2, 2))]
+        union = intersection = keys[0]
+        for key in keys:
+            union, intersection = union | key, intersection & key
+        assert union == (1 << len(_PairFacts._fields)) - 1
+        assert intersection == _bits("thm1_agrees")
 
 
 class TestRecords:
@@ -480,15 +502,11 @@ class TestOrbitScan:
     def test_relabelling_preserves_every_fact(self, nx, ne):
         rng = random.Random(nx * 10 + ne)
         action = _orbits(nx, ne)[0]
-        profiles, sups = _profiles(nx, ne), _sup_table(nx * ne)
-
-        def facts(i, j):
-            return _pair_facts(profiles[i], profiles[j], profiles[sups[i][j]].soft)
-
-        k = len(profiles)
+        k = len(_point_topologies(nx * ne))
         for _ in range(40):
             i, j = rng.randrange(k), rng.randrange(k)
-            assert {facts(g[i], g[j]) for g in action} == {facts(i, j)}
+            keys = {pair_key(nx, ne, g[i], g[j]) for g in action}
+            assert keys == {pair_key(nx, ne, i, j)}
 
     @pytest.mark.parametrize(
         "ne", [ne for nx, ne in SearchConfig(4, 4).factorizations() if nx == 1]
@@ -519,7 +537,8 @@ class TestOrbitScan:
     def test_vector_counts_match_labelled_scan(self):
         cfg = SearchConfig(4, 4)
         counts = [{} for _ in cfg.factorizations()]
-        for (k, _, _), w, vec in _representatives(cfg):
+        for (k, _, _), w, key in _representatives(cfg):
+            vec = _decode(key)
             counts[k][vec] = counts[k].get(vec, 0) + w
         for k, (nx, ne) in enumerate(cfg.factorizations()):
             assert counts[k] == labelled_counts(nx, ne)[0], (nx, ne)
