@@ -13,13 +13,16 @@ key.  Bit k of a key is field k of ``_PairFacts``:
 * 20 ``thm1_agrees``, 21 ``cor1_ok`` (the closure test) and 22 ``cor2_ok``.
 
 A topology settles some facts alone: its soft axioms, whether every row's
-complement is open (``cor2_ok`` needs both), and its half of each T1
-test (the first topology's ``fwd`` bitset empty, the second's ``bwd``).
-A profile keeps those in two keys, one for each place in a space, whose
+complement is open (``cor2_ok`` needs both), and whether it is T1 in
+each sense, which every pairwise T1 test asks of both topologies.  A
+profile keeps those in two keys, one for each place in a space, whose
 AND is the space's share of them; the T0 and T2 tests and the closure
-test AND one bitset of each topology.  Every corpus goes through
-``_pair_key``, and each claim reads the ``_PairFacts`` of a distinct key,
-decoded once:
+test AND one bitset of each topology.  A profile is computed from
+containment masks, the elements whose row each ``N(x)`` contains or
+meets (``_Profile``), in a few passes over the elements and points, and
+a space's supremum contributes its three soft bits alone.  Every corpus
+goes through ``_pair_key``, and each claim reads the ``_PairFacts`` of a
+distinct key, decoded once:
 
 * ``space_facts`` profiles one space at a time, for explicit and random
   corpora, random-mode hunts and ``replay``;
@@ -38,8 +41,9 @@ so ``import bisoft`` and the commands that check no claim do not load it.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
-from itertools import permutations
+from functools import lru_cache, reduce
+from itertools import combinations, permutations
+from operator import and_, or_
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .search import (
@@ -55,65 +59,9 @@ from .search import (
 )
 from .softset import Context
 from .space import BiSoftSpace
-from .topology import (
-    _row_neighbourhoods,
-    _strongly_apart,
-    _union_closure,
-    _weakly_apart,
-)
+from .topology import _row_neighbourhoods, _union_closure
 
 _MAX_RECORDS_PER_CLAIM = 3
-
-
-class _Separation(NamedTuple):
-    """Separation bitsets of one topology over groups of points.
-
-    A group lists the points of one space with their smallest open
-    neighbourhoods and their rows.  Bit k is the k-th ordered pair (x, y)
-    of distinct points of a group: ``t0`` sets it when neither point is
-    apart from the other, ``fwd`` when x is not apart from y, and ``bwd``
-    when y is not apart from x.  Each slot of ``near`` holds one point's
-    neighbourhood, and the same slot of ``far`` the union of the
-    neighbourhoods of the other points of its group.
-
-    For two topologies over the same groups, pairwise T0 fails where both
-    ``t0`` have a bit, T1 where the first ``fwd`` or the second ``bwd`` has
-    one, and T2 (N1(x) and N2(y) disjoint for every ordered pair) where
-    the first ``far`` meets the second ``near``.  A topology's soft axioms
-    are its pairwise axioms with itself.
-    """
-
-    t0: int
-    fwd: int
-    bwd: int
-    near: int
-    far: int
-
-
-def _separation(groups, width: int, apart: Callable[[int, int], bool]) -> _Separation:
-    """``apart(nbhd_x, row_y)`` decides whether x is separated from y."""
-    t0 = fwd = bwd = near = far = bit = shift = 0
-    for nbhds, rows in groups:
-        for y, nbhd_y in enumerate(nbhds):
-            others = 0
-            for x, nbhd_x in enumerate(nbhds):
-                if x != y:
-                    others |= nbhd_x
-                    xy, yx = apart(nbhd_x, rows[y]), apart(nbhd_y, rows[x])
-                    t0 |= (not (xy or yx)) << bit
-                    fwd |= (not xy) << bit
-                    bwd |= (not yx) << bit
-                    bit += 1
-            near |= nbhd_y << shift
-            far |= others << shift
-            shift += width
-    return _Separation(t0, fwd, bwd, near, far)
-
-
-def _soft(w: _Separation) -> int:
-    """Soft T0, T1 and T2 as bits 0, 1 and 2: a topology's pairwise
-    axioms with itself."""
-    return (not w.t0) | (not (w.fwd | w.bwd)) << 1 | (not w.far & w.near) << 2
 
 
 # The facts the space claims read; bit k of a fact key is field k.
@@ -140,7 +88,7 @@ def _decode(key: int) -> _PairFacts:
 
 
 _ALL = (1 << len(_PairFacts._fields)) - 1
-_SOFT = 0b111  # soft T0, T1, T2, as ``_soft`` returns them
+_SOFT = 0b111  # soft T0, T1, T2, as ``_whole`` returns them
 _T2_SOFT = _PairFacts._fields.index("t2_soft_t0")  # the second topology's soft bits
 _SUP = _PairFacts._fields.index("sup_soft_t0")  # and the supremum's start here
 _PW_T0 = _bits("pairwise_t0", "hereditary_t0")
@@ -159,70 +107,126 @@ class _Profile(NamedTuple):
     settles alone as the first or the second topology of a space, with
     every bit the other topology settles set, so that a space's keys AND
     to the facts its topologies settle apart: the soft axioms, ``cor2``
-    and the three pairwise T1 tests, which fail where the first
-    topology's ``fwd`` or the second's ``bwd`` has a bit.  The other
-    fields are the bitsets that the cross tests of ``_pair_key`` AND.
+    and the three pairwise T1 tests, each of which needs both topologies
+    T1 in its sense.  The other fields are the bitsets that the cross
+    tests of ``_pair_key`` AND, each bit a pair of distinct elements or a
+    slot of one element or point; their layout only has to agree between
+    profiles of one context.
+
+    They come from the containment masks of each element x: ``cont(x)``,
+    the elements whose row ``N(x)`` contains (the AND of ``N(x)``'s
+    parameter blocks), and ``meet(x)``, those whose row it meets (their
+    OR).  The T0 bits are the pairs each in the other's mask, and T1
+    holds when no mask has a bit off the diagonal.  Since y in cont(x)
+    exactly when ``N(y) ⊆ N(x)``, x and y are each in the other's
+    ``cont`` exactly when ``N(x) = N(y)``; likewise in a slice, which is
+    a topology on X with the neighbourhoods ``block_e(U_(x,e))``.
+    ``meet`` has no such shortcut.
     """
 
     soft: int  # soft T0, T1, T2 as bits 0, 1, 2
     first: int
     second: int
-    t0: int  # whole: neighbourhoods N(x), weakly apart
-    near: int
-    far: int
-    strong_t0: int  # neighbourhoods N(x), strongly apart
-    slice_t0: int  # a group per parameter e, neighbourhoods block_e(U_(x,e))
-    slice_near: int
-    slice_far: int
+    t0: int  # pairs x < y each in the other's cont: N(x) = N(y)
+    near: int  # slot x (|X x E| bits) holds N(x)
+    far: int  # and the OR of the other N(y)
+    strong_t0: int  # pairs x < y each in the other's meet
+    slice_t0: int  # points p < q of one block with equal slice_near slots
+    slice_near: int  # slot p (|X x E| bits) holds U_p cut to p's block
+    slice_far: int  # and the OR of the others of that block
 
 
-def _whole(ctx: Context, nbhd: Sequence[int], apart=_weakly_apart) -> _Separation:
-    """One group of every element, neighbourhoods N(x)."""
-    return _separation([(nbhd, ctx.rows)], ctx.nx * ctx.ne, apart)
+def _every_slot(k: int, width: int) -> int:
+    """A 1 at the bottom of each of k slots of ``width`` bits."""
+    return ((1 << k * width) - 1) // ((1 << width) - 1)
+
+
+def _near_far(vals: Sequence[int], width: int) -> tuple[int, int]:
+    """``vals[i]`` in slot i of ``width`` bits, and in the same slot of
+    ``far`` the OR of the other values: the OR of all of them without
+    the bits that ``vals[i]`` alone has."""
+    near = total = twice = 0
+    for i, v in enumerate(vals):
+        twice |= total & v
+        total |= v
+        near |= v << (i * width)
+    every = _every_slot(len(vals), width)
+    return near, total * every & ~(near & ~(twice * every))
+
+
+def _equal_pairs(vals: Sequence[int]) -> int:
+    """Bit i * len(vals) + j for each pair i < j with equal values."""
+    k, bits, seen = len(vals), 0, {}
+    if len(set(vals)) < k:
+        for j, v in enumerate(vals):
+            for i in seen.setdefault(v, []):
+                bits |= 1 << (i * k + j)
+            seen[v].append(j)
+    return bits
+
+
+def _whole(ctx: Context, nbhd: Sequence[int]) -> tuple[int, int, int, int]:
+    """Soft T0, T1 and T2 as bits 0, 1 and 2, ``near``, ``far`` and the
+    meet masks of the topology whose ``N(x)`` are ``nbhd``.
+
+    The AND and the OR of ``near``'s parameter blocks hold cont(x) and
+    meet(x) in slot x.  The topology is T0 when the ``N(x)`` are
+    distinct, T1 when every cont(x) is {x}, and T2 when no ``N(x)``
+    meets another.
+    """
+    nx, n = ctx.nx, ctx.nx * ctx.ne
+    near, far = _near_far(nbhd, n)
+    in_block = ctx.block_mask * _every_slot(nx, n)
+    blocks = [near >> s & in_block for s in range(0, n, nx)]
+    cont, meet = reduce(and_, blocks), reduce(or_, blocks)
+    t0 = len(set(nbhd)) == nx
+    soft = t0 | (cont.bit_count() == nx) << 1 | (not far & near) << 2
+    return soft, near, far, meet
 
 
 def profile(ctx: Context, u: Sequence[int]) -> _Profile:
     """The profile of the topology over ``ctx`` whose ``U_p`` is ``u[p]``.
 
-    A row's complement is open when no ``U_p`` outside the row meets it,
-    that is when the row misses ``far`` in its own slot.
+    x's row has an open complement when no ``N(y)``, y != x, meets it;
+    for every row at once that is the ``N(x)`` being pairwise disjoint,
+    so ``cor2`` is soft T2.  With one parameter, meeting a row is
+    containing it and the slice is the topology itself, so the strong and
+    slice fields repeat the whole ones.  Otherwise the slices sit side by
+    side as the ``U_p`` cut to their own blocks, one group of points, as
+    only the points of one block share bits; a slice is T1 when each of
+    those is {p}.
     """
-    nx, n, rows = ctx.nx, ctx.nx * ctx.ne, ctx.rows
+    nx, n = ctx.nx, ctx.nx * ctx.ne
     nbhd = _row_neighbourhoods(u, nx)
-    whole = _whole(ctx, nbhd)
-    strong = _whole(ctx, nbhd, _strongly_apart)
-    points = [1 << x for x in range(nx)]
-    slices = _separation(
-        [
-            ([u[e * nx + x] >> (e * nx) & ctx.block_mask for x in range(nx)], points)
-            for e in range(ctx.ne)
-        ],
-        n,
-        _weakly_apart,
-    )
-    soft = _soft(whole)
-    cor2 = 0 if whole.far & sum(r << (x * n) for x, r in enumerate(rows)) else _COR2
-    t1_first = (
-        (not whole.fwd) * _PW_T1
-        | (not strong.fwd) * _STRONG_T1
-        | (not slices.fwd) * _SLICES_T1
-    )
-    t1_second = (
-        (not whole.bwd) * _PW_T1
-        | (not strong.bwd) * _STRONG_T1
-        | (not slices.bwd) * _SLICES_T1
-    )
+    soft, near, far, meet = _whole(ctx, nbhd)
+    t0, t1 = _equal_pairs(nbhd), soft >> 1 & 1
+    if ctx.ne == 1:
+        strong_t0, strong_t1 = t0, t1
+        slice_t0, slice_t1, slice_near, slice_far = t0, t1, near, far
+    else:
+        strong_t0 = sum(
+            1 << (x * nx + y)
+            for x, y in combinations(range(nx), 2)
+            if meet >> (x * n + y) & meet >> (y * n + x) & 1
+        )
+        strong_t1 = meet.bit_count() == nx
+        own = [up & ctx.block_mask << (p - p % nx) for p, up in enumerate(u)]
+        slice_t0 = _equal_pairs(own)
+        slice_near, slice_far = _near_far(own, n)
+        slice_t1 = slice_near.bit_count() == n
+    t1_bits = t1 * _PW_T1 | strong_t1 * _STRONG_T1 | slice_t1 * _SLICES_T1
+    cor2 = _COR2 if soft & 0b100 else 0
     return _Profile(
         soft=soft,
-        first=soft | _SOFT << _T2_SOFT | t1_first | cor2,
-        second=_SOFT | soft << _T2_SOFT | t1_second | cor2,
-        t0=whole.t0,
-        near=whole.near,
-        far=whole.far,
-        strong_t0=strong.t0,
-        slice_t0=slices.t0,
-        slice_near=slices.near,
-        slice_far=slices.far,
+        first=soft | _SOFT << _T2_SOFT | t1_bits | cor2,
+        second=_SOFT | soft << _T2_SOFT | t1_bits | cor2,
+        t0=t0,
+        near=near,
+        far=far,
+        strong_t0=strong_t0,
+        slice_t0=slice_t0,
+        slice_near=slice_near,
+        slice_far=slice_far,
     )
 
 
@@ -274,8 +278,8 @@ def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
 def _space_key(s: BiSoftSpace) -> int:
     """The fact key of one space, read off the ``U`` of its two topologies."""
     ctx, u1, u2 = s.context, s.t1.neighbourhoods(), s.t2.neighbourhoods()
-    sup = _whole(ctx, _row_neighbourhoods([a & b for a, b in zip(u1, u2)], ctx.nx))
-    return _pair_key(profile(ctx, u1), profile(ctx, u2), _soft(sup) << _SUP)
+    sup = _whole(ctx, _row_neighbourhoods([a & b for a, b in zip(u1, u2)], ctx.nx))[0]
+    return _pair_key(profile(ctx, u1), profile(ctx, u2), sup << _SUP)
 
 
 def space_facts(s: BiSoftSpace) -> _PairFacts:
@@ -325,7 +329,7 @@ def _members(u: Sequence[int]) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _point_topologies(n: int) -> tuple[tuple[int, ...], ...]:
     """All topologies on n points as sorted member tuples, in canonical
-    order; for ``iter_spaces`` and ``enumerate_topologies``."""
+    order."""
     return tuple(_members(u) for u in _point_neighbourhoods(n))
 
 

@@ -60,11 +60,11 @@ EXHAUSTIVE_POINT_BOUND = 4  # topologies on <= 4 points are enumerable (355 on 4
 def enumerate_topologies(n_points: int) -> Iterable[SoftTopology]:
     """Stream every topology on an n-point set exactly once, as a soft
     topology over n elements and one parameter."""
-    from .scan import _point_topologies
+    from .scan import _point_neighbourhoods
 
     ctx = standard_context(n_points, 1)
-    for opens in _point_topologies(n_points):
-        yield as_soft_topology(opens, ctx)
+    for u in _point_neighbourhoods(n_points):
+        yield SoftTopology._from_neighbourhoods(ctx, u)
 
 
 def standard_context(nx: int, ne: int) -> Context:
@@ -421,12 +421,13 @@ def iter_spaces(config: SearchConfig) -> Iterable[BiSoftSpace]:
         ctx = standard_context(config.max_universe, config.n_params)
         yield from random_spaces(ctx, config.samples, config.seed)
         return
-    from .scan import _point_topologies
+    from .scan import _point_neighbourhoods
 
     for nx, ne in config.factorizations():
         ctx = standard_context(nx, ne)
         topos = [
-            as_soft_topology(opens, ctx) for opens in _point_topologies(nx * ne)
+            SoftTopology._from_neighbourhoods(ctx, u)
+            for u in _point_neighbourhoods(nx * ne)
         ]
         for t1 in topos:
             for t2 in topos:

@@ -3,20 +3,22 @@
 A soft topology is a family of soft sets over one context that contains
 the null and absolute soft sets and is closed under pairwise union and
 pairwise intersection; on a finite context that pairwise closure already
-gives closure under arbitrary unions.  Members are kept deduplicated and
-sorted by their packed bitmask, so equality of topologies is plain value
-equality.
+gives closure under arbitrary unions.
 
 A finite topology is fixed by the smallest open set ``U_p`` around each
-point p of ``X x E`` (Alexandroff 1937; Stong 1966), so each topology
-stores its ``U`` once; the smallest member strongly containing an element
-x is ``N(x)``, the union of ``U_p`` over x's row.  The checkers, the search
-scan and the rough approximations read these instead of scanning members.
+point p of ``X x E`` (Alexandroff 1937; Stong 1966), so a topology
+stores its ``U``; the smallest member strongly containing an element x
+is ``N(x)``, the union of ``U_p`` over x's row.  The checkers, the search
+scan and the rough approximations read these instead of scanning
+members.  The members are derived on demand, as every union of the
+``U_p`` sorted by packed bitmask, so a generated or enumerated topology
+that nothing lists never builds them, and equality of topologies is
+plain value equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
 from operator import or_
 from typing import Iterable, Optional, Sequence
@@ -73,26 +75,47 @@ def _strongly_apart(nbhd: int, row: int) -> bool:
     return not nbhd & row
 
 
-@dataclass(frozen=True)
 class SoftTopology:
-    """Canonically ordered, duplicate-free family of soft open sets."""
+    """A soft topology over a context, stored as its ``U``.
 
-    context: Context
-    members: tuple[SoftSet, ...]
-    _masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _u: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _n: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    ``SoftTopology(ctx, members)`` keeps the members as given and reads
+    ``U`` off them; ``_from_neighbourhoods`` keeps a ``U`` alone.  The
+    masks, the members and ``N`` are derived from ``U`` on first use and
+    kept; the members are then the sorted unions of the ``U_p``.  ``len``
+    and ``in`` read the masks, and equality, hashing and repr read the
+    context and the members, so they never depend on how a topology was
+    built.  Immutable, like every value of the package.
+    """
 
-    def __post_init__(self):
-        ctx = self.context
-        masks = tuple(m.mask for m in self.members)
-        u = minimal_neighbourhoods(masks, ctx.nx * ctx.ne)
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_u", u)
-        object.__setattr__(self, "_n", _row_neighbourhoods(u, ctx.nx))
+    _n = _masks = _members = None  # derived on first use
+
+    def __init__(self, context: Context, members: Iterable[SoftSet]):
+        members = tuple(members)
+        masks = tuple(m.mask for m in members)
+        u = minimal_neighbourhoods(masks, context.nx * context.ne)
+        self.__dict__.update(context=context, _u=u, _masks=masks, _members=members)
+
+    @classmethod
+    def _from_neighbourhoods(cls, context: Context, u: Sequence[int]):
+        """The topology whose ``U_p`` is ``u[p]``; ``u`` must be a ``U``."""
+        t = cls.__new__(cls)
+        t.__dict__.update(context=context, _u=tuple(u))
+        return t
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def masks(self) -> tuple[int, ...]:
+        if self._masks is None:
+            self.__dict__["_masks"] = tuple(sorted(_union_closure(self._u)))
         return self._masks
+
+    @property
+    def members(self) -> tuple[SoftSet, ...]:
+        if self._members is None:
+            ctx = self.context
+            self.__dict__["_members"] = tuple(SoftSet(ctx, m) for m in self.masks())
+        return self._members
 
     def neighbourhoods(self) -> tuple[int, ...]:
         """``U_p`` per point p of ``X x E``, in packed bit order."""
@@ -100,13 +123,26 @@ class SoftTopology:
 
     def element_neighbourhoods(self) -> tuple[int, ...]:
         """``N(x)`` per element x, in universe order."""
+        if self._n is None:
+            self.__dict__["_n"] = _row_neighbourhoods(self._u, self.context.nx)
         return self._n
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks())
 
     def __contains__(self, item: SoftSet) -> bool:
         return item.context == self.context and item.mask in set(self.masks())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.context, self.members) == (other.context, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.context, self.members))
+
+    def __repr__(self) -> str:
+        return f"SoftTopology(context={self.context!r}, members={self.members!r})"
 
 
 def _canonical(ctx: Context, masks: Iterable[int]) -> SoftTopology:
@@ -180,12 +216,15 @@ def generate_topology(
     ``U_p`` (with the null set as the empty union) is closed under
     intersection as well, because ``U_q`` lies inside ``U_p`` whenever
     ``q`` lies in ``U_p``.  So it is exactly the generated topology, for
-    any subbasis, in O(points * members) plus the size of the output.
+    any subbasis, and the result keeps the ``U_p`` alone, in
+    O(points * subbasis); its members are that closure, derived on first
+    use.
     """
-    _shared_context(list(subbasis) or [SoftSet(ctx, 0)], ctx)
+    _shared_context(subbasis, ctx)
     masks = {s.mask for s in subbasis}
-    u = minimal_neighbourhoods(masks, ctx.nx * ctx.ne)
-    return _canonical(ctx, _union_closure(u))
+    return SoftTopology._from_neighbourhoods(
+        ctx, minimal_neighbourhoods(masks, ctx.nx * ctx.ne)
+    )
 
 
 def _union_closure(u: Iterable[int]) -> set[int]:

@@ -1,9 +1,12 @@
 """Command line behavior: outputs, exit codes, JSON stability."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bisoft.cli import main
 from bisoft.fixtures import load_fixture, loads_fixture, serialize_fixture
@@ -298,3 +301,94 @@ class TestSearch:
 def test_usage_error_exits_1(capsys):
     code, _, err = run(capsys, "axioms", "t0a")  # missing --space
     assert code == 1
+
+
+# -- generated fixture documents ------------------------------------------------
+
+NAMES = st.text(alphabet="abxyz1", min_size=1, max_size=2)
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def fixture_documents(draw):
+    """A document shaped like a fixture, and a space name to ask for.
+    Each way a document can be wrong turns up now and then: undeclared,
+    reserved or repeated names, empty lists, spaces of other than two
+    topologies, and missing or junk keys."""
+
+    def rarely():
+        return draw(st.sampled_from([False] * 9 + [True]))
+
+    def known(pool):
+        return st.sampled_from(list(pool) * 9 + ["zz"])  # "zz" is never declared
+
+    def names(max_size):
+        return draw(
+            st.lists(NAMES, min_size=not rarely(), max_size=max_size, unique=not rarely())
+        )
+
+    elements, params = names(4), names(3)
+    set_names = st.sampled_from(["Phi", "X"]) if rarely() else NAMES
+    soft_sets = draw(
+        st.dictionaries(
+            set_names,
+            st.dictionaries(
+                known(params), st.lists(known(elements), max_size=4), max_size=3
+            ),
+            max_size=4,
+        )
+    )
+    members = known([*soft_sets, "Phi", "X"])
+    topologies = draw(
+        st.dictionaries(NAMES, st.lists(members, max_size=6), max_size=3)
+    )
+    pair_size = draw(st.integers(0, 3)) if rarely() else 2
+    spaces = draw(
+        st.dictionaries(
+            NAMES,
+            st.lists(known(topologies), min_size=pair_size, max_size=pair_size),
+            max_size=2,
+        )
+    )
+    doc = {
+        "universe": elements,
+        "parameters": params,
+        "soft_sets": soft_sets,
+        "topologies": topologies,
+        "spaces": spaces,
+    }
+    if draw(st.booleans()):
+        doc["target"] = draw(known(soft_sets))
+    for key in list(doc):
+        if rarely():
+            if draw(st.booleans()):
+                del doc[key]
+            else:
+                doc[key] = draw(JUNK)
+    return doc, draw(known(spaces))
+
+
+@settings(max_examples=150)
+@given(drawn=st.one_of(fixture_documents(), st.tuples(JUNK, st.just("S"))))
+def test_fixture_commands_never_raise(tmp_path_factory, drawn):
+    # validate and axioms exit 0, 1 or 2 on any JSON document: every
+    # problem is reported, none escapes as a traceback
+    doc, space = drawn
+    path = tmp_path_factory.getbasetemp() / "generated.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["validate", str(path)],
+        ["validate", str(path), "--json"],
+        ["axioms", str(path), "--space", space],
+        ["axioms", str(path), "--space", space, "--json"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, doc)

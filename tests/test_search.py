@@ -5,6 +5,7 @@ import sys
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bisoft.errors import InvalidTopologyError, UnknownClaimError
 from bisoft.scan import (
@@ -16,6 +17,7 @@ from bisoft.scan import (
     _point_neighbourhoods,
     _point_topologies,
     _representatives,
+    _space_key,
     _verify_exhaustive,
     _verify_over_spaces,
     space_facts,
@@ -255,6 +257,21 @@ class TestVerifyImplications:
         record = find_counterexample("pairwise-t0-implies-pairwise-t1", hunt)
         assert record is not None and replay(record)
 
+    def test_random_claims_build_no_member_list(self, monkeypatch):
+        # a generated topology keeps its U, and the claims read nothing
+        # else; records and replay may list members, these runs make none
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a member list no claim reads")
+
+        for name, module in list(sys.modules.items()):
+            if name == "bisoft" or name.startswith("bisoft."):
+                if hasattr(module, "_union_closure"):
+                    monkeypatch.setattr(module, "_union_closure", refuse)
+        cfg = SearchConfig(max_universe=4, n_params=2, mode="random", samples=50)
+        assert verify_implications(cfg).ok
+        hunt = SearchConfig(max_universe=4, n_params=2, mode="random", samples=200)
+        assert find_counterexample("prop3", hunt) is None
+
     def test_fixture_corpus_is_clean(self, fx):
         spaces = [
             fx(name).space("S")
@@ -441,6 +458,84 @@ class TestFactKey:
             union, intersection = union | key, intersection & key
         assert union == (1 << len(_PairFacts._fields)) - 1
         assert intersection == _bits("thm1_agrees")
+
+
+# contexts of six points, one per shape: several parameters, several
+# elements, and one parameter, where the slice is the topology itself
+KERNEL_CONTEXTS = [standard_context(nx, ne) for nx, ne in [(2, 3), (3, 2), (6, 1)]]
+
+
+def _preorder(steps):
+    """The ``U`` of the topology generated by ``p -> q`` for q in
+    ``steps[p]``: p's reflexive-transitive reach, so p lies in ``U_p`` and
+    q in ``U_p`` puts ``U_q`` inside ``U_p``."""
+    n = len(steps)
+    u = [1 << p | sum(1 << q for q in qs - {p}) for p, qs in enumerate(steps)]
+    while True:
+        wider = list(u)
+        for p in range(n):
+            for q in range(n):
+                if wider[p] >> q & 1:
+                    wider[p] |= u[q]
+        if wider == u:
+            return u
+        u = wider
+
+
+@st.composite
+def preorder_spaces(draw):
+    ctx = draw(st.sampled_from(KERNEL_CONTEXTS))
+    n = ctx.nx * ctx.ne
+    steps = st.lists(st.sets(st.integers(0, n - 1), max_size=2), min_size=n, max_size=n)
+    return ctx, _preorder(draw(steps)), _preorder(draw(steps))
+
+
+def _opens(u):
+    """Every open set of ``U``, by definition: each of its points' ``U_p``
+    lies inside it."""
+    n = len(u)
+    return [
+        m
+        for m in range(1 << n)
+        if all(u[p] & ~m == 0 for p in range(n) if m >> p & 1)
+    ]
+
+
+class TestProfileKernel:
+    @settings(max_examples=200)
+    @given(preorder_spaces())
+    def test_space_key_matches_member_oracle(self, drawn):
+        ctx, u1, u2 = drawn
+        from_u = BiSoftSpace(
+            SoftTopology._from_neighbourhoods(ctx, u1),
+            SoftTopology._from_neighbourhoods(ctx, u2),
+        )
+        listed = BiSoftSpace(
+            *(
+                SoftTopology(ctx, [SoftSet(ctx, m) for m in _opens(u)])
+                for u in (u1, u2)
+            )
+        )
+        assert _decode(_space_key(from_u))._asdict() == oracle.facts(listed)
+        assert _space_key(listed) == _space_key(from_u)
+
+    @settings(max_examples=80)
+    @given(preorder_spaces())
+    def test_topology_from_u_matches_member_list(self, drawn):
+        ctx, u, _ = drawn
+        listed = SoftTopology(ctx, [SoftSet(ctx, m) for m in _opens(u)])
+        from_u = SoftTopology._from_neighbourhoods(ctx, u)
+        assert listed.neighbourhoods() == from_u.neighbourhoods() == tuple(u)
+        assert from_u == listed and listed == from_u
+        assert hash(from_u) == hash(listed)
+        assert len(from_u) == len(listed)
+        # membership before the member list exists
+        fresh = SoftTopology._from_neighbourhoods(ctx, u)
+        assert all(SoftSet(ctx, m) in fresh for m in _opens(u))
+        assert repr(from_u) == repr(listed)
+        assert from_u.masks() == listed.masks()
+        assert from_u.members == listed.members
+        assert from_u.element_neighbourhoods() == listed.element_neighbourhoods()
 
 
 class TestRecords:
