@@ -21,6 +21,7 @@ from .errors import (
     ContextMismatchError,
     FixtureError,
     InvalidTopologyError,
+    TooManyMembersError,
     UnknownClaimError,
     UnknownElementError,
     UnknownParameterError,

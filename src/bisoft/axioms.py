@@ -23,12 +23,11 @@ T2 range over ordered pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Callable, NamedTuple, Optional
 
 from .errors import UnknownElementError
-from .softset import SoftSet
+from .softset import SoftSet, _Value
 from .space import BiSoftSpace, slice_space, sup_topology
 from .topology import SoftTopology, _strongly_apart, _weakly_apart, soft_closure
 
@@ -157,8 +156,7 @@ def point_closure_intersection(s: BiSoftSpace, element: str) -> PointClosure:
     return PointClosure(soft_closure(s.t2, SoftSet(ctx, n1)), False)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Value):
     """All axiom verdicts for one bi-soft space.
 
     Witnesses map each false pairwise axiom (``pairwise_t0``,
@@ -167,15 +165,28 @@ class AxiomReport:
     pair reproduces the failure.
     """
 
-    soft1: dict[str, bool]
-    soft2: dict[str, bool]
-    pairwise: dict[str, bool]
-    strong: dict[str, bool]
-    hausdorff: bool
-    sup: dict[str, bool]
-    slices: dict[str, dict[str, bool]]
-    strict_pairwise_t0: Optional[bool] = None
-    witnesses: dict = field(default_factory=dict)
+    __match_args__ = (
+        "soft1", "soft2", "pairwise", "strong", "hausdorff", "sup", "slices",
+        "strict_pairwise_t0", "witnesses",
+    )
+
+    def __init__(
+        self,
+        soft1: dict[str, bool],
+        soft2: dict[str, bool],
+        pairwise: dict[str, bool],
+        strong: dict[str, bool],
+        hausdorff: bool,
+        sup: dict[str, bool],
+        slices: dict[str, dict[str, bool]],
+        strict_pairwise_t0: Optional[bool] = None,
+        witnesses: Optional[dict] = None,
+    ):
+        witnesses = {} if witnesses is None else witnesses
+        self._set(
+            soft1, soft2, pairwise, strong, hausdorff, sup, slices,
+            strict_pairwise_t0, witnesses,
+        )
 
 
 def pairwise_verdicts(s: BiSoftSpace) -> dict[str, bool]:

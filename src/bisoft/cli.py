@@ -1,13 +1,16 @@
 """Command line surface: fixture I/O, axiom reports, and search runs.
 
 Exit codes: 0 success, 1 usage or parse problem, 2 a topology failed
-validation, 3 a counterexample or implication violation was found.
+validation, 3 a counterexample or implication violation was found, 141
+(128 + SIGPIPE, as a shell reports a writer killed by it) stdout was
+closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_COUNTEREXAMPLE = 3
+EXIT_CLOSED_STDOUT = 141
 
 
 class _UsageError(Exception):
@@ -413,6 +417,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a reader that left early fails here, not at exit
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: the flush at exit then succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
+
+
+def _run(argv: Optional[list[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -29,6 +29,10 @@ class InvalidTopologyError(BisoftError):
         super().__init__(f"not a soft topology: {lines}")
 
 
+class TooManyMembersError(BisoftError):
+    """A topology has too many members to list (``topology.MEMBER_CAP``)."""
+
+
 class FixtureError(BisoftError):
     """A fixture document failed to parse or resolve."""
 

@@ -14,26 +14,33 @@ the regression corpus for the checker suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .errors import FixtureError
-from .softset import Context, SoftSet, extend_parameters
+from .softset import Context, SoftSet, _Value, extend_parameters
 from .space import BiSoftSpace
 from .topology import SoftTopology, validate_topology
 
 RESERVED_NAMES = ("Phi", "X")
 
 
-@dataclass
-class FixtureDocument:
-    context: Context
-    soft_sets: dict[str, SoftSet]
-    topology_members: dict[str, tuple[str, ...]]
-    space_pairs: dict[str, tuple[str, str]] = field(default_factory=dict)
-    target: Optional[str] = None
+class FixtureDocument(_Value, frozen=False):
+    __match_args__ = (
+        "context", "soft_sets", "topology_members", "space_pairs", "target",
+    )
+
+    def __init__(
+        self,
+        context: Context,
+        soft_sets: dict[str, SoftSet],
+        topology_members: dict[str, tuple[str, ...]],
+        space_pairs: Optional[dict[str, tuple[str, str]]] = None,
+        target: Optional[str] = None,
+    ):
+        space_pairs = {} if space_pairs is None else space_pairs
+        self._set(context, soft_sets, topology_members, space_pairs, target)
 
     def resolve(self, name: str) -> SoftSet:
         """Soft set for a member name, honoring the reserved names."""

@@ -11,21 +11,24 @@ block, so a point p of block ``blk(p)`` is in a slice interior of A when
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ContextMismatchError
-from .softset import SoftSet
+from .softset import SoftSet, _Value
 from .space import BiSoftSpace
 
 
-@dataclass(frozen=True)
-class RoughResult:
-    lower: SoftSet
-    upper: SoftSet
-    pos: SoftSet
-    neg: SoftSet
-    bnd: SoftSet
-    definable: bool
+class RoughResult(_Value):
+    __match_args__ = ("lower", "upper", "pos", "neg", "bnd", "definable")
+
+    def __init__(
+        self,
+        lower: SoftSet,
+        upper: SoftSet,
+        pos: SoftSet,
+        neg: SoftSet,
+        bnd: SoftSet,
+        definable: bool,
+    ):
+        self._set(lower, upper, pos, neg, bnd, definable)
 
 
 def _check(s: BiSoftSpace, a: SoftSet) -> None:

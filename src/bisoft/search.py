@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import UnknownClaimError
 from .rough import lower_approx, upper_approx
-from .softset import Context, SoftSet
+from .softset import Context, SoftSet, _Value
 from .space import BiSoftSpace
 from .topology import SoftTopology, generate_topology, validate_topology
 
@@ -114,8 +113,7 @@ def random_spaces(ctx: Context, count: int, seed: int) -> Iterable[BiSoftSpace]:
 # claim registry
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(_Value):
     """An implication over spaces (or space/target pairs for rough claims).
 
     ``holds`` records whether the implication is expected to be valid;
@@ -123,12 +121,18 @@ class Claim:
     conclusion fails.
     """
 
-    id: str
-    kind: str  # "space" | "rough"
-    holds: bool
-    description: str
-    premise: Callable
-    conclusion: Callable
+    __match_args__ = ("id", "kind", "holds", "description", "premise", "conclusion")
+
+    def __init__(
+        self,
+        id: str,
+        kind: str,  # "space" | "rough"
+        holds: bool,
+        description: str,
+        premise: Callable,
+        conclusion: Callable,
+    ):
+        self._set(id, kind, holds, description, premise, conclusion)
 
 
 def _space_claim(cid, holds, desc, premise, conclusion):
@@ -365,8 +369,7 @@ def get_claim(claim_id: str) -> Claim:
 # search configuration and corpora
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Value):
     """Bounds and mode for a search run.
 
     Exhaustive mode walks every factorization (|X|, |E|) within the
@@ -374,25 +377,29 @@ class SearchConfig:
     draws seeded spaces at exactly (max_universe, n_params).
     """
 
-    max_universe: int
-    n_params: int
-    mode: str = "exhaustive"  # "exhaustive" | "random"
-    samples: int = 0
-    seed: int = 0
+    __match_args__ = ("max_universe", "n_params", "mode", "samples", "seed")
 
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.max_universe < 1 or self.n_params < 1:
+    def __init__(
+        self,
+        max_universe: int,
+        n_params: int,
+        mode: str = "exhaustive",  # "exhaustive" | "random"
+        samples: int = 0,
+        seed: int = 0,
+    ):
+        if mode not in ("exhaustive", "random"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if max_universe < 1 or n_params < 1:
             raise ValueError("sizes must be positive")
-        if self.mode == "exhaustive":
-            if self.max_universe > EXHAUSTIVE_POINT_BOUND:
+        if mode == "exhaustive":
+            if max_universe > EXHAUSTIVE_POINT_BOUND:
                 raise ValueError(
                     "exhaustive mode is limited to universes of at most "
                     f"{EXHAUSTIVE_POINT_BOUND} elements"
                 )
-        if self.mode == "random" and self.samples < 1:
+        if mode == "random" and samples < 1:
             raise ValueError("random mode needs a positive sample count")
+        self._set(max_universe, n_params, mode, samples, seed)
 
     def factorizations(self) -> list[tuple[int, int]]:
         if self.mode == "random":
@@ -438,17 +445,25 @@ def iter_spaces(config: SearchConfig) -> Iterable[BiSoftSpace]:
 # counterexample records
 
 
-@dataclass(frozen=True)
-class CounterexampleRecord:
+class CounterexampleRecord(_Value):
     """A claim violation, carrying enough of the space to replay it."""
 
-    claim_id: str
-    universe: tuple[str, ...]
-    parameters: tuple[str, ...]
-    t1_masks: tuple[int, ...]
-    t2_masks: tuple[int, ...]
-    target_mask: Optional[int] = None
-    note: str = ""
+    __match_args__ = (
+        "claim_id", "universe", "parameters", "t1_masks", "t2_masks",
+        "target_mask", "note",
+    )
+
+    def __init__(
+        self,
+        claim_id: str,
+        universe: tuple[str, ...],
+        parameters: tuple[str, ...],
+        t1_masks: tuple[int, ...],
+        t2_masks: tuple[int, ...],
+        target_mask: Optional[int] = None,
+        note: str = "",
+    ):
+        self._set(claim_id, universe, parameters, t1_masks, t2_masks, target_mask, note)
 
     def context(self) -> Context:
         return Context.of(self.universe, self.parameters)
@@ -528,13 +543,21 @@ def replay(record: CounterexampleRecord) -> bool:
 # implication verification
 
 
-@dataclass
-class ClaimResult:
-    claim_id: str
-    tested: int = 0
-    premise_hits: int = 0
-    violation_count: int = 0
-    records: list = field(default_factory=list)
+class ClaimResult(_Value, frozen=False):
+    __match_args__ = (
+        "claim_id", "tested", "premise_hits", "violation_count", "records",
+    )
+
+    def __init__(
+        self,
+        claim_id: str,
+        tested: int = 0,
+        premise_hits: int = 0,
+        violation_count: int = 0,
+        records: Optional[list] = None,
+    ):
+        records = [] if records is None else records
+        self._set(claim_id, tested, premise_hits, violation_count, records)
 
     def to_dict(self) -> dict:
         return {
@@ -546,10 +569,11 @@ class ClaimResult:
         }
 
 
-@dataclass
-class ImplicationReport:
-    corpus: str
-    results: dict[str, ClaimResult]
+class ImplicationReport(_Value, frozen=False):
+    __match_args__ = ("corpus", "results")
+
+    def __init__(self, corpus: str, results: dict[str, ClaimResult]):
+        self._set(corpus, results)
 
     @property
     def ok(self) -> bool:

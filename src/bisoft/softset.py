@@ -11,12 +11,14 @@ element belongs to a soft set only when it belongs to the subset at every
 parameter, and fails to belong as soon as one parameter leaves it out.
 
 Everything here is an immutable value; operations are pure and safe for
-concurrent use.
+concurrent use.  The package's value classes are plain classes on one
+private base, ``_Value``: equality, hashing and repr come from each
+class's tuple of fields, with the semantics ``dataclasses`` would give
+them, without importing ``dataclasses`` or generating code at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -35,36 +37,83 @@ def _distinct_names(kind: str, names: Iterable[str]) -> tuple[str, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class Universe:
+class _Value:
+    """Value semantics read off one tuple of field names, ``__match_args__``.
+
+    Equality (between instances of one class only), hashing and repr read
+    the fields in that order, as ``@dataclass(frozen=True)`` generates
+    them, and assignment and deletion raise
+    ``dataclasses.FrozenInstanceError``, imported on that error path alone.
+    A subclass declared with ``frozen=False`` is a mutable, unhashable
+    record instead.  Each subclass's own ``__init__`` checks its arguments
+    and writes the fields once with ``object.__setattr__``, which, unlike
+    writing into ``__dict__``, keeps CPython's shared-key instance layout
+    and its faster attribute reads.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True):
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def _set(self, *values) -> None:
+        """Write the fields, in ``__match_args__`` order."""
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Universe(_Value):
     """Ordered list of distinct element names; order fixes bit positions."""
 
-    elements: tuple[str, ...]
+    __match_args__ = ("elements",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", _distinct_names("universe", self.elements))
+    def __init__(self, elements: tuple[str, ...]):
+        self._set(_distinct_names("universe", elements))
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class ParameterSet(_Value):
     """Ordered list of distinct parameter names."""
 
-    parameters: tuple[str, ...]
+    __match_args__ = ("parameters",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "parameters", _distinct_names("parameter set", self.parameters)
-        )
+    def __init__(self, parameters: tuple[str, ...]):
+        self._set(_distinct_names("parameter set", parameters))
 
     def __len__(self) -> int:
         return len(self.parameters)
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(_Value):
     """A (universe, parameter set) pair; every soft value carries one.
 
     Sizes, masks, element rows and the name-to-index maps are derived once
@@ -72,33 +121,37 @@ class Context:
     a context compares and prints by its two name lists alone.
     """
 
-    universe: Universe
-    parameters: ParameterSet
-    nx: int = field(init=False, compare=False, repr=False)
-    ne: int = field(init=False, compare=False, repr=False)
-    full_mask: int = field(init=False, compare=False, repr=False)
-    block_mask: int = field(init=False, compare=False, repr=False)
-    rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _element_ids: dict[str, int] = field(init=False, compare=False, repr=False)
-    _parameter_ids: dict[str, int] = field(init=False, compare=False, repr=False)
+    __match_args__ = ("universe", "parameters")
 
-    def __post_init__(self):
-        elements = self.universe.elements
-        parameters = self.parameters.parameters
-        nx, ne = len(elements), len(parameters)
-        derived = {
-            "nx": nx,
-            "ne": ne,
-            "full_mask": (1 << (nx * ne)) - 1,
-            "block_mask": (1 << nx) - 1,
-            "rows": tuple(
-                sum(1 << (e * nx + x) for e in range(ne)) for x in range(nx)
-            ),
-            "_element_ids": {name: i for i, name in enumerate(elements)},
-            "_parameter_ids": {name: i for i, name in enumerate(parameters)},
-        }
-        for name, value in derived.items():
+    def __init__(self, universe: Universe, parameters: ParameterSet):
+        elements, names = universe.elements, parameters.parameters
+        nx, ne = len(elements), len(names)
+        fields = dict(
+            universe=universe,
+            parameters=parameters,
+            nx=nx,
+            ne=ne,
+            full_mask=(1 << (nx * ne)) - 1,
+            block_mask=(1 << nx) - 1,
+            rows=tuple(sum(1 << (e * nx + x) for e in range(ne)) for x in range(nx)),
+            _element_ids={name: i for i, name in enumerate(elements)},
+            _parameter_ids={name: i for i, name in enumerate(names)},
+        )
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    # equality and hashing are hot, so they skip the generic field tuple
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.universe.elements == other.universe.elements
+            and self.parameters.parameters == other.parameters.parameters
+        )
+
+    def __hash__(self) -> int:
+        # hash((universe, parameters)), a Universe hashing as (elements,)
+        return hash(((self.universe.elements,), (self.parameters.parameters,)))
 
     @classmethod
     def of(cls, elements: Iterable[str], parameters: Iterable[str]) -> "Context":
@@ -131,16 +184,24 @@ class Context:
         return tuple(elems[i] for i in range(self.nx) if mask >> i & 1)
 
 
-@dataclass(frozen=True)
-class SoftSet:
+class SoftSet(_Value):
     """One subset of the universe per parameter, packed into ``mask``."""
 
-    context: Context
-    mask: int
+    __match_args__ = ("context", "mask")
 
-    def __post_init__(self):
-        if not 0 <= self.mask <= self.context.full_mask:
+    def __init__(self, context: Context, mask: int):
+        if not 0 <= mask <= context.full_mask:
             raise ValueError("mask out of range for context")
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other):  # hot, so spelled out like Context's
+        if other.__class__ is self.__class__:
+            return (self.context, self.mask) == (other.context, other.mask)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.context, self.mask))
 
     def block(self, parameter: str) -> int:
         """Subset mask assigned to one parameter."""

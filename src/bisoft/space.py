@@ -2,27 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ContextMismatchError
-from .softset import Context
-from .topology import (
-    SoftTopology,
-    generate_topology,
-    parameterize,
-    relative_topology,
-)
+from .softset import Context, _Value
+from .topology import SoftTopology, parameterize, relative_topology
 
 
-@dataclass(frozen=True)
-class BiSoftSpace:
-    t1: SoftTopology
-    t2: SoftTopology
+class BiSoftSpace(_Value):
+    __match_args__ = ("t1", "t2")
 
-    def __post_init__(self):
-        if self.t1.context != self.t2.context:
+    def __init__(self, t1: SoftTopology, t2: SoftTopology):
+        if t1.context != t2.context:
             raise ContextMismatchError("topologies live over different contexts")
+        self._set(t1, t2)
 
     @property
     def context(self) -> Context:
@@ -32,15 +25,14 @@ class BiSoftSpace:
 def sup_topology(s: BiSoftSpace) -> SoftTopology:
     """Smallest soft topology containing both topologies.
 
-    ``generate_topology`` over the members of both: each point's minimal
-    open neighbourhood is the intersection of the members of either
-    family that contain it, and the opens are the unions of those
-    neighbourhoods.  Exact for any two member families, topologies or
-    not.  Computed on demand rather than stored, because the number of
-    opens can be exponential in the context size; callers may memoize the
-    result themselves.
+    Its ``U_p`` is ``U1_p & U2_p``: a point's minimal open neighbourhood
+    is the intersection of the members of either family that contain it,
+    which is exact for any two member families, topologies or not.  Its
+    members, the unions of those neighbourhoods, are derived only when
+    listed, since their number can be exponential in the context size.
     """
-    return generate_topology(s.context, s.t1.members + s.t2.members)
+    u1, u2 = s.t1.neighbourhoods(), s.t2.neighbourhoods()
+    return SoftTopology._from_neighbourhoods(s.context, [a & b for a, b in zip(u1, u2)])
 
 
 def slice_space(s: BiSoftSpace, parameter: str) -> BiSoftSpace:

@@ -10,30 +10,39 @@ point p of ``X x E`` (Alexandroff 1937; Stong 1966), so a topology
 stores its ``U``; the smallest member strongly containing an element x
 is ``N(x)``, the union of ``U_p`` over x's row.  The checkers, the search
 scan and the rough approximations read these instead of scanning
-members.  The members are derived on demand, as every union of the
+members, and a slice and the supremum of two topologies are built from
+``U`` too.  The members are derived on demand, as every union of the
 ``U_p`` sorted by packed bitmask, so a generated or enumerated topology
 that nothing lists never builds them, and equality of topologies is
-plain value equality.
+plain value equality.  Listing them stops at ``MEMBER_CAP``: a topology
+with more raises ``TooManyMembersError`` rather than exhausting memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
-from .errors import ContextMismatchError, InvalidTopologyError
-from .softset import Context, ParameterSet, SoftSet
+from .errors import ContextMismatchError, InvalidTopologyError, TooManyMembersError
+from .softset import Context, ParameterSet, SoftSet, _Value
+
+# Most members a topology lists: every topology on up to 16 points fits.
+MEMBER_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Value):
     """One failed topology axiom, with the members that witness it."""
 
-    kind: str  # "missing-null" | "missing-absolute" | "union" | "intersection"
-    witnesses: tuple[SoftSet, ...]
-    missing: Optional[SoftSet] = None
+    __match_args__ = ("kind", "witnesses", "missing")
+
+    def __init__(
+        self,
+        kind: str,  # "missing-null" | "missing-absolute" | "union" | "intersection"
+        witnesses: tuple[SoftSet, ...],
+        missing: Optional[SoftSet] = None,
+    ):
+        self._set(kind, witnesses, missing)
 
     def __str__(self) -> str:
         if self.kind == "missing-null":
@@ -75,7 +84,7 @@ def _strongly_apart(nbhd: int, row: int) -> bool:
     return not nbhd & row
 
 
-class SoftTopology:
+class SoftTopology(_Value):
     """A soft topology over a context, stored as its ``U``.
 
     ``SoftTopology(ctx, members)`` keeps the members as given and reads
@@ -83,10 +92,11 @@ class SoftTopology:
     masks, the members and ``N`` are derived from ``U`` on first use and
     kept; the members are then the sorted unions of the ``U_p``.  ``len``
     and ``in`` read the masks, and equality, hashing and repr read the
-    context and the members, so they never depend on how a topology was
-    built.  Immutable, like every value of the package.
+    context and the members (``__match_args__``), so they never depend on
+    how a topology was built.  Immutable, like every value of the package.
     """
 
+    __match_args__ = ("context", "members")
     _n = _masks = _members = None  # derived on first use
 
     def __init__(self, context: Context, members: Iterable[SoftSet]):
@@ -101,9 +111,6 @@ class SoftTopology:
         t = cls.__new__(cls)
         t.__dict__.update(context=context, _u=tuple(u))
         return t
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def masks(self) -> tuple[int, ...]:
         if self._masks is None:
@@ -132,17 +139,6 @@ class SoftTopology:
 
     def __contains__(self, item: SoftSet) -> bool:
         return item.context == self.context and item.mask in set(self.masks())
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.context, self.members) == (other.context, other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.context, self.members))
-
-    def __repr__(self) -> str:
-        return f"SoftTopology(context={self.context!r}, members={self.members!r})"
 
 
 def _canonical(ctx: Context, masks: Iterable[int]) -> SoftTopology:
@@ -229,10 +225,15 @@ def generate_topology(
 
 def _union_closure(u: Iterable[int]) -> set[int]:
     """Every union of the masks ``u``, the null set (the empty union)
-    included; when ``u`` is a topology's ``U``, its members."""
+    included; when ``u`` is a topology's ``U``, its members.  Raises
+    ``TooManyMembersError`` as soon as there are more than ``MEMBER_CAP``."""
     opens = {0}
     for m in set(u):
         opens |= {o | m for o in opens}
+        if len(opens) > MEMBER_CAP:
+            raise TooManyMembersError(
+                f"a topology with more than {MEMBER_CAP} members cannot be listed"
+            )
     return opens
 
 
@@ -304,10 +305,17 @@ def relative_topology(t: SoftTopology, keep: Iterable[str]) -> SoftTopology:
 
 def parameterize(t: SoftTopology, parameter: str) -> SoftTopology:
     """Slice at one parameter: the members' subsets there, as a soft
-    topology over the same universe and that parameter alone."""
+    topology over the same universe and that parameter alone.
+
+    Every member containing the point ``(x, e)`` contains ``U_(x,e)``, so
+    the slice's smallest open around x is ``U_(x,e)``'s block at e; on a
+    family that is not a topology, the slice is the topology its blocks
+    generate.
+    """
     ctx = t.context
     shift = ctx.parameter_index(parameter) * ctx.nx
-    return _canonical(
+    block = t.neighbourhoods()[shift : shift + ctx.nx]
+    return SoftTopology._from_neighbourhoods(
         Context(ctx.universe, ParameterSet((parameter,))),
-        ((m >> shift) & ctx.block_mask for m in t.masks()),
+        [(u >> shift) & ctx.block_mask for u in block],
     )

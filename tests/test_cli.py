@@ -4,11 +4,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bisoft.cli import main
+from bisoft.cli import EXIT_CLOSED_STDOUT, main
 from bisoft.fixtures import load_fixture, loads_fixture, serialize_fixture
 
 
@@ -296,6 +300,58 @@ class TestSearch:
         )
         assert code == 3
         assert json.loads(out)["found"] is True
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_without_traceback(unbuffered):
+    # the read end is closed before the child starts, so its first write
+    # (unbuffered) or its flush (buffered) fails with EPIPE every time
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bisoft", "validate", "rough", "--json"],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (EXIT_CLOSED_STDOUT, b"")
+    assert EXIT_CLOSED_STDOUT == 141
+
+
+def test_unlistable_supremum_exits_1(capsys, tmp_path):
+    # 17 elements: T1 splits them by i % 5, T2 by i // 5, so each block of
+    # the supremum is one element and it has 2^17 members, past the cap
+    names = [f"x{i}" for i in range(17)]
+    soft_sets, topologies = {}, {}
+    splits = (("T1", lambda i: i % 5, 5), ("T2", lambda i: i // 5, 4))
+    for tname, block, n_blocks in splits:
+        topologies[tname] = ["Phi", "X"]
+        for pick in range(1, 2**n_blocks - 1):
+            name = f"{tname}_{pick}"
+            picked = [x for i, x in enumerate(names) if pick >> block(i) & 1]
+            soft_sets[name] = {"e": picked}
+            topologies[tname].append(name)
+    doc = {
+        "universe": names,
+        "parameters": ["e"],
+        "soft_sets": soft_sets,
+        "topologies": topologies,
+        "spaces": {"S": ["T1", "T2"]},
+    }
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sup", str(path), "--space", "S")
+    assert (code, out) == (1, "")
+    assert err == "error: a topology with more than 65536 members cannot be listed\n"
+    # the axioms read the supremum's U alone
+    code, out, _ = run(capsys, "axioms", str(path), "--space", "S", "--json")
+    assert code == 0 and json.loads(out)["sup"] == {"t0": True, "t1": True, "t2": True}
 
 
 def test_usage_error_exits_1(capsys):

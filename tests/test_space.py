@@ -2,11 +2,26 @@
 
 import pytest
 
-from bisoft.axioms import pairwise_soft_t0
+from bisoft import topology
+from bisoft.axioms import pairwise_soft_t0, pairwise_verdicts
 from bisoft.errors import ContextMismatchError
-from bisoft.softset import Context, SoftSet, absolute_soft_set, null_soft_set
+from bisoft.fixtures import builtin_fixture_names, load_fixture
+from bisoft.search import random_space, standard_context
+from bisoft.softset import (
+    Context,
+    ParameterSet,
+    SoftSet,
+    absolute_soft_set,
+    null_soft_set,
+)
 from bisoft.space import BiSoftSpace, slice_space, subspace, sup_topology
-from bisoft.topology import topology_violations, validate_topology
+from bisoft.topology import (
+    SoftTopology,
+    generate_topology,
+    parameterize,
+    topology_violations,
+    validate_topology,
+)
 
 from conftest import make_soft
 
@@ -109,6 +124,79 @@ class TestSliceSpace:
         b = slice_space(BiSoftSpace(t, t), "p")
         assert set(b.t1.masks()) == {0, 3}
         assert set(b.t2.masks()) == {0, 3}
+
+
+def member_sup(s):
+    """The supremum generated by both member lists."""
+    return generate_topology(s.context, s.t1.members + s.t2.members)
+
+
+def member_slice(t, parameter):
+    """The members' blocks at one parameter, kept as given."""
+    ctx = t.context
+    shift = ctx.parameter_index(parameter) * ctx.nx
+    sub = Context(ctx.universe, ParameterSet((parameter,)))
+    blocks = sorted({(m >> shift) & ctx.block_mask for m in t.masks()})
+    return SoftTopology(sub, [SoftSet(sub, m) for m in blocks])
+
+
+def fixture_spaces():
+    for name in builtin_fixture_names():
+        doc = load_fixture(name)
+        for space_name in doc.space_pairs:
+            yield doc.space(space_name)
+
+
+class TestFromNeighbourhoods:
+    """``sup_topology`` and ``parameterize`` read ``U``; the member
+    routes they replaced are the reference."""
+
+    CORPUS = list(fixture_spaces()) + [
+        random_space(standard_context(nx, ne), seed)
+        for nx, ne in ((2, 2), (3, 2), (2, 3), (4, 2), (5, 3))
+        for seed in range(12)
+    ]
+
+    @pytest.mark.parametrize("k", range(len(CORPUS)))
+    def test_match_the_member_routes(self, k):
+        s = self.CORPUS[k]
+        assert sup_topology(s) == member_sup(s)
+        for e in s.context.parameters.parameters:
+            for t in (s.t1, s.t2):
+                assert parameterize(t, e) == member_slice(t, e)
+
+    def test_family_that_is_not_closed(self):
+        ctx = Context.of(["a", "b", "c"], ["p", "q"])
+        t1 = SoftTopology(ctx, [SoftSet(ctx, m) for m in (0b11, 0b110, 0b110000)])
+        t2 = SoftTopology(ctx, [SoftSet(ctx, m) for m in (0b101000, 0b101)])
+        assert topology_violations(list(t1.members), ctx)
+        s = BiSoftSpace(t1, t2)
+        assert sup_topology(s) == member_sup(s)
+        for e in ctx.parameters.parameters:
+            for t in (t1, t2):
+                # the slice is the topology the blocks generate, with the
+                # blocks' own neighbourhoods
+                given = member_slice(t, e)
+                got = parameterize(t, e)
+                assert got.neighbourhoods() == given.neighbourhoods()
+                assert got == generate_topology(given.context, given.members)
+
+    def test_no_member_list_is_built(self, monkeypatch):
+        def read(s):
+            params = s.context.parameters.parameters
+            slices = [pairwise_verdicts(slice_space(s, e)) for e in params]
+            return slices, sup_topology(s).neighbourhoods()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a member list")
+
+        def spaces():  # fresh each time: a topology keeps members once listed
+            ctx = standard_context(4, 3)
+            return [load_fixture("t2a").space("S"), random_space(ctx, 5)]
+
+        expected = [read(s) for s in spaces()]
+        monkeypatch.setattr(topology, "_union_closure", refuse)
+        assert [read(s) for s in spaces()] == expected
 
 
 class TestSubspace:

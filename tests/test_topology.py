@@ -1,12 +1,13 @@
 """Soft topology validation, generation, closure, slices and subspaces."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bisoft.errors import InvalidTopologyError
+from bisoft.errors import InvalidTopologyError, TooManyMembersError
 from bisoft.rough import lower_approx, upper_approx
 from bisoft.scan import _point_topologies
 from bisoft.search import enumerate_topologies, standard_context
@@ -21,6 +22,7 @@ from bisoft.softset import (
 )
 from bisoft.space import BiSoftSpace
 from bisoft.topology import (
+    MEMBER_CAP,
     SoftTopology,
     closed_sets,
     generate_topology,
@@ -448,3 +450,22 @@ class TestPointOperators:
                 assert soft_closure(p, a) == soft_complement(
                     interior(p, soft_complement(a))
                 )
+
+
+class TestMemberCap:
+    @staticmethod
+    def discrete(n_points):
+        ctx = standard_context(n_points, 1)
+        return generate_topology(ctx, [SoftSet(ctx, 1 << p) for p in range(n_points)])
+
+    def test_sixteen_points_are_listed(self):
+        assert len(self.discrete(16)) == MEMBER_CAP == 1 << 16
+
+    def test_discrete_topology_on_24_points_fails_fast(self):
+        t = self.discrete(24)
+        start = time.perf_counter()
+        with pytest.raises(TooManyMembersError, match="more than 65536 members"):
+            len(t)
+        # the closure stops at the cap: 2^17 masks, not 2^24
+        assert time.perf_counter() - start < 5.0
+        assert t.neighbourhoods() == tuple(1 << p for p in range(24))
