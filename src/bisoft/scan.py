@@ -31,8 +31,14 @@ distinct key, decoded once:
   visits one pair per orbit of the relabellings of universe and
   parameters and weights it by the orbit's size, and tallies the pairs
   by key; with |X| = 1 every fact holds on every pair, so those
-  factorizations are one all-true item each; ``search`` describes what
-  that guarantees for counts, records and hunts.
+  factorizations are one all-true row each; ``search`` describes what
+  that guarantees for counts, records and hunts.  Topologies with equal
+  profiles give equal keys, and the supremum's bits are ORed in last, so
+  the scan calls ``_pair_key`` once per pair of profile classes, not per
+  pair, and keeps those cross keys: a representative's row of keys is
+  its class's cross keys indexed by the class of each partner, ORed
+  with the soft bits of each supremum.  Reports and hunts walk the same
+  rows, and a repeat scan or hunt calls no ``_pair_key``.
 
 ``search`` imports this module on the first verification, hunt or replay,
 so ``import bisoft`` and the commands that check no claim do not load it.
@@ -410,26 +416,63 @@ def _packed(u: Sequence[int]) -> int:
     return sum(up << (p * len(u)) for p, up in enumerate(u))
 
 
-def _representatives(config: SearchConfig):
-    """((factorization index, i, j), orbit size, fact key) for each orbit
-    representative of an exhaustive corpus, in canonical order.
+@lru_cache(maxsize=None)
+def _classes(nx: int, ne: int) -> tuple[tuple, tuple, dict, tuple, dict]:
+    """The profile classes of the topologies on nx*ne points.
 
-    With |X| = 1 there is no pair of distinct elements and the row's
-    complement is empty, so every fact holds on every pair: such a
-    factorization is one item, (k, 0, 0) with weight K^2 for its K
-    topologies, and builds no profiles and no orbits.
+    ``_pair_key`` reads nothing of a topology but its profile, and a
+    space's supremum only ORs in its three soft bits, which no cross test
+    touches, so a pair's key is the cross key of its two classes ORed
+    with the supremum's soft bits.  Returns ``(cls, packed, sup, classes,
+    cross)``: each topology's class id and packed ``U``, the supremum's
+    soft bits keyed by packed ``U``, one profile per class, and the cross
+    keys of a class with every class, filled by ``_representatives`` on
+    first use (355 topologies on four points have 71 classes over 2x2;
+    over 4x1 every profile differs).  Two threads that fill one class at
+    once store equal rows, so the filling needs no lock.  At most eight
+    factorizations are ever cached, as for ``_profiles``.
+    """
+    profiles = _profiles(nx, ne)
+    ids: dict = {}
+    cls = tuple([ids.setdefault(p, len(ids)) for p in profiles])
+    packed = tuple([_packed(u) for u in _point_neighbourhoods(nx * ne)])
+    sup = {key: p.soft << _SUP for key, p in zip(packed, profiles)}
+    return cls, packed, sup, tuple(ids), {}
+
+
+def _representatives(config: SearchConfig):
+    """One row ``((k, i), js, weights, keys)`` per orbit representative i
+    of factorization k of an exhaustive corpus, in canonical order: the
+    pairs (i, j) for j in ``js``, their orbit sizes and their fact keys.
+
+    A row's keys are the cross keys of i's class, indexed by the class of
+    each j, ORed with the soft bits of the supremum of (i, j); a class's
+    cross keys are computed the first time one of its topologies heads a
+    row and kept, so a repeat scan calls no ``_pair_key``.  With |X| = 1
+    there is no pair of distinct elements and the row's complement is
+    empty, so every fact holds on every pair: such a factorization is one
+    row holding (k, 0, 0) with weight K^2 for its K topologies, and builds
+    no profiles and no orbits.
     """
     for k, (nx, ne) in enumerate(config.factorizations()):
         if nx == 1:
-            yield (k, 0, 0), len(_point_neighbourhoods(ne)) ** 2, _ALL
+            yield (k, 0), (0,), (len(_point_neighbourhoods(ne)) ** 2,), (_ALL,)
             continue
-        profiles = _profiles(nx, ne)
-        packed = [_packed(u) for u in _point_neighbourhoods(nx * ne)]
-        sup_bits = {key: p.soft << _SUP for key, p in zip(packed, profiles)}
+        cls, packed, sup, classes, cross = _classes(nx, ne)
         for i, js, weights in _orbits(nx, ne)[1]:
-            p, ui = profiles[i], packed[i]
-            for j, w in zip(js, weights):
-                yield (k, i, j), w, _pair_key(p, profiles[j], sup_bits[ui & packed[j]])
+            c = cls[i]
+            row = cross.get(c)
+            if row is None:
+                row = cross[c] = [_pair_key(classes[c], q, 0) for q in classes]
+            ui = packed[i]
+            yield (k, i), js, weights, [row[cls[j]] | sup[ui & packed[j]] for j in js]
+
+
+def _space_rows(spaces: Iterable[BiSoftSpace]):
+    """One row ``((k,), (s,), (1,), (key,))`` per space s of a corpus, so a
+    position is (index, space), keyed one space at a time."""
+    for k, s in enumerate(spaces):
+        yield (k,), (s,), (1,), (_space_key(s),)
 
 
 def _pair_record(
@@ -446,47 +489,52 @@ def _first_violation(
 ) -> Optional[CounterexampleRecord]:
     """The first violating space of a corpus, in canonical or seed order.
 
-    On exhaustive configs that is the first violating representative:
-    every earlier space lies in the orbit of an earlier representative,
-    and that representative did not violate.
+    Walks the rows of ``_representatives`` or ``_space_rows``, decides each
+    distinct key once, and stops at the first violating position.  On
+    exhaustive configs that is the first violating representative: every
+    earlier space lies in the orbit of an earlier representative, and that
+    representative did not violate.
     """
     if config.mode == "exhaustive":
-        items = ((pos, key) for pos, _, key in _representatives(config))
+        rows = _representatives(config)
     else:
-        items = ((s, _space_key(s)) for s in iter_spaces(config))
+        rows = _space_rows(iter_spaces(config))
     verdicts: dict = {}
-    for pos, key in items:
-        bad = verdicts.get(key)
-        if bad is None:
-            facts = _decode(key)
-            bad = verdicts[key] = claim.premise(facts) and not claim.conclusion(facts)
-        if bad:
-            if config.mode == "exhaustive":
-                return _pair_record(claim.id, config, *pos)
-            return record_for(claim.id, pos)
+    for head, js, _, keys in rows:
+        for j, key in zip(js, keys):
+            bad = verdicts.get(key)
+            if bad is None:
+                facts = _decode(key)
+                bad = verdicts[key] = claim.premise(facts) and not claim.conclusion(facts)
+            if bad:
+                if config.mode == "exhaustive":
+                    return _pair_record(claim.id, config, *head, j)
+                return record_for(claim.id, j)
     return None
 
 
 def _report(
-    corpus: str, claims: Sequence[Claim], items: Iterable, records: Callable
+    corpus: str, claims: Sequence[Claim], rows: Iterable, records: Callable
 ) -> ImplicationReport:
     """Run each claim once per distinct fact key, weighted by its count.
 
-    ``items`` yields (position, weight, fact key), positions in corpus
-    order; ``records(claim_id, positions)`` turns the first violating
-    positions, at most ``_MAX_RECORDS_PER_CLAIM``, into records.  Each
-    key's entry is its count followed by its first positions, and each
-    distinct key is decoded once, for the claims.
+    ``rows`` yields (head, js, weights, keys), as ``_representatives`` and
+    ``_space_rows`` do, in corpus order; position ``(*head, j)`` has
+    weight and key at j's place.  ``records(claim_id, positions)`` turns
+    the first violating positions, at most ``_MAX_RECORDS_PER_CLAIM``,
+    into records.  Each key's entry is its count followed by its first
+    positions, and each distinct key is decoded once, for the claims.
     """
     tally: dict = {}
-    for pos, w, key in items:
-        entry = tally.get(key)
-        if entry is None:
-            tally[key] = [w, pos]
-        else:
-            entry[0] += w
-            if len(entry) <= _MAX_RECORDS_PER_CLAIM:
-                entry.append(pos)
+    for head, js, weights, keys in rows:
+        for j, w, key in zip(js, weights, keys):
+            entry = tally.get(key)
+            if entry is None:
+                tally[key] = [w, (*head, j)]
+            else:
+                entry[0] += w
+                if len(entry) <= _MAX_RECORDS_PER_CLAIM:
+                    entry.append((*head, j))
     total = sum(entry[0] for entry in tally.values())
     table = [(_decode(key), entry[0], entry[1:]) for key, entry in tally.items()]
     results = {}
@@ -511,7 +559,7 @@ def _verify_over_spaces(
     return _report(
         corpus,
         claims,
-        (((k, s), 1, _space_key(s)) for k, s in enumerate(spaces)),
+        _space_rows(spaces),
         lambda cid, positions: [record_for(cid, s) for _, s in positions],
     )
 
@@ -524,7 +572,7 @@ def _verify_exhaustive(
     A claim's first three violating spaces lie in the orbits of its first
     three violating representatives (each representative is its orbit's
     minimum), so those orbits are expanded, sorted and cut to three.  An
-    |X| = 1 item stands for every pair of its factorization, of which only
+    |X| = 1 row stands for every pair of its factorization, of which only
     the first three in canonical order can be records.
     """
     sizes = config.factorizations()

@@ -30,6 +30,11 @@ representative is the first violating space: exhaustive hunts stop
 there, and a report's three records come from expanding the orbits of
 the first three violating representatives.  With |X| = 1 every fact
 holds on every pair, so those factorizations are counted in closed form.
+The scan reads each representative's pairs as one row of keys: pairs
+whose topologies have equal profiles share a key up to the supremum's
+soft bits, so ``scan`` computes one cross key per pair of profile
+classes, keeps it per factorization, and builds a row by indexing and
+ORing.  Reports and hunts walk the same rows.
 
 The test suite compares the facts with a member-quantifying oracle
 (``tests/member_oracle.py``) field by field, the scan's reports with the

@@ -2,24 +2,29 @@
 
 import random
 import sys
+import threading
 from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisoft.errors import InvalidTopologyError, UnknownClaimError
+import bisoft.scan as scan
 from bisoft.scan import (
+    _SUP,
     _PairFacts,
     _bits,
     _decode,
     _first_violation,
     _orbits,
+    _pair_key,
     _point_neighbourhoods,
     _point_topologies,
     _representatives,
     _space_key,
     _verify_exhaustive,
     _verify_over_spaces,
+    profile,
     space_facts,
 )
 from bisoft.search import (
@@ -452,7 +457,7 @@ class TestFactKey:
     def test_every_bit_is_seen_set_and_unset_on_2x2(self):
         # thm1_agrees is the one identity among the facts: the closure
         # test and pairwise T2 agree on every pair of topologies
-        keys = [key for _, _, key in _representatives(SearchConfig(2, 2))]
+        keys = [key for *_, row in _representatives(SearchConfig(2, 2)) for key in row]
         union = intersection = keys[0]
         for key in keys:
             union, intersection = union | key, intersection & key
@@ -518,6 +523,16 @@ class TestProfileKernel:
         )
         assert _decode(_space_key(from_u))._asdict() == oracle.facts(listed)
         assert _space_key(listed) == _space_key(from_u)
+
+    @settings(max_examples=100)
+    @given(preorder_spaces())
+    def test_supremum_bits_are_ored_in_last(self, drawn):
+        # what lets a row share one cross key per class pair
+        ctx, u1, u2 = drawn
+        p, q = profile(ctx, u1), profile(ctx, u2)
+        cross = _pair_key(p, q, 0)
+        for sup in range(8):
+            assert _pair_key(p, q, sup << _SUP) == cross | sup << _SUP
 
     @settings(max_examples=80)
     @given(preorder_spaces())
@@ -593,6 +608,70 @@ class TestOrbitScan:
                 total += w
         assert total == k * k
 
+    def test_row_keys_match_labelled_pair_keys(self):
+        cfg = SearchConfig(4, 4)
+        sizes = cfg.factorizations()
+        seen = set()
+        for (k, i), js, _, keys in _representatives(cfg):
+            nx, ne = sizes[k]
+            if nx > 1:
+                seen.add((nx, ne))
+                for j, key in zip(js, keys):
+                    assert key == pair_key(nx, ne, i, j), (nx, ne, i, j)
+        assert seen == {(2, 1), (3, 1), (4, 1), (2, 2)}
+
+    def test_repeat_scans_and_hunts_compute_no_pair_key(self, monkeypatch):
+        calls = []
+
+        def counted(p, q, sup_bits):
+            calls.append(1)
+            return _pair_key(p, q, sup_bits)
+
+        monkeypatch.setattr(scan, "_pair_key", counted)
+        cfg = SearchConfig(4, 4)
+        report = verify_implications(cfg)
+        calls.clear()
+        assert verify_implications(cfg) == report
+        for claim_id in GAP_SPACE_CLAIM_IDS:
+            find_counterexample(claim_id, cfg)
+        assert len(calls) == 0
+        # cold: one cross key per class heading a row and class of a partner
+        scan._classes.cache_clear()
+        assert verify_implications(cfg) == report
+        heads = pairs = 0
+        for nx, ne in cfg.factorizations():
+            if nx > 1:
+                cls, *_, classes, _ = scan._classes(nx, ne)
+                reps = _orbits(nx, ne)[1]
+                heads += len({cls[i] for i, _, _ in reps}) * len(classes)
+                pairs += sum(len(js) for _, js, _ in reps)
+        assert len(calls) == heads < pairs
+
+    def test_threads_filling_cross_keys_agree(self):
+        # the cross keys are filled in place; a class filled twice by two
+        # threads gets the same row, so no interleaving changes a report
+        cfg = SearchConfig(4, 4)
+        expected = verify_implications(cfg).to_json()
+        scan._classes.cache_clear()
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: reports.append(verify_implications(cfg).to_json())
+                )
+                for _ in range(4)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert reports == [expected] * 4
+
     @pytest.mark.parametrize("nx,ne", [(2, 2), (1, 3), (3, 1)])
     def test_relabelling_preserves_every_fact(self, nx, ne):
         rng = random.Random(nx * 10 + ne)
@@ -632,9 +711,10 @@ class TestOrbitScan:
     def test_vector_counts_match_labelled_scan(self):
         cfg = SearchConfig(4, 4)
         counts = [{} for _ in cfg.factorizations()]
-        for (k, _, _), w, key in _representatives(cfg):
-            vec = _decode(key)
-            counts[k][vec] = counts[k].get(vec, 0) + w
+        for (k, _), _, weights, keys in _representatives(cfg):
+            for w, key in zip(weights, keys):
+                vec = _decode(key)
+                counts[k][vec] = counts[k].get(vec, 0) + w
         for k, (nx, ne) in enumerate(cfg.factorizations()):
             assert counts[k] == labelled_counts(nx, ne)[0], (nx, ne)
 
