@@ -22,23 +22,24 @@ containment masks, the elements whose row each ``N(x)`` contains or
 meets (``_Profile``), in a few passes over the elements and points, and
 a space's supremum contributes its three soft bits alone.  Every corpus
 goes through ``_pair_key``, and each claim reads the ``_PairFacts`` of a
-distinct key, decoded once:
+distinct key, decoded once.  A report reads a census, a dict from each
+distinct key to its count and its first positions:
 
 * ``space_facts`` profiles one space at a time, for explicit and random
   corpora, random-mode hunts and ``replay``;
 * the exhaustive scan enumerates the topologies on |X|*|E| points as
-  their ``U`` vectors, profiles each once per factorization (|X|, |E|),
-  visits one pair per orbit of the relabellings of universe and
-  parameters and weights it by the orbit's size, and tallies the pairs
-  by key; with |X| = 1 every fact holds on every pair, so those
-  factorizations are one all-true row each; ``search`` describes what
-  that guarantees for counts, records and hunts.  Topologies with equal
-  profiles give equal keys, and the supremum's bits are ORed in last, so
-  the scan calls ``_pair_key`` once per pair of profile classes, not per
-  pair, and keeps those cross keys: a representative's row of keys is
-  its class's cross keys indexed by the class of each partner, ORed
-  with the soft bits of each supremum.  Reports and hunts walk the same
-  rows, and a repeat scan or hunt calls no ``_pair_key``.
+  their ``U`` vectors and profiles each once per factorization (|X|,
+  |E|).  The relabellings of universe and parameters change no fact, so
+  the scan keys the pairs (i, j) of each orbit minimum i among the
+  topologies against every j and weights them by the size of i's orbit.
+  Topologies with equal profiles give equal keys, and the supremum's
+  bits are ORed in last, so it calls ``_pair_key`` once per pair of
+  profile classes met.  Each factorization's census is built once and
+  kept; with |X| = 1 every fact holds on every pair, so those
+  factorizations are one all-true key each.  ``search`` describes what
+  that guarantees for counts, records and hunts; every exhaustive report
+  and hunt after the first reads the kept censuses and calls no
+  ``_pair_key``.
 
 ``search`` imports this module on the first verification, hunt or replay,
 so ``import bisoft`` and the commands that check no claim do not load it.
@@ -47,8 +48,9 @@ so ``import bisoft`` and the commands that check no claim do not load it.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from functools import lru_cache, reduce
-from itertools import combinations, permutations
+from itertools import permutations
 from operator import and_, or_
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -88,6 +90,7 @@ def _bits(*names: str) -> int:
     return sum(1 << _PairFacts._fields.index(name) for name in names)
 
 
+@lru_cache(maxsize=1024)  # the 379,790 spaces on four points have 95 keys
 def _decode(key: int) -> _PairFacts:
     """The named facts of a key."""
     return _PairFacts(*[bool(key >> k & 1) for k in range(len(_PairFacts._fields))])
@@ -161,13 +164,32 @@ def _near_far(vals: Sequence[int], width: int) -> tuple[int, int]:
 
 
 def _equal_pairs(vals: Sequence[int]) -> int:
-    """Bit i * len(vals) + j for each pair i < j with equal values."""
-    k, bits, seen = len(vals), 0, {}
+    """Bit i * len(vals) + j for each pair i < j with equal values, placed
+    one row at a time: row i holds the later indices of i's value."""
+    k, bits, later = len(vals), 0, {}
     if len(set(vals)) < k:
-        for j, v in enumerate(vals):
-            for i in seen.setdefault(v, []):
-                bits |= 1 << (i * k + j)
-            seen[v].append(j)
+        for i in range(k - 1, -1, -1):
+            v = vals[i]
+            row = later.get(v, 0)
+            if row:
+                bits |= row << (i * k)
+            later[v] = row | 1 << i
+    return bits
+
+
+def _mutual_pairs(masks: Sequence[int]) -> int:
+    """Bit x * len(masks) + y for each pair x < y each in the other's mask,
+    placed one row at a time."""
+    k, bits = len(masks), 0
+    for x, m in enumerate(masks):
+        row, y, m = 0, x, m >> x + 1
+        while m:  # y walks the bits of x's mask above x
+            y += 1
+            if m & 1 and masks[y] >> x & 1:
+                row |= 1 << y
+            m >>= 1
+        if row:
+            bits |= row << (x * k)
     return bits
 
 
@@ -210,11 +232,8 @@ def profile(ctx: Context, u: Sequence[int]) -> _Profile:
         strong_t0, strong_t1 = t0, t1
         slice_t0, slice_t1, slice_near, slice_far = t0, t1, near, far
     else:
-        strong_t0 = sum(
-            1 << (x * nx + y)
-            for x, y in combinations(range(nx), 2)
-            if meet >> (x * n + y) & meet >> (y * n + x) & 1
-        )
+        meets = [meet >> s & ctx.block_mask for s in range(0, nx * n, n)]
+        strong_t0 = _mutual_pairs(meets)
         strong_t1 = meet.bit_count() == nx
         own = [up & ctx.block_mask << (p - p % nx) for p, up in enumerate(u)]
         slice_t0 = _equal_pairs(own)
@@ -350,43 +369,29 @@ def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
     return tuple(profile(ctx, u) for u in _point_neighbourhoods(nx * ne))
 
 
-def _orbit_minima(
-    perms: Sequence[array], k: int, scale: int = 1
-) -> tuple[array, array]:
+def _orbit_minima(perms: Sequence[array], k: int) -> tuple[tuple, tuple]:
     """The minimum of each orbit of ``perms`` on range(k), in order, and
-    the orbit's size times ``scale``; ``perms`` must be a group, so its
-    orbit of j is {g[j] for g in perms}."""
-    if len(perms) == 1:  # the trivial group: most stabilizers on 2x2
-        return array("H", range(k)), array("H", [scale]) * k
-    minima, sizes = array("H"), array("H")
-    seen = bytearray(k)
-    for j in range(k):
-        if not seen[j]:
-            orbit = {g[j] for g in perms}
-            for t in orbit:
-                seen[t] = 1
-            minima.append(j)
-            sizes.append(scale * len(orbit))
-    return minima, sizes
+    the orbit's size; ``perms`` must be a group, so its orbit of j is
+    {g[j] for g in perms}, and j is met before the rest of its orbit
+    exactly when it is the orbit's minimum."""
+    sizes = {min(o): len(o) for o in ({g[j] for g in perms} for j in range(k))}
+    return tuple(sizes), tuple(sizes.values())
 
 
 @lru_cache(maxsize=None)
-def _orbits(nx: int, ne: int) -> tuple[tuple[array, ...], tuple]:
+def _orbits(nx: int, ne: int) -> tuple[tuple[array, ...], tuple, tuple]:
     """The group G = S_nx x S_ne on the topologies of (nx, ne), relabelling
-    point e * nx + x as tau(e) * nx + sigma(x), and the orbit
-    representatives of the ordered topology pairs.  The image of a
-    topology under g has the ``U`` with U'_g(p) = g(U_p).
+    point e * nx + x as tau(e) * nx + sigma(x), and its orbits.  The image
+    of a topology under g has the ``U`` with U'_g(p) = g(U_p).
 
-    The facts of a space do not change under G, so the scan evaluates one
-    pair per orbit and weights it by the orbit's size.  Returns
-    ``(action, reps)``: ``action`` has one row per element of G, the index
-    of the image of every topology; ``reps`` has one ``(i, js, weights)``
-    per orbit minimum i of G on topologies, with the minima j of the
-    orbits of Stab(i) on topologies and the size |G.i| * |Stab(i).j| of
-    the orbit of (i, j).  Each such pair is the lexicographic minimum of
-    its orbit, and every orbit has exactly one.  Kept in arrays: the
-    37,918 representatives the 4x4 corpus scans take well under a megabyte.
-    At most eight factorizations are ever cached, as for ``_profiles``.
+    Returns ``(action, minima, sizes)``: ``action`` has one row per
+    element of G, the index of the image of every topology, and each
+    orbit of G on the topologies has its minimum in ``minima`` and its
+    size at the same place in ``sizes``.  The facts of a space do not
+    change under G, so the pairs (g(i), j) for all j have the keys of the
+    pairs (i, j) for all j, and the census keys the rows of orbit minima
+    alone.  At most eight factorizations are ever cached, as for
+    ``_profiles``.
     """
     n = nx * ne
     us = _point_neighbourhoods(n)
@@ -403,11 +408,7 @@ def _orbits(nx: int, ne: int) -> tuple[tuple[array, ...], tuple]:
             action.append(
                 array("H", [index[tuple([relabel[u[p]] for p in source])] for u in us])
             )
-    reps = tuple(
-        (i, *_orbit_minima([g for g in action if g[i] == i], len(us), size))
-        for i, size in zip(*_orbit_minima(action, len(us)))
-    )
-    return tuple(action), reps
+    return (tuple(action), *_orbit_minima(action, len(us)))
 
 
 def _packed(u: Sequence[int]) -> int:
@@ -417,62 +418,78 @@ def _packed(u: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _classes(nx: int, ne: int) -> tuple[tuple, tuple, dict, tuple, dict]:
+def _classes(nx: int, ne: int) -> tuple[tuple, tuple, dict, tuple]:
     """The profile classes of the topologies on nx*ne points.
 
     ``_pair_key`` reads nothing of a topology but its profile, and a
     space's supremum only ORs in its three soft bits, which no cross test
     touches, so a pair's key is the cross key of its two classes ORed
-    with the supremum's soft bits.  Returns ``(cls, packed, sup, classes,
-    cross)``: each topology's class id and packed ``U``, the supremum's
-    soft bits keyed by packed ``U``, one profile per class, and the cross
-    keys of a class with every class, filled by ``_representatives`` on
-    first use (355 topologies on four points have 71 classes over 2x2;
-    over 4x1 every profile differs).  Two threads that fill one class at
-    once store equal rows, so the filling needs no lock.  At most eight
-    factorizations are ever cached, as for ``_profiles``.
+    with the supremum's soft bits.  Returns ``(cls, packed, sup,
+    classes)``: each topology's class id and packed ``U``, the supremum's
+    soft bits keyed by packed ``U``, and one profile per class (355
+    topologies on four points have 71 classes over 2x2; over 4x1 every
+    profile differs).  At most eight factorizations are ever cached, as
+    for ``_profiles``.
     """
     profiles = _profiles(nx, ne)
     ids: dict = {}
     cls = tuple([ids.setdefault(p, len(ids)) for p in profiles])
     packed = tuple([_packed(u) for u in _point_neighbourhoods(nx * ne)])
     sup = {key: p.soft << _SUP for key, p in zip(packed, profiles)}
-    return cls, packed, sup, tuple(ids), {}
+    return cls, packed, sup, tuple(ids)
 
 
-def _representatives(config: SearchConfig):
-    """One row ``((k, i), js, weights, keys)`` per orbit representative i
-    of factorization k of an exhaustive corpus, in canonical order: the
-    pairs (i, j) for j in ``js``, their orbit sizes and their fact keys.
+def _rows(nx: int, ne: int):
+    """One ``(i, size, keys)`` per orbit minimum i of the topologies of
+    (nx, ne), nx > 1, in order: the size of i's orbit and the fact keys
+    of the pairs (i, j) for every j.
 
-    A row's keys are the cross keys of i's class, indexed by the class of
-    each j, ORed with the soft bits of the supremum of (i, j); a class's
-    cross keys are computed the first time one of its topologies heads a
-    row and kept, so a repeat scan calls no ``_pair_key``.  With |X| = 1
-    there is no pair of distinct elements and the row's complement is
-    empty, so every fact holds on every pair: such a factorization is one
-    row holding (k, 0, 0) with weight K^2 for its K topologies, and builds
-    no profiles and no orbits.
+    A row's keys are the cross keys of i's class, read at the class of
+    each j and ORed with the soft bits of the supremum; cross keys are
+    computed for the classes that head a row, against every class.
     """
-    for k, (nx, ne) in enumerate(config.factorizations()):
-        if nx == 1:
-            yield (k, 0), (0,), (len(_point_neighbourhoods(ne)) ** 2,), (_ALL,)
-            continue
-        cls, packed, sup, classes, cross = _classes(nx, ne)
-        for i, js, weights in _orbits(nx, ne)[1]:
-            c = cls[i]
-            row = cross.get(c)
-            if row is None:
-                row = cross[c] = [_pair_key(classes[c], q, 0) for q in classes]
-            ui = packed[i]
-            yield (k, i), js, weights, [row[cls[j]] | sup[ui & packed[j]] for j in js]
+    cls, packed, sup, classes = _classes(nx, ne)
+    _, minima, sizes = _orbits(nx, ne)
+    heads = {cls[i] for i in minima}
+    cross = {c: [_pair_key(classes[c], q, 0) for q in classes] for c in heads}
+    for i, size in zip(minima, sizes):
+        row, ui = cross[cls[i]], packed[i]
+        yield i, size, [row[c] | sup[ui & uj] for c, uj in zip(cls, packed)]
 
 
-def _space_rows(spaces: Iterable[BiSoftSpace]):
-    """One row ``((k,), (s,), (1,), (key,))`` per space s of a corpus, so a
-    position is (index, space), keyed one space at a time."""
-    for k, s in enumerate(spaces):
-        yield (k,), (s,), (1,), (_space_key(s),)
+@lru_cache(maxsize=None)
+def _tally(nx: int, ne: int) -> dict:
+    """The census of factorization (nx, ne): each distinct fact key of its
+    pairs to ``[count, *positions]``, the labelled number of pairs with
+    the key and its first positions (i, j), at most three, in the rows of
+    orbit minima.
+
+    Every row of G.i holds the keys of i's row, so a key's count is the
+    sum over rows of its count there times the orbit's size.  Every pair
+    lies in the orbit of a pair of some minimum's row that comes no later
+    in canonical order, so the first k labelled pairs with a key lie in
+    the orbits of its first k positions, and its first labelled pair is
+    its first position.  With |X| = 1 there is no pair of distinct
+    elements and the row's complement is empty, so every fact holds on
+    every pair: that census is one all-true key at the first three pairs,
+    and builds no profiles and no orbits.  At most eight factorizations
+    are ever cached, as for ``_profiles``; a census is never changed
+    once built, so two threads that build one at once build equal ones.
+    """
+    if nx == 1:
+        k = len(_point_neighbourhoods(ne))
+        first = range(k * k)[:_MAX_RECORDS_PER_CLAIM]
+        return {_ALL: [k * k, *(divmod(t, k) for t in first)]}
+    census: dict = {}
+    for i, size, keys in _rows(nx, ne):
+        for key, count in Counter(keys).items():
+            entry = census.setdefault(key, [0])
+            entry[0] += count * size
+            j = -1
+            for _ in range(min(count, _MAX_RECORDS_PER_CLAIM + 1 - len(entry))):
+                j = keys.index(key, j + 1)
+                entry.append((i, j))
+    return census
 
 
 def _pair_record(
@@ -489,54 +506,44 @@ def _first_violation(
 ) -> Optional[CounterexampleRecord]:
     """The first violating space of a corpus, in canonical or seed order.
 
-    Walks the rows of ``_representatives`` or ``_space_rows``, decides each
-    distinct key once, and stops at the first violating position.  On
-    exhaustive configs that is the first violating representative: every
-    earlier space lies in the orbit of an earlier representative, and that
-    representative did not violate.
+    A random corpus is keyed one space at a time, up to the first
+    violation.  An exhaustive one reads the census of each factorization
+    in turn: the first violating space of the first that has one is the
+    earliest first position of its violating keys.
     """
-    if config.mode == "exhaustive":
-        rows = _representatives(config)
-    else:
-        rows = _space_rows(iter_spaces(config))
-    verdicts: dict = {}
-    for head, js, _, keys in rows:
-        for j, key in zip(js, keys):
-            bad = verdicts.get(key)
-            if bad is None:
-                facts = _decode(key)
-                bad = verdicts[key] = claim.premise(facts) and not claim.conclusion(facts)
-            if bad:
-                if config.mode == "exhaustive":
-                    return _pair_record(claim.id, config, *head, j)
-                return record_for(claim.id, j)
+
+    def bad(key: int) -> bool:
+        facts = _decode(key)
+        return claim.premise(facts) and not claim.conclusion(facts)
+
+    if config.mode != "exhaustive":
+        violating = (s for s in iter_spaces(config) if bad(_space_key(s)))
+        return next((record_for(claim.id, s) for s in violating), None)
+    for k, (nx, ne) in enumerate(config.factorizations()):
+        firsts = [entry[1] for key, entry in _tally(nx, ne).items() if bad(key)]
+        if firsts:
+            return _pair_record(claim.id, config, k, *min(firsts))
     return None
 
 
 def _report(
-    corpus: str, claims: Sequence[Claim], rows: Iterable, records: Callable
+    corpus: str, claims: Sequence[Claim], censuses: Sequence[dict], records: Callable
 ) -> ImplicationReport:
-    """Run each claim once per distinct fact key, weighted by its count.
+    """Run each claim once per fact key of each census, weighted by its
+    count.
 
-    ``rows`` yields (head, js, weights, keys), as ``_representatives`` and
-    ``_space_rows`` do, in corpus order; position ``(*head, j)`` has
-    weight and key at j's place.  ``records(claim_id, positions)`` turns
-    the first violating positions, at most ``_MAX_RECORDS_PER_CLAIM``,
-    into records.  Each key's entry is its count followed by its first
-    positions, and each distinct key is decoded once, for the claims.
+    A census maps each distinct key of a part of the corpus to its count
+    followed by its first positions there, in corpus order; position
+    ``pos`` of the k-th census is ``(k, *pos)``, and ``records(claim_id,
+    positions)`` turns the first violating positions, at most
+    ``_MAX_RECORDS_PER_CLAIM``, into records.
     """
-    tally: dict = {}
-    for head, js, weights, keys in rows:
-        for j, w, key in zip(js, weights, keys):
-            entry = tally.get(key)
-            if entry is None:
-                tally[key] = [w, (*head, j)]
-            else:
-                entry[0] += w
-                if len(entry) <= _MAX_RECORDS_PER_CLAIM:
-                    entry.append((*head, j))
-    total = sum(entry[0] for entry in tally.values())
-    table = [(_decode(key), entry[0], entry[1:]) for key, entry in tally.items()]
+    table = [
+        (_decode(key), count, [(k, *pos) for pos in positions])
+        for k, census in enumerate(censuses)
+        for key, (count, *positions) in census.items()
+    ]
+    total = sum(count for _, count, _ in table)
     results = {}
     for c in claims:
         res = results[c.id] = ClaimResult(c.id, tested=total)
@@ -554,36 +561,38 @@ def _report(
 def _verify_over_spaces(
     spaces: Iterable[BiSoftSpace], claims: Sequence[Claim], corpus: str
 ) -> ImplicationReport:
-    """The report of a corpus of explicit spaces; a position is (index,
-    space), so the first violating positions give the records."""
-    return _report(
-        corpus,
-        claims,
-        _space_rows(spaces),
-        lambda cid, positions: [record_for(cid, s) for _, s in positions],
-    )
+    """The report of a corpus of explicit spaces, from one census whose
+    positions are (index, space), so the first violating positions give
+    the records."""
+    census: dict = {}
+    for position in enumerate(spaces):
+        entry = census.setdefault(_space_key(position[1]), [0])
+        entry[0] += 1
+        entry += [position][: _MAX_RECORDS_PER_CLAIM + 1 - len(entry)]
+
+    def records(claim_id, positions):
+        return [record_for(claim_id, s) for _, _, s in positions]
+
+    return _report(corpus, claims, [census], records)
 
 
 def _verify_exhaustive(
     config: SearchConfig, claims: Sequence[Claim]
 ) -> ImplicationReport:
-    """The report of an exhaustive corpus.
+    """The report of an exhaustive corpus, from the censuses of its
+    factorizations in canonical order: position (k, i, j) is the pair
+    (i, j) of factorization k.
 
     A claim's first three violating spaces lie in the orbits of its first
-    three violating representatives (each representative is its orbit's
-    minimum), so those orbits are expanded, sorted and cut to three.  An
-    |X| = 1 row stands for every pair of its factorization, of which only
-    the first three in canonical order can be records.
+    three violating positions, so those orbits are expanded, sorted and
+    cut to three; the positions of an |X| = 1 census are its first three
+    pairs already.
     """
     sizes = config.factorizations()
 
     def labelled(k, i, j):
         nx, ne = sizes[k]
-        if nx == 1:
-            n = len(_point_neighbourhoods(ne))
-            first = range(min(n * n, _MAX_RECORDS_PER_CLAIM))
-            return [(k, *divmod(t, n)) for t in first]
-        return [(k, g[i], g[j]) for g in _orbits(nx, ne)[0]]
+        return [(k, g[i], g[j]) for g in _orbits(nx, ne)[0]] if nx > 1 else [(k, i, j)]
 
     def records(claim_id, positions):
         spaces = {space for pos in positions for space in labelled(*pos)}
@@ -592,4 +601,5 @@ def _verify_exhaustive(
             for pos in sorted(spaces)[:_MAX_RECORDS_PER_CLAIM]
         ]
 
-    return _report(config.describe(), claims, _representatives(config), records)
+    censuses = [_tally(nx, ne) for nx, ne in sizes]
+    return _report(config.describe(), claims, censuses, records)

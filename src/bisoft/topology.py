@@ -267,10 +267,12 @@ def relative_topology(t: SoftTopology, keep: Iterable[str]) -> SoftTopology:
     Members are intersected with the kept elements and re-homed to a
     context whose universe is exactly those elements (declaration order
     preserved); the restricted absolute set plays the top role there.
-    Re-homing reads only the kept bits, so members are first intersected
-    with the kept rows and deduplicated, and each distinct block value is
-    re-indexed once; the result is the same set of traces as re-homing
-    every member.
+    Re-homing reads only the kept bits, and each distinct block value is
+    re-indexed once.  A topology kept as ``U`` is traced through it, as
+    ``parameterize`` does: the trace's smallest open around a kept point
+    is ``U_p`` cut to the kept rows, so no member is listed.  A family
+    given as members is traced member by member and kept as given, so
+    the trace of a family that is not closed is the family of traces.
     """
     ctx = t.context
     keep = set(keep)
@@ -282,25 +284,29 @@ def relative_topology(t: SoftTopology, keep: Iterable[str]) -> SoftTopology:
         raise ValueError("sub-universe must not be empty")
     sub = Context.of(kept, ctx.parameters.parameters)
     old_idx = [ctx.element_index(e) for e in kept]
-    kept_rows = 0
-    for e in kept:
-        kept_rows |= ctx.row(e)
-    rehomed = {}  # old block value -> block value over the kept elements
-    out = set()
-    for m in {m & kept_rows for m in t.masks()}:
+    rehomed: dict = {}  # old block value -> block value over the kept elements
+
+    def rehome(m: int) -> int:
         new_mask = 0
         for e in range(ctx.ne):
             block = (m >> (e * ctx.nx)) & ctx.block_mask
             nb = rehomed.get(block)
             if nb is None:
-                nb = 0
-                for j, i in enumerate(old_idx):
-                    if block >> i & 1:
-                        nb |= 1 << j
-                rehomed[block] = nb
+                nb = rehomed[block] = sum(
+                    1 << j for j, i in enumerate(old_idx) if block >> i & 1
+                )
             new_mask |= nb << (e * sub.nx)
-        out.add(new_mask)
-    return _canonical(sub, out)
+        return new_mask
+
+    if t._masks is None:
+        u = t.neighbourhoods()
+        return SoftTopology._from_neighbourhoods(
+            sub, [rehome(u[e * ctx.nx + i]) for e in range(ctx.ne) for i in old_idx]
+        )
+    kept_rows = 0
+    for e in kept:
+        kept_rows |= ctx.row(e)
+    return _canonical(sub, {rehome(m) for m in {m & kept_rows for m in t.masks()}})
 
 
 def parameterize(t: SoftTopology, parameter: str) -> SoftTopology:

@@ -20,8 +20,9 @@ from bisoft.scan import (
     _pair_key,
     _point_neighbourhoods,
     _point_topologies,
-    _representatives,
+    _rows,
     _space_key,
+    _tally,
     _verify_exhaustive,
     _verify_over_spaces,
     profile,
@@ -457,7 +458,8 @@ class TestFactKey:
     def test_every_bit_is_seen_set_and_unset_on_2x2(self):
         # thm1_agrees is the one identity among the facts: the closure
         # test and pairwise T2 agree on every pair of topologies
-        keys = [key for *_, row in _representatives(SearchConfig(2, 2)) for key in row]
+        factorizations = SearchConfig(2, 2).factorizations()
+        keys = [key for nx, ne in factorizations for key in _tally(nx, ne)]
         union = intersection = keys[0]
         for key in keys:
             union, intersection = union | key, intersection & key
@@ -534,6 +536,36 @@ class TestProfileKernel:
         for sup in range(8):
             assert _pair_key(p, q, sup << _SUP) == cross | sup << _SUP
 
+    def test_t0_bitsets_match_a_pair_loop_on_large_preorders(self):
+        # the profile places its T0 bitsets a row at a time; here every
+        # bit is set pair by pair, from N(x), rows and slices
+        rng = random.Random(41)
+        seen = {"t0": 0, "strong_t0": 0, "slice_t0": 0}
+        for _ in range(60):
+            nx, ne = rng.randint(2, 40), rng.randint(1, 3)
+            n = nx * ne
+            steps = [set(rng.sample(range(n), rng.randint(0, 2))) for _ in range(n)]
+            u = _preorder(steps)
+            nbhd = [0] * nx
+            for q, uq in enumerate(u):
+                nbhd[q % nx] |= uq
+            rows = [sum(1 << (e * nx + x) for e in range(ne)) for x in range(nx)]
+            own = [uq & ((1 << nx) - 1) << (q - q % nx) for q, uq in enumerate(u)]
+            expected = {"t0": 0, "strong_t0": 0, "slice_t0": 0}
+            for x, y in combinations(range(nx), 2):
+                if nbhd[x] == nbhd[y]:
+                    expected["t0"] |= 1 << (x * nx + y)
+                if nbhd[x] & rows[y] and nbhd[y] & rows[x]:
+                    expected["strong_t0"] |= 1 << (x * nx + y)
+            for q, r in combinations(range(n), 2):
+                if own[q] == own[r]:
+                    expected["slice_t0"] |= 1 << (q * n + r)
+            got = profile(standard_context(nx, ne), u)
+            for name, bits in expected.items():
+                assert getattr(got, name) == bits, (nx, ne, name)
+                seen[name] += bits.bit_count()
+        assert all(seen.values()), seen
+
     @settings(max_examples=80)
     @given(preorder_spaces())
     def test_topology_from_u_matches_member_list(self, drawn):
@@ -595,30 +627,48 @@ class TestOrbitScan:
 
     @pytest.mark.parametrize("nx,ne", SearchConfig(4, 4).factorizations())
     def test_representatives_are_orbit_minima_weighted_by_orbit_size(self, nx, ne):
-        action, reps = _orbits(nx, ne)
+        action, minima, sizes = _orbits(nx, ne)
         k = len(_point_topologies(nx * ne))
         assert len(set(map(tuple, action))) == len(action)
         assert all(sorted(g) == list(range(k)) for g in action)
-        total = 0
-        for i, js, weights in reps:
-            for j, w in zip(js, weights):
-                orbit = {(g[i], g[j]) for g in action}
-                assert min(orbit) == (i, j)
-                assert len(orbit) == w
-                total += w
-        assert total == k * k
+        assert list(minima) == sorted(minima)
+        for i, size in zip(minima, sizes):
+            orbit = {g[i] for g in action}
+            assert min(orbit) == i
+            assert len(orbit) == size
+        # the orbits partition the topologies, so the rows of the minima
+        # weighted by orbit size cover every pair
+        assert sum(sizes) == k
+        assert sum(size * k for size in sizes) == k * k
 
     def test_row_keys_match_labelled_pair_keys(self):
-        cfg = SearchConfig(4, 4)
-        sizes = cfg.factorizations()
         seen = set()
-        for (k, i), js, _, keys in _representatives(cfg):
-            nx, ne = sizes[k]
+        for nx, ne in SearchConfig(4, 4).factorizations():
             if nx > 1:
                 seen.add((nx, ne))
-                for j, key in zip(js, keys):
-                    assert key == pair_key(nx, ne, i, j), (nx, ne, i, j)
+                k = len(_point_topologies(nx * ne))
+                rows = list(_rows(nx, ne))
+                assert [(i, size) for i, size, _ in rows] == list(
+                    zip(*_orbits(nx, ne)[1:])
+                )
+                for i, _, keys in rows:
+                    expected = [pair_key(nx, ne, i, j) for j in range(k)]
+                    assert keys == expected, (nx, ne, i)
         assert seen == {(2, 1), (3, 1), (4, 1), (2, 2)}
+
+    def test_first_census_positions_are_labelled_first_positions(self):
+        # what an exhaustive hunt returns: the earliest first position of
+        # the violating keys
+        for nx, ne in SearchConfig(4, 4).factorizations():
+            counts, firsts = labelled_counts(nx, ne)
+            census = _tally(nx, ne)
+            assert len(census) == len(counts)
+            for key, (_, *positions) in census.items():
+                assert positions[0] == firsts[_decode(key)][0], (nx, ne, key)
+                assert 1 <= len(positions) <= 3
+                assert positions == sorted(positions)
+                for i, j in positions:
+                    assert pair_key(nx, ne, i, j) == key
 
     def test_repeat_scans_and_hunts_compute_no_pair_key(self, monkeypatch):
         calls = []
@@ -635,24 +685,37 @@ class TestOrbitScan:
         for claim_id in GAP_SPACE_CLAIM_IDS:
             find_counterexample(claim_id, cfg)
         assert len(calls) == 0
-        # cold: one cross key per class heading a row and class of a partner
-        scan._classes.cache_clear()
+        # cold: one cross key per class heading a row and class of a partner,
+        # and one orbit pass per factorization with |X| > 1
+        passes = []
+        orbit_minima = scan._orbit_minima
+
+        def counted_minima(perms, k):
+            passes.append(len(perms))
+            return orbit_minima(perms, k)
+
+        monkeypatch.setattr(scan, "_orbit_minima", counted_minima)
+        scan._tally.cache_clear()
+        scan._orbits.cache_clear()
         assert verify_implications(cfg) == report
         heads = pairs = 0
+        group_orders = []
         for nx, ne in cfg.factorizations():
             if nx > 1:
-                cls, *_, classes, _ = scan._classes(nx, ne)
-                reps = _orbits(nx, ne)[1]
-                heads += len({cls[i] for i, _, _ in reps}) * len(classes)
-                pairs += sum(len(js) for _, js, _ in reps)
-        assert len(calls) == heads < pairs
+                cls, *_, classes = scan._classes(nx, ne)
+                action, minima, _ = _orbits(nx, ne)
+                heads += len({cls[i] for i in minima}) * len(classes)
+                pairs += len(minima) * len(cls)
+                group_orders.append(len(action))
+        assert len(calls) == heads == 13905 < pairs
+        assert passes == group_orders
 
     def test_threads_filling_cross_keys_agree(self):
-        # the cross keys are filled in place; a class filled twice by two
-        # threads gets the same row, so no interleaving changes a report
+        # threads that build one census at once each fill their own cross
+        # keys and build equal censuses, so no interleaving changes a report
         cfg = SearchConfig(4, 4)
         expected = verify_implications(cfg).to_json()
-        scan._classes.cache_clear()
+        scan._tally.cache_clear()
         reports = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -709,14 +772,11 @@ class TestOrbitScan:
         assert _first_violation(cfg, claim) == labelled.results[claim.id].records[0]
 
     def test_vector_counts_match_labelled_scan(self):
-        cfg = SearchConfig(4, 4)
-        counts = [{} for _ in cfg.factorizations()]
-        for (k, _), _, weights, keys in _representatives(cfg):
-            for w, key in zip(weights, keys):
-                vec = _decode(key)
-                counts[k][vec] = counts[k].get(vec, 0) + w
-        for k, (nx, ne) in enumerate(cfg.factorizations()):
-            assert counts[k] == labelled_counts(nx, ne)[0], (nx, ne)
+        for nx, ne in SearchConfig(4, 4).factorizations():
+            census = _tally(nx, ne)
+            counts = {_decode(key): entry[0] for key, entry in census.items()}
+            assert counts == labelled_counts(nx, ne)[0], (nx, ne)
+            assert sum(counts.values()) == len(_point_topologies(nx * ne)) ** 2
 
     @pytest.mark.parametrize("max_x,params", [(4, 4), (4, 2), (3, 3)])
     def test_reports_match_labelled_scan(self, max_x, params):

@@ -1,5 +1,7 @@
 """Bi-soft spaces: supremum topology, slices, subspaces."""
 
+from itertools import combinations
+
 import pytest
 
 from bisoft import topology
@@ -19,6 +21,7 @@ from bisoft.topology import (
     SoftTopology,
     generate_topology,
     parameterize,
+    relative_topology,
     topology_violations,
     validate_topology,
 )
@@ -147,9 +150,14 @@ def fixture_spaces():
             yield doc.space(space_name)
 
 
+def from_u(t):
+    """The topology kept as its ``U`` alone, with no member list."""
+    return SoftTopology._from_neighbourhoods(t.context, t.neighbourhoods())
+
+
 class TestFromNeighbourhoods:
-    """``sup_topology`` and ``parameterize`` read ``U``; the member
-    routes they replaced are the reference."""
+    """``sup_topology``, ``parameterize`` and ``relative_topology`` read
+    ``U``; the member routes they replaced are the reference."""
 
     CORPUS = list(fixture_spaces()) + [
         random_space(standard_context(nx, ne), seed)
@@ -164,6 +172,20 @@ class TestFromNeighbourhoods:
         for e in s.context.parameters.parameters:
             for t in (s.t1, s.t2):
                 assert parameterize(t, e) == member_slice(t, e)
+
+    @pytest.mark.parametrize("k", range(len(CORPUS)))
+    def test_traces_match_the_member_route(self, k):
+        s = self.CORPUS[k]
+        elems = s.context.universe.elements
+        for t in (s.t1, s.t2):
+            listed = SoftTopology(t.context, t.members)
+            for r in range(1, len(elems) + 1):
+                for keep in combinations(elems, r):
+                    got = relative_topology(from_u(t), keep)
+                    assert got._masks is None  # read off U, nothing listed
+                    expected = relative_topology(listed, keep)
+                    assert got.neighbourhoods() == expected.neighbourhoods()
+                    assert got == expected
 
     def test_family_that_is_not_closed(self):
         ctx = Context.of(["a", "b", "c"], ["p", "q"])
@@ -180,12 +202,24 @@ class TestFromNeighbourhoods:
                 got = parameterize(t, e)
                 assert got.neighbourhoods() == given.neighbourhoods()
                 assert got == generate_topology(given.context, given.members)
+        # a family given as members is traced member by member, kept as
+        # given; the same U kept alone traces to the topology it generates
+        traced = relative_topology(t1, ["a", "c"])
+        assert traced.masks() == (0b1, 0b10, 0b1000)
+        for t in (t1, t2):
+            traced = relative_topology(t, ["a", "c"])
+            assert topology_violations(list(traced.members), traced.context)
+            assert relative_topology(from_u(t), ["a", "c"]) == generate_topology(
+                traced.context, traced.members
+            )
 
     def test_no_member_list_is_built(self, monkeypatch):
         def read(s):
             params = s.context.parameters.parameters
             slices = [pairwise_verdicts(slice_space(s, e)) for e in params]
-            return slices, sup_topology(s).neighbourhoods()
+            sub = subspace(s, s.context.universe.elements[1:])
+            traces = sub.t1.neighbourhoods(), sub.t2.neighbourhoods()
+            return slices, sup_topology(s).neighbourhoods(), traces
 
         def refuse(*args, **kwargs):
             raise AssertionError("built a member list")
@@ -221,6 +255,19 @@ class TestSubspace:
         assert not topology_violations(list(sub.t2.members))
         assert pairwise_soft_t0(s)
         assert pairwise_soft_t0(sub)
+
+    def test_large_discrete_space_lists_no_member(self):
+        # the discrete topology on 17 points has 2^17 members, past the cap
+        ctx = standard_context(17, 1)
+        t = generate_topology(ctx, [SoftSet(ctx, 1 << p) for p in range(17)])
+        s = BiSoftSpace(t, t)
+        pair = subspace(s, ["x1", "x17"])
+        assert pair.t1.neighbourhoods() == (1, 2)
+        assert pair.t1.masks() == (0, 1, 2, 3)
+        big = subspace(s, ctx.universe.elements[1:])
+        assert big.t1.neighbourhoods() == tuple(1 << p for p in range(16))
+        assert pairwise_verdicts(big) == {"t0": True, "t1": True, "t2": True}
+        assert len(big.t2) == 1 << 16
 
     def test_mismatched_contexts_rejected(self, fx):
         with pytest.raises(ContextMismatchError):
