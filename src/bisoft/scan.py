@@ -20,13 +20,19 @@ AND is the space's share of them; the T0 and T2 tests and the closure
 test AND one bitset of each topology.  A profile is computed from
 containment masks, the elements whose row each ``N(x)`` contains or
 meets (``_Profile``), in a few passes over the elements and points, and
-a space's supremum contributes its three soft bits alone.  Every corpus
-goes through ``_pair_key``, and each claim reads the ``_PairFacts`` of a
-distinct key, decoded once.  A report reads a census, a dict from each
-distinct key to its count and its first positions:
+a space's supremum contributes its three soft bits alone.  What a
+profile reads of a context, its slot masks and each point's block, is
+computed once per context, in a ``_Kernel``.  Every corpus goes through
+``_pair_key``, and each claim reads the ``_PairFacts`` of a distinct
+key, decoded once.  A report reads a census, a dict from each distinct
+key to its count and its first positions:
 
-* ``space_facts`` profiles one space at a time, for explicit and random
-  corpora, random-mode hunts and ``replay``;
+* ``space_facts`` profiles one space at a time, for explicit corpora
+  and ``replay``;
+* random corpora and random-mode hunts key each space from the ``U``
+  of its two topologies as its seeds draw them, in seed order, and
+  build a ``BiSoftSpace`` only for the records; a repeated call draws
+  and keys every space again;
 * the exhaustive scan enumerates the topologies on |X|*|E| points as
   their ``U`` vectors and profiles each once per factorization (|X|,
   |E|).  The relabellings of universe and parameters change no fact, so
@@ -49,10 +55,10 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations
-from operator import and_, or_
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from operator import and_
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .search import (
     EXHAUSTIVE_POINT_BOUND,
@@ -61,13 +67,13 @@ from .search import (
     CounterexampleRecord,
     ImplicationReport,
     SearchConfig,
-    iter_spaces,
+    _random_neighbourhoods,
     record_for,
     standard_context,
 )
 from .softset import Context
 from .space import BiSoftSpace
-from .topology import _row_neighbourhoods, _union_closure
+from .topology import SoftTopology, _row_neighbourhoods, _union_closure
 
 _MAX_RECORDS_PER_CLAIM = 3
 
@@ -145,71 +151,189 @@ class _Profile(NamedTuple):
     slice_far: int  # and the OR of the others of that block
 
 
+def _place(vals: Sequence[int], width: int) -> int:
+    """``vals[i]`` in slot i of ``width`` bits.  Past a few dozen values,
+    neighbouring slots are merged pairwise, so each round copies the
+    result's bits once and the whole takes about log2(len(vals)) copies
+    rather than one per value."""
+    if len(vals) <= _FEW:
+        out = 0
+        for i, v in enumerate(vals):
+            if v:
+                out |= v << i * width
+        return out
+    vals = list(vals)
+    while len(vals) > 1:
+        pairs = zip(vals[::2], vals[1::2])
+        vals = [a | b << width for a, b in pairs] + vals[len(vals) & ~1 :]
+        width *= 2
+    return vals[0]
+
+
+_FEW = 32  # up to this many values, placing and pairing go value by value
+
+
 def _every_slot(k: int, width: int) -> int:
     """A 1 at the bottom of each of k slots of ``width`` bits."""
-    return ((1 << k * width) - 1) // ((1 << width) - 1)
+    return _place([1] * k, width)
 
 
-def _near_far(vals: Sequence[int], width: int) -> tuple[int, int]:
+def _near_far(vals: Sequence[int], width: int, every: int) -> tuple[int, int]:
     """``vals[i]`` in slot i of ``width`` bits, and in the same slot of
     ``far`` the OR of the other values: the OR of all of them without
-    the bits that ``vals[i]`` alone has."""
-    near = total = twice = 0
-    for i, v in enumerate(vals):
+    the bits that ``vals[i]`` alone has.  ``every`` is
+    ``_every_slot(len(vals), width)``; a value is copied into every slot
+    by multiplying by it, or past a few dozen slots by ``_place``, as a
+    long product costs more than the copies."""
+    k, total, twice = len(vals), 0, 0
+    for v in vals:
         twice |= total & v
         total |= v
-        near |= v << (i * width)
-    every = _every_slot(len(vals), width)
-    return near, total * every & ~(near & ~(twice * every))
+    if k > _FEW:
+        total, twice = _place([total] * k, width), _place([twice] * k, width)
+    else:
+        total, twice = total * every, twice * every
+    near = _place(vals, width)
+    return near, total & ~(near & ~twice)
 
 
-def _equal_pairs(vals: Sequence[int]) -> int:
+def _equal_pairs(vals: Sequence[int], distinct: bool) -> int:
     """Bit i * len(vals) + j for each pair i < j with equal values, placed
-    one row at a time: row i holds the later indices of i's value."""
-    k, bits, later = len(vals), 0, {}
-    if len(set(vals)) < k:
-        for i in range(k - 1, -1, -1):
-            v = vals[i]
-            row = later.get(v, 0)
-            if row:
-                bits |= row << (i * k)
-            later[v] = row | 1 << i
-    return bits
+    one row at a time: row i holds the later indices of i's value.
+    ``distinct`` says the values are distinct, so there is none."""
+    if distinct:
+        return 0
+    k, rows, later = len(vals), [0] * len(vals), {}
+    for i in range(k - 1, -1, -1):
+        v = vals[i]
+        rows[i] = row = later.get(v, 0)
+        later[v] = row | 1 << i
+    return _place(rows, k)
 
 
 def _mutual_pairs(masks: Sequence[int]) -> int:
     """Bit x * len(masks) + y for each pair x < y each in the other's mask,
-    placed one row at a time."""
-    k, bits = len(masks), 0
-    for x, m in enumerate(masks):
-        row, y, m = 0, x, m >> x + 1
-        while m:  # y walks the bits of x's mask above x
-            y += 1
-            if m & 1 and masks[y] >> x & 1:
-                row |= 1 << y
-            m >>= 1
-        if row:
-            bits |= row << (x * k)
-    return bits
+    placed one row at a time.
 
-
-def _whole(ctx: Context, nbhd: Sequence[int]) -> tuple[int, int, int, int]:
-    """Soft T0, T1 and T2 as bits 0, 1 and 2, ``near``, ``far`` and the
-    meet masks of the topology whose ``N(x)`` are ``nbhd``.
-
-    The AND and the OR of ``near``'s parameter blocks hold cont(x) and
-    meet(x) in slot x.  The topology is T0 when the ``N(x)`` are
-    distinct, T1 when every cont(x) is {x}, and T2 when no ``N(x)``
-    meets another.
+    Row x is x's mask above x ANDed with the column of the masks at x.
+    A few masks are walked bit by bit; more are transposed as text: the
+    masks written as binary digits one after another, whose every k-th
+    digit is a column.
     """
-    nx, n = ctx.nx, ctx.nx * ctx.ne
-    near, far = _near_far(nbhd, n)
-    in_block = ctx.block_mask * _every_slot(nx, n)
-    blocks = [near >> s & in_block for s in range(0, n, nx)]
-    cont, meet = reduce(and_, blocks), reduce(or_, blocks)
-    t0 = len(set(nbhd)) == nx
-    soft = t0 | (cont.bit_count() == nx) << 1 | (not far & near) << 2
-    return soft, near, far, meet
+    k = len(masks)
+    if k <= _FEW:
+        bits = 0
+        for x, m in enumerate(masks):
+            row, y, m = 0, x, m >> x + 1
+            while m:  # y walks the bits of x's mask above x
+                y += 1
+                if m & 1 and masks[y] >> x & 1:
+                    row |= 1 << y
+                m >>= 1
+            if row:
+                bits |= row << (x * k)
+        return bits
+    digits = "".join([format(m, f"0{k}b") for m in reversed(masks)])
+    columns = [int(digits[k - 1 - x :: k], 2) for x in range(k)]
+    rows = [m & c >> x + 1 << x + 1 for x, (m, c) in enumerate(zip(masks, columns))]
+    return _place(rows, k)
+
+
+class _Kernel:
+    """``profile`` and the supremum's soft axioms over one context, with
+    what they read of the context computed once: the slot masks, the
+    parameter blocks' starts and each point's block.
+
+    Slots are |X x E| bits wide; ``every`` has a 1 at the bottom of each
+    element's slot, ``in_block`` the first block there, and
+    ``every_point`` a 1 at the bottom of each point's slot.
+    """
+
+    __slots__ = "nx", "n", "ne", "starts", "every", "in_block", "own", "every_point"
+
+    def __init__(self, ctx: Context):
+        nx, n = ctx.nx, ctx.nx * ctx.ne
+        self.nx, self.n, self.ne = nx, n, ctx.ne
+        self.starts = range(nx, n, nx)
+        self.every = _every_slot(nx, n)
+        self.in_block = ctx.block_mask * self.every
+        self.own = [ctx.block_mask << (p - p % nx) for p in range(n)]
+        self.every_point = _every_slot(n, n) if ctx.ne > 1 else 0
+
+    def _whole(self, nbhd: Sequence[int], distinct: bool) -> tuple[int, int, int]:
+        """Soft T0, T1 and T2 as bits 0, 1 and 2, ``near`` and ``far`` of
+        the topology whose ``N(x)`` are ``nbhd``, which are ``distinct``
+        or not.
+
+        The topology is T0 when the ``N(x)`` are distinct, T1 when every
+        cont(x), the AND of ``near``'s parameter blocks in slot x, is {x},
+        and T2 when no ``N(x)`` meets another.  N(y) holds y's row, so
+        N(x) = N(y) puts y in cont(x) and makes N(x) meet N(y): T1 and T2
+        each imply T0, and without T0 there is no soft bit to compute.
+        """
+        near, far = _near_far(nbhd, self.n, self.every)
+        if not distinct:
+            return 0, near, far
+        cont = near & self.in_block
+        for s in self.starts:
+            cont &= near >> s
+        soft = 1 | (cont.bit_count() == self.nx) << 1 | (not far & near) << 2
+        return soft, near, far
+
+    def soft(self, u: Sequence[int]) -> int:
+        """Soft T0, T1 and T2, as bits 0, 1 and 2, of the topology ``u``."""
+        nbhd = _row_neighbourhoods(u, self.nx)
+        return self._whole(nbhd, len(set(nbhd)) == self.nx)[0]
+
+    def profile(self, u: Sequence[int]) -> _Profile:
+        """See ``profile``."""
+        nx, n = self.nx, self.n
+        nbhd = _row_neighbourhoods(u, nx)
+        distinct = len(set(nbhd)) == nx
+        soft, near, far = self._whole(nbhd, distinct)
+        t0, t1 = _equal_pairs(nbhd, distinct), soft >> 1 & 1
+        if self.ne == 1:
+            strong_t0, strong_t1 = t0, t1
+            slice_t0, slice_t1, slice_near, slice_far = t0, t1, near, far
+        else:
+            block = (1 << nx) - 1
+            meets = [v & block for v in nbhd]
+            for s in self.starts:
+                meets = [m | v >> s & block for m, v in zip(meets, nbhd)]
+            strong_t0 = _mutual_pairs(meets)
+            # meet(x) holds cont(x), so strong T1 implies T1 and T0
+            strong_t1 = distinct and sum(map(int.bit_count, meets)) == nx
+            own = list(map(and_, u, self.own))
+            slice_t0 = _equal_pairs(own, len(set(own)) == n)
+            slice_near, slice_far = _near_far(own, n, self.every_point)
+            slice_t1 = slice_near.bit_count() == n
+        t1_bits = t1 * _PW_T1 | strong_t1 * _STRONG_T1 | slice_t1 * _SLICES_T1
+        cor2 = _COR2 if soft & 0b100 else 0
+        return _Profile(
+            soft,
+            soft | _SOFT << _T2_SOFT | t1_bits | cor2,
+            _SOFT | soft << _T2_SOFT | t1_bits | cor2,
+            t0,
+            near,
+            far,
+            strong_t0,
+            slice_t0,
+            slice_near,
+            slice_far,
+        )
+
+    def key(self, u1: Sequence[int], u2: Sequence[int]) -> int:
+        """The fact key of the space whose topologies are ``u1`` and ``u2``;
+        its supremum's ``U_p`` is ``U1_p & U2_p``."""
+        sup = self.soft(list(map(and_, u1, u2)))
+        return _pair_key(self.profile(u1), self.profile(u2), sup << _SUP)
+
+
+@lru_cache(maxsize=8)
+def _kernel(ctx: Context) -> _Kernel:
+    """The kernel of a context, kept for the last few contexts met: it
+    holds constants only, never a profile or a key."""
+    return _Kernel(ctx)
 
 
 def profile(ctx: Context, u: Sequence[int]) -> _Profile:
@@ -224,35 +348,7 @@ def profile(ctx: Context, u: Sequence[int]) -> _Profile:
     only the points of one block share bits; a slice is T1 when each of
     those is {p}.
     """
-    nx, n = ctx.nx, ctx.nx * ctx.ne
-    nbhd = _row_neighbourhoods(u, nx)
-    soft, near, far, meet = _whole(ctx, nbhd)
-    t0, t1 = _equal_pairs(nbhd), soft >> 1 & 1
-    if ctx.ne == 1:
-        strong_t0, strong_t1 = t0, t1
-        slice_t0, slice_t1, slice_near, slice_far = t0, t1, near, far
-    else:
-        meets = [meet >> s & ctx.block_mask for s in range(0, nx * n, n)]
-        strong_t0 = _mutual_pairs(meets)
-        strong_t1 = meet.bit_count() == nx
-        own = [up & ctx.block_mask << (p - p % nx) for p, up in enumerate(u)]
-        slice_t0 = _equal_pairs(own)
-        slice_near, slice_far = _near_far(own, n)
-        slice_t1 = slice_near.bit_count() == n
-    t1_bits = t1 * _PW_T1 | strong_t1 * _STRONG_T1 | slice_t1 * _SLICES_T1
-    cor2 = _COR2 if soft & 0b100 else 0
-    return _Profile(
-        soft=soft,
-        first=soft | _SOFT << _T2_SOFT | t1_bits | cor2,
-        second=_SOFT | soft << _T2_SOFT | t1_bits | cor2,
-        t0=t0,
-        near=near,
-        far=far,
-        strong_t0=strong_t0,
-        slice_t0=slice_t0,
-        slice_near=slice_near,
-        slice_far=slice_far,
-    )
+    return _kernel(ctx).profile(u)
 
 
 def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
@@ -302,9 +398,7 @@ def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
 
 def _space_key(s: BiSoftSpace) -> int:
     """The fact key of one space, read off the ``U`` of its two topologies."""
-    ctx, u1, u2 = s.context, s.t1.neighbourhoods(), s.t2.neighbourhoods()
-    sup = _whole(ctx, _row_neighbourhoods([a & b for a, b in zip(u1, u2)], ctx.nx))[0]
-    return _pair_key(profile(ctx, u1), profile(ctx, u2), sup << _SUP)
+    return _kernel(s.context).key(s.t1.neighbourhoods(), s.t2.neighbourhoods())
 
 
 def space_facts(s: BiSoftSpace) -> _PairFacts:
@@ -365,8 +459,8 @@ def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
     ``_point_neighbourhoods`` rejects nx*ne > EXHAUSTIVE_POINT_BOUND, so
     at most eight factorizations are ever cached.
     """
-    ctx = standard_context(nx, ne)
-    return tuple(profile(ctx, u) for u in _point_neighbourhoods(nx * ne))
+    kernel = _kernel(standard_context(nx, ne))
+    return tuple(map(kernel.profile, _point_neighbourhoods(nx * ne)))
 
 
 def _orbit_minima(perms: Sequence[array], k: int) -> tuple[tuple, tuple]:
@@ -517,8 +611,9 @@ def _first_violation(
         return claim.premise(facts) and not claim.conclusion(facts)
 
     if config.mode != "exhaustive":
-        violating = (s for s in iter_spaces(config) if bad(_space_key(s)))
-        return next((record_for(claim.id, s) for s in violating), None)
+        ctx, draws = _random_draws(config)
+        u = next((u for key, u in draws if bad(key)), None)
+        return None if u is None else record_for(claim.id, _space(ctx, u))
     for k, (nx, ne) in enumerate(config.factorizations()):
         firsts = [entry[1] for key, entry in _tally(nx, ne).items() if bad(key)]
         if firsts:
@@ -558,22 +653,53 @@ def _report(
     return ImplicationReport(corpus, results)
 
 
+def _random_draws(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
+    """The context of a random config and its spaces in seed order, each
+    as its fact key and the ``U`` of its two topologies, keyed straight
+    from the seeded draws: no soft set, topology or space is built."""
+    ctx = standard_context(config.max_universe, config.n_params)
+    key, first = _kernel(ctx).key, 2 * config.seed
+    us = _random_neighbourhoods(ctx, range(first, first + 2 * config.samples))
+    return ctx, ((key(u1, u2), (u1, u2)) for u1, u2 in zip(us, us))
+
+
+def _space(ctx: Context, u: tuple) -> BiSoftSpace:
+    """The space whose two topologies have the ``U`` vectors ``u``."""
+    return BiSoftSpace(*(SoftTopology._from_neighbourhoods(ctx, ui) for ui in u))
+
+
+def _verify_keyed(
+    keyed: Iterable[tuple], space: Callable, claims: Sequence[Claim], corpus: str
+) -> ImplicationReport:
+    """The report of a corpus given in order as (fact key, item) pairs,
+    from one census whose positions are (index, item), so the first
+    violating positions give the records of the spaces ``space(item)``."""
+    census: dict = {}
+    for index, (key, item) in enumerate(keyed):
+        entry = census.setdefault(key, [0])
+        entry[0] += 1
+        if len(entry) <= _MAX_RECORDS_PER_CLAIM:
+            entry.append((index, item))
+
+    def records(claim_id, positions):
+        return [record_for(claim_id, space(item)) for _, _, item in positions]
+
+    return _report(corpus, claims, [census], records)
+
+
 def _verify_over_spaces(
     spaces: Iterable[BiSoftSpace], claims: Sequence[Claim], corpus: str
 ) -> ImplicationReport:
-    """The report of a corpus of explicit spaces, from one census whose
-    positions are (index, space), so the first violating positions give
-    the records."""
-    census: dict = {}
-    for position in enumerate(spaces):
-        entry = census.setdefault(_space_key(position[1]), [0])
-        entry[0] += 1
-        entry += [position][: _MAX_RECORDS_PER_CLAIM + 1 - len(entry)]
+    """The report of a corpus of explicit spaces, each keyed on its own."""
+    keyed = ((_space_key(s), s) for s in spaces)
+    return _verify_keyed(keyed, lambda s: s, claims, corpus)
 
-    def records(claim_id, positions):
-        return [record_for(claim_id, s) for _, _, s in positions]
 
-    return _report(corpus, claims, [census], records)
+def _verify_random(config: SearchConfig, claims: Sequence[Claim]) -> ImplicationReport:
+    """The report of a random config, keyed from its draws; only the
+    spaces of records are built."""
+    ctx, draws = _random_draws(config)
+    return _verify_keyed(draws, lambda u: _space(ctx, u), claims, config.describe())
 
 
 def _verify_exhaustive(

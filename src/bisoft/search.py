@@ -14,27 +14,21 @@ facts of one space, and the registry is the only place a claim's logic
 lives.  One fact function in ``scan`` produces the facts, off a profile
 of integers read from each topology's minimal open neighbourhoods, as
 one int per space with a bit per fact, and each claim runs once per
-distinct key, weighted by its count.
-Explicit and random corpora, random-mode hunts and ``replay`` profile
-one space at a time; the exhaustive scan profiles each enumerated
-topology once.
+distinct key, weighted by its count.  Explicit corpora and ``replay``
+profile one space at a time.  Random corpora and random-mode hunts key
+each space straight from the ``U`` its two seeds draw, and build a space
+only for a record.
 
 Every fact is unchanged when the universe and the parameters are
-relabelled together, so the scan evaluates one pair per orbit of
-S_|X| x S_|E| on ordered topology pairs and adds the orbit's size
-|G.i| * |Stab(i).j|, so counts stay exact labelled counts (the
-orbit-stabilizer count that relates labelled and unlabelled topologies;
-Brinkmann and McKay, J. Integer Sequences, 2005).  Each representative
-is the lexicographic minimum of its orbit, so the first violating
-representative is the first violating space: exhaustive hunts stop
-there, and a report's three records come from expanding the orbits of
-the first three violating representatives.  With |X| = 1 every fact
-holds on every pair, so those factorizations are counted in closed form.
-The scan reads each representative's pairs as one row of keys: pairs
-whose topologies have equal profiles share a key up to the supremum's
-soft bits, so ``scan`` computes one cross key per pair of profile
-classes, keeps it per factorization, and builds a row by indexing and
-ORing.  Reports and hunts walk the same rows.
+relabelled together, so the exhaustive scan keys the pairs (i, j) of
+each orbit minimum i of S_|X| x S_|E| on the topologies against every j
+and weights them by the size of i's orbit, so counts stay exact labelled
+counts (Brinkmann and McKay, J. Integer Sequences, 2005).  The first
+violating position is then the first violating space, and a report's
+records come from expanding the orbits of its first three.  Pairs whose
+topologies have equal profiles share a key up to the supremum's soft
+bits, so one cross key per pair of profile classes builds each row, and
+every report and hunt reads one census of keys per factorization.
 
 The test suite compares the facts with a member-quantifying oracle
 (``tests/member_oracle.py``) field by field, the scan's reports with the
@@ -46,13 +40,13 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import UnknownClaimError
 from .rough import lower_approx, upper_approx
 from .softset import Context, SoftSet, _Value
 from .space import BiSoftSpace
-from .topology import SoftTopology, generate_topology, validate_topology
+from .topology import SoftTopology, minimal_neighbourhoods, validate_topology
 
 EXHAUSTIVE_POINT_BOUND = 4  # topologies on <= 4 points are enumerable (355 on 4)
 
@@ -90,6 +84,16 @@ def random_soft_set(ctx: Context, rng: random.Random) -> SoftSet:
     return SoftSet(ctx, rng.randrange(ctx.full_mask + 1))
 
 
+def _random_neighbourhoods(ctx: Context, seeds: Iterable[int]) -> Iterator[tuple]:
+    """The ``U`` each seed draws: ``randint(0, 4)`` subbasis masks, each
+    ``randrange(full_mask + 1)``, from one ``Random`` reseeded per seed."""
+    rng, n, top = random.Random(), ctx.nx * ctx.ne, ctx.full_mask + 1
+    for seed in seeds:
+        rng.seed(seed)
+        subbasis = [rng.randrange(top) for _ in range(rng.randint(0, 4))]
+        yield minimal_neighbourhoods(subbasis, n)
+
+
 def random_soft_topology(ctx: Context, seed: int) -> SoftTopology:
     """Topology generated by a seed-derived random subbasis.
 
@@ -97,9 +101,8 @@ def random_soft_topology(ctx: Context, seed: int) -> SoftTopology:
     random soft set; identical (context, seed) always gives an identical
     member list.
     """
-    rng = random.Random(seed)
-    subbasis = [random_soft_set(ctx, rng) for _ in range(rng.randint(0, 4))]
-    return generate_topology(ctx, subbasis)
+    (u,) = _random_neighbourhoods(ctx, [seed])
+    return SoftTopology._from_neighbourhoods(ctx, u)
 
 
 def random_space(ctx: Context, seed: int) -> BiSoftSpace:
@@ -604,14 +607,12 @@ def verify_implications(
     ``claim_ids`` defaults to every claim expected to hold; gap claims may
     be named too.  Every corpus is read by the one fact function in
     ``scan``, off the minimal open neighbourhoods of each topology, and
-    each claim runs once per distinct fact key.  Random configs and
-    explicit corpora profile one space at a time, and their records are
-    the first three violating spaces.  Exhaustive configs evaluate one
-    pair per orbit of the relabellings of universe and parameters and add
-    the orbit's size, so ``tested``, ``premise_hits`` and violation counts
-    are exact labelled counts; the records are the first three violating
-    spaces in canonical order, taken from the orbits of the first three
-    violating representatives.  Explicit corpora are validated as records
+    each claim runs once per distinct fact key; the records are the first
+    three violating spaces in corpus order.  Random configs are keyed from
+    their seeded ``U`` draws.  Exhaustive configs key the pairs of orbit
+    minima of the relabellings of universe and parameters and weight them
+    by orbit size, so ``tested``, ``premise_hits`` and violation counts
+    are exact labelled counts.  Explicit corpora are validated as records
     are.  Rough claims quantify over targets as well as spaces and are
     rejected here; ``find_counterexample`` searches them.
     """
@@ -622,12 +623,12 @@ def verify_implications(
     rough = [c.id for c in claims if c.kind == "rough"]
     if rough:
         raise ValueError(f"rough claims {rough} need targets; use find_counterexample")
-    from .scan import _verify_exhaustive, _verify_over_spaces
+    from .scan import _verify_exhaustive, _verify_over_spaces, _verify_random
 
     if isinstance(corpus, SearchConfig):
         if corpus.mode == "exhaustive":
             return _verify_exhaustive(corpus, claims)
-        return _verify_over_spaces(iter_spaces(corpus), claims, corpus.describe())
+        return _verify_random(corpus, claims)
     spaces = list(corpus)
     if not spaces:
         raise ValueError("corpus must not be empty")
@@ -642,11 +643,10 @@ def find_counterexample(
     """First space (in canonical or seed order) refuting the claim, if any.
 
     A space claim reads each space's facts through the fact function in
-    ``scan``.  On exhaustive configs it walks the orbit representatives in
-    canonical order and stops at the first violating one; each
-    representative is the first space of its orbit, so that is the first
-    violating space.  Rough claims try every target of every space
-    (random configs: one seeded target each).
+    ``scan``: exhaustive configs read the census of each factorization,
+    random ones key their draws up to the first violation.  Rough claims
+    try every target of every space (random configs: one seeded target
+    each).
     """
     claim = get_claim(claim_id)
     if claim.kind == "rough":

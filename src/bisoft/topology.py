@@ -20,7 +20,6 @@ with more raises ``TooManyMembersError`` rather than exhausting memory.
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
@@ -70,8 +69,12 @@ def minimal_neighbourhoods(masks: Iterable[int], n_points: int) -> tuple[int, ..
 
 
 def _row_neighbourhoods(u: Sequence[int], nx: int) -> tuple[int, ...]:
-    """``N(x)`` for each element x: the OR of ``U_p`` over x's row."""
-    return tuple(reduce(or_, u[x::nx]) for x in range(nx))
+    """``N(x)`` for each element x: the OR of ``U_p`` over x's row, ORed
+    in one parameter block at a time."""
+    nbhd = tuple(u[:nx])
+    for s in range(nx, len(u), nx):
+        nbhd = tuple(map(or_, nbhd, u[s : s + nx]))
+    return nbhd
 
 
 def _weakly_apart(nbhd: int, row: int) -> bool:

@@ -3,7 +3,9 @@
 import random
 import sys
 import threading
-from itertools import chain, combinations
+from functools import reduce
+from itertools import chain, combinations, product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +17,13 @@ from bisoft.scan import (
     _PairFacts,
     _bits,
     _decode,
+    _every_slot,
     _first_violation,
+    _mutual_pairs,
+    _near_far,
     _orbits,
     _pair_key,
+    _place,
     _point_neighbourhoods,
     _point_topologies,
     _rows,
@@ -35,11 +41,13 @@ from bisoft.search import (
     CounterexampleRecord,
     SearchConfig,
     TRUE_CLAIM_IDS,
+    _random_neighbourhoods,
     as_soft_topology,
     enumerate_topologies,
     find_counterexample,
     get_claim,
     iter_spaces,
+    random_soft_set,
     random_soft_topology,
     random_spaces,
     record_for,
@@ -145,6 +153,20 @@ class TestRandomGeneration:
                 assert random_soft_topology(ctx, seed).masks() == (0, ctx.full_mask)
                 found = True
         assert found
+
+    @pytest.mark.parametrize(
+        "nx,ne", [(1, 1), (2, 2), (4, 2), (3, 3), (5, 3), (12, 1)]
+    )
+    def test_u_draws_match_generated_topologies(self, nx, ne):
+        # one reseeded Random draws what a fresh Random per seed draws: the
+        # subbasis that random_soft_set gives, and the topology it generates
+        ctx = standard_context(nx, ne)
+        drawn = list(_random_neighbourhoods(ctx, range(200)))
+        for seed, u in enumerate(drawn):
+            rng = random.Random(seed)
+            subbasis = [random_soft_set(ctx, rng) for _ in range(rng.randint(0, 4))]
+            assert u == generate_topology(ctx, subbasis).neighbourhoods(), seed
+            assert u == random_soft_topology(ctx, seed).neighbourhoods(), seed
 
 
 class TestClaims:
@@ -368,6 +390,76 @@ class TestVerifyImplications:
         assert replay(res.records[0])
 
 
+class TestRandomCorpora:
+    """Random configs are keyed from their seeded ``U`` draws; the same
+    spaces given as an explicit corpus go through ``space_facts``."""
+
+    CONFIGS = [
+        *(SearchConfig(4, 2, mode="random", samples=150, seed=s) for s in range(4)),
+        SearchConfig(5, 3, mode="random", samples=12),
+        SearchConfig(3, 3, mode="random", samples=200, seed=7),
+        # each topology's <= 4 masks split 40 points into <= 16 classes of
+        # equal N(x), so no topology here is soft T0 and no space pairwise
+        # T0, and no gap claim is refuted; it places large bitsets
+        SearchConfig(40, 1, mode="random", samples=20, seed=2),
+    ]
+
+    @staticmethod
+    def spaces(cfg):
+        ctx = standard_context(cfg.max_universe, cfg.n_params)
+        return random_spaces(ctx, cfg.samples, cfg.seed)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=SearchConfig.describe)
+    def test_reports_match_explicit_corpus_of_the_same_spaces(self, cfg):
+        claims = [CLAIMS[c] for c in SPACE_CLAIM_IDS]
+        keyed = verify_implications(cfg, SPACE_CLAIM_IDS)
+        explicit = _verify_over_spaces(self.spaces(cfg), claims, cfg.describe())
+        assert keyed.to_json() == explicit.to_json()
+        # gap claims are refuted on the small contexts, so records are
+        # compared too
+        refuted = any(keyed.results[c].records for c in GAP_SPACE_CLAIM_IDS)
+        assert refuted == (cfg.max_universe < 40)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=SearchConfig.describe)
+    def test_hunts_return_the_first_violating_space(self, cfg):
+        for claim_id in SPACE_CLAIM_IDS:
+            claim = CLAIMS[claim_id]
+            expected = None
+            for s in self.spaces(cfg):
+                facts = space_facts(s)
+                if claim.premise(facts) and not claim.conclusion(facts):
+                    expected = record_for(claim_id, s)
+                    break
+            assert find_counterexample(claim_id, cfg) == expected, claim_id
+
+    def test_repeat_calls_profile_every_draw_again(self, monkeypatch):
+        # nothing is kept between calls: each profiles both topologies of
+        # every space it keys
+        calls = []
+        kernel_profile = scan._Kernel.profile
+
+        def counted(kernel, u):
+            calls.append(1)
+            return kernel_profile(kernel, u)
+
+        monkeypatch.setattr(scan._Kernel, "profile", counted)
+        cfg = SearchConfig(4, 2, mode="random", samples=100, seed=1)
+        counts, reports = [], []
+        for _ in range(2):
+            calls.clear()
+            reports.append(verify_implications(cfg).to_json())
+            counts.append(len(calls))
+        assert counts == [2 * cfg.samples] * 2
+        assert reports[0] == reports[1]
+        hunts = []
+        for _ in range(2):
+            calls.clear()
+            record = find_counterexample("pairwise-t0-implies-pairwise-t1", cfg)
+            hunts.append((record, len(calls)))
+        assert hunts[0] == hunts[1] and hunts[0][0] is not None
+        assert 0 < hunts[0][1] < 2 * cfg.samples
+
+
 class TestDualRoute:
     def test_engine_agrees_with_public_route_exhaustively_small(self):
         refuted_by_size = {
@@ -565,6 +657,36 @@ class TestProfileKernel:
                 assert getattr(got, name) == bits, (nx, ne, name)
                 seen[name] += bits.bit_count()
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 31, 32, 33, 64, 101])
+    def test_placing_and_transposing_agree_with_bit_loops(self, k):
+        # past a few dozen values the bitsets are merged pairwise and the
+        # masks transposed as text; both must give the bit-by-bit result
+        rng = random.Random(k)
+        for width, dense in product((1, 7, 8, 13, k + 3), (True, False)):
+            # one-bit values leave bits that a single value holds
+            vals = [
+                rng.getrandbits(width) if dense else 1 << rng.randrange(width)
+                for _ in range(k)
+            ]
+            near = sum(v << i * width for i, v in enumerate(vals))
+            far = sum(
+                reduce(or_, vals[:i] + vals[i + 1 :], 0) << i * width
+                for i in range(k)
+            )
+            assert _place(vals, width) == near
+            assert _near_far(vals, width, _every_slot(k, width)) == (near, far)
+        for density in (0.1, 0.5, 0.9):
+            masks = [
+                sum(1 << y for y in range(k) if y == x or rng.random() < density)
+                for x in range(k)
+            ]
+            expected = sum(
+                1 << (x * k + y)
+                for x, y in combinations(range(k), 2)
+                if masks[x] >> y & 1 and masks[y] >> x & 1
+            )
+            assert _mutual_pairs(masks) == expected
 
     @settings(max_examples=80)
     @given(preorder_spaces())
