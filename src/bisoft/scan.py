@@ -151,12 +151,20 @@ class _Profile(NamedTuple):
     slice_far: int  # and the OR of the others of that block
 
 
+# Split points between the paths below, from timings on CPython 3.11:
+# ORing values into place one by one, and copying a value into every slot
+# by multiplying, beat pairwise merging up to about 200 slots; walking
+# meet masks bit by bit beats transposing them as text up to about 24.
+_BY_VALUE = 192
+_WALKED = 24
+
+
 def _place(vals: Sequence[int], width: int) -> int:
-    """``vals[i]`` in slot i of ``width`` bits.  Past a few dozen values,
+    """``vals[i]`` in slot i of ``width`` bits.  Past ``_BY_VALUE`` values,
     neighbouring slots are merged pairwise, so each round copies the
     result's bits once and the whole takes about log2(len(vals)) copies
     rather than one per value."""
-    if len(vals) <= _FEW:
+    if len(vals) <= _BY_VALUE:
         out = 0
         for i, v in enumerate(vals):
             if v:
@@ -170,9 +178,6 @@ def _place(vals: Sequence[int], width: int) -> int:
     return vals[0]
 
 
-_FEW = 32  # up to this many values, placing and pairing go value by value
-
-
 def _every_slot(k: int, width: int) -> int:
     """A 1 at the bottom of each of k slots of ``width`` bits."""
     return _place([1] * k, width)
@@ -182,14 +187,15 @@ def _near_far(vals: Sequence[int], width: int, every: int) -> tuple[int, int]:
     """``vals[i]`` in slot i of ``width`` bits, and in the same slot of
     ``far`` the OR of the other values: the OR of all of them without
     the bits that ``vals[i]`` alone has.  ``every`` is
-    ``_every_slot(len(vals), width)``; a value is copied into every slot
-    by multiplying by it, or past a few dozen slots by ``_place``, as a
-    long product costs more than the copies."""
+    ``_every_slot(len(vals), width)``, which the kernel keeps per context;
+    a value is copied into every slot by multiplying by it, and past
+    ``_BY_VALUE`` slots by ``_place``, as the long product then costs
+    more than the copies."""
     k, total, twice = len(vals), 0, 0
     for v in vals:
         twice |= total & v
         total |= v
-    if k > _FEW:
+    if k > _BY_VALUE:
         total, twice = _place([total] * k, width), _place([twice] * k, width)
     else:
         total, twice = total * every, twice * every
@@ -216,12 +222,12 @@ def _mutual_pairs(masks: Sequence[int]) -> int:
     placed one row at a time.
 
     Row x is x's mask above x ANDed with the column of the masks at x.
-    A few masks are walked bit by bit; more are transposed as text: the
-    masks written as binary digits one after another, whose every k-th
-    digit is a column.
+    Up to ``_WALKED`` masks are walked bit by bit; more are transposed as
+    text: the masks written as binary digits one after another, whose
+    every k-th digit is a column.
     """
     k = len(masks)
-    if k <= _FEW:
+    if k <= _WALKED:
         bits = 0
         for x, m in enumerate(masks):
             row, y, m = 0, x, m >> x + 1

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from bisoft.errors import InvalidTopologyError, UnknownClaimError
 import bisoft.scan as scan
 from bisoft.scan import (
+    _BY_VALUE,
     _SUP,
+    _WALKED,
     _PairFacts,
     _bits,
     _decode,
@@ -658,9 +660,11 @@ class TestProfileKernel:
                 seen[name] += bits.bit_count()
         assert all(seen.values()), seen
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 31, 32, 33, 64, 101])
+    @pytest.mark.parametrize(
+        "k", [0, 1, 2, _WALKED, _WALKED + 1, 101, _BY_VALUE, _BY_VALUE + 1]
+    )
     def test_placing_and_transposing_agree_with_bit_loops(self, k):
-        # past a few dozen values the bitsets are merged pairwise and the
+        # past the split points the bitsets are merged pairwise and the
         # masks transposed as text; both must give the bit-by-bit result
         rng = random.Random(k)
         for width, dense in product((1, 7, 8, 13, k + 3), (True, False)):
