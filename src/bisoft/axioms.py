@@ -6,14 +6,20 @@ belong as soon as one parameter leaves it out.  That asymmetry is exactly
 why pairwise soft T0 need not survive parameterization, so these checkers
 never fall back to pointwise reasoning.
 
-Every checker reads minimal open neighbourhoods: every member around x
-contains ``N(x)``, the smallest one (see ``topology``).  So some member
-around x does not strongly contain y iff ``N(x) ⊉ row y``, one misses y's
-row iff ``N(x)`` does, disjoint members around x and y exist iff
-``N1(x) ∩ N2(y) = ∅``, and, closure being monotone, ``cl2(N1(x))`` is the
-best witness for the closure characterization.  A topology's soft axioms
-are its pairwise axioms with itself.  Each pairwise checker finds the
-first failing pair, which ``axiom_report`` keeps as a witness.
+Every verdict is read off the fact key of ``scan``: ``space_verdicts``
+profiles the space's two ``U`` vectors once and decodes the key, and
+reads each parameter's slice off the same profiles, so no supremum,
+slice or subspace is built and no member is listed.  A topology's soft
+axioms are its pairwise axioms with itself, and ``hausdorff_char`` is
+the key's closure test.  Like the other checkers, it answers for the
+topology a family's ``U`` generates, so on every ``SoftTopology``, a
+family that is not closed included, it agrees with pairwise soft T2
+(Theorem 1).  ``scan`` is imported on the first verdict, not by
+``import bisoft``.
+
+The one loop over pairs is ``_witness``: it finds the first pair a false
+pairwise axiom leaves unseparated, which ``axiom_report`` keeps, and
+decides the strict orientation of pairwise T0, which has no key bit.
 
 Quantification conventions: soft/pairwise T0 ranges over unordered pairs
 and accepts a separating member from either topology in either direction
@@ -24,24 +30,45 @@ T2 range over ordered pairs.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import UnknownElementError
 from .softset import SoftSet, _Value
-from .space import BiSoftSpace, slice_space, sup_topology
-from .topology import SoftTopology, _strongly_apart, _weakly_apart, soft_closure
-
-_Pair = Optional[tuple[str, str]]  # the first failing pair, or None
+from .space import BiSoftSpace
+from .topology import SoftTopology, soft_closure
 
 
-def _neighbourhoods(s: BiSoftSpace):
-    """``N1`` and ``N2`` per element, and the elements' rows."""
-    return s.t1.element_neighbourhoods(), s.t2.element_neighbourhoods(), s.context.rows
+def _verdicts(s: BiSoftSpace):
+    """The facts of a space and its slices' pairwise verdicts."""
+    from .scan import space_verdicts
+
+    return space_verdicts(s)
 
 
-def _first_failure(s: BiSoftSpace, pairs, separated: Callable) -> _Pair:
-    """First pair of elements, in ``pairs`` order, that ``separated``
-    rejects; ``separated`` takes element indices."""
+def _witness(s: BiSoftSpace, axiom: str) -> Optional[tuple[str, str]]:
+    """The first pair of elements that the pairwise ``axiom`` (``t0``,
+    ``t0_strict``, ``t1`` or ``t2``) leaves unseparated, in the order it
+    quantifies (unordered pairs for ``t0``), or None when it holds.
+
+    Some member around x fails to strongly contain y iff ``N(x) ⊉ row y``
+    (``out``), and disjoint members around x and y exist iff
+    ``N1(x) ∩ N2(y) = ∅``.
+    """
+    n1, n2 = s.t1.element_neighbourhoods(), s.t2.element_neighbourhoods()
+    r = s.context.rows
+
+    def out(n, x, y):
+        return n[x] & r[y] != r[y]
+
+    separated = {
+        "t0": lambda x, y: (
+            out(n1, x, y) or out(n1, y, x) or out(n2, x, y) or out(n2, y, x)
+        ),
+        "t0_strict": lambda x, y: out(n1, x, y) or out(n2, y, x),
+        "t1": lambda x, y: out(n1, x, y) and out(n2, y, x),
+        "t2": lambda x, y: not n1[x] & n2[y],
+    }[axiom]
+    pairs = combinations if axiom == "t0" else permutations
     names = s.context.universe.elements
     for x, y in pairs(range(len(names)), 2):
         if not separated(x, y):
@@ -49,32 +76,9 @@ def _first_failure(s: BiSoftSpace, pairs, separated: Callable) -> _Pair:
     return None
 
 
-def _t0_failure(s: BiSoftSpace, apart, strict_orientation: bool = False) -> _Pair:
-    n1, n2, r = _neighbourhoods(s)
-    if strict_orientation:
-        return _first_failure(
-            s, permutations, lambda x, y: apart(n1[x], r[y]) or apart(n2[y], r[x])
-        )
-    return _first_failure(
-        s,
-        combinations,
-        lambda x, y: apart(n1[x], r[y])
-        or apart(n1[y], r[x])
-        or apart(n2[x], r[y])
-        or apart(n2[y], r[x]),
-    )
-
-
-def _t1_failure(s: BiSoftSpace, apart) -> _Pair:
-    n1, n2, r = _neighbourhoods(s)
-    return _first_failure(
-        s, permutations, lambda x, y: apart(n1[x], r[y]) and apart(n2[y], r[x])
-    )
-
-
-def _t2_failure(s: BiSoftSpace) -> _Pair:
-    n1, n2, _ = _neighbourhoods(s)
-    return _first_failure(s, permutations, lambda x, y: not n1[x] & n2[y])
+def _three(facts, prefix: str) -> dict[str, bool]:
+    """The fields ``prefix`` + t0, t1 and t2 of the facts, keyed t0, t1, t2."""
+    return {k: getattr(facts, prefix + k) for k in ("t0", "t1", "t2")}
 
 
 def soft_t0(t: SoftTopology) -> bool:
@@ -97,24 +101,26 @@ def pairwise_soft_t0(s: BiSoftSpace, strict_orientation: bool = False) -> bool:
     (x, y), either a first-topology member around x avoiding y, or a
     second-topology member around y avoiding x.
     """
-    return _t0_failure(s, _weakly_apart, strict_orientation) is None
+    if strict_orientation:
+        return _witness(s, "t0_strict") is None
+    return _verdicts(s)[0].pairwise_t0
 
 
 def pairwise_soft_t1(s: BiSoftSpace) -> bool:
-    return _t1_failure(s, _weakly_apart) is None
+    return _verdicts(s)[0].pairwise_t1
 
 
 def pairwise_soft_t2(s: BiSoftSpace) -> bool:
-    return _t2_failure(s) is None
+    return _verdicts(s)[0].pairwise_t2
 
 
 def strong_t0(s: BiSoftSpace) -> bool:
     """Pairwise T0 with non-membership strengthened to complement membership."""
-    return _t0_failure(s, _strongly_apart) is None
+    return _verdicts(s)[0].strong_t0
 
 
 def strong_t1(s: BiSoftSpace) -> bool:
-    return _t1_failure(s, _strongly_apart) is None
+    return _verdicts(s)[0].strong_t1
 
 
 def hausdorff_char(s: BiSoftSpace) -> bool:
@@ -122,10 +128,11 @@ def hausdorff_char(s: BiSoftSpace) -> bool:
 
     For each ordered pair (x, y): some first-topology member contains x
     while y strongly avoids its closure taken in the second topology.
+    Both topologies are read as the ones their ``U`` generate, as every
+    checker here reads them, so this equals ``pairwise_soft_t2`` on every
+    ``SoftTopology`` (Theorem 1), a family that is not closed included.
     """
-    n1, _, r = _neighbourhoods(s)
-    closures = [soft_closure(s.t2, SoftSet(s.context, n)).mask for n in n1]
-    return _first_failure(s, permutations, lambda x, y: not closures[x] & r[y]) is None
+    return _verdicts(s)[0].cor1_ok
 
 
 class PointClosure(NamedTuple):
@@ -160,9 +167,9 @@ class AxiomReport(_Value):
     """All axiom verdicts for one bi-soft space.
 
     Witnesses map each false pairwise axiom (``pairwise_t0``,
-    ``pairwise_t1``, ``pairwise_t2``) to the first pair of points its
-    checker found unseparated; re-running the matching checker on that
-    pair reproduces the failure.
+    ``pairwise_t1``, ``pairwise_t2``) to the first pair of points it
+    leaves unseparated, in the order it quantifies; testing that pair by
+    the axiom's definition reproduces the failure.
     """
 
     __match_args__ = (
@@ -191,38 +198,29 @@ class AxiomReport(_Value):
 
 def pairwise_verdicts(s: BiSoftSpace) -> dict[str, bool]:
     """Pairwise soft T0, T1 and T2, keyed ``t0``, ``t1`` and ``t2``."""
-    return {
-        "t0": pairwise_soft_t0(s),
-        "t1": pairwise_soft_t1(s),
-        "t2": pairwise_soft_t2(s),
-    }
+    return _three(_verdicts(s)[0], "pairwise_")
 
 
 def axiom_report(s: BiSoftSpace, strict_orientation: bool = False) -> AxiomReport:
     """Evaluate every axiom this package knows about on one space."""
-    sup = sup_topology(s)
-    failures = {
-        "t0": _t0_failure(s, _weakly_apart),
-        "t1": _t1_failure(s, _weakly_apart),
-        "t2": _t2_failure(s),
-    }
+    facts, slices = _verdicts(s)
+    pairwise = _three(facts, "pairwise_")
     return AxiomReport(
-        soft1=pairwise_verdicts(BiSoftSpace(s.t1, s.t1)),
-        soft2=pairwise_verdicts(BiSoftSpace(s.t2, s.t2)),
-        pairwise={k: pair is None for k, pair in failures.items()},
-        strong={"t0": strong_t0(s), "t1": strong_t1(s)},
-        hausdorff=hausdorff_char(s),
-        sup=pairwise_verdicts(BiSoftSpace(sup, sup)),
-        slices={
-            e: pairwise_verdicts(slice_space(s, e))
-            for e in s.context.parameters.parameters
-        },
+        soft1=_three(facts, "t1_soft_"),
+        soft2=_three(facts, "t2_soft_"),
+        pairwise=pairwise,
+        strong={"t0": facts.strong_t0, "t1": facts.strong_t1},
+        hausdorff=facts.cor1_ok,
+        sup=_three(facts, "sup_soft_"),
+        slices=slices,
         strict_pairwise_t0=(
             pairwise_soft_t0(s, strict_orientation=True)
             if strict_orientation
             else None
         ),
         witnesses={
-            f"pairwise_{k}": pair for k, pair in failures.items() if pair is not None
+            f"pairwise_{k}": _witness(s, k)
+            for k, holds in pairwise.items()
+            if not holds
         },
     )

@@ -47,8 +47,13 @@ key to its count and its first positions:
   and hunt after the first reads the kept censuses and calls no
   ``_pair_key``.
 
+The public checkers of ``axioms`` read their verdicts off the same key
+too, through ``space_verdicts``, which also reads each parameter's slice
+off the two profiles.
+
 ``search`` imports this module on the first verification, hunt or replay,
-so ``import bisoft`` and the commands that check no claim do not load it.
+and ``axioms`` on the first verdict, so ``import bisoft`` and the commands
+that decide nothing do not load it.
 """
 
 from __future__ import annotations
@@ -412,6 +417,35 @@ def space_facts(s: BiSoftSpace) -> _PairFacts:
     return _decode(_space_key(s))
 
 
+def space_verdicts(s: BiSoftSpace) -> tuple[_PairFacts, dict[str, dict[str, bool]]]:
+    """The facts of one space, and the pairwise T0, T1 and T2 of the
+    slice at each parameter, read off one profile of each topology; the
+    public checkers of ``axioms`` read every verdict here.
+
+    Block e's points are the slots e*nx to (e+1)*nx - 1 of the slice
+    bitsets, one range of nx*|X x E| bits, since ``slice_t0`` pairs no
+    points of two blocks: their cut ``U_p`` lie in different blocks.  A
+    slice is T1 when each of its nx slots holds {p}, and pairwise T1 when
+    both topologies' slices are.
+    """
+    kernel = _kernel(s.context)
+    u1, u2 = s.t1.neighbourhoods(), s.t2.neighbourhoods()
+    p, q = kernel.profile(u1), kernel.profile(u2)
+    facts = _decode(_pair_key(p, q, kernel.soft(list(map(and_, u1, u2))) << _SUP))
+    nx, width = kernel.nx, kernel.nx * kernel.n
+    t0, t2 = p.slice_t0 & q.slice_t0, p.slice_far & q.slice_near
+    slices = {}
+    for e, name in enumerate(s.context.parameters.parameters):
+        block = ((1 << width) - 1) << e * width
+        near1, near2 = p.slice_near & block, q.slice_near & block
+        slices[name] = {
+            "t0": not t0 & block,
+            "t1": near1.bit_count() == nx == near2.bit_count(),
+            "t2": not t2 & block,
+        }
+    return facts, slices
+
+
 @lru_cache(maxsize=None)
 def _point_neighbourhoods(n: int) -> tuple[tuple[int, ...], ...]:
     """Every topology on n points as its ``U``, in canonical order.
@@ -449,13 +483,6 @@ def _point_neighbourhoods(n: int) -> tuple[tuple[int, ...], ...]:
 def _members(u: Sequence[int]) -> tuple[int, ...]:
     """The sorted members of the topology whose ``U`` is ``u``."""
     return tuple(sorted(_union_closure(u)))
-
-
-@lru_cache(maxsize=None)
-def _point_topologies(n: int) -> tuple[tuple[int, ...], ...]:
-    """All topologies on n points as sorted member tuples, in canonical
-    order."""
-    return tuple(_members(u) for u in _point_neighbourhoods(n))
 
 
 @lru_cache(maxsize=None)

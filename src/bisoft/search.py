@@ -71,11 +71,6 @@ def standard_context(nx: int, ne: int) -> Context:
     )
 
 
-def as_soft_topology(opens: Iterable[int], ctx: Context) -> SoftTopology:
-    """Reinterpret a topology on |X|*|E| points as a soft topology."""
-    return SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in sorted(set(opens))))
-
-
 # ---------------------------------------------------------------------------
 # randomized generation
 
@@ -407,6 +402,10 @@ class SearchConfig(_Value):
                 )
         if mode == "random" and samples < 1:
             raise ValueError("random mode needs a positive sample count")
+        if seed < 0:
+            # random.seed(-k) seeds like k: seed -1 would draw the
+            # topologies of seeds 2 and 1 (its own are -2 and -1)
+            raise ValueError("the seed must not be negative")
         self._set(max_universe, n_params, mode, samples, seed)
 
     def factorizations(self) -> list[tuple[int, int]]:

@@ -77,16 +77,6 @@ def _row_neighbourhoods(u: Sequence[int], nx: int) -> tuple[int, ...]:
     return nbhd
 
 
-def _weakly_apart(nbhd: int, row: int) -> bool:
-    """Some member around x does not strongly contain y: ``N(x) ⊉ row y``."""
-    return nbhd & row != row
-
-
-def _strongly_apart(nbhd: int, row: int) -> bool:
-    """Some member around x misses y's row: ``N(x) ∩ row y = ∅``."""
-    return not nbhd & row
-
-
 class SoftTopology(_Value):
     """A soft topology over a context, stored as its ``U``.
 

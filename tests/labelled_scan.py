@@ -8,6 +8,10 @@ Each pair's supremum is found here, as the topology whose ``U`` is the
 pointwise intersection of the pair's, and its facts come from the same
 profiles and fact key as the scan's; the dual-route tests check those
 against the member oracle.
+
+It also keeps the member views of the enumeration that only the tests
+read: ``_point_topologies``, each topology as its sorted members, and
+``as_soft_topology``, a soft topology kept as given members.
 """
 
 from functools import lru_cache
@@ -15,9 +19,9 @@ from functools import lru_cache
 from bisoft.scan import (
     _SUP,
     _decode,
+    _members,
     _pair_key,
     _point_neighbourhoods,
-    _point_topologies,
     _profiles,
 )
 from bisoft.search import (
@@ -29,8 +33,23 @@ from bisoft.search import (
     get_claim,
     standard_context,
 )
+from bisoft.softset import SoftSet
+from bisoft.topology import SoftTopology
 
 MAX_RECORDS = 3
+
+
+@lru_cache(maxsize=None)
+def _point_topologies(n):
+    """All topologies on n points as sorted member tuples, in canonical
+    order."""
+    return tuple(_members(u) for u in _point_neighbourhoods(n))
+
+
+def as_soft_topology(opens, ctx):
+    """Reinterpret a topology on |X|*|E| points as a soft topology kept
+    as the given members."""
+    return SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in sorted(set(opens))))
 
 
 @lru_cache(maxsize=None)

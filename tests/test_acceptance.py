@@ -19,7 +19,7 @@ from bisoft.axioms import (
 )
 from bisoft.fixtures import builtin_fixture_names, load_fixture
 from bisoft.rough import lower_approx, rough_regions, upper_approx
-from bisoft.scan import _point_topologies, space_facts
+from bisoft.scan import space_facts
 from bisoft.search import (
     SearchConfig,
     find_counterexample,
@@ -42,6 +42,7 @@ from bisoft.space import slice_space, sup_topology
 from bisoft.topology import parameterize
 
 from conftest import make_soft
+from labelled_scan import _point_topologies
 
 
 @contextmanager

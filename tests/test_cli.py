@@ -276,6 +276,15 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--max-x", "9", "--params", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("mode", [[], ["--random", "5"]])
+    def test_negative_seed_usage_error(self, capsys, mode):
+        # random.seed(-k) seeds like k, so a negative seed would silently
+        # draw the spaces of another seed
+        argv = "search --max-x 2 --params 1 --json --seed -1".split() + mode
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: the seed must not be negative\n"
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_non_positive_random_count_usage_error(self, capsys, count):
         # a zero count asks for random mode too; it must not fall back to
@@ -322,6 +331,20 @@ def test_closed_stdout_exits_without_traceback(unbuffered):
         os.close(w)
     assert (proc.returncode, proc.stderr) == (EXIT_CLOSED_STDOUT, b"")
     assert EXIT_CLOSED_STDOUT == 141
+
+
+def test_import_leaves_the_fact_kernel_unloaded():
+    # the commands that decide nothing never compile bisoft.scan; the
+    # checkers and the search import it on first use
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, bisoft, bisoft.cli; print('bisoft.scan' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
 
 
 def test_unlistable_supremum_exits_1(capsys, tmp_path):

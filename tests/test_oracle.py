@@ -6,6 +6,7 @@ import random
 import pytest
 
 import member_oracle as oracle
+from labelled_scan import _point_topologies, as_soft_topology
 from bisoft.axioms import (
     axiom_report,
     hausdorff_char,
@@ -20,9 +21,7 @@ from bisoft.axioms import (
     strong_t1,
 )
 from bisoft.rough import lower_approx, upper_approx
-from bisoft.scan import _point_topologies
 from bisoft.search import (
-    as_soft_topology,
     random_spaces,
     standard_context,
 )

@@ -27,7 +27,6 @@ from bisoft.scan import (
     _pair_key,
     _place,
     _point_neighbourhoods,
-    _point_topologies,
     _rows,
     _space_key,
     _tally,
@@ -44,7 +43,6 @@ from bisoft.search import (
     SearchConfig,
     TRUE_CLAIM_IDS,
     _random_neighbourhoods,
-    as_soft_topology,
     enumerate_topologies,
     find_counterexample,
     get_claim,
@@ -65,7 +63,13 @@ from bisoft.topology import (
     minimal_neighbourhoods,
     topology_violations,
 )
-from labelled_scan import labelled_counts, labelled_report, pair_key
+from labelled_scan import (
+    _point_topologies,
+    as_soft_topology,
+    labelled_counts,
+    labelled_report,
+    pair_key,
+)
 import member_oracle as oracle
 
 SPACE_CLAIM_IDS = tuple(c.id for c in CLAIMS.values() if c.kind == "space")
@@ -169,6 +173,16 @@ class TestRandomGeneration:
             subbasis = [random_soft_set(ctx, rng) for _ in range(rng.randint(0, 4))]
             assert u == generate_topology(ctx, subbasis).neighbourhoods(), seed
             assert u == random_soft_topology(ctx, seed).neighbourhoods(), seed
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_negative_seed_rejected(self, mode):
+        # random.seed(-k) seeds like k, so a seed of -1 would draw the
+        # topologies of seeds 2 and 1, another corpus under another name
+        ctx = standard_context(3, 2)
+        assert random_soft_topology(ctx, -1) == random_soft_topology(ctx, 1)
+        with pytest.raises(ValueError, match="seed must not be negative"):
+            SearchConfig(max_universe=3, n_params=2, mode=mode, samples=5, seed=-1)
+        assert SearchConfig(3, 2, mode, samples=5, seed=0).seed == 0
 
 
 class TestClaims:

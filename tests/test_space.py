@@ -5,7 +5,17 @@ from itertools import combinations
 import pytest
 
 from bisoft import topology
-from bisoft.axioms import pairwise_soft_t0, pairwise_verdicts
+from bisoft.axioms import (
+    axiom_report,
+    hausdorff_char,
+    pairwise_soft_t0,
+    pairwise_verdicts,
+    soft_t0,
+    soft_t1,
+    soft_t2,
+    strong_t0,
+    strong_t1,
+)
 from bisoft.errors import ContextMismatchError
 from bisoft.fixtures import builtin_fixture_names, load_fixture
 from bisoft.search import random_space, standard_context
@@ -268,6 +278,28 @@ class TestSubspace:
         assert big.t1.neighbourhoods() == tuple(1 << p for p in range(16))
         assert pairwise_verdicts(big) == {"t0": True, "t1": True, "t2": True}
         assert len(big.t2) == 1 << 16
+
+    def test_large_discrete_space_answers_every_checker(self, monkeypatch):
+        # every verdict is read off U: no member is listed, and the report
+        # builds no supremum, slice or (t, t) topology
+        ctx = standard_context(17, 1)
+        t = generate_topology(ctx, [SoftSet(ctx, 1 << p) for p in range(17)])
+        s = BiSoftSpace(t, t)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a member list or a topology")
+
+        monkeypatch.setattr(topology, "_union_closure", refuse)
+        assert soft_t0(t) and soft_t1(t) and soft_t2(t)
+        assert pairwise_verdicts(s) == {"t0": True, "t1": True, "t2": True}
+        assert strong_t0(s) and strong_t1(s) and hausdorff_char(s)
+        monkeypatch.setattr(SoftTopology, "_from_neighbourhoods", refuse)
+        rep = axiom_report(s, strict_orientation=True)
+        every = {"t0": True, "t1": True, "t2": True}
+        assert rep.soft1 == rep.soft2 == rep.sup == rep.pairwise == every
+        assert rep.strong == {"t0": True, "t1": True} and rep.hausdorff
+        assert rep.slices == {"e1": every} and rep.strict_pairwise_t0
+        assert rep.witnesses == {}
 
     def test_mismatched_contexts_rejected(self, fx):
         with pytest.raises(ContextMismatchError):

@@ -2,14 +2,14 @@
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bisoft.axioms import hausdorff_char, pairwise_soft_t2
 from bisoft.errors import InvalidTopologyError, TooManyMembersError
 from bisoft.rough import lower_approx, upper_approx
-from bisoft.scan import _point_topologies
 from bisoft.search import enumerate_topologies, standard_context
 from bisoft.softset import (
     Context,
@@ -34,6 +34,8 @@ from bisoft.topology import (
 )
 
 from conftest import make_soft
+from labelled_scan import _point_topologies
+import member_oracle as oracle
 
 
 def masks_of(t):
@@ -261,6 +263,33 @@ class TestSoftClosure:
                         if m & ~c.mask == 0:
                             acc &= c.mask
                     assert soft_closure(t, SoftSet(ctx, m)).mask == acc
+
+    def test_hausdorff_char_reads_raw_families_as_generated(self):
+        # hausdorff_char answers for the topologies the families' U
+        # generate, as every checker does, so Theorem 1 holds on every
+        # SoftTopology; closing over the members as given would not
+        rng = random.Random(31)
+        by_members = 0
+        for nx, ne in [(2, 2), (3, 2), (2, 3)]:
+            ctx = standard_context(nx, ne)
+            families = [
+                (t, generate_topology(ctx, t.members))
+                for t in raw_families(rng, ctx, 30)
+            ]
+            for (t1, g1), (t2, g2) in product(families, repeat=2):
+                s = BiSoftSpace(t1, t2)
+                assert hausdorff_char(s) == pairwise_soft_t2(s)
+                assert hausdorff_char(s) == hausdorff_char(BiSoftSpace(g1, g2))
+                by_members += oracle.hausdorff_char(s) != hausdorff_char(s)
+        assert by_members > 0
+        ctx = standard_context(2, 2)
+        t1, t2 = (
+            SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in masks))
+            for masks in ((5, 6, 8, 10, 11, 13, 14), (0, 1, 3, 6, 7, 8, 9, 12))
+        )
+        s = BiSoftSpace(t1, t2)
+        assert hausdorff_char(s) and pairwise_soft_t2(s)
+        assert not oracle.hausdorff_char(s)
 
 
 class TestRelativeTopology:
