@@ -11,11 +11,10 @@ profiles the space's two ``U`` vectors once and decodes the key, and
 reads each parameter's slice off the same profiles, so no supremum,
 slice or subspace is built and no member is listed.  A topology's soft
 axioms are its pairwise axioms with itself, and ``hausdorff_char`` is
-the key's closure test.  Like the other checkers, it answers for the
-topology a family's ``U`` generates, so on every ``SoftTopology``, a
-family that is not closed included, it agrees with pairwise soft T2
-(Theorem 1).  ``scan`` is imported on the first verdict, not by
-``import bisoft``.
+the key's closure test, which agrees with pairwise soft T2 on every
+space (Theorem 1), as every ``SoftTopology`` is a topology.  The point
+closure intersection is ``cl2(N1(x))``, read off ``U`` as well.
+``scan`` is imported on the first verdict, not by ``import bisoft``.
 
 The one loop over pairs is ``_witness``: it finds the first pair a false
 pairwise axiom leaves unseparated, which ``axiom_report`` keeps, and
@@ -128,16 +127,15 @@ def hausdorff_char(s: BiSoftSpace) -> bool:
 
     For each ordered pair (x, y): some first-topology member contains x
     while y strongly avoids its closure taken in the second topology.
-    Both topologies are read as the ones their ``U`` generate, as every
-    checker here reads them, so this equals ``pairwise_soft_t2`` on every
-    ``SoftTopology`` (Theorem 1), a family that is not closed included.
+    This equals ``pairwise_soft_t2`` on every space (Theorem 1).
     """
     return _verdicts(s)[0].cor1_ok
 
 
 class PointClosure(NamedTuple):
-    """Result of the point closure intersection; ``vacuous`` flags an
-    empty member family, in which case the value is the absolute set."""
+    """Result of the point closure intersection.  ``vacuous`` would flag
+    an empty member family; the absolute set of a topology contains
+    every element, so it is always False."""
 
     value: SoftSet
     vacuous: bool
@@ -146,19 +144,12 @@ class PointClosure(NamedTuple):
 def point_closure_intersection(s: BiSoftSpace, element: str) -> PointClosure:
     """Intersect second-topology closures of first-topology members around x.
 
-    On a topology that is the closure of ``N1(x)``.  The empty intersection
-    convention returns the absolute soft set with a diagnostic flag; with
-    a well-formed first topology the absolute member always contains x,
-    so the flag only fires on raw families.  It is the one test here that
-    reads members: ``U`` cannot tell "no member contains x" from "only the
-    absolute set does".
+    Closure is monotone and ``N1(x)`` is the smallest of those members,
+    so the intersection is the closure of ``N1(x)``.
     """
     ctx = s.context
     if element not in ctx.universe.elements:
         raise UnknownElementError(element)
-    rx = ctx.row(element)
-    if not any(m & rx == rx for m in s.t1.masks()):
-        return PointClosure(SoftSet(ctx, ctx.full_mask), True)
     n1 = s.t1.element_neighbourhoods()[ctx.element_index(element)]
     return PointClosure(soft_closure(s.t2, SoftSet(ctx, n1)), False)
 

@@ -66,12 +66,8 @@ def _dump(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _load(path: str) -> FixtureDocument:
-    return load_fixture(path)
-
-
 def _cmd_validate(args) -> int:
-    doc = _load(args.file)
+    doc = load_fixture(args.file)
     report = {}
     all_valid = True
     for name in doc.topology_members:
@@ -107,7 +103,7 @@ def _space_or_die(doc: FixtureDocument, name: str) -> BiSoftSpace:
 
 
 def _cmd_axioms(args) -> int:
-    doc = _load(args.file)
+    doc = load_fixture(args.file)
     s = _space_or_die(doc, args.space)
     rep = axiom_report(s, strict_orientation=args.strict_orientation)
     t1n, t2n = doc.space_pairs[args.space]
@@ -159,7 +155,7 @@ def _cmd_axioms(args) -> int:
     return EXIT_OK
 
 
-def _sup_display_order(doc, s: BiSoftSpace, sup) -> list[SoftSet]:
+def _sup_display_order(s: BiSoftSpace, sup) -> list[SoftSet]:
     """Null and absolute first, then both families, generated members last."""
     t1 = set(s.t1.masks())
     t2 = set(s.t2.masks())
@@ -172,10 +168,10 @@ def _sup_display_order(doc, s: BiSoftSpace, sup) -> list[SoftSet]:
 
 
 def _cmd_sup(args) -> int:
-    doc = _load(args.file)
+    doc = load_fixture(args.file)
     s = _space_or_die(doc, args.space)
     sup = sup_topology(s)
-    ordered = _sup_display_order(doc, s, sup)
+    ordered = _sup_display_order(s, sup)
     if args.json:
         _dump(
             {
@@ -194,7 +190,7 @@ def _cmd_sup(args) -> int:
 
 
 def _cmd_slice(args) -> int:
-    doc = _load(args.file)
+    doc = load_fixture(args.file)
     s = _space_or_die(doc, args.space)
     if args.param not in s.context.parameters.parameters:
         raise FixtureError(f"unknown parameter {args.param!r}")
@@ -225,7 +221,7 @@ def _cmd_slice(args) -> int:
 
 
 def _cmd_subspace(args) -> int:
-    doc = _load(args.file)
+    doc = load_fixture(args.file)
     s = _space_or_die(doc, args.space)
     keep = [e.strip() for e in args.keep.split(",") if e.strip()]
     try:
@@ -266,7 +262,7 @@ def _cmd_subspace(args) -> int:
 
 
 def _cmd_rough(args) -> int:
-    doc = _load(args.file)
+    doc = load_fixture(args.file)
     s = _space_or_die(doc, args.space)
     target_name = args.target or doc.target
     if target_name is None:

@@ -26,10 +26,10 @@ def sup_topology(s: BiSoftSpace) -> SoftTopology:
     """Smallest soft topology containing both topologies.
 
     Its ``U_p`` is ``U1_p & U2_p``: a point's minimal open neighbourhood
-    is the intersection of the members of either family that contain it,
-    which is exact for any two member families, topologies or not.  Its
-    members, the unions of those neighbourhoods, are derived only when
-    listed, since their number can be exponential in the context size.
+    is the intersection of the members of either topology that contain
+    it.  Its members, the unions of those neighbourhoods, are derived
+    only when listed, since their number can be exponential in the
+    context size.
     """
     u1, u2 = s.t1.neighbourhoods(), s.t2.neighbourhoods()
     return SoftTopology._from_neighbourhoods(s.context, [a & b for a, b in zip(u1, u2)])

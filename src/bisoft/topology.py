@@ -8,14 +8,17 @@ gives closure under arbitrary unions.
 A finite topology is fixed by the smallest open set ``U_p`` around each
 point p of ``X x E`` (Alexandroff 1937; Stong 1966), so a topology
 stores its ``U``; the smallest member strongly containing an element x
-is ``N(x)``, the union of ``U_p`` over x's row.  The checkers, the search
-scan and the rough approximations read these instead of scanning
-members, and a slice and the supremum of two topologies are built from
-``U`` too.  The members are derived on demand, as every union of the
-``U_p`` sorted by packed bitmask, so a generated or enumerated topology
-that nothing lists never builds them, and equality of topologies is
-plain value equality.  Listing them stops at ``MEMBER_CAP``: a topology
-with more raises ``TooManyMembersError`` rather than exhausting memory.
+is ``N(x)``, the union of ``U_p`` over x's row.  A ``SoftTopology`` is
+always a topology: built from members, it checks them in O(members *
+points) and raises ``InvalidTopologyError`` with every violation when
+they are not closed.  It is its ``U``: equality, hashing, membership,
+closure, the checkers, the search scan and the rough approximations read
+``U`` instead of scanning members, and a slice, a trace and the
+supremum of two topologies are built from ``U`` too.  The members are
+derived on demand, as every union of the ``U_p`` sorted by packed
+bitmask, so a generated or enumerated topology that nothing lists never
+builds them.  Listing them stops at ``MEMBER_CAP``: a topology with more
+raises ``TooManyMembersError`` rather than exhausting memory.
 """
 
 from __future__ import annotations
@@ -80,13 +83,15 @@ def _row_neighbourhoods(u: Sequence[int], nx: int) -> tuple[int, ...]:
 class SoftTopology(_Value):
     """A soft topology over a context, stored as its ``U``.
 
-    ``SoftTopology(ctx, members)`` keeps the members as given and reads
-    ``U`` off them; ``_from_neighbourhoods`` keeps a ``U`` alone.  The
+    ``SoftTopology(ctx, members)`` checks that the members live over
+    ``ctx`` and form a topology, in any order and with repeats, and keeps
+    their ``U``; ``_from_neighbourhoods`` keeps a ``U`` alone.  The
     masks, the members and ``N`` are derived from ``U`` on first use and
-    kept; the members are then the sorted unions of the ``U_p``.  ``len``
-    and ``in`` read the masks, and equality, hashing and repr read the
-    context and the members (``__match_args__``), so they never depend on
-    how a topology was built.  Immutable, like every value of the package.
+    kept; the members are then the sorted unions of the ``U_p``.
+    Equality and hashing read the context and ``U``, and ``in`` tests a
+    mask against ``U``, so none of them lists a member; ``len`` and the
+    repr (``__match_args__``) do.  Immutable, like every value of the
+    package.
     """
 
     __match_args__ = ("context", "members")
@@ -94,9 +99,12 @@ class SoftTopology(_Value):
 
     def __init__(self, context: Context, members: Iterable[SoftSet]):
         members = tuple(members)
-        masks = tuple(m.mask for m in members)
+        _shared_context(members, context)
+        masks = {m.mask for m in members}
         u = minimal_neighbourhoods(masks, context.nx * context.ne)
-        self.__dict__.update(context=context, _u=u, _masks=masks, _members=members)
+        if not _closed(masks, u):
+            raise InvalidTopologyError(topology_violations(members, context))
+        self.__dict__.update(context=context, _u=u, _masks=tuple(sorted(masks)))
 
     @classmethod
     def _from_neighbourhoods(cls, context: Context, u: Sequence[int]):
@@ -104,6 +112,9 @@ class SoftTopology(_Value):
         t = cls.__new__(cls)
         t.__dict__.update(context=context, _u=tuple(u))
         return t
+
+    def _key(self) -> tuple:
+        return self.context, self._u
 
     def masks(self) -> tuple[int, ...]:
         if self._masks is None:
@@ -131,11 +142,24 @@ class SoftTopology(_Value):
         return len(self.masks())
 
     def __contains__(self, item: SoftSet) -> bool:
-        return item.context == self.context and item.mask in set(self.masks())
+        """A soft set is open iff it holds ``U_p`` for each of its points."""
+        m = item.mask
+        return item.context == self.context and all(
+            u & ~m == 0 for p, u in enumerate(self._u) if m >> p & 1
+        )
 
 
-def _canonical(ctx: Context, masks: Iterable[int]) -> SoftTopology:
-    return SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in sorted(set(masks))))
+def _closed(masks: set[int], u: Sequence[int]) -> bool:
+    """Whether the masks, whose ``U`` is ``u``, are a topology.
+
+    They are when they hold the null set and ``m | U_p`` for every member
+    m and point p.  Each member is the union of the ``U_p`` of its
+    points, so the masks are then exactly the unions of the ``U_p``, the
+    full set among them, and those are closed under intersection (see
+    ``generate_topology``); a topology passes, as ``U_p`` is a member.
+    """
+    ups = set(u)
+    return 0 in masks and all(m | up in masks for m in masks for up in ups)
 
 
 def _shared_context(members: Sequence[SoftSet], ctx: Optional[Context]) -> Context:
@@ -185,12 +209,9 @@ def topology_violations(
 def validate_topology(
     members: Sequence[SoftSet], ctx: Optional[Context] = None
 ) -> SoftTopology:
-    """Return the canonical topology, or raise with the violation report."""
-    ctx = _shared_context(members, ctx)
-    violations = topology_violations(members, ctx)
-    if violations:
-        raise InvalidTopologyError(violations)
-    return _canonical(ctx, (m.mask for m in members))
+    """The topology the members form, over ``ctx`` or else the context of
+    the first; raises ``InvalidTopologyError`` with every violation."""
+    return SoftTopology(_shared_context(members, ctx), members)
 
 
 def generate_topology(
@@ -242,16 +263,16 @@ def soft_closure(t: SoftTopology, a: SoftSet) -> SoftSet:
     """Intersection of every soft closed superset of ``a`` in ``t``.
 
     A closed set ``full & ~o`` contains ``a`` exactly when the open ``o``
-    misses ``a``, so the intersection is the complement of the union of
-    the members disjoint from ``a``.
+    misses ``a``, so a point p lies outside the intersection exactly when
+    some open around it, and so ``U_p``, misses ``a``: the closure is the
+    points whose ``U_p`` meets ``a``.
     """
     if a.context != t.context:
         raise ContextMismatchError("soft set and topology contexts differ")
-    outside = 0
-    for o in t.masks():
-        if o & a.mask == 0:
-            outside |= o
-    return SoftSet(t.context, t.context.full_mask & ~outside)
+    m = a.mask
+    return SoftSet(
+        t.context, sum(1 << p for p, u in enumerate(t.neighbourhoods()) if u & m)
+    )
 
 
 def relative_topology(t: SoftTopology, keep: Iterable[str]) -> SoftTopology:
@@ -260,12 +281,10 @@ def relative_topology(t: SoftTopology, keep: Iterable[str]) -> SoftTopology:
     Members are intersected with the kept elements and re-homed to a
     context whose universe is exactly those elements (declaration order
     preserved); the restricted absolute set plays the top role there.
-    Re-homing reads only the kept bits, and each distinct block value is
-    re-indexed once.  A topology kept as ``U`` is traced through it, as
-    ``parameterize`` does: the trace's smallest open around a kept point
-    is ``U_p`` cut to the kept rows, so no member is listed.  A family
-    given as members is traced member by member and kept as given, so
-    the trace of a family that is not closed is the family of traces.
+    The trace's smallest open around a kept point is ``U_p`` cut to the
+    kept rows, as ``parameterize`` reads its slice, so no member is
+    listed.  Re-homing reads only the kept bits, and each distinct block
+    value is re-indexed once.
     """
     ctx = t.context
     keep = set(keep)
@@ -291,15 +310,10 @@ def relative_topology(t: SoftTopology, keep: Iterable[str]) -> SoftTopology:
             new_mask |= nb << (e * sub.nx)
         return new_mask
 
-    if t._masks is None:
-        u = t.neighbourhoods()
-        return SoftTopology._from_neighbourhoods(
-            sub, [rehome(u[e * ctx.nx + i]) for e in range(ctx.ne) for i in old_idx]
-        )
-    kept_rows = 0
-    for e in kept:
-        kept_rows |= ctx.row(e)
-    return _canonical(sub, {rehome(m) for m in {m & kept_rows for m in t.masks()}})
+    u = t.neighbourhoods()
+    return SoftTopology._from_neighbourhoods(
+        sub, [rehome(u[e * ctx.nx + i]) for e in range(ctx.ne) for i in old_idx]
+    )
 
 
 def parameterize(t: SoftTopology, parameter: str) -> SoftTopology:
@@ -307,9 +321,7 @@ def parameterize(t: SoftTopology, parameter: str) -> SoftTopology:
     topology over the same universe and that parameter alone.
 
     Every member containing the point ``(x, e)`` contains ``U_(x,e)``, so
-    the slice's smallest open around x is ``U_(x,e)``'s block at e; on a
-    family that is not a topology, the slice is the topology its blocks
-    generate.
+    the slice's smallest open around x is ``U_(x,e)``'s block at e.
     """
     ctx = t.context
     shift = ctx.parameter_index(parameter) * ctx.nx

@@ -11,7 +11,7 @@ against the member oracle.
 
 It also keeps the member views of the enumeration that only the tests
 read: ``_point_topologies``, each topology as its sorted members, and
-``as_soft_topology``, a soft topology kept as given members.
+``as_soft_topology``, the soft topology those members form.
 """
 
 from functools import lru_cache
@@ -47,8 +47,8 @@ def _point_topologies(n):
 
 
 def as_soft_topology(opens, ctx):
-    """Reinterpret a topology on |X|*|E| points as a soft topology kept
-    as the given members."""
+    """Reinterpret a topology on |X|*|E| points as the soft topology its
+    members form."""
     return SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in sorted(set(opens))))
 
 

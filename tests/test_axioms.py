@@ -1,5 +1,7 @@
 """Soft and pairwise soft separation axiom checkers."""
 
+import pytest
+
 from bisoft.axioms import (
     axiom_report,
     hausdorff_char,
@@ -13,6 +15,7 @@ from bisoft.axioms import (
     strong_t0,
     strong_t1,
 )
+from bisoft.errors import InvalidTopologyError
 from bisoft.softset import (
     Context,
     SoftSet,
@@ -190,13 +193,15 @@ class TestPointClosureIntersection:
         assert got.value.mask == acc
 
     def test_vacuous_flag_on_raw_family(self):
-        # a trusted-constructed family without the absolute member never
-        # contains the point, so the convention kicks in
+        # a family without the absolute member is not a topology and cannot
+        # be built, so the absolute member always contains the point and
+        # the empty intersection convention never applies
         ctx = Context.of(["a", "b"], ["p"])
-        raw = SoftTopology(ctx, (null_soft_set(ctx),))
-        s = BiSoftSpace(raw, raw)
-        got = point_closure_intersection(s, "a")
-        assert got.vacuous
+        with pytest.raises(InvalidTopologyError, match="absolute"):
+            SoftTopology(ctx, (null_soft_set(ctx),))
+        t = SoftTopology(ctx, (null_soft_set(ctx), absolute_soft_set(ctx)))
+        got = point_closure_intersection(BiSoftSpace(t, t), "a")
+        assert not got.vacuous
         assert got.value == absolute_soft_set(ctx)
 
 

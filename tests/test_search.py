@@ -76,6 +76,9 @@ SPACE_CLAIM_IDS = tuple(c.id for c in CLAIMS.values() if c.kind == "space")
 GAP_SPACE_CLAIM_IDS = tuple(
     c.id for c in CLAIMS.values() if c.kind == "space" and not c.holds
 )
+# every gap, and the former gap id that is now an alias of the true claim
+# cor2-point-complement-open; the hunt under that id stays run
+HUNTED_CLAIM_IDS = GAP_SPACE_CLAIM_IDS + ("pairwise-t2-implies-components-soft-t2",)
 
 
 def brute_force_topology_count(n):
@@ -748,8 +751,8 @@ class TestRecords:
         # {x1} | {x2} is missing; the family's U would read it as the
         # topology that also has {x1, x2}
         ctx = standard_context(3, 1)
-        family = SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in (0, 1, 2, 7)))
         with pytest.raises(InvalidTopologyError, match="union"):
+            family = SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in (0, 1, 2, 7)))
             verify_implications([BiSoftSpace(family, family)])
 
 
@@ -926,28 +929,27 @@ class TestOrbitScan:
             == labelled_report(cfg, SPACE_CLAIM_IDS).to_json()
         )
 
-    @pytest.mark.parametrize("claim_id", GAP_SPACE_CLAIM_IDS + SMALL_TRUE_CLAIM_IDS)
+    @pytest.mark.parametrize("claim_id", HUNTED_CLAIM_IDS + SMALL_TRUE_CLAIM_IDS)
     def test_hunt_is_labelled_first_violation(self, claim_id):
         cfg = SearchConfig(4, 4)
-        records = labelled_report(cfg, [claim_id]).results[claim_id].records
-        # every gap but one is refuted on four points
-        clean = get_claim(claim_id).holds or claim_id == (
-            "pairwise-t2-implies-components-soft-t2"
-        )
-        assert bool(records) != clean
+        claim = get_claim(claim_id)
+        records = labelled_report(cfg, [claim]).results[claim.id].records
+        # every gap is refuted on four points
+        assert bool(records) != claim.holds
         assert find_counterexample(claim_id, cfg) == (records[0] if records else None)
 
-    @pytest.mark.parametrize("claim_id", GAP_SPACE_CLAIM_IDS)
+    @pytest.mark.parametrize("claim_id", HUNTED_CLAIM_IDS)
     def test_hunt_is_public_route_first_record(self, claim_id):
         cfg = SearchConfig(2, 2)
+        claim = get_claim(claim_id)
         record = find_counterexample(claim_id, cfg)
 
         def spaces_through_record():
             # every space before the record and the record's own space
             for s in iter_spaces(cfg):
                 yield s
-                if record is not None and record_for(claim_id, s) == record:
+                if record is not None and record_for(claim.id, s) == record:
                     return
 
-        public = _verify_over_spaces(spaces_through_record(), [CLAIMS[claim_id]], "")
-        assert public.results[claim_id].records[:1] == ([record] if record else [])
+        public = _verify_over_spaces(spaces_through_record(), [claim], "")
+        assert public.results[claim.id].records[:1] == ([record] if record else [])

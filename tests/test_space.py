@@ -10,13 +10,14 @@ from bisoft.axioms import (
     hausdorff_char,
     pairwise_soft_t0,
     pairwise_verdicts,
+    point_closure_intersection,
     soft_t0,
     soft_t1,
     soft_t2,
     strong_t0,
     strong_t1,
 )
-from bisoft.errors import ContextMismatchError
+from bisoft.errors import ContextMismatchError, InvalidTopologyError
 from bisoft.fixtures import builtin_fixture_names, load_fixture
 from bisoft.search import random_space, standard_context
 from bisoft.softset import (
@@ -25,6 +26,7 @@ from bisoft.softset import (
     SoftSet,
     absolute_soft_set,
     null_soft_set,
+    point_soft_set,
 )
 from bisoft.space import BiSoftSpace, slice_space, subspace, sup_topology
 from bisoft.topology import (
@@ -32,6 +34,7 @@ from bisoft.topology import (
     generate_topology,
     parameterize,
     relative_topology,
+    soft_closure,
     topology_violations,
     validate_topology,
 )
@@ -153,6 +156,25 @@ def member_slice(t, parameter):
     return SoftTopology(sub, [SoftSet(sub, m) for m in blocks])
 
 
+def member_trace(t, keep):
+    """The members cut to the kept elements and re-homed, member by
+    member, to the context of those elements."""
+    ctx = t.context
+    kept = [i for i, e in enumerate(ctx.universe.elements) if e in keep]
+    names = [ctx.universe.elements[i] for i in kept]
+    sub = Context.of(names, ctx.parameters.parameters)
+    traces = {
+        sum(
+            1 << (e * sub.nx + j)
+            for e in range(ctx.ne)
+            for j, i in enumerate(kept)
+            if m >> (e * ctx.nx + i) & 1
+        )
+        for m in t.masks()
+    }
+    return SoftTopology(sub, [SoftSet(sub, m) for m in traces])
+
+
 def fixture_spaces():
     for name in builtin_fixture_names():
         doc = load_fixture(name)
@@ -188,40 +210,27 @@ class TestFromNeighbourhoods:
         s = self.CORPUS[k]
         elems = s.context.universe.elements
         for t in (s.t1, s.t2):
-            listed = SoftTopology(t.context, t.members)
             for r in range(1, len(elems) + 1):
                 for keep in combinations(elems, r):
                     got = relative_topology(from_u(t), keep)
                     assert got._masks is None  # read off U, nothing listed
-                    expected = relative_topology(listed, keep)
+                    expected = member_trace(t, keep)
                     assert got.neighbourhoods() == expected.neighbourhoods()
-                    assert got == expected
+                    assert got.masks() == expected.masks()
 
     def test_family_that_is_not_closed(self):
+        # no space, slice, supremum or trace is built from a family that is
+        # not a topology: it is rejected, with every violation, at once
         ctx = Context.of(["a", "b", "c"], ["p", "q"])
-        t1 = SoftTopology(ctx, [SoftSet(ctx, m) for m in (0b11, 0b110, 0b110000)])
-        t2 = SoftTopology(ctx, [SoftSet(ctx, m) for m in (0b101000, 0b101)])
-        assert topology_violations(list(t1.members), ctx)
-        s = BiSoftSpace(t1, t2)
-        assert sup_topology(s) == member_sup(s)
-        for e in ctx.parameters.parameters:
-            for t in (t1, t2):
-                # the slice is the topology the blocks generate, with the
-                # blocks' own neighbourhoods
-                given = member_slice(t, e)
-                got = parameterize(t, e)
-                assert got.neighbourhoods() == given.neighbourhoods()
-                assert got == generate_topology(given.context, given.members)
-        # a family given as members is traced member by member, kept as
-        # given; the same U kept alone traces to the topology it generates
-        traced = relative_topology(t1, ["a", "c"])
-        assert traced.masks() == (0b1, 0b10, 0b1000)
-        for t in (t1, t2):
-            traced = relative_topology(t, ["a", "c"])
-            assert topology_violations(list(traced.members), traced.context)
-            assert relative_topology(from_u(t), ["a", "c"]) == generate_topology(
-                traced.context, traced.members
-            )
+        for masks in ((0b11, 0b110, 0b110000), (0b101000, 0b101)):
+            members = [SoftSet(ctx, m) for m in masks]
+            violations = topology_violations(members, ctx)
+            assert violations
+            with pytest.raises(InvalidTopologyError) as err:
+                SoftTopology(ctx, members)
+            assert err.value.violations == violations
+            with pytest.raises(InvalidTopologyError):
+                validate_topology(members)
 
     def test_no_member_list_is_built(self, monkeypatch):
         def read(s):
@@ -293,6 +302,16 @@ class TestSubspace:
         assert soft_t0(t) and soft_t1(t) and soft_t2(t)
         assert pairwise_verdicts(s) == {"t0": True, "t1": True, "t2": True}
         assert strong_t0(s) and strong_t1(s) and hausdorff_char(s)
+        # equality, hashing, membership and closure read U as well
+        twin = generate_topology(ctx, [SoftSet(ctx, 1 << p) for p in range(17)][::-1])
+        indiscrete = generate_topology(ctx)
+        assert t == twin and hash(t) == hash(twin) and t != indiscrete
+        a = SoftSet(ctx, 0b101)
+        assert a in t and a not in indiscrete
+        assert soft_closure(t, a) == a
+        assert soft_closure(indiscrete, a) == absolute_soft_set(ctx)
+        for x in ("x1", "x17"):
+            assert point_closure_intersection(s, x) == (point_soft_set(x, ctx), False)
         monkeypatch.setattr(SoftTopology, "_from_neighbourhoods", refuse)
         rep = axiom_report(s, strict_orientation=True)
         every = {"t0": True, "t1": True, "t2": True}

@@ -8,9 +8,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bisoft.axioms import hausdorff_char, pairwise_soft_t2
-from bisoft.errors import InvalidTopologyError, TooManyMembersError
+from bisoft.errors import (
+    ContextMismatchError,
+    InvalidTopologyError,
+    TooManyMembersError,
+)
 from bisoft.rough import lower_approx, upper_approx
-from bisoft.search import enumerate_topologies, standard_context
+from bisoft.search import (
+    enumerate_topologies,
+    random_soft_topology,
+    standard_context,
+)
 from bisoft.softset import (
     Context,
     SoftSet,
@@ -82,12 +90,15 @@ def subbases(draw):
 
 
 def raw_families(rng, ctx, count):
-    """Random member families that are usually not topologies."""
+    """Random mask sets that are usually not topologies."""
     for _ in range(count):
-        masks = sorted(
-            {rng.randrange(ctx.full_mask + 1) for _ in range(rng.randint(0, 6))}
-        )
-        yield SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in masks))
+        yield {rng.randrange(ctx.full_mask + 1) for _ in range(rng.randint(0, 6))}
+
+
+def generated_topologies(rng, ctx, count):
+    """The topologies random mask sets generate."""
+    for masks in raw_families(rng, ctx, count):
+        yield generate_topology(ctx, [SoftSet(ctx, m) for m in masks])
 
 
 class TestValidate:
@@ -118,6 +129,47 @@ class TestValidate:
             escaped.witnesses[0].mask | escaped.witnesses[1].mask
         )
         assert escaped.missing == doc.resolve("G2")
+
+    def test_construction_raises_iff_the_family_has_violations(self):
+        # raw mask sets, topologies, and topologies with one mask added or
+        # removed; the closure test at construction against the pairwise
+        # definitional check
+        rng = random.Random(37)
+        closed = 0
+        for nx, ne in [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3), (4, 1)]:
+            ctx = standard_context(nx, ne)
+            families = list(raw_families(rng, ctx, 40))
+            for seed in range(40):
+                masks = set(random_soft_topology(ctx, seed).masks())
+                families += [masks, masks ^ {rng.randrange(ctx.full_mask + 1)}]
+            for masks in families:
+                members = [SoftSet(ctx, m) for m in sorted(masks)]
+                violations = topology_violations(members, ctx)
+                if violations:
+                    with pytest.raises(InvalidTopologyError) as err:
+                        SoftTopology(ctx, members)
+                    assert err.value.violations == violations
+                else:
+                    closed += 1
+                    assert SoftTopology(ctx, members).masks() == tuple(sorted(masks))
+        assert closed > 240
+
+    def test_member_order_and_repeats_do_not_matter(self):
+        ctx = standard_context(2, 1)
+        a, b, c = (SoftSet(ctx, m) for m in (0, 1, 3))
+        t = SoftTopology(ctx, [a, b, c])
+        for members in ([c, b, a], [a, b, b, c], [c, a, c, b, a, a]):
+            other = SoftTopology(ctx, members)
+            assert other == t and hash(other) == hash(t)
+            assert len(other) == 3 and other.members == (a, b, c)
+            assert repr(other) == repr(t)
+        assert t == generate_topology(ctx, [b]) != generate_topology(ctx)
+
+    def test_members_must_share_the_context(self):
+        ctx = standard_context(2, 1)
+        other = Context.of(["a", "b"], ["e1"])
+        with pytest.raises(ContextMismatchError):
+            SoftTopology(ctx, [SoftSet(ctx, 0), SoftSet(other, 3)])
 
     def test_closure_can_survive_removing_a_non_generator(self, fx):
         # dropping G3 leaves a family that is still closed, dropping G2
@@ -250,12 +302,12 @@ class TestSoftClosure:
             assert ctx.full_mask & ~ca.mask in masks_of(t)
 
     def test_matches_closed_superset_intersection_on_raw_families(self):
-        # oracle: intersect the closed supersets listed by closed_sets;
-        # raw families need not be topologies, so nothing may rely on it
+        # oracle: intersect the closed supersets listed by closed_sets, over
+        # the topologies raw families generate
         rng = random.Random(29)
         for nx, ne in [(1, 1), (2, 2), (3, 2), (2, 3)]:
             ctx = standard_context(nx, ne)
-            for t in raw_families(rng, ctx, 20):
+            for t in generated_topologies(rng, ctx, 20):
                 closed = closed_sets(t)
                 for m in range(ctx.full_mask + 1):
                     acc = ctx.full_mask
@@ -265,31 +317,27 @@ class TestSoftClosure:
                     assert soft_closure(t, SoftSet(ctx, m)).mask == acc
 
     def test_hausdorff_char_reads_raw_families_as_generated(self):
-        # hausdorff_char answers for the topologies the families' U
-        # generate, as every checker does, so Theorem 1 holds on every
-        # SoftTopology; closing over the members as given would not
+        # a family that is not closed cannot be built; on the topologies
+        # such families generate, the closure characterization agrees with
+        # pairwise soft T2 and with the member oracle (Theorem 1)
         rng = random.Random(31)
-        by_members = 0
         for nx, ne in [(2, 2), (3, 2), (2, 3)]:
             ctx = standard_context(nx, ne)
-            families = [
-                (t, generate_topology(ctx, t.members))
-                for t in raw_families(rng, ctx, 30)
-            ]
-            for (t1, g1), (t2, g2) in product(families, repeat=2):
+            families = []
+            for masks in raw_families(rng, ctx, 30):
+                members = [SoftSet(ctx, m) for m in masks]
+                if topology_violations(members, ctx):
+                    with pytest.raises(InvalidTopologyError):
+                        SoftTopology(ctx, members)
+                families.append(generate_topology(ctx, members))
+            for t1, t2 in product(families, repeat=2):
                 s = BiSoftSpace(t1, t2)
                 assert hausdorff_char(s) == pairwise_soft_t2(s)
-                assert hausdorff_char(s) == hausdorff_char(BiSoftSpace(g1, g2))
-                by_members += oracle.hausdorff_char(s) != hausdorff_char(s)
-        assert by_members > 0
+                assert hausdorff_char(s) == oracle.hausdorff_char(s)
         ctx = standard_context(2, 2)
-        t1, t2 = (
-            SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in masks))
-            for masks in ((5, 6, 8, 10, 11, 13, 14), (0, 1, 3, 6, 7, 8, 9, 12))
-        )
-        s = BiSoftSpace(t1, t2)
-        assert hausdorff_char(s) and pairwise_soft_t2(s)
-        assert not oracle.hausdorff_char(s)
+        for masks in ((5, 6, 8, 10, 11, 13, 14), (0, 1, 3, 6, 7, 8, 9, 12)):
+            with pytest.raises(InvalidTopologyError, match="absolute"):
+                SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in masks))
 
 
 class TestRelativeTopology:
@@ -338,14 +386,15 @@ class TestRelativeTopology:
 
         doc = fx("t0a")
         check(doc.topology("T2"), ["h1", "h2"])
-        # raw families over every nonempty keep subset, including ones
-        # where distinct members collide after restriction
+        # the topologies raw families generate, over every nonempty keep
+        # subset, including ones where distinct members collide after
+        # restriction
         rng = random.Random(23)
         collisions = 0
         for nx, ne in [(2, 2), (3, 2), (2, 3), (4, 1)]:
             ctx = standard_context(nx, ne)
             elems = ctx.universe.elements
-            for t in raw_families(rng, ctx, 15):
+            for t in generated_topologies(rng, ctx, 15):
                 for r in range(1, nx + 1):
                     for keep in combinations(elems, r):
                         collisions += check(t, list(keep))
@@ -353,8 +402,6 @@ class TestRelativeTopology:
 
     def test_hereditary_validity(self):
         ctx = standard_context(3, 2)
-        from bisoft.search import random_soft_topology
-
         for seed in range(20):
             t = random_soft_topology(ctx, seed)
             elems = ctx.universe.elements
