@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bisoft.errors import InvalidTopologyError, UnknownClaimError
 import bisoft.scan as scan
 from bisoft.scan import (
+    _ALL,
     _BY_VALUE,
     _SUP,
     _WALKED,
@@ -551,6 +552,23 @@ class TestDualRoute:
                 if name != "thm1_agrees"
             ), seen
 
+    @pytest.mark.parametrize("nx,ne", SearchConfig(4, 4).factorizations())
+    def test_every_census_key_agrees_with_member_oracle(self, nx, ne):
+        # every key of every factorization on four points, built at each
+        # of its first positions: this reaches 2x2 and 4x1, which the
+        # random pairs above sample
+        ctx = standard_context(nx, ne)
+        opens = _point_topologies(nx * ne)
+        checked = 0
+        for key, (_, *positions) in _tally(nx, ne).items():
+            for i, j in positions:
+                s = BiSoftSpace(
+                    as_soft_topology(opens[i], ctx), as_soft_topology(opens[j], ctx)
+                )
+                assert _decode(key)._asdict() == oracle.facts(s), (nx, ne, i, j)
+                checked += 1
+        assert checked >= len(_tally(nx, ne))
+
 
 class TestFactKey:
     def test_every_field_round_trips(self):
@@ -576,6 +594,34 @@ class TestFactKey:
             union, intersection = union | key, intersection & key
         assert union == (1 << len(_PairFacts._fields)) - 1
         assert intersection == _bits("thm1_agrees")
+
+    def test_census_facts_fall_into_fifteen_classes(self):
+        # theorems of finite models: pairwise T2 forces both topologies'
+        # N(x) to be x's row, and a finite T1 slice is discrete; a kernel
+        # change that merges or splits a class shows here
+        keys = set()
+        for nx, ne in SearchConfig(4, 4).factorizations():
+            keys |= set(_tally(nx, ne))
+        assert len(keys) == 95
+        fields = _PairFacts._fields
+        classes = {}
+        for k, name in enumerate(fields):
+            column = tuple(key >> k & 1 for key in sorted(keys))
+            classes.setdefault(column, []).append(name)
+        merged = [
+            ["pairwise_t0", "hereditary_t0"],
+            ["pairwise_t1", "hereditary_t1"],
+            ["pairwise_t2", "strong_t1", "hereditary_t2", "cor1_ok", "cor2_ok"],
+            ["slices_pw_t1", "slices_pw_t2"],
+        ]
+        alone = [[name] for name in fields if all(name not in m for m in merged)]
+        assert sorted(classes.values()) == sorted(merged + alone)
+        # thm1_agrees is the one constant class; the other 15 vary
+        constant = [c for column, c in classes.items() if len(set(column)) == 1]
+        assert constant == [["thm1_agrees"]]
+        assert len(classes) - len(constant) == 15
+        pairwise_t2 = fields.index("pairwise_t2")
+        assert [key for key in keys if key >> pairwise_t2 & 1] == [_ALL]
 
 
 # contexts of six points, one per shape: several parameters, several
