@@ -88,10 +88,10 @@ class SoftTopology(_Value):
     their ``U``; ``_from_neighbourhoods`` keeps a ``U`` alone.  The
     masks, the members and ``N`` are derived from ``U`` on first use and
     kept; the members are then the sorted unions of the ``U_p``.
-    Equality and hashing read the context and ``U``, and ``in`` tests a
-    mask against ``U``, so none of them lists a member; ``len`` and the
-    repr (``__match_args__``) do.  Immutable, like every value of the
-    package.
+    Equality, hashing and the repr read the context and ``U``, and ``in``
+    tests a mask against ``U``, so none of them lists a member; ``len``
+    does, and raises ``TooManyMembersError`` past ``MEMBER_CAP``.
+    Immutable, like every value of the package.
     """
 
     __match_args__ = ("context", "members")
@@ -115,6 +115,9 @@ class SoftTopology(_Value):
 
     def _key(self) -> tuple:
         return self.context, self._u
+
+    def __repr__(self) -> str:
+        return f"SoftTopology(context={self.context!r}, neighbourhoods={self._u!r})"
 
     def masks(self) -> tuple[int, ...]:
         if self._masks is None:

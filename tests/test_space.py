@@ -17,7 +17,11 @@ from bisoft.axioms import (
     strong_t0,
     strong_t1,
 )
-from bisoft.errors import ContextMismatchError, InvalidTopologyError
+from bisoft.errors import (
+    ContextMismatchError,
+    InvalidTopologyError,
+    TooManyMembersError,
+)
 from bisoft.fixtures import builtin_fixture_names, load_fixture
 from bisoft.search import random_space, standard_context
 from bisoft.softset import (
@@ -319,6 +323,19 @@ class TestSubspace:
         assert rep.strong == {"t0": True, "t1": True} and rep.hausdorff
         assert rep.slices == {"e1": every} and rep.strict_pairwise_t0
         assert rep.witnesses == {}
+
+    def test_large_discrete_space_has_a_repr(self):
+        # the repr reads the context and U, as equality and hashing do, so
+        # it lists no member; len lists them and keeps the cap
+        ctx = standard_context(17, 1)
+        t = generate_topology(ctx, [SoftSet(ctx, 1 << p) for p in range(17)])
+        s = BiSoftSpace(t, t)
+        u = tuple(1 << p for p in range(17))
+        assert repr(t) == f"SoftTopology(context={ctx!r}, neighbourhoods={u!r})"
+        assert repr(s) == f"BiSoftSpace(t1={t!r}, t2={t!r})"
+        assert axiom_report(s, strict_orientation=True).hausdorff
+        with pytest.raises(TooManyMembersError):
+            len(t)
 
     def test_mismatched_contexts_rejected(self, fx):
         with pytest.raises(ContextMismatchError):

@@ -426,7 +426,8 @@ def test_space_rejects_mixed_contexts():
 
 def test_soft_topology_keeps_its_value_semantics():
     t = fixtures.load_fixture("bisoft1").topology("T1")
-    assert repr(t) == f"SoftTopology(context={t.context!r}, members={t.members!r})"
+    u = t.neighbourhoods()
+    assert repr(t) == f"SoftTopology(context={t.context!r}, neighbourhoods={u!r})"
     assert hash(t) == hash((t.context, t.neighbourhoods()))
     with pytest.raises(FrozenInstanceError, match="cannot assign to field 'context'"):
         t.context = None
