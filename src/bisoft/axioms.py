@@ -10,10 +10,12 @@ Every verdict is read off the fact key of ``scan``: ``space_verdicts``
 profiles the space's two ``U`` vectors once and decodes the key, and
 reads each parameter's slice off the same profiles, so no supremum,
 slice or subspace is built and no member is listed.  A topology's soft
-axioms are its pairwise axioms with itself, and ``hausdorff_char`` is
-the key's closure test, which agrees with pairwise soft T2 on every
-space (Theorem 1), as every ``SoftTopology`` is a topology.  The point
-closure intersection is ``cl2(N1(x))``, read off ``U`` as well.
+axioms are its pairwise axioms with itself, and ``hausdorff_char``
+answers by Theorem 1: on a finite model its closure test and pairwise
+soft T2 both say that both topologies are soft T2 (``scan``), and the
+member oracle of the tests checks the closure route itself against the
+members.  The point closure intersection is ``cl2(N1(x))``, read off
+``U`` as well.
 ``scan`` is imported on the first verdict, not by ``import bisoft``.
 
 The one loop over pairs is ``_witness``: it finds the first pair a false
@@ -127,7 +129,9 @@ def hausdorff_char(s: BiSoftSpace) -> bool:
 
     For each ordered pair (x, y): some first-topology member contains x
     while y strongly avoids its closure taken in the second topology.
-    This equals ``pairwise_soft_t2`` on every space (Theorem 1).
+    This equals ``pairwise_soft_t2`` on every space (Theorem 1), and is
+    answered by it: on a finite model both hold exactly when both
+    topologies are soft T2 (``scan``).
     """
     return _verdicts(s)[0].cor1_ok
 

@@ -12,16 +12,27 @@ key.  Bit k of a key is field k of ``_PairFacts``:
   T2 of the slices; 17-19 the hereditary T0, T1, T2, set with 9-11;
 * 20 ``thm1_agrees``, 21 ``cor1_ok`` (the closure test) and 22 ``cor2_ok``.
 
-A topology settles some facts alone: its soft axioms, whether every row's
-complement is open (``cor2_ok`` needs both), and whether it is T1 in
-each sense, which every pairwise T1 test asks of both topologies.  A
-profile keeps those in two keys, one for each place in a space, whose
-AND is the space's share of them; the T0 and T2 tests and the closure
-test AND one bitset of each topology.  A profile is computed from
-containment masks, the elements whose row each ``N(x)`` contains or
-meets (``_Profile``), in a few passes over the elements and points, and
-a space's supremum contributes its three soft bits alone.  What a
-profile reads of a context, its slot masks and each point's block, is
+On a finite model only the T0 family needs both topologies at once.  If
+a space is pairwise soft T2 and (z, e) lies in N1(x) with z != x, then
+N1(x) meets N2(z), which holds z's row; so every N1(x), and likewise
+every N2(x), is x's row (Alexandroff 1937; Stong 1966).  So pairwise
+and hereditary T2, the closure test of Theorem 1 (cl2(N1(x)) misses the
+other rows) and Corollary 1 (it is x's row) hold exactly when both
+topologies are soft T2, and ``thm1_agrees`` always holds.  Strong T1
+(no N(x) meets another row) and Corollary 2 (every row's complement is
+open) ask every N(x) of both topologies to miss the other rows, which is
+both being soft T2 too.  One topology is soft T2 when its ``N(x)``, each
+holding x's row, have |X x E| bits in all.  A finite T1 topology is
+discrete, so a slice is T2 exactly when it is T1.
+
+A topology settles all of these alone, with its soft axioms and its T1
+tests, and a profile keeps them in two keys, one for each place in a
+space, whose AND is the space's share of them; the T0, strong T0 and
+slice T0 tests AND one bitset of each topology.  A profile is computed
+from containment masks, the elements whose row each ``N(x)`` contains
+or meets (``_Profile``), in a few passes over the elements and points,
+and a space's supremum contributes its three soft bits alone.  What a
+profile reads of a context, its block mask and each point's block, is
 computed once per context, in a ``_Kernel``.  Every corpus goes through
 ``_pair_key``, and each claim reads the ``_PairFacts`` of a distinct
 key, decoded once.  A report reads a census, a dict from each distinct
@@ -108,16 +119,16 @@ def _decode(key: int) -> _PairFacts:
 
 
 _ALL = (1 << len(_PairFacts._fields)) - 1
-_SOFT = 0b111  # soft T0, T1, T2, as ``_whole`` returns them
+_SOFT = 0b111  # soft T0, T1, T2, as ``_soft`` returns them
 _T2_SOFT = _PairFacts._fields.index("t2_soft_t0")  # the second topology's soft bits
 _SUP = _PairFacts._fields.index("sup_soft_t0")  # and the supremum's start here
 _PW_T0 = _bits("pairwise_t0", "hereditary_t0")
 _PW_T1 = _bits("pairwise_t1", "hereditary_t1")
-_PW_T2 = _bits("pairwise_t2", "hereditary_t2")
-_STRONG_T0, _STRONG_T1 = _bits("strong_t0"), _bits("strong_t1")
-_SLICES_T0, _SLICES_T1 = _bits("slices_pw_t0"), _bits("slices_pw_t1")
-_SLICES_T2 = _bits("slices_pw_t2")
-_THM1, _COR1, _COR2 = _bits("thm1_agrees"), _bits("cor1_ok"), _bits("cor2_ok")
+# what both topologies being soft T2 settles, and both having T1 slices
+_T2 = _bits("pairwise_t2", "hereditary_t2", "strong_t1", "cor1_ok", "cor2_ok")
+_SLICES_T1 = _bits("slices_pw_t1", "slices_pw_t2")
+_STRONG_T0, _SLICES_T0 = _bits("strong_t0"), _bits("slices_pw_t0")
+_THM1 = _bits("thm1_agrees")
 
 
 class _Profile(NamedTuple):
@@ -126,19 +137,20 @@ class _Profile(NamedTuple):
     ``first`` and ``second`` are fact keys holding what the topology
     settles alone as the first or the second topology of a space, with
     every bit the other topology settles set, so that a space's keys AND
-    to the facts its topologies settle apart: the soft axioms, ``cor2``
-    and the three pairwise T1 tests, each of which needs both topologies
-    T1 in its sense.  The other fields are the bitsets that the cross
-    tests of ``_pair_key`` AND, each bit a pair of distinct elements or a
-    slot of one element or point; their layout only has to agree between
+    to the facts its topologies settle apart: the soft axioms, pairwise
+    T1, which needs both topologies soft T1, and the facts that hold
+    exactly when both topologies are soft T2 or both have T1 slices (the
+    module docstring).  ``slice_t1`` keeps the slices' T1 per parameter
+    for ``space_verdicts``.  The T0 fields are the
+    bitsets that ``_pair_key`` ANDs, each bit a pair of distinct elements
+    or of points of one block; their layout only has to agree between
     profiles of one context.
 
     They come from the containment masks of each element x: ``cont(x)``,
     the elements whose row ``N(x)`` contains (the AND of ``N(x)``'s
     parameter blocks), and ``meet(x)``, those whose row it meets (their
-    OR).  The T0 bits are the pairs each in the other's mask, and T1
-    holds when no mask has a bit off the diagonal.  Since y in cont(x)
-    exactly when ``N(y) ⊆ N(x)``, x and y are each in the other's
+    OR).  The T0 bits are the pairs each in the other's mask.  Since y in
+    cont(x) exactly when ``N(y) ⊆ N(x)``, x and y are each in the other's
     ``cont`` exactly when ``N(x) = N(y)``; likewise in a slice, which is
     a topology on X with the neighbourhoods ``block_e(U_(x,e))``.
     ``meet`` has no such shortcut.
@@ -148,18 +160,15 @@ class _Profile(NamedTuple):
     first: int
     second: int
     t0: int  # pairs x < y each in the other's cont: N(x) = N(y)
-    near: int  # slot x (|X x E| bits) holds N(x)
-    far: int  # and the OR of the other N(y)
     strong_t0: int  # pairs x < y each in the other's meet
-    slice_t0: int  # points p < q of one block with equal slice_near slots
-    slice_near: int  # slot p (|X x E| bits) holds U_p cut to p's block
-    slice_far: int  # and the OR of the others of that block
+    slice_t0: int  # points p < q of one block whose U_p, U_q cut to it are equal
+    slice_t1: int  # bit e: the slice at parameter e is T1
 
 
 # Split points between the paths below, from timings on CPython 3.11:
-# ORing values into place one by one, and copying a value into every slot
-# by multiplying, beat pairwise merging up to about 200 slots; walking
-# meet masks bit by bit beats transposing them as text up to about 24.
+# ORing values into place one by one beats pairwise merging up to about
+# 200 slots; walking meet masks bit by bit beats transposing them as text
+# up to about 24.
 _BY_VALUE = 192
 _WALKED = 24
 
@@ -181,31 +190,6 @@ def _place(vals: Sequence[int], width: int) -> int:
         vals = [a | b << width for a, b in pairs] + vals[len(vals) & ~1 :]
         width *= 2
     return vals[0]
-
-
-def _every_slot(k: int, width: int) -> int:
-    """A 1 at the bottom of each of k slots of ``width`` bits."""
-    return _place([1] * k, width)
-
-
-def _near_far(vals: Sequence[int], width: int, every: int) -> tuple[int, int]:
-    """``vals[i]`` in slot i of ``width`` bits, and in the same slot of
-    ``far`` the OR of the other values: the OR of all of them without
-    the bits that ``vals[i]`` alone has.  ``every`` is
-    ``_every_slot(len(vals), width)``, which the kernel keeps per context;
-    a value is copied into every slot by multiplying by it, and past
-    ``_BY_VALUE`` slots by ``_place``, as the long product then costs
-    more than the copies."""
-    k, total, twice = len(vals), 0, 0
-    for v in vals:
-        twice |= total & v
-        total |= v
-    if k > _BY_VALUE:
-        total, twice = _place([total] * k, width), _place([twice] * k, width)
-    else:
-        total, twice = total * every, twice * every
-    near = _place(vals, width)
-    return near, total & ~(near & ~twice)
 
 
 def _equal_pairs(vals: Sequence[int], distinct: bool) -> int:
@@ -252,85 +236,76 @@ def _mutual_pairs(masks: Sequence[int]) -> int:
 
 class _Kernel:
     """``profile`` and the supremum's soft axioms over one context, with
-    what they read of the context computed once: the slot masks, the
-    parameter blocks' starts and each point's block.
+    what they read of the context computed once: a block's mask, the
+    parameter blocks' starts and each point's block."""
 
-    Slots are |X x E| bits wide; ``every`` has a 1 at the bottom of each
-    element's slot, ``in_block`` the first block there, and
-    ``every_point`` a 1 at the bottom of each point's slot.
-    """
-
-    __slots__ = "nx", "n", "ne", "starts", "every", "in_block", "own", "every_point"
+    __slots__ = "nx", "n", "ne", "block", "starts", "own"
 
     def __init__(self, ctx: Context):
         nx, n = ctx.nx, ctx.nx * ctx.ne
         self.nx, self.n, self.ne = nx, n, ctx.ne
+        self.block = ctx.block_mask
         self.starts = range(nx, n, nx)
-        self.every = _every_slot(nx, n)
-        self.in_block = ctx.block_mask * self.every
         self.own = [ctx.block_mask << (p - p % nx) for p in range(n)]
-        self.every_point = _every_slot(n, n) if ctx.ne > 1 else 0
 
-    def _whole(self, nbhd: Sequence[int], distinct: bool) -> tuple[int, int, int]:
-        """Soft T0, T1 and T2 as bits 0, 1 and 2, ``near`` and ``far`` of
-        the topology whose ``N(x)`` are ``nbhd``, which are ``distinct``
-        or not.
+    def _soft(self, nbhd: Sequence[int]) -> int:
+        """Soft T0, T1 and T2, as bits 0, 1 and 2, of the topology whose
+        ``N(x)`` are ``nbhd``.
 
-        The topology is T0 when the ``N(x)`` are distinct, T1 when every
-        cont(x), the AND of ``near``'s parameter blocks in slot x, is {x},
-        and T2 when no ``N(x)`` meets another.  N(y) holds y's row, so
-        N(x) = N(y) puts y in cont(x) and makes N(x) meet N(y): T1 and T2
-        each imply T0, and without T0 there is no soft bit to compute.
+        The topology is T0 when the ``N(x)`` are distinct, T2 when no
+        ``N(x)`` meets another and T1 when every cont(x) is {x}.  N(x)
+        holds x's row, so the ``N(x)`` are disjoint exactly when each is
+        x's row, that is when they have |X x E| bits in all; then each
+        cont(x) is {x}, and T2 implies T1.  N(x) = N(y) puts y in cont(x),
+        so T1 implies T0, and without T0 there is no soft bit to compute.
         """
-        near, far = _near_far(nbhd, self.n, self.every)
-        if not distinct:
-            return 0, near, far
-        cont = near & self.in_block
+        if len(set(nbhd)) < self.nx:
+            return 0
+        if sum(map(int.bit_count, nbhd)) == self.n:
+            return 0b111
+        cont = [v & self.block for v in nbhd]
         for s in self.starts:
-            cont &= near >> s
-        soft = 1 | (cont.bit_count() == self.nx) << 1 | (not far & near) << 2
-        return soft, near, far
+            cont = [c & v >> s for c, v in zip(cont, nbhd)]
+        return 1 | (sum(map(int.bit_count, cont)) == self.nx) << 1
 
     def soft(self, u: Sequence[int]) -> int:
         """Soft T0, T1 and T2, as bits 0, 1 and 2, of the topology ``u``."""
-        nbhd = _row_neighbourhoods(u, self.nx)
-        return self._whole(nbhd, len(set(nbhd)) == self.nx)[0]
+        return self._soft(_row_neighbourhoods(u, self.nx))
 
     def profile(self, u: Sequence[int]) -> _Profile:
         """See ``profile``."""
         nx, n = self.nx, self.n
         nbhd = _row_neighbourhoods(u, nx)
-        distinct = len(set(nbhd)) == nx
-        soft, near, far = self._whole(nbhd, distinct)
-        t0, t1 = _equal_pairs(nbhd, distinct), soft >> 1 & 1
+        soft = self._soft(nbhd)
+        t0 = _equal_pairs(nbhd, soft & 1)
         if self.ne == 1:
-            strong_t0, strong_t1 = t0, t1
-            slice_t0, slice_t1, slice_near, slice_far = t0, t1, near, far
+            strong_t0, slice_t0, slice_t1 = t0, t0, soft >> 1 & 1
         else:
-            block = (1 << nx) - 1
-            meets = [v & block for v in nbhd]
+            meets = [v & self.block for v in nbhd]
             for s in self.starts:
-                meets = [m | v >> s & block for m, v in zip(meets, nbhd)]
+                meets = [m | v >> s & self.block for m, v in zip(meets, nbhd)]
             strong_t0 = _mutual_pairs(meets)
-            # meet(x) holds cont(x), so strong T1 implies T1 and T0
-            strong_t1 = distinct and sum(map(int.bit_count, meets)) == nx
             own = list(map(and_, u, self.own))
             slice_t0 = _equal_pairs(own, len(set(own)) == n)
-            slice_near, slice_far = _near_far(own, n, self.every_point)
-            slice_t1 = slice_near.bit_count() == n
-        t1_bits = t1 * _PW_T1 | strong_t1 * _STRONG_T1 | slice_t1 * _SLICES_T1
-        cor2 = _COR2 if soft & 0b100 else 0
+            slice_t1 = sum(
+                1 << e
+                for e, s in enumerate(range(0, n, nx))
+                if sum(map(int.bit_count, own[s : s + nx])) == nx
+            )
+        alone = (
+            (soft >> 1 & 1) * _PW_T1
+            | (soft >> 2) * _T2
+            | (slice_t1.bit_count() == self.ne) * _SLICES_T1
+            | _THM1
+        )
         return _Profile(
             soft,
-            soft | _SOFT << _T2_SOFT | t1_bits | cor2,
-            _SOFT | soft << _T2_SOFT | t1_bits | cor2,
+            soft | _SOFT << _T2_SOFT | alone,
+            _SOFT | soft << _T2_SOFT | alone,
             t0,
-            near,
-            far,
             strong_t0,
             slice_t0,
-            slice_near,
-            slice_far,
+            slice_t1,
         )
 
     def key(self, u1: Sequence[int], u2: Sequence[int]) -> int:
@@ -350,14 +325,11 @@ def _kernel(ctx: Context) -> _Kernel:
 def profile(ctx: Context, u: Sequence[int]) -> _Profile:
     """The profile of the topology over ``ctx`` whose ``U_p`` is ``u[p]``.
 
-    x's row has an open complement when no ``N(y)``, y != x, meets it;
-    for every row at once that is the ``N(x)`` being pairwise disjoint,
-    so ``cor2`` is soft T2.  With one parameter, meeting a row is
-    containing it and the slice is the topology itself, so the strong and
-    slice fields repeat the whole ones.  Otherwise the slices sit side by
-    side as the ``U_p`` cut to their own blocks, one group of points, as
-    only the points of one block share bits; a slice is T1 when each of
-    those is {p}.
+    With one parameter, meeting a row is containing it and the slice is
+    the topology itself, so the strong and slice fields repeat the whole
+    ones.  Otherwise the slices sit side by side as the ``U_p`` cut to
+    their own blocks, one group of points, as only the points of one
+    block share bits; the slice at e is T1 when each of block e's is {p}.
     """
     return _kernel(ctx).profile(u)
 
@@ -366,19 +338,11 @@ def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
     """The fact key of the space (p, q) whose supremum's soft axioms are
     ``sup_bits``, already in bits ``_SUP`` to ``_SUP + 2``.
 
-    The facts each topology settles alone come from ANDing ``p.first``
-    with ``q.second``; the rest is one AND test each.  Pairwise T0 fails
-    where both ``t0`` have a bit, and T2 (N1(x) and N2(y) disjoint for
-    every ordered pair) where the first ``far`` meets the second
-    ``near``; so for the strong and slice bitsets.
-
-    N1(x) is the smallest first-topology member around x and closure is
-    monotone, so cl2(N1(x)) is both the best witness for the closure
-    characterization, which needs it to miss every other row, and the
-    point closure intersection of Corollary 1, which must equal x's row
-    and always contains it.  cl2(A) = {p : U2_p meets A} meets y's row
-    exactly when N2(y) meets A, so cl2(N1(x)) misses the other rows when
-    N1(x) misses the second topology's ``far`` in x's slot.
+    The facts each topology settles alone, every fact but the T0 family
+    (the module docstring), come from ANDing ``p.first`` with
+    ``q.second``; the T0 family is one AND test each: pairwise T0 fails
+    where both ``t0`` have a bit, and so for the strong and slice
+    bitsets.
 
     The subspace on Y has the neighbourhoods N(x) & Y's rows, so a test of
     x, y in Y that passes on X passes on Y: the T0 and T1 tests read only
@@ -394,16 +358,6 @@ def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
         key |= _STRONG_T0
     if not p.slice_t0 & q.slice_t0:
         key |= _SLICES_T0
-    if not p.slice_far & q.slice_near:
-        key |= _SLICES_T2
-    t2 = not p.far & q.near
-    closure = not p.near & q.far
-    if t2:
-        key |= _PW_T2
-    if closure:
-        key |= _COR1
-    if t2 == closure:
-        key |= _THM1
     return key
 
 
@@ -422,27 +376,23 @@ def space_verdicts(s: BiSoftSpace) -> tuple[_PairFacts, dict[str, dict[str, bool
     slice at each parameter, read off one profile of each topology; the
     public checkers of ``axioms`` read every verdict here.
 
-    Block e's points are the slots e*nx to (e+1)*nx - 1 of the slice
-    bitsets, one range of nx*|X x E| bits, since ``slice_t0`` pairs no
-    points of two blocks: their cut ``U_p`` lie in different blocks.  A
-    slice is T1 when each of its nx slots holds {p}, and pairwise T1 when
-    both topologies' slices are.
+    Block e's points are the rows e*nx to (e+1)*nx - 1 of ``slice_t0``,
+    one range of nx*|X x E| bits, since it pairs no points of two blocks:
+    their cut ``U_p`` lie in different blocks.  A slice is pairwise T1
+    when both topologies' slices are T1, and then it is pairwise T2 as
+    well, since a finite T1 topology is discrete.
     """
     kernel = _kernel(s.context)
     u1, u2 = s.t1.neighbourhoods(), s.t2.neighbourhoods()
     p, q = kernel.profile(u1), kernel.profile(u2)
     facts = _decode(_pair_key(p, q, kernel.soft(list(map(and_, u1, u2))) << _SUP))
-    nx, width = kernel.nx, kernel.nx * kernel.n
-    t0, t2 = p.slice_t0 & q.slice_t0, p.slice_far & q.slice_near
+    width = kernel.nx * kernel.n
+    t0, t1 = p.slice_t0 & q.slice_t0, p.slice_t1 & q.slice_t1
     slices = {}
     for e, name in enumerate(s.context.parameters.parameters):
         block = ((1 << width) - 1) << e * width
-        near1, near2 = p.slice_near & block, q.slice_near & block
-        slices[name] = {
-            "t0": not t0 & block,
-            "t1": near1.bit_count() == nx == near2.bit_count(),
-            "t2": not t2 & block,
-        }
+        slice_t1 = bool(t1 >> e & 1)
+        slices[name] = {"t0": not t0 & block, "t1": slice_t1, "t2": slice_t1}
     return facts, slices
 
 
@@ -554,8 +504,7 @@ def _classes(nx: int, ne: int) -> tuple[tuple, tuple, dict, tuple]:
     with the supremum's soft bits.  Returns ``(cls, packed, sup,
     classes)``: each topology's class id and packed ``U``, the supremum's
     soft bits keyed by packed ``U``, and one profile per class (355
-    topologies on four points have 71 classes over 2x2; over 4x1 every
-    profile differs).  At most eight factorizations are ever cached, as
+    topologies on four points have 29 classes over 2x2 and 16 over 4x1).  At most eight factorizations are ever cached, as
     for ``_profiles``.
     """
     profiles = _profiles(nx, ne)

@@ -3,9 +3,7 @@
 import random
 import sys
 import threading
-from functools import reduce
 from itertools import chain, combinations, product
-from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +18,8 @@ from bisoft.scan import (
     _PairFacts,
     _bits,
     _decode,
-    _every_slot,
     _first_violation,
     _mutual_pairs,
-    _near_far,
     _orbits,
     _pair_key,
     _place,
@@ -731,18 +727,12 @@ class TestProfileKernel:
         # masks transposed as text; both must give the bit-by-bit result
         rng = random.Random(k)
         for width, dense in product((1, 7, 8, 13, k + 3), (True, False)):
-            # one-bit values leave bits that a single value holds
             vals = [
                 rng.getrandbits(width) if dense else 1 << rng.randrange(width)
                 for _ in range(k)
             ]
-            near = sum(v << i * width for i, v in enumerate(vals))
-            far = sum(
-                reduce(or_, vals[:i] + vals[i + 1 :], 0) << i * width
-                for i in range(k)
-            )
-            assert _place(vals, width) == near
-            assert _near_far(vals, width, _every_slot(k, width)) == (near, far)
+            placed = sum(v << i * width for i, v in enumerate(vals))
+            assert _place(vals, width) == placed
         for density in (0.1, 0.5, 0.9):
             masks = [
                 sum(1 << y for y in range(k) if y == x or rng.random() < density)
@@ -896,7 +886,7 @@ class TestOrbitScan:
                 heads += len({cls[i] for i in minima}) * len(classes)
                 pairs += len(minima) * len(cls)
                 group_orders.append(len(action))
-        assert len(calls) == heads == 13905 < pairs
+        assert len(calls) == heads == 866 < pairs
         assert passes == group_orders
 
     def test_threads_filling_cross_keys_agree(self):
