@@ -141,10 +141,10 @@ class _Profile(NamedTuple):
     T1, which needs both topologies soft T1, and the facts that hold
     exactly when both topologies are soft T2 or both have T1 slices (the
     module docstring).  ``slice_t1`` keeps the slices' T1 per parameter
-    for ``space_verdicts``.  The T0 fields are the
-    bitsets that ``_pair_key`` ANDs, each bit a pair of distinct elements
-    or of points of one block; their layout only has to agree between
-    profiles of one context.
+    for ``space_verdicts``.  The T0 fields are the bitsets that
+    ``_pair_key`` ANDs, each bit a pair of distinct elements or of points
+    of one block; their layout only has to agree between profiles of one
+    context.
 
     They come from the containment masks of each element x: ``cont(x)``,
     the elements whose row ``N(x)`` contains (the AND of ``N(x)``'s
