@@ -12,27 +12,17 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
-from .axioms import axiom_report, pairwise_verdicts
 from .errors import (
     BisoftError,
     FixtureError,
     InvalidTopologyError,
     UnknownClaimError,
 )
-from .fixtures import FixtureDocument, builtin_fixture_names, load_fixture
-from .rough import rough_regions
-from .search import (
-    CLAIMS,
-    CLAIM_ALIASES,
-    SearchConfig,
-    find_counterexample,
-    verify_implications,
-)
-from .softset import SoftSet
-from .space import BiSoftSpace, slice_space, subspace, sup_topology
-from .topology import topology_violations
+
+# Each command imports the modules it uses when it runs, so that a command
+# loads only those.  The annotations name their types without importing
+# them; they are never evaluated.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,6 +57,9 @@ def _dump(payload: dict) -> None:
 
 
 def _cmd_validate(args) -> int:
+    from .fixtures import load_fixture
+    from .topology import topology_violations
+
     doc = load_fixture(args.file)
     report = {}
     all_valid = True
@@ -103,6 +96,9 @@ def _space_or_die(doc: FixtureDocument, name: str) -> BiSoftSpace:
 
 
 def _cmd_axioms(args) -> int:
+    from .axioms import axiom_report
+    from .fixtures import load_fixture
+
     doc = load_fixture(args.file)
     s = _space_or_die(doc, args.space)
     rep = axiom_report(s, strict_orientation=args.strict_orientation)
@@ -157,6 +153,8 @@ def _cmd_axioms(args) -> int:
 
 def _sup_display_order(s: BiSoftSpace, sup) -> list[SoftSet]:
     """Null and absolute first, then both families, generated members last."""
+    from .softset import SoftSet
+
     t1 = set(s.t1.masks())
     t2 = set(s.t2.masks())
     trivial = {0, s.context.full_mask}
@@ -168,6 +166,9 @@ def _sup_display_order(s: BiSoftSpace, sup) -> list[SoftSet]:
 
 
 def _cmd_sup(args) -> int:
+    from .fixtures import load_fixture
+    from .space import sup_topology
+
     doc = load_fixture(args.file)
     s = _space_or_die(doc, args.space)
     sup = sup_topology(s)
@@ -190,6 +191,10 @@ def _cmd_sup(args) -> int:
 
 
 def _cmd_slice(args) -> int:
+    from .axioms import pairwise_verdicts
+    from .fixtures import load_fixture
+    from .space import slice_space
+
     doc = load_fixture(args.file)
     s = _space_or_die(doc, args.space)
     if args.param not in s.context.parameters.parameters:
@@ -221,6 +226,10 @@ def _cmd_slice(args) -> int:
 
 
 def _cmd_subspace(args) -> int:
+    from .fixtures import load_fixture
+    from .softset import SoftSet
+    from .space import subspace
+
     doc = load_fixture(args.file)
     s = _space_or_die(doc, args.space)
     keep = [e.strip() for e in args.keep.split(",") if e.strip()]
@@ -262,6 +271,9 @@ def _cmd_subspace(args) -> int:
 
 
 def _cmd_rough(args) -> int:
+    from .fixtures import load_fixture
+    from .rough import rough_regions
+
     doc = load_fixture(args.file)
     s = _space_or_die(doc, args.space)
     target_name = args.target or doc.target
@@ -298,6 +310,8 @@ def _cmd_rough(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .search import SearchConfig, find_counterexample, verify_implications
+
     mode = "random" if args.random is not None else "exhaustive"
     try:
         config = SearchConfig(
@@ -346,19 +360,30 @@ def _cmd_search(args) -> int:
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 
+class _Program(_Parser):
+    """The top-level parser.  Its epilog lists the builtin fixtures, and is
+    built only when help is formatted, so that a command that reads no
+    fixture, such as ``search``, does not load ``fixtures``."""
+
+    def format_help(self):
+        from .fixtures import builtin_fixture_names
+
+        self.epilog = (
+            "FILE arguments accept a path or a builtin fixture name "
+            f"({', '.join(builtin_fixture_names())})."
+        )
+        return super().format_help()
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(
+    parser = _Program(
         prog="bisoft",
         description=(
             "Finite workbench for soft set algebra, bi-soft topologies, "
             "pairwise separation axioms and rough approximation."
         ),
-        epilog=(
-            "FILE arguments accept a path or a builtin fixture name "
-            f"({', '.join(builtin_fixture_names())})."
-        ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -412,7 +437,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         code = _run(argv)
         sys.stdout.flush()  # a reader that left early fails here, not at exit
@@ -423,7 +448,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     return code
 
 
-def _run(argv: Optional[list[str]]) -> int:
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -441,6 +466,8 @@ def _run(argv: Optional[list[str]]) -> int:
             print(f"  {v}", file=sys.stderr)
         return EXIT_INVALID
     except UnknownClaimError as exc:
+        from .search import CLAIM_ALIASES, CLAIMS
+
         known = sorted(set(CLAIMS) | set(CLAIM_ALIASES))
         print(
             f"error: unknown claim {exc.args[0]!r}; known claims: "

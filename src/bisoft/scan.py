@@ -63,8 +63,11 @@ too, through ``space_verdicts``, which also reads each parameter's slice
 off the two profiles.
 
 ``search`` imports this module on the first verification, hunt or replay,
-and ``axioms`` on the first verdict, so ``import bisoft`` and the commands
-that decide nothing do not load it.
+and ``axioms`` on the first verdict.  ``import bisoft`` loads no submodule,
+and the commands that decide nothing (``validate``, ``sup``, ``subspace``
+and ``rough``) load neither this module nor ``search``.  This module
+imports ``search`` at its top, so the first verdict of a checker loads
+``search`` too.
 """
 
 from __future__ import annotations
@@ -498,18 +501,21 @@ def _packed(u: Sequence[int]) -> int:
 def _classes(nx: int, ne: int) -> tuple[tuple, tuple, dict, tuple]:
     """The profile classes of the topologies on nx*ne points.
 
-    ``_pair_key`` reads nothing of a topology but its profile, and a
-    space's supremum only ORs in its three soft bits, which no cross test
-    touches, so a pair's key is the cross key of its two classes ORed
-    with the supremum's soft bits.  Returns ``(cls, packed, sup,
-    classes)``: each topology's class id and packed ``U``, the supremum's
-    soft bits keyed by packed ``U``, and one profile per class (355
-    topologies on four points have 29 classes over 2x2 and 16 over 4x1).  At most eight factorizations are ever cached, as
-    for ``_profiles``.
+    ``_pair_key`` reads nothing of a topology but the ``first``,
+    ``second`` and T0 fields of its profile, and a space's supremum only
+    ORs in its three soft bits, which no cross test touches, so a pair's
+    key is the cross key of its two classes ORed with the supremum's soft
+    bits.  A class is the profiles that agree on those fields; ``soft``
+    is part of ``first``, and ``slice_t1`` is cleared, so that it splits
+    no class.  Returns ``(cls, packed, sup, classes)``: each topology's
+    class id and packed ``U``, the supremum's soft bits keyed by packed
+    ``U``, and one profile per class, its ``slice_t1`` cleared (355
+    topologies on four points have 18 classes over 2x2 and 16 over 4x1).
+    At most eight factorizations are ever cached, as for ``_profiles``.
     """
     profiles = _profiles(nx, ne)
     ids: dict = {}
-    cls = tuple([ids.setdefault(p, len(ids)) for p in profiles])
+    cls = tuple([ids.setdefault(p._replace(slice_t1=0), len(ids)) for p in profiles])
     packed = tuple([_packed(u) for u in _point_neighbourhoods(nx * ne)])
     sup = {key: p.soft << _SUP for key, p in zip(packed, profiles)}
     return cls, packed, sup, tuple(ids)

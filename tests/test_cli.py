@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, JSON stability."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bisoft.cli import EXIT_CLOSED_STDOUT, main
+from bisoft.cli import EXIT_CLOSED_STDOUT, build_parser, main
 from bisoft.fixtures import load_fixture, loads_fixture, serialize_fixture
 
 
@@ -345,6 +346,82 @@ def test_import_leaves_the_fact_kernel_unloaded():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+
+
+def _imported(*args):
+    """The exit code of a fresh ``python -X importtime ARGS``, and the
+    ``bisoft`` submodules it imported, as its import-time log names them."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.decode().splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, {n for n in names if n.startswith("bisoft.")}
+
+
+CLI = {"cli", "errors"}
+FIXTURE_READING = CLI | {"fixtures", "softset", "space", "topology"}
+DECIDING = FIXTURE_READING | {"axioms", "rough", "scan", "search"}
+# the bisoft submodules each entry point loads: import bisoft none, search
+# neither axioms nor fixtures, the fixture commands none of search, scan
+# and axioms
+ENTRY_POINTS = {
+    "import": (["-c", "import bisoft"], set()),
+    "search": (
+        ["-m", "bisoft", "search", "--max-x", "2", "--params", "1", "--json"],
+        CLI | {"rough", "scan", "search", "softset", "space", "topology"},
+    ),
+    "validate": (["-m", "bisoft", "validate", "rough"], FIXTURE_READING),
+    "sup": (["-m", "bisoft", "sup", "bisoft1", "--space", "S"], FIXTURE_READING),
+    "subspace": (
+        ["-m", "bisoft", "subspace", "bisoft1", "--space", "S", "--keep", "h1,h2"],
+        FIXTURE_READING,
+    ),
+    "rough": (
+        ["-m", "bisoft", "rough", "rough", "--space", "S"],
+        FIXTURE_READING | {"rough"},
+    ),
+    "axioms": (["-m", "bisoft", "axioms", "bisoft1", "--space", "S"], DECIDING),
+    "slice": (
+        ["-m", "bisoft", "slice", "bisoft1", "--space", "S", "--param", "e1"],
+        DECIDING,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_each_entry_point_loads_only_its_modules(entry):
+    args, loaded = ENTRY_POINTS[entry]
+    assert _imported(*args) == (0, {f"bisoft.{m}" for m in loaded})
+
+
+def test_help_lists_the_builtin_fixtures(capsys, monkeypatch):
+    # the epilog is built only when help is formatted, and reads as it
+    # would had it been given to the parser up front
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    parser.epilog = (
+        "FILE arguments accept a path or a builtin fixture name (basic, bisoft1, "
+        "param, rough, sup, t0a, t0b, t0d, t1a, t1b, t1c, t2a)."
+    )
+    assert exc.value.code == 0
+    assert out == argparse.ArgumentParser.format_help(parser) == parser.format_help()
+    commands = ("validate", "axioms", "sup", "slice", "subspace", "rough", "search")
+    for command in commands:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: bisoft {command} ") and "FILE" not in out
 
 
 def test_unlistable_supremum_exits_1(capsys, tmp_path):

@@ -886,7 +886,7 @@ class TestOrbitScan:
                 heads += len({cls[i] for i in minima}) * len(classes)
                 pairs += len(minima) * len(cls)
                 group_orders.append(len(action))
-        assert len(calls) == heads == 866 < pairs
+        assert len(calls) == heads == 469 < pairs
         assert passes == group_orders
 
     def test_threads_filling_cross_keys_agree(self):
