@@ -27,16 +27,18 @@ discrete, so a slice is T2 exactly when it is T1.
 
 A topology settles all of these alone, with its soft axioms and its T1
 tests, and a profile keeps them in two keys, one for each place in a
-space, whose AND is the space's share of them; the T0, strong T0 and
-slice T0 tests AND one bitset of each topology.  A profile is computed
-from containment masks, the elements whose row each ``N(x)`` contains
-or meets (``_Profile``), in a few passes over the elements and points,
-and a space's supremum contributes its three soft bits alone.  What a
-profile reads of a context, its block mask and each point's block, is
-computed once per context, in a ``_Kernel``.  Every corpus goes through
-``_pair_key``, and each claim reads the ``_PairFacts`` of a distinct
-key, decoded once.  A report reads a census, a dict from each distinct
-key to its count and its first positions:
+space, whose AND is the space's share of them.  The T0 family is tested
+on the pair of topologies: a space is pairwise T0 when the pairs
+``(N1(x), N2(x))`` are distinct, its slices when the pairs of ``U_p``
+cut to p's block are, and strong T0 ANDs one bitset of each topology
+(``_Profile``).  A profile is computed in a few passes over the elements
+and points, and a space's supremum contributes its three soft bits
+alone.  What a profile reads of a context, its block mask and each
+point's block, is computed once per context, in a ``_Kernel``.  Every
+corpus goes through ``_pair_key``, and each claim reads the
+``_PairFacts`` of a distinct key, decoded once.  A report reads a
+census, a dict from each distinct key to its count and its first
+positions:
 
 * ``space_facts`` profiles one space at a time, for explicit corpora
   and ``replay``;
@@ -66,8 +68,9 @@ off the two profiles.
 and ``axioms`` on the first verdict.  ``import bisoft`` loads no submodule,
 and the commands that decide nothing (``validate``, ``sup``, ``subspace``
 and ``rough``) load neither this module nor ``search``.  This module
-imports ``search`` at its top, so the first verdict of a checker loads
-``search`` too.
+imports the names it needs of ``search`` in the functions that build
+reports, records and random draws, so a checker's verdict, and the
+``axioms`` and ``slice`` commands, load neither ``search`` nor ``rough``.
 """
 
 from __future__ import annotations
@@ -77,22 +80,14 @@ from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from operator import and_
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .search import (
-    EXHAUSTIVE_POINT_BOUND,
-    Claim,
-    ClaimResult,
-    CounterexampleRecord,
-    ImplicationReport,
-    SearchConfig,
-    _random_neighbourhoods,
-    record_for,
-    standard_context,
-)
 from .softset import Context
 from .space import BiSoftSpace
 from .topology import SoftTopology, _row_neighbourhoods, _union_closure
+
+if TYPE_CHECKING:
+    from .search import Claim, CounterexampleRecord, ImplicationReport, SearchConfig
 
 _MAX_RECORDS_PER_CLAIM = 3
 
@@ -143,29 +138,33 @@ class _Profile(NamedTuple):
     to the facts its topologies settle apart: the soft axioms, pairwise
     T1, which needs both topologies soft T1, and the facts that hold
     exactly when both topologies are soft T2 or both have T1 slices (the
-    module docstring).  ``slice_t1`` keeps the slices' T1 per parameter
-    for ``space_verdicts``.  The T0 fields are the bitsets that
-    ``_pair_key`` ANDs, each bit a pair of distinct elements or of points
-    of one block; their layout only has to agree between profiles of one
-    context.
+    module docstring).  Every slice is T1 when the ``U_p`` cut to p's
+    block, each holding p, have |X x E| bits in all.
 
-    They come from the containment masks of each element x: ``cont(x)``,
-    the elements whose row ``N(x)`` contains (the AND of ``N(x)``'s
-    parameter blocks), and ``meet(x)``, those whose row it meets (their
-    OR).  The T0 bits are the pairs each in the other's mask.  Since y in
-    cont(x) exactly when ``N(y) ⊆ N(x)``, x and y are each in the other's
-    ``cont`` exactly when ``N(x) = N(y)``; likewise in a slice, which is
-    a topology on X with the neighbourhoods ``block_e(U_(x,e))``.
-    ``meet`` has no such shortcut.
+    The T0 fields are what ``_pair_key`` reads of the T0 family, from
+    the containment masks of each element x: ``cont(x)``, the elements
+    whose row ``N(x)`` contains (the AND of ``N(x)``'s parameter blocks),
+    and ``meet(x)``, those whose row it meets (their OR).  A topology
+    leaves x and y unseparated when each is in the other's mask.  Since y
+    is in cont(x) exactly when ``N(y) ⊆ N(x)``, x and y are each in the
+    other's ``cont`` exactly when ``N(x) = N(y)``; so a space is pairwise
+    T0 exactly when the pairs ``(N1(x), N2(x))`` are distinct, and ``t0``
+    is the ``N(x)`` vector.
+    Likewise a slice is a topology on X with the neighbourhoods
+    ``block_e(U_(x,e))``, and ``slice_t0`` is each ``U_p`` cut to p's
+    block; points of two blocks never share a cut ``U_p``.  ``meet`` has
+    no such shortcut, so ``strong_t0`` is the bitset of the pairs x < y
+    each in the other's ``meet``, bit x * |X| + y, and ``_pair_key`` ANDs
+    two of them.  With one parameter, meeting a row is containing it, so
+    strong T0 is pairwise T0 and ``strong_t0`` is None.
     """
 
     soft: int  # soft T0, T1, T2 as bits 0, 1, 2
     first: int
     second: int
-    t0: int  # pairs x < y each in the other's cont: N(x) = N(y)
-    strong_t0: int  # pairs x < y each in the other's meet
-    slice_t0: int  # points p < q of one block whose U_p, U_q cut to it are equal
-    slice_t1: int  # bit e: the slice at parameter e is T1
+    t0: tuple[int, ...]  # N(x) for each element x
+    strong_t0: int | None  # pairs x < y each in the other's meet
+    slice_t0: tuple[int, ...]  # U_p cut to p's block for each point p
 
 
 # Split points between the paths below, from timings on CPython 3.11:
@@ -193,20 +192,6 @@ def _place(vals: Sequence[int], width: int) -> int:
         vals = [a | b << width for a, b in pairs] + vals[len(vals) & ~1 :]
         width *= 2
     return vals[0]
-
-
-def _equal_pairs(vals: Sequence[int], distinct: bool) -> int:
-    """Bit i * len(vals) + j for each pair i < j with equal values, placed
-    one row at a time: row i holds the later indices of i's value.
-    ``distinct`` says the values are distinct, so there is none."""
-    if distinct:
-        return 0
-    k, rows, later = len(vals), [0] * len(vals), {}
-    for i in range(k - 1, -1, -1):
-        v = vals[i]
-        rows[i] = row = later.get(v, 0)
-        later[v] = row | 1 << i
-    return _place(rows, k)
 
 
 def _mutual_pairs(masks: Sequence[int]) -> int:
@@ -277,38 +262,28 @@ class _Kernel:
 
     def profile(self, u: Sequence[int]) -> _Profile:
         """See ``profile``."""
-        nx, n = self.nx, self.n
-        nbhd = _row_neighbourhoods(u, nx)
+        nbhd = _row_neighbourhoods(u, self.nx)
         soft = self._soft(nbhd)
-        t0 = _equal_pairs(nbhd, soft & 1)
-        if self.ne == 1:
-            strong_t0, slice_t0, slice_t1 = t0, t0, soft >> 1 & 1
-        else:
+        strong_t0 = None
+        if self.ne > 1:
             meets = [v & self.block for v in nbhd]
             for s in self.starts:
                 meets = [m | v >> s & self.block for m, v in zip(meets, nbhd)]
             strong_t0 = _mutual_pairs(meets)
-            own = list(map(and_, u, self.own))
-            slice_t0 = _equal_pairs(own, len(set(own)) == n)
-            slice_t1 = sum(
-                1 << e
-                for e, s in enumerate(range(0, n, nx))
-                if sum(map(int.bit_count, own[s : s + nx])) == nx
-            )
+        own = tuple(map(and_, u, self.own))
         alone = (
             (soft >> 1 & 1) * _PW_T1
             | (soft >> 2) * _T2
-            | (slice_t1.bit_count() == self.ne) * _SLICES_T1
+            | (sum(map(int.bit_count, own)) == self.n) * _SLICES_T1
             | _THM1
         )
         return _Profile(
             soft,
             soft | _SOFT << _T2_SOFT | alone,
             _SOFT | soft << _T2_SOFT | alone,
-            t0,
+            nbhd,
             strong_t0,
-            slice_t0,
-            slice_t1,
+            own,
         )
 
     def key(self, u1: Sequence[int], u2: Sequence[int]) -> int:
@@ -328,11 +303,10 @@ def _kernel(ctx: Context) -> _Kernel:
 def profile(ctx: Context, u: Sequence[int]) -> _Profile:
     """The profile of the topology over ``ctx`` whose ``U_p`` is ``u[p]``.
 
-    With one parameter, meeting a row is containing it and the slice is
-    the topology itself, so the strong and slice fields repeat the whole
-    ones.  Otherwise the slices sit side by side as the ``U_p`` cut to
-    their own blocks, one group of points, as only the points of one
-    block share bits; the slice at e is T1 when each of block e's is {p}.
+    With one parameter the slice is the topology itself, so ``slice_t0``
+    repeats ``t0``, and strong T0 is pairwise T0.  Otherwise the slices
+    sit side by side as the ``U_p`` cut to their own blocks, and the
+    slice at e is T1 when each of block e's is {p}.
     """
     return _kernel(ctx).profile(u)
 
@@ -343,9 +317,11 @@ def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
 
     The facts each topology settles alone, every fact but the T0 family
     (the module docstring), come from ANDing ``p.first`` with
-    ``q.second``; the T0 family is one AND test each: pairwise T0 fails
-    where both ``t0`` have a bit, and so for the strong and slice
-    bitsets.
+    ``q.second``.  The space is pairwise T0 when either topology is soft
+    T0, its ``N(x)`` being distinct, or the pairs ``(N1(x), N2(x))`` are
+    distinct; its slices are pairwise T0 when the pairs of cut ``U_p``
+    are; and it is strong T0 when the two ``strong_t0`` bitsets share no
+    bit, or, with one parameter, when it is pairwise T0 (``_Profile``).
 
     The subspace on Y has the neighbourhoods N(x) & Y's rows, so a test of
     x, y in Y that passes on X passes on Y: the T0 and T1 tests read only
@@ -355,13 +331,19 @@ def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
     hereditary bit is set with its pairwise bit.
     """
     key = p.first & q.second | sup_bits
-    if not p.t0 & q.t0:
+    t0 = (p.soft | q.soft) & 1 or _distinct(p.t0, q.t0)
+    if t0:
         key |= _PW_T0
-    if not p.strong_t0 & q.strong_t0:
+    if t0 if p.strong_t0 is None else not p.strong_t0 & q.strong_t0:
         key |= _STRONG_T0
-    if not p.slice_t0 & q.slice_t0:
+    if _distinct(p.slice_t0, q.slice_t0):
         key |= _SLICES_T0
     return key
+
+
+def _distinct(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether the pairs ``(a[i], b[i])`` are distinct."""
+    return len(set(zip(a, b))) == len(a)
 
 
 def _space_key(s: BiSoftSpace) -> int:
@@ -379,23 +361,22 @@ def space_verdicts(s: BiSoftSpace) -> tuple[_PairFacts, dict[str, dict[str, bool
     slice at each parameter, read off one profile of each topology; the
     public checkers of ``axioms`` read every verdict here.
 
-    Block e's points are the rows e*nx to (e+1)*nx - 1 of ``slice_t0``,
-    one range of nx*|X x E| bits, since it pairs no points of two blocks:
-    their cut ``U_p`` lie in different blocks.  A slice is pairwise T1
-    when both topologies' slices are T1, and then it is pairwise T2 as
-    well, since a finite T1 topology is discrete.
+    Block e's points are the places e*nx to (e+1)*nx - 1 of the cut
+    vectors ``slice_t0``.  The slice at e is pairwise T0 when the pairs of
+    its cut ``U_p`` are distinct, and pairwise T1 when both topologies'
+    slices are T1, their cut ``U_p`` having 2*nx bits in all; then it is
+    pairwise T2 as well, since a finite T1 topology is discrete.
     """
     kernel = _kernel(s.context)
     u1, u2 = s.t1.neighbourhoods(), s.t2.neighbourhoods()
     p, q = kernel.profile(u1), kernel.profile(u2)
     facts = _decode(_pair_key(p, q, kernel.soft(list(map(and_, u1, u2))) << _SUP))
-    width = kernel.nx * kernel.n
-    t0, t1 = p.slice_t0 & q.slice_t0, p.slice_t1 & q.slice_t1
-    slices = {}
+    nx, slices = kernel.nx, {}
     for e, name in enumerate(s.context.parameters.parameters):
-        block = ((1 << width) - 1) << e * width
-        slice_t1 = bool(t1 >> e & 1)
-        slices[name] = {"t0": not t0 & block, "t1": slice_t1, "t2": slice_t1}
+        block = slice(e * nx, e * nx + nx)
+        cut1, cut2 = p.slice_t0[block], q.slice_t0[block]
+        t1 = sum(map(int.bit_count, cut1 + cut2)) == 2 * nx
+        slices[name] = {"t0": _distinct(cut1, cut2), "t1": t1, "t2": t1}
     return facts, slices
 
 
@@ -411,6 +392,8 @@ def _point_neighbourhoods(n: int) -> tuple[tuple[int, ...], ...]:
     bitset: listing the members in decreasing order compares families the
     way their bitsets do.
     """
+    from .search import EXHAUSTIVE_POINT_BOUND
+
     if not 1 <= n <= EXHAUSTIVE_POINT_BOUND:
         raise ValueError(
             f"exhaustive enumeration supports 1..{EXHAUSTIVE_POINT_BOUND} points"
@@ -445,6 +428,8 @@ def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
     ``_point_neighbourhoods`` rejects nx*ne > EXHAUSTIVE_POINT_BOUND, so
     at most eight factorizations are ever cached.
     """
+    from .search import standard_context
+
     kernel = _kernel(standard_context(nx, ne))
     return tuple(map(kernel.profile, _point_neighbourhoods(nx * ne)))
 
@@ -505,20 +490,30 @@ def _classes(nx: int, ne: int) -> tuple[tuple, tuple, dict, tuple]:
     ``second`` and T0 fields of its profile, and a space's supremum only
     ORs in its three soft bits, which no cross test touches, so a pair's
     key is the cross key of its two classes ORed with the supremum's soft
-    bits.  A class is the profiles that agree on those fields; ``soft``
-    is part of ``first``, and ``slice_t1`` is cleared, so that it splits
-    no class.  Returns ``(cls, packed, sup, classes)``: each topology's
+    bits.  ``_pair_key`` reads the vectors ``t0`` and ``slice_t0`` only
+    through which of their places hold equal values, so a class is the
+    profiles that agree on ``first``, ``second``, ``strong_t0`` and the
+    first-occurrence labels of the two vectors (``soft`` is part of
+    ``first``).  Returns ``(cls, packed, sup, classes)``: each topology's
     class id and packed ``U``, the supremum's soft bits keyed by packed
-    ``U``, and one profile per class, its ``slice_t1`` cleared (355
+    ``U``, and one profile per class, its vectors labelled (355
     topologies on four points have 18 classes over 2x2 and 16 over 4x1).
     At most eight factorizations are ever cached, as for ``_profiles``.
     """
     profiles = _profiles(nx, ne)
+    labelled = [
+        p._replace(t0=_labels(p.t0), slice_t0=_labels(p.slice_t0)) for p in profiles
+    ]
     ids: dict = {}
-    cls = tuple([ids.setdefault(p._replace(slice_t1=0), len(ids)) for p in profiles])
+    cls = tuple([ids.setdefault(p, len(ids)) for p in labelled])
     packed = tuple([_packed(u) for u in _point_neighbourhoods(nx * ne)])
     sup = {key: p.soft << _SUP for key, p in zip(packed, profiles)}
     return cls, packed, sup, tuple(ids)
+
+
+def _labels(vals: tuple[int, ...]) -> tuple[int, ...]:
+    """Each value as the place of its first occurrence in ``vals``."""
+    return tuple(map(vals.index, vals))
 
 
 def _rows(nx: int, ne: int):
@@ -577,6 +572,8 @@ def _tally(nx: int, ne: int) -> dict:
 def _pair_record(
     claim_id: str, config: SearchConfig, k: int, i: int, j: int
 ) -> CounterexampleRecord:
+    from .search import CounterexampleRecord, standard_context
+
     nx, ne = config.factorizations()[k]
     ctx, us = standard_context(nx, ne), _point_neighbourhoods(nx * ne)
     names = (ctx.universe.elements, ctx.parameters.parameters)
@@ -585,7 +582,7 @@ def _pair_record(
 
 def _first_violation(
     config: SearchConfig, claim: Claim
-) -> Optional[CounterexampleRecord]:
+) -> CounterexampleRecord | None:
     """The first violating space of a corpus, in canonical or seed order.
 
     A random corpus is keyed one space at a time, up to the first
@@ -599,6 +596,8 @@ def _first_violation(
         return claim.premise(facts) and not claim.conclusion(facts)
 
     if config.mode != "exhaustive":
+        from .search import record_for
+
         ctx, draws = _random_draws(config)
         u = next((u for key, u in draws if bad(key)), None)
         return None if u is None else record_for(claim.id, _space(ctx, u))
@@ -621,6 +620,8 @@ def _report(
     positions)`` turns the first violating positions, at most
     ``_MAX_RECORDS_PER_CLAIM``, into records.
     """
+    from .search import ClaimResult, ImplicationReport
+
     table = [
         (_decode(key), count, [(k, *pos) for pos in positions])
         for k, census in enumerate(censuses)
@@ -645,6 +646,8 @@ def _random_draws(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
     """The context of a random config and its spaces in seed order, each
     as its fact key and the ``U`` of its two topologies, keyed straight
     from the seeded draws: no soft set, topology or space is built."""
+    from .search import _random_neighbourhoods, standard_context
+
     ctx = standard_context(config.max_universe, config.n_params)
     key, first = _kernel(ctx).key, 2 * config.seed
     us = _random_neighbourhoods(ctx, range(first, first + 2 * config.samples))
@@ -670,6 +673,8 @@ def _verify_keyed(
             entry.append((index, item))
 
     def records(claim_id, positions):
+        from .search import record_for
+
         return [record_for(claim_id, space(item)) for _, _, item in positions]
 
     return _report(corpus, claims, [census], records)

@@ -11,7 +11,10 @@ against the member oracle.
 
 It also keeps the member views of the enumeration that only the tests
 read: ``_point_topologies``, each topology as its sorted members, and
-``as_soft_topology``, the soft topology those members form.
+``as_soft_topology``, the soft topology those members form; and
+``plain_rough_hunt``, the exhaustive rough hunt that tries every target
+of every space, the reference for the hunt that tries each reach vector
+once.
 """
 
 from functools import lru_cache
@@ -31,6 +34,8 @@ from bisoft.search import (
     ImplicationReport,
     SearchConfig,
     get_claim,
+    iter_spaces,
+    record_for,
     standard_context,
 )
 from bisoft.softset import SoftSet
@@ -111,3 +116,15 @@ def labelled_report(config: SearchConfig, claim_ids) -> ImplicationReport:
             names = (ctx.universe.elements, ctx.parameters.parameters)
             res.records.append(CounterexampleRecord(c.id, *names, opens[i], opens[j]))
     return ImplicationReport(config.describe(), results)
+
+
+def plain_rough_hunt(claim_id, config: SearchConfig):
+    """The first (space, target) of an exhaustive config, in canonical
+    order, that refutes a rough claim: every target of every space."""
+    claim = get_claim(claim_id)
+    for s in iter_spaces(config):
+        for mask in range(s.context.full_mask + 1):
+            a = SoftSet(s.context, mask)
+            if claim.premise(s, a) and not claim.conclusion(s, a):
+                return record_for(claim.id, s, target=a)
+    return None

@@ -368,10 +368,10 @@ def _imported(*args):
 
 CLI = {"cli", "errors"}
 FIXTURE_READING = CLI | {"fixtures", "softset", "space", "topology"}
-DECIDING = FIXTURE_READING | {"axioms", "rough", "scan", "search"}
+DECIDING = FIXTURE_READING | {"axioms", "scan"}
 # the bisoft submodules each entry point loads: import bisoft none, search
 # neither axioms nor fixtures, the fixture commands none of search, scan
-# and axioms
+# and axioms, and the deciding commands neither search nor rough
 ENTRY_POINTS = {
     "import": (["-c", "import bisoft"], set()),
     "search": (

@@ -52,6 +52,7 @@ from bisoft.search import (
     standard_context,
     verify_implications,
 )
+from bisoft.rough import _reaches, lower_approx, upper_approx
 from bisoft.space import BiSoftSpace
 from bisoft.softset import SoftSet
 from bisoft.topology import (
@@ -66,6 +67,7 @@ from labelled_scan import (
     labelled_counts,
     labelled_report,
     pair_key,
+    plain_rough_hunt,
 )
 import member_oracle as oracle
 
@@ -689,35 +691,63 @@ class TestProfileKernel:
         for sup in range(8):
             assert _pair_key(p, q, sup << _SUP) == cross | sup << _SUP
 
-    def test_t0_bitsets_match_a_pair_loop_on_large_preorders(self):
-        # the profile places its T0 bitsets a row at a time; here every
-        # bit is set pair by pair, from N(x), rows and slices
+    def test_t0_verdicts_match_a_pair_loop_on_large_preorders(self):
+        # the key compares the pairs of the two topologies' N(x) and cut
+        # U_p, and ANDs their meet bitsets; here every verdict is found
+        # pair by pair, from N(x), rows and slices, on spaces past the
+        # kernel's split points, and each comes out both ways
         rng = random.Random(41)
-        seen = {"t0": 0, "strong_t0": 0, "slice_t0": 0}
+        seen = set()
         for _ in range(60):
             nx, ne = rng.randint(2, 40), rng.randint(1, 3)
             n = nx * ne
-            steps = [set(rng.sample(range(n), rng.randint(0, 2))) for _ in range(n)]
-            u = _preorder(steps)
-            nbhd = [0] * nx
-            for q, uq in enumerate(u):
-                nbhd[q % nx] |= uq
+            dense = rng.choice((0, 1, 2, 4))
+
+            def draw():
+                steps = [rng.sample(range(n), rng.randint(0, dense)) for _ in range(n)]
+                return _preorder(list(map(set, steps)))
+
+            u1 = draw()
+            us = (u1, u1 if rng.random() < 0.4 else draw())
+            nbhd = [[0] * nx for _ in us]
+            for t, u in enumerate(us):
+                for q, uq in enumerate(u):
+                    nbhd[t][q % nx] |= uq
             rows = [sum(1 << (e * nx + x) for e in range(ne)) for x in range(nx)]
-            own = [uq & ((1 << nx) - 1) << (q - q % nx) for q, uq in enumerate(u)]
-            expected = {"t0": 0, "strong_t0": 0, "slice_t0": 0}
-            for x, y in combinations(range(nx), 2):
-                if nbhd[x] == nbhd[y]:
-                    expected["t0"] |= 1 << (x * nx + y)
-                if nbhd[x] & rows[y] and nbhd[y] & rows[x]:
-                    expected["strong_t0"] |= 1 << (x * nx + y)
-            for q, r in combinations(range(n), 2):
-                if own[q] == own[r]:
-                    expected["slice_t0"] |= 1 << (q * n + r)
-            got = profile(standard_context(nx, ne), u)
-            for name, bits in expected.items():
-                assert getattr(got, name) == bits, (nx, ne, name)
-                seen[name] += bits.bit_count()
-        assert all(seen.values()), seen
+            blk = [((1 << nx) - 1) << (q - q % nx) for q in range(n)]
+            own = [[uq & b for uq, b in zip(u, blk)] for u in us]
+            pairs = list(combinations(range(nx), 2))
+            expected = {
+                "pairwise_t0": not any(
+                    all(nb[x] == nb[y] for nb in nbhd) for x, y in pairs
+                ),
+                "strong_t0": not any(
+                    all(nb[x] & rows[y] and nb[y] & rows[x] for nb in nbhd)
+                    for x, y in pairs
+                ),
+            }
+            slices = {}
+            for e in range(ne):
+                block = list(combinations(range(e * nx, e * nx + nx), 2))
+                t0 = not any(all(o[q] == o[r] for o in own) for q, r in block)
+                t1 = not any(
+                    o[q] >> r & 1 or o[r] >> q & 1 for o in own for q, r in block
+                )
+                slices[f"e{e + 1}"] = {"t0": t0, "t1": t1, "t2": t1}
+            expected["slices_pw_t0"] = all(v["t0"] for v in slices.values())
+            expected["slices_pw_t1"] = all(v["t1"] for v in slices.values())
+            ctx = standard_context(nx, ne)
+            space = BiSoftSpace(
+                *(SoftTopology._from_neighbourhoods(ctx, u) for u in us)
+            )
+            facts, got = scan.space_verdicts(space)
+            assert _decode(_space_key(space)) == facts
+            assert {name: getattr(facts, name) for name in expected} == expected
+            assert got == slices, (nx, ne)
+            seen |= set(expected.items())
+            seen |= {(f"slice {k}", v) for vs in slices.values() for k, v in vs.items()}
+        names = [*expected, "slice t0", "slice t1"]
+        assert seen >= {(name, value) for name in names for value in (False, True)}
 
     @pytest.mark.parametrize(
         "k", [0, 1, 2, _WALKED, _WALKED + 1, 101, _BY_VALUE, _BY_VALUE + 1]
@@ -762,6 +792,45 @@ class TestProfileKernel:
         assert from_u.masks() == listed.masks()
         assert from_u.members == listed.members
         assert from_u.element_neighbourhoods() == listed.element_neighbourhoods()
+
+
+ROUGH_CLAIM_IDS = (
+    "lower-idempotence-equality",
+    "upper-idempotence-equality",
+    "rough-item-11-equality",
+    "rough-item-12-equality",
+)
+
+
+class TestRoughHunt:
+    @pytest.mark.parametrize("claim_id", ROUGH_CLAIM_IDS)
+    def test_exhaustive_hunt_matches_a_plain_walk(self, claim_id):
+        # the hunt tries each (context, reach vector) once; the plain walk
+        # tries every target of every space
+        for max_x, params in [(2, 1), *((4, params) for params in range(1, 5))]:
+            cfg = SearchConfig(max_universe=max_x, n_params=params)
+            found = find_counterexample(claim_id, cfg)
+            assert found == plain_rough_hunt(claim_id, cfg), (max_x, params)
+            assert (found is None) == (max_x == 2)
+
+    @settings(max_examples=100)
+    @given(preorder_spaces())
+    def test_equal_reach_vectors_give_equal_approximations(self, drawn):
+        # cutting each U_p to p's block, or swapping the topologies, keeps
+        # every (U1_p | U2_p) & blk(p)
+        ctx, u1, u2 = drawn
+        blk = [ctx.block_mask << (p - p % ctx.nx) for p in range(len(u1))]
+        cut1, cut2 = ([up & b for up, b in zip(u, blk)] for u in (u1, u2))
+
+        def space(*us):
+            return BiSoftSpace(*(SoftTopology._from_neighbourhoods(ctx, u) for u in us))
+
+        spaces = [space(u1, u2), space(u2, u1), space(cut1, cut2), space(cut2, u1)]
+        assert len({tuple(_reaches(s)) for s in spaces}) == 1
+        for mask in range(ctx.full_mask + 1):
+            a = SoftSet(ctx, mask)
+            assert len({lower_approx(s, a) for s in spaces}) == 1
+            assert len({upper_approx(s, a) for s in spaces}) == 1
 
 
 class TestRecords:
