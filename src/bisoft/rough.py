@@ -6,13 +6,17 @@ intersection of interiors below and the union of closures above.  The
 smallest slice open around x at parameter e is ``U_(x,e)`` cut to e's
 block, so a point p of block ``blk(p)`` is in a slice interior of A when
 ``U_p ∩ blk(p) ⊆ A``, and in a slice closure when ``U_p`` meets
-``A ∩ blk(p)``.
+``A ∩ blk(p)``.  Both read a space only through its reach vector, the
+``(U1_p ∪ U2_p) ∩ blk(p)`` of each point p (Pawlak 1982; Yao 1998):
+``_reach`` computes it from the two ``U`` vectors, and ``_lower`` and
+``_upper`` approximate a target mask from it, so the rough claims of
+``search`` and its hunts read pairs of ``U`` without building a space.
 """
 
 from __future__ import annotations
 
 from .errors import ContextMismatchError
-from .softset import SoftSet, _Value
+from .softset import Context, SoftSet, _Value
 from .space import BiSoftSpace
 
 
@@ -36,29 +40,42 @@ def _check(s: BiSoftSpace, a: SoftSet) -> None:
         raise ContextMismatchError("target lives over a different context")
 
 
-def _reaches(s: BiSoftSpace) -> list[int]:
+def _reach(ctx: Context, u1: tuple[int, ...], u2: tuple[int, ...]) -> tuple[int, ...]:
     """Per point p: ``(U1_p ∪ U2_p) ∩ blk(p)``, what both slice
-    neighbourhoods of p cover at p's parameter."""
-    ctx = s.context
-    u1, u2 = s.t1.neighbourhoods(), s.t2.neighbourhoods()
-    return [
-        (u1[p] | u2[p]) & ctx.block_mask << (p // ctx.nx * ctx.nx)
-        for p in range(ctx.nx * ctx.ne)
-    ]
+    neighbourhoods of p cover at p's parameter, for the topologies whose
+    ``U`` are ``u1`` and ``u2``."""
+    nx, out = ctx.nx, []
+    for s in range(0, nx * ctx.ne, nx):
+        blk = ctx.block_mask << s
+        out += [(a | b) & blk for a, b in zip(u1[s : s + nx], u2[s : s + nx])]
+    return tuple(out)
+
+
+def _reaches(s: BiSoftSpace) -> tuple[int, ...]:
+    """The reach vector of a space."""
+    return _reach(s.context, s.t1.neighbourhoods(), s.t2.neighbourhoods())
+
+
+def _lower(reach: tuple[int, ...], mask: int) -> int:
+    """The points whose reach lies inside ``mask``."""
+    return sum(1 << p for p, r in enumerate(reach) if not r & ~mask)
+
+
+def _upper(reach: tuple[int, ...], mask: int) -> int:
+    """The points whose reach meets ``mask``."""
+    return sum(1 << p for p, r in enumerate(reach) if r & mask)
 
 
 def lower_approx(s: BiSoftSpace, a: SoftSet) -> SoftSet:
     """Per parameter: intersection of the two slice interiors."""
     _check(s, a)
-    reaches = enumerate(_reaches(s))
-    return SoftSet(s.context, sum(1 << p for p, r in reaches if not r & ~a.mask))
+    return SoftSet(s.context, _lower(_reaches(s), a.mask))
 
 
 def upper_approx(s: BiSoftSpace, a: SoftSet) -> SoftSet:
     """Per parameter: union of the two slice closures."""
     _check(s, a)
-    reaches = enumerate(_reaches(s))
-    return SoftSet(s.context, sum(1 << p for p, r in reaches if r & a.mask))
+    return SoftSet(s.context, _upper(_reaches(s), a.mask))
 
 
 def rough_regions(s: BiSoftSpace, a: SoftSet) -> RoughResult:

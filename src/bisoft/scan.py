@@ -44,8 +44,12 @@ positions:
   and ``replay``;
 * random corpora and random-mode hunts key each space from the ``U``
   of its two topologies as its seeds draw them, in seed order, and
-  build a ``BiSoftSpace`` only for the records; a repeated call draws
-  and keys every space again;
+  build a ``BiSoftSpace`` only for the records.  One draw in five or so
+  is the indiscrete topology (every ``U_p`` the full mask), so a call
+  profiles it once and every draw equal to it reuses that profile; with
+  an indiscrete component the supremum is the other topology, whose
+  soft bits its profile holds.  Nothing is kept between calls: a
+  repeated call draws and keys every space again;
 * the exhaustive scan enumerates the topologies on |X|*|E| points as
   their ``U`` vectors and profiles each once per factorization (|X|,
   |E|).  The relabellings of universe and parameters change no fact, so
@@ -84,7 +88,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequ
 
 from .softset import Context
 from .space import BiSoftSpace
-from .topology import SoftTopology, _row_neighbourhoods, _union_closure
+from .topology import _row_neighbourhoods, _union_closure
 
 if TYPE_CHECKING:
     from .search import Claim, CounterexampleRecord, ImplicationReport, SearchConfig
@@ -596,7 +600,7 @@ def _first_violation(
         return claim.premise(facts) and not claim.conclusion(facts)
 
     if config.mode != "exhaustive":
-        from .search import record_for
+        from .search import _space, record_for
 
         ctx, draws = _random_draws(config)
         u = next((u for key, u in draws if bad(key)), None)
@@ -645,18 +649,32 @@ def _report(
 def _random_draws(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
     """The context of a random config and its spaces in seed order, each
     as its fact key and the ``U`` of its two topologies, keyed straight
-    from the seeded draws: no soft set, topology or space is built."""
+    from the seeded draws: no soft set, topology or space is built.
+
+    The indiscrete topology is profiled once per call, and a space with
+    an indiscrete component takes the other's soft bits for its
+    supremum's, since ``U1_p & full`` is ``U1_p``: they are the OR of
+    both topologies' bits, as the indiscrete topology has none with two
+    or more elements, and with one element every topology has all three.
+    """
     from .search import _random_neighbourhoods, standard_context
 
     ctx = standard_context(config.max_universe, config.n_params)
-    key, first = _kernel(ctx).key, 2 * config.seed
+    kernel, first = _kernel(ctx), 2 * config.seed
+    full = (ctx.full_mask,) * (ctx.nx * ctx.ne)
+    indiscrete = kernel.profile(full)
+
+    def key(u1, u2):
+        p = indiscrete if u1 == full else kernel.profile(u1)
+        q = indiscrete if u2 == full else kernel.profile(u2)
+        if u1 == full or u2 == full:  # the supremum is the other topology
+            sup = p.soft | q.soft
+        else:
+            sup = kernel.soft(list(map(and_, u1, u2)))
+        return _pair_key(p, q, sup << _SUP)
+
     us = _random_neighbourhoods(ctx, range(first, first + 2 * config.samples))
     return ctx, ((key(u1, u2), (u1, u2)) for u1, u2 in zip(us, us))
-
-
-def _space(ctx: Context, u: tuple) -> BiSoftSpace:
-    """The space whose two topologies have the ``U`` vectors ``u``."""
-    return BiSoftSpace(*(SoftTopology._from_neighbourhoods(ctx, ui) for ui in u))
 
 
 def _verify_keyed(
@@ -691,6 +709,8 @@ def _verify_over_spaces(
 def _verify_random(config: SearchConfig, claims: Sequence[Claim]) -> ImplicationReport:
     """The report of a random config, keyed from its draws; only the
     spaces of records are built."""
+    from .search import _space
+
     ctx, draws = _random_draws(config)
     return _verify_keyed(draws, lambda u: _space(ctx, u), claims, config.describe())
 

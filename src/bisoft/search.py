@@ -17,7 +17,8 @@ one int per space with a bit per fact, and each claim runs once per
 distinct key, weighted by its count.  Explicit corpora and ``replay``
 profile one space at a time.  Random corpora and random-mode hunts key
 each space straight from the ``U`` its two seeds draw, and build a space
-only for a record.
+only for a record.  A rough claim reads a reach vector and a target
+mask, and rough hunts read reach vectors straight from pairs of ``U``.
 
 Every fact is unchanged when the universe and the parameters are
 relabelled together, so the exhaustive scan keys the pairs (i, j) of
@@ -40,10 +41,11 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import UnknownClaimError
-from .rough import _reaches, lower_approx, upper_approx
+from .rough import _lower, _reach, _reaches, _upper
 from .softset import Context, SoftSet, _Value
 from .space import BiSoftSpace
 from .topology import SoftTopology, minimal_neighbourhoods
@@ -81,11 +83,28 @@ def random_soft_set(ctx: Context, rng: random.Random) -> SoftSet:
 
 def _random_neighbourhoods(ctx: Context, seeds: Iterable[int]) -> Iterator[tuple]:
     """The ``U`` each seed draws: ``randint(0, 4)`` subbasis masks, each
-    ``randrange(full_mask + 1)``, from one ``Random`` reseeded per seed."""
+    ``randrange(full_mask + 1)``, from one ``Random`` reseeded per seed.
+
+    Both draws are spelled out as CPython's own rule for a value below m:
+    ``getrandbits(m.bit_length())`` drawn again until it is below m, so
+    the stream is the same.  An empty subbasis draws the indiscrete ``U``.
+    """
     rng, n, top = random.Random(), ctx.nx * ctx.ne, ctx.full_mask + 1
+    bits, width, full = rng.getrandbits, top.bit_length(), (ctx.full_mask,) * n
     for seed in seeds:
         rng.seed(seed)
-        subbasis = [rng.randrange(top) for _ in range(rng.randint(0, 4))]
+        size = bits(3)
+        while size > 4:
+            size = bits(3)
+        if not size:
+            yield full
+            continue
+        subbasis = []
+        for _ in range(size):
+            m = bits(width)
+            while m >= top:
+                m = bits(width)
+            subbasis.append(m)
         yield minimal_neighbourhoods(subbasis, n)
 
 
@@ -98,6 +117,11 @@ def random_soft_topology(ctx: Context, seed: int) -> SoftTopology:
     """
     (u,) = _random_neighbourhoods(ctx, [seed])
     return SoftTopology._from_neighbourhoods(ctx, u)
+
+
+def _space(ctx: Context, u: tuple) -> BiSoftSpace:
+    """The space whose two topologies have the ``U`` vectors ``u``."""
+    return BiSoftSpace(*(SoftTopology._from_neighbourhoods(ctx, ui) for ui in u))
 
 
 def random_space(ctx: Context, seed: int) -> BiSoftSpace:
@@ -117,7 +141,8 @@ def random_spaces(ctx: Context, count: int, seed: int) -> Iterable[BiSoftSpace]:
 
 
 class Claim(_Value):
-    """An implication over spaces (or space/target pairs for rough claims).
+    """An implication over spaces, read through their facts, or, for rough
+    claims, over pairs of a reach vector and a target mask (``rough``).
 
     ``holds`` records whether the implication is expected to be valid;
     a counterexample is any instance where the premise holds and the
@@ -332,16 +357,16 @@ for _c in [
         "rough",
         False,
         "the lower approximation would be idempotent (equality)",
-        lambda s, a: True,
-        lambda s, a: lower_approx(s, lower_approx(s, a)) == lower_approx(s, a),
+        lambda r, a: True,
+        lambda r, a: _lower(r, _lower(r, a)) == _lower(r, a),
     ),
     Claim(
         "upper-idempotence-equality",
         "rough",
         False,
         "the upper approximation would be idempotent (equality)",
-        lambda s, a: True,
-        lambda s, a: upper_approx(s, upper_approx(s, a)) == upper_approx(s, a),
+        lambda r, a: True,
+        lambda r, a: _upper(r, _upper(r, a)) == _upper(r, a),
     ),
 ]:
     CLAIMS[_c.id] = _c
@@ -424,25 +449,6 @@ class SearchConfig(_Value):
             )
         sizes = ",".join(f"{nx}x{ne}" for nx, ne in self.factorizations())
         return f"exhaustive:{sizes}"
-
-
-def iter_spaces(config: SearchConfig) -> Iterable[BiSoftSpace]:
-    """Materialize the corpus a config describes, in canonical order."""
-    if config.mode == "random":
-        ctx = standard_context(config.max_universe, config.n_params)
-        yield from random_spaces(ctx, config.samples, config.seed)
-        return
-    from .scan import _point_neighbourhoods
-
-    for nx, ne in config.factorizations():
-        ctx = standard_context(nx, ne)
-        topos = [
-            SoftTopology._from_neighbourhoods(ctx, u)
-            for u in _point_neighbourhoods(nx * ne)
-        ]
-        for t1 in topos:
-            for t2 in topos:
-                yield BiSoftSpace(t1, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +534,16 @@ def record_for(
 
 
 def replay(record: CounterexampleRecord) -> bool:
-    """Re-run the claim's checker on the record; True iff it still refutes."""
+    """Re-run the claim's checker on the record; True iff it still refutes.
+    A rough claim reads the recorded space's reach vector and the target."""
     claim = get_claim(record.claim_id)
     space = record.space()
     if claim.kind == "rough":
         target = record.target()
         if target is None:
             return False
-        return claim.premise(space, target) and not claim.conclusion(space, target)
+        reach, a = _reaches(space), target.mask
+        return claim.premise(reach, a) and not claim.conclusion(reach, a)
     from .scan import space_facts
 
     facts = space_facts(space)
@@ -653,31 +661,41 @@ def _find_rough_counterexample(
 ) -> Optional[CounterexampleRecord]:
     """The first (space, target) refuting a rough claim.
 
-    A rough claim reads a space only through ``lower_approx`` and
-    ``upper_approx``, which read only its context and reach vector
-    (``rough._reaches``), so an exhaustive hunt tries the targets of a
-    space only when no earlier space had its context and reach vector:
-    every target passed on that one, and would pass again.  Both rough
-    claims' hunts at ``--max-x 4 --params 4`` walk 907 spaces with 10 of
-    them before their first violation.
+    A rough claim reads a space only through its reach vector
+    (``rough._reach``), computed here from the two ``U`` vectors, and a
+    space is built only for the record.  A random hunt draws the ``U`` of
+    each space from its seeds and one target from ``Random(seed + 7919)``.
+    An exhaustive hunt walks the pairs of ``U`` of each factorization in
+    canonical order and tries every target of a reach vector the first
+    time it meets it: every target passed on the earlier pair, and would
+    pass again.  Both rough claims' hunts at ``--max-x 4 --params 4`` walk
+    907 pairs with 10 reach vectors before their first violation.
     """
+
+    def record(ctx, u, mask):
+        return record_for(claim.id, _space(ctx, u), target=SoftSet(ctx, mask))
+
     if config.mode == "random":
         ctx = standard_context(config.max_universe, config.n_params)
-        rng = random.Random(config.seed + 7919)
-        for s in random_spaces(ctx, config.samples, config.seed):
-            a = SoftSet(ctx, rng.randrange(ctx.full_mask + 1))
-            if claim.premise(s, a) and not claim.conclusion(s, a):
-                return record_for(claim.id, s, target=a)
+        rng, top = random.Random(config.seed + 7919), ctx.full_mask + 1
+        first = 2 * config.seed
+        us = _random_neighbourhoods(ctx, range(first, first + 2 * config.samples))
+        for u in zip(us, us):
+            reach, mask = _reach(ctx, *u), rng.randrange(top)
+            if claim.premise(reach, mask) and not claim.conclusion(reach, mask):
+                return record(ctx, u, mask)
         return None
-    passed = set()
-    for s in iter_spaces(config):
-        ctx = s.context
-        reach = (ctx, *_reaches(s))
-        if reach in passed:
-            continue
-        for mask in range(ctx.full_mask + 1):
-            a = SoftSet(ctx, mask)
-            if claim.premise(s, a) and not claim.conclusion(s, a):
-                return record_for(claim.id, s, target=a)
-        passed.add(reach)
+    from .scan import _point_neighbourhoods
+
+    for nx, ne in config.factorizations():
+        ctx, passed = standard_context(nx, ne), set()
+        us = _point_neighbourhoods(nx * ne)
+        for u in product(us, repeat=2):
+            reach = _reach(ctx, *u)
+            if reach in passed:
+                continue
+            passed.add(reach)
+            for mask in range(ctx.full_mask + 1):
+                if claim.premise(reach, mask) and not claim.conclusion(reach, mask):
+                    return record(ctx, u, mask)
     return None

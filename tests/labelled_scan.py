@@ -11,12 +11,14 @@ against the member oracle.
 
 It also keeps the member views of the enumeration that only the tests
 read: ``_point_topologies``, each topology as its sorted members, and
-``as_soft_topology``, the soft topology those members form; and
-``plain_rough_hunt``, the exhaustive rough hunt that tries every target
-of every space, the reference for the hunt that tries each reach vector
-once.
+``as_soft_topology``, the soft topology those members form;
+``iter_spaces``, every space of a config in canonical or seed order; and
+``plain_rough_hunt``, the rough hunt that walks those spaces and tries
+every target of each (one seeded target in random mode), the reference
+for the hunt that reads reach vectors straight from pairs of ``U``.
 """
 
+import random
 from functools import lru_cache
 
 from bisoft.scan import (
@@ -34,10 +36,12 @@ from bisoft.search import (
     ImplicationReport,
     SearchConfig,
     get_claim,
-    iter_spaces,
+    random_spaces,
     record_for,
     standard_context,
 )
+from bisoft.rough import _reaches
+from bisoft.space import BiSoftSpace
 from bisoft.softset import SoftSet
 from bisoft.topology import SoftTopology
 
@@ -55,6 +59,23 @@ def as_soft_topology(opens, ctx):
     """Reinterpret a topology on |X|*|E| points as the soft topology its
     members form."""
     return SoftTopology(ctx, tuple(SoftSet(ctx, m) for m in sorted(set(opens))))
+
+
+def iter_spaces(config: SearchConfig):
+    """Every space of a config, in canonical or seed order."""
+    if config.mode == "random":
+        ctx = standard_context(config.max_universe, config.n_params)
+        yield from random_spaces(ctx, config.samples, config.seed)
+        return
+    for nx, ne in config.factorizations():
+        ctx = standard_context(nx, ne)
+        topos = [
+            SoftTopology._from_neighbourhoods(ctx, u)
+            for u in _point_neighbourhoods(nx * ne)
+        ]
+        for t1 in topos:
+            for t2 in topos:
+                yield BiSoftSpace(t1, t2)
 
 
 @lru_cache(maxsize=None)
@@ -119,12 +140,17 @@ def labelled_report(config: SearchConfig, claim_ids) -> ImplicationReport:
 
 
 def plain_rough_hunt(claim_id, config: SearchConfig):
-    """The first (space, target) of an exhaustive config, in canonical
-    order, that refutes a rough claim: every target of every space."""
+    """The first (space, target) of a config, in canonical or seed order,
+    that refutes a rough claim: every target of every space of an
+    exhaustive config, and of a random one the target that
+    ``Random(seed + 7919)`` draws for each space in turn."""
     claim = get_claim(claim_id)
+    rng = random.Random(config.seed + 7919)
     for s in iter_spaces(config):
-        for mask in range(s.context.full_mask + 1):
-            a = SoftSet(s.context, mask)
-            if claim.premise(s, a) and not claim.conclusion(s, a):
-                return record_for(claim.id, s, target=a)
+        top = s.context.full_mask + 1
+        masks = [rng.randrange(top)] if config.mode == "random" else range(top)
+        reach = _reaches(s)
+        for mask in masks:
+            if claim.premise(reach, mask) and not claim.conclusion(reach, mask):
+                return record_for(claim.id, s, target=SoftSet(s.context, mask))
     return None

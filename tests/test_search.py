@@ -43,7 +43,6 @@ from bisoft.search import (
     enumerate_topologies,
     find_counterexample,
     get_claim,
-    iter_spaces,
     random_soft_set,
     random_soft_topology,
     random_spaces,
@@ -64,6 +63,7 @@ from bisoft.topology import (
 from labelled_scan import (
     _point_topologies,
     as_soft_topology,
+    iter_spaces,
     labelled_counts,
     labelled_report,
     pair_key,
@@ -163,11 +163,12 @@ class TestRandomGeneration:
         assert found
 
     @pytest.mark.parametrize(
-        "nx,ne", [(1, 1), (2, 2), (4, 2), (3, 3), (5, 3), (12, 1)]
+        "nx,ne", [(1, 1), (2, 2), (4, 2), (3, 3), (5, 3), (12, 1), (40, 2), (1000, 1)]
     )
     def test_u_draws_match_generated_topologies(self, nx, ne):
         # one reseeded Random draws what a fresh Random per seed draws: the
-        # subbasis that random_soft_set gives, and the topology it generates
+        # subbasis that random_soft_set gives, and the topology it generates;
+        # past 32 points a subbasis mask takes several getrandbits words
         ctx = standard_context(nx, ne)
         drawn = list(_random_neighbourhoods(ctx, range(200)))
         for seed, u in enumerate(drawn):
@@ -450,9 +451,25 @@ class TestRandomCorpora:
                     break
             assert find_counterexample(claim_id, cfg) == expected, claim_id
 
+    @pytest.mark.parametrize(
+        "cfg", [c for c in CONFIGS if c.max_universe == 4], ids=SearchConfig.describe
+    )
+    def test_corpus_meets_both_indiscrete_branches(self, cfg):
+        # the keyed route reuses one profile of the indiscrete topology and
+        # takes the other component's soft bits for the supremum's; the
+        # parity tests above cover that only where both cases are drawn
+        ctx = standard_context(cfg.max_universe, cfg.n_params)
+        full = (ctx.full_mask,) * (cfg.max_universe * cfg.n_params)
+        first = 2 * cfg.seed
+        us = list(_random_neighbourhoods(ctx, range(first, first + 2 * cfg.samples)))
+        pairs = list(zip(us[::2], us[1::2]))
+        # each implies that the corpus draws the indiscrete topology
+        assert any(u1 == full and u2 != full for u1, u2 in pairs)
+        assert any(u2 == full and u1 != full for u1, u2 in pairs)
+
     def test_repeat_calls_profile_every_draw_again(self, monkeypatch):
-        # nothing is kept between calls: each profiles both topologies of
-        # every space it keys
+        # nothing is kept between calls: each profiles the indiscrete
+        # topology once and every other topology of every space it keys
         calls = []
         kernel_profile = scan._Kernel.profile
 
@@ -462,12 +479,15 @@ class TestRandomCorpora:
 
         monkeypatch.setattr(scan._Kernel, "profile", counted)
         cfg = SearchConfig(4, 2, mode="random", samples=100, seed=1)
+        ctx = standard_context(4, 2)
+        full = (ctx.full_mask,) * 8
+        drawn = list(_random_neighbourhoods(ctx, range(2, 2 + 2 * cfg.samples)))
         counts, reports = [], []
         for _ in range(2):
             calls.clear()
             reports.append(verify_implications(cfg).to_json())
             counts.append(len(calls))
-        assert counts == [2 * cfg.samples] * 2
+        assert counts == [1 + sum(u != full for u in drawn)] * 2 == [157] * 2
         assert reports[0] == reports[1]
         hunts = []
         for _ in range(2):
@@ -812,6 +832,20 @@ class TestRoughHunt:
             found = find_counterexample(claim_id, cfg)
             assert found == plain_rough_hunt(claim_id, cfg), (max_x, params)
             assert (found is None) == (max_x == 2)
+
+    @pytest.mark.parametrize("claim_id", ROUGH_CLAIM_IDS)
+    def test_random_hunt_matches_a_plain_walk(self, claim_id):
+        # the hunt reads reach vectors from the seeded U draws; the plain
+        # walk builds every space of random_spaces, with the same targets
+        found = []
+        for (nx, ne, samples), seed in product([(3, 2, 50), (4, 4, 20)], range(4)):
+            cfg = SearchConfig(nx, ne, mode="random", samples=samples, seed=seed)
+            record = find_counterexample(claim_id, cfg)
+            assert record == plain_rough_hunt(claim_id, cfg), cfg.describe()
+            if record is not None:
+                assert replay(record)
+                found.append(cfg)
+        assert found
 
     @settings(max_examples=100)
     @given(preorder_spaces())
