@@ -16,7 +16,6 @@ soft T2 both say that both topologies are soft T2 (``scan``), and the
 member oracle of the tests checks the closure route itself against the
 members.  The point closure intersection is ``cl2(N1(x))``, read off
 ``U`` as well.
-``scan`` is imported on the first verdict, not by ``import bisoft``.
 
 The one loop over pairs is ``_witness``: it finds the first pair a false
 pairwise axiom leaves unseparated, which ``axiom_report`` keeps, and
@@ -34,16 +33,10 @@ from itertools import combinations, permutations
 from typing import NamedTuple, Optional
 
 from .errors import UnknownElementError
+from .scan import space_verdicts
 from .softset import SoftSet, _Value
 from .space import BiSoftSpace
 from .topology import SoftTopology, soft_closure
-
-
-def _verdicts(s: BiSoftSpace):
-    """The facts of a space and its slices' pairwise verdicts."""
-    from .scan import space_verdicts
-
-    return space_verdicts(s)
 
 
 def _witness(s: BiSoftSpace, axiom: str) -> Optional[tuple[str, str]]:
@@ -104,24 +97,24 @@ def pairwise_soft_t0(s: BiSoftSpace, strict_orientation: bool = False) -> bool:
     """
     if strict_orientation:
         return _witness(s, "t0_strict") is None
-    return _verdicts(s)[0].pairwise_t0
+    return space_verdicts(s)[0].pairwise_t0
 
 
 def pairwise_soft_t1(s: BiSoftSpace) -> bool:
-    return _verdicts(s)[0].pairwise_t1
+    return space_verdicts(s)[0].pairwise_t1
 
 
 def pairwise_soft_t2(s: BiSoftSpace) -> bool:
-    return _verdicts(s)[0].pairwise_t2
+    return space_verdicts(s)[0].pairwise_t2
 
 
 def strong_t0(s: BiSoftSpace) -> bool:
     """Pairwise T0 with non-membership strengthened to complement membership."""
-    return _verdicts(s)[0].strong_t0
+    return space_verdicts(s)[0].strong_t0
 
 
 def strong_t1(s: BiSoftSpace) -> bool:
-    return _verdicts(s)[0].strong_t1
+    return space_verdicts(s)[0].strong_t1
 
 
 def hausdorff_char(s: BiSoftSpace) -> bool:
@@ -133,7 +126,7 @@ def hausdorff_char(s: BiSoftSpace) -> bool:
     answered by it: on a finite model both hold exactly when both
     topologies are soft T2 (``scan``).
     """
-    return _verdicts(s)[0].cor1_ok
+    return space_verdicts(s)[0].cor1_ok
 
 
 class PointClosure(NamedTuple):
@@ -193,12 +186,12 @@ class AxiomReport(_Value):
 
 def pairwise_verdicts(s: BiSoftSpace) -> dict[str, bool]:
     """Pairwise soft T0, T1 and T2, keyed ``t0``, ``t1`` and ``t2``."""
-    return _three(_verdicts(s)[0], "pairwise_")
+    return _three(space_verdicts(s)[0], "pairwise_")
 
 
 def axiom_report(s: BiSoftSpace, strict_orientation: bool = False) -> AxiomReport:
     """Evaluate every axiom this package knows about on one space."""
-    facts, slices = _verdicts(s)
+    facts, slices = space_verdicts(s)
     pairwise = _three(facts, "pairwise_")
     return AxiomReport(
         soft1=_three(facts, "t1_soft_"),

@@ -172,9 +172,11 @@ def serialize_fixture(doc: FixtureDocument) -> dict:
 
 
 def loads_fixture(text: str) -> FixtureDocument:
+    """The fixture document of a JSON text; JSON nested too deeply for
+    ``json.loads`` raises ``FixtureError``, as other invalid JSON does."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FixtureError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FixtureError("fixture document must be a JSON object")
@@ -193,11 +195,16 @@ def builtin_fixture_names() -> tuple[str, ...]:
 
 
 def load_fixture(path_or_name: str) -> FixtureDocument:
-    """Load a fixture from a file path or a builtin fixture name."""
+    """Load a fixture from a file path or a builtin fixture name.  A path
+    that cannot be read or decoded raises ``FixtureError`` naming it."""
     p = Path(path_or_name)
-    if p.exists():
-        return loads_fixture(p.read_text())
-    name = path_or_name[: -len(".json")] if path_or_name.endswith(".json") else path_or_name
+    try:
+        if p.exists():
+            return loads_fixture(p.read_text())
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not text
+        # the last argument of either is its reason, without the path
+        raise FixtureError(f"cannot read {path_or_name!r}: {exc.args[-1]}") from None
+    name = path_or_name.removesuffix(".json")
     if name in builtin_fixture_names():
         text = (resources.files("bisoft") / "fixtures" / f"{name}.json").read_text()
         return loads_fixture(text)

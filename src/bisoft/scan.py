@@ -1,4 +1,4 @@
-"""The one fact function: neighbourhood profiles, read per space or per orbit.
+"""The one fact function: a space's facts, read off neighbourhood profiles.
 
 ``profile`` summarises a soft topology over any context in integers read
 off its minimal open neighbourhoods ``U``, and ``_pair_key`` reads every
@@ -35,65 +35,25 @@ cut to p's block are, and strong T0 ANDs one bitset of each topology
 and points, and a space's supremum contributes its three soft bits
 alone.  What a profile reads of a context, its block mask and each
 point's block, is computed once per context, in a ``_Kernel``.  Every
-corpus goes through ``_pair_key``, and each claim reads the
-``_PairFacts`` of a distinct key, decoded once.  A report reads a
-census, a dict from each distinct key to its count and its first
-positions:
-
-* ``space_facts`` profiles one space at a time, for explicit corpora
-  and ``replay``;
-* random corpora and random-mode hunts key each space from the ``U``
-  of its two topologies as its seeds draw them, in seed order, and
-  build a ``BiSoftSpace`` only for the records.  One draw in five or so
-  is the indiscrete topology (every ``U_p`` the full mask), so a call
-  profiles it once and every draw equal to it reuses that profile; with
-  an indiscrete component the supremum is the other topology, whose
-  soft bits its profile holds.  Nothing is kept between calls: a
-  repeated call draws and keys every space again;
-* the exhaustive scan enumerates the topologies on |X|*|E| points as
-  their ``U`` vectors and profiles each once per factorization (|X|,
-  |E|).  The relabellings of universe and parameters change no fact, so
-  the scan keys the pairs (i, j) of each orbit minimum i among the
-  topologies against every j and weights them by the size of i's orbit.
-  Topologies with equal profiles give equal keys, and the supremum's
-  bits are ORed in last, so it calls ``_pair_key`` once per pair of
-  profile classes met.  Each factorization's census is built once and
-  kept; with |X| = 1 every fact holds on every pair, so those
-  factorizations are one all-true key each.  ``search`` describes what
-  that guarantees for counts, records and hunts; every exhaustive report
-  and hunt after the first reads the kept censuses and calls no
-  ``_pair_key``.
+corpus of ``search`` goes through ``_pair_key``, and each claim reads
+the ``_PairFacts`` of a distinct key, decoded once; ``_space_key`` and
+``space_facts`` key one space at a time, for explicit corpora and
+``replay``.
 
 The public checkers of ``axioms`` read their verdicts off the same key
 too, through ``space_verdicts``, which also reads each parameter's slice
 off the two profiles.
-
-``search`` imports this module on the first verification, hunt or replay,
-and ``axioms`` on the first verdict.  ``import bisoft`` loads no submodule,
-and the commands that decide nothing (``validate``, ``sup``, ``subspace``
-and ``rough``) load neither this module nor ``search``.  This module
-imports the names it needs of ``search`` in the functions that build
-reports, records and random draws, so a checker's verdict, and the
-``axioms`` and ``slice`` commands, load neither ``search`` nor ``rough``.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections import Counter
 from functools import lru_cache
-from itertools import permutations
 from operator import and_
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .softset import Context
 from .space import BiSoftSpace
-from .topology import _row_neighbourhoods, _union_closure
-
-if TYPE_CHECKING:
-    from .search import Claim, CounterexampleRecord, ImplicationReport, SearchConfig
-
-_MAX_RECORDS_PER_CLAIM = 3
+from .topology import _row_neighbourhoods
 
 
 # The facts the space claims read; bit k of a fact key is field k.
@@ -382,363 +342,3 @@ def space_verdicts(s: BiSoftSpace) -> tuple[_PairFacts, dict[str, dict[str, bool
         t1 = sum(map(int.bit_count, cut1 + cut2)) == 2 * nx
         slices[name] = {"t0": _distinct(cut1, cut2), "t1": t1, "t2": t1}
     return facts, slices
-
-
-@lru_cache(maxsize=None)
-def _point_neighbourhoods(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every topology on n points as its ``U``, in canonical order.
-
-    A vector is the ``U`` of a topology exactly when p lies in U_p and q in
-    U_p forces U_q inside U_p, that is when "q lies in U_p" is a preorder
-    (Evans, Harary and Lynn, CACM 1967); the members are the unions of the
-    U_p.  The vectors are built point by point, each U_p checked against
-    the points before it, and sorted by their member family read as a
-    bitset: listing the members in decreasing order compares families the
-    way their bitsets do.
-    """
-    from .search import EXHAUSTIVE_POINT_BOUND
-
-    if not 1 <= n <= EXHAUSTIVE_POINT_BOUND:
-        raise ValueError(
-            f"exhaustive enumeration supports 1..{EXHAUSTIVE_POINT_BOUND} points"
-        )
-    vectors = [()]
-    for p in range(n):
-        vectors = [
-            u + (up,)
-            for u in vectors
-            for up in range(1 << n)
-            if up >> p & 1
-            and all(
-                (not up >> q & 1 or uq | up == up)
-                and (not uq >> p & 1 or up | uq == uq)
-                for q, uq in enumerate(u)
-            )
-        ]
-    return tuple(
-        sorted(vectors, key=lambda u: sorted(_union_closure(u), reverse=True))
-    )
-
-
-def _members(u: Sequence[int]) -> tuple[int, ...]:
-    """The sorted members of the topology whose ``U`` is ``u``."""
-    return tuple(sorted(_union_closure(u)))
-
-
-@lru_cache(maxsize=None)
-def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
-    """Profiles of every topology on nx*ne points, in enumeration order.
-
-    ``_point_neighbourhoods`` rejects nx*ne > EXHAUSTIVE_POINT_BOUND, so
-    at most eight factorizations are ever cached.
-    """
-    from .search import standard_context
-
-    kernel = _kernel(standard_context(nx, ne))
-    return tuple(map(kernel.profile, _point_neighbourhoods(nx * ne)))
-
-
-def _orbit_minima(perms: Sequence[array], k: int) -> tuple[tuple, tuple]:
-    """The minimum of each orbit of ``perms`` on range(k), in order, and
-    the orbit's size; ``perms`` must be a group, so its orbit of j is
-    {g[j] for g in perms}, and j is met before the rest of its orbit
-    exactly when it is the orbit's minimum."""
-    sizes = {min(o): len(o) for o in ({g[j] for g in perms} for j in range(k))}
-    return tuple(sizes), tuple(sizes.values())
-
-
-@lru_cache(maxsize=None)
-def _orbits(nx: int, ne: int) -> tuple[tuple[array, ...], tuple, tuple]:
-    """The group G = S_nx x S_ne on the topologies of (nx, ne), relabelling
-    point e * nx + x as tau(e) * nx + sigma(x), and its orbits.  The image
-    of a topology under g has the ``U`` with U'_g(p) = g(U_p).
-
-    Returns ``(action, minima, sizes)``: ``action`` has one row per
-    element of G, the index of the image of every topology, and each
-    orbit of G on the topologies has its minimum in ``minima`` and its
-    size at the same place in ``sizes``.  The facts of a space do not
-    change under G, so the pairs (g(i), j) for all j have the keys of the
-    pairs (i, j) for all j, and the census keys the rows of orbit minima
-    alone.  At most eight factorizations are ever cached, as for
-    ``_profiles``.
-    """
-    n = nx * ne
-    us = _point_neighbourhoods(n)
-    index = {u: k for k, u in enumerate(us)}
-    action = []
-    for sigma in permutations(range(nx)):
-        for tau in permutations(range(ne)):
-            image = [tau[p // nx] * nx + sigma[p % nx] for p in range(n)]
-            relabel = [
-                sum(1 << image[p] for p in range(n) if m >> p & 1)
-                for m in range(1 << n)
-            ]
-            source = sorted(range(n), key=image.__getitem__)  # g(source[q]) = q
-            action.append(
-                array("H", [index[tuple([relabel[u[p]] for p in source])] for u in us])
-            )
-    return (tuple(action), *_orbit_minima(action, len(us)))
-
-
-def _packed(u: Sequence[int]) -> int:
-    """A topology's ``U`` in one int, n bits per point: the supremum of two
-    topologies is then the one whose packed ``U`` is the AND of theirs."""
-    return sum(up << (p * len(u)) for p, up in enumerate(u))
-
-
-@lru_cache(maxsize=None)
-def _classes(nx: int, ne: int) -> tuple[tuple, tuple, dict, tuple]:
-    """The profile classes of the topologies on nx*ne points.
-
-    ``_pair_key`` reads nothing of a topology but the ``first``,
-    ``second`` and T0 fields of its profile, and a space's supremum only
-    ORs in its three soft bits, which no cross test touches, so a pair's
-    key is the cross key of its two classes ORed with the supremum's soft
-    bits.  ``_pair_key`` reads the vectors ``t0`` and ``slice_t0`` only
-    through which of their places hold equal values, so a class is the
-    profiles that agree on ``first``, ``second``, ``strong_t0`` and the
-    first-occurrence labels of the two vectors (``soft`` is part of
-    ``first``).  Returns ``(cls, packed, sup, classes)``: each topology's
-    class id and packed ``U``, the supremum's soft bits keyed by packed
-    ``U``, and one profile per class, its vectors labelled (355
-    topologies on four points have 18 classes over 2x2 and 16 over 4x1).
-    At most eight factorizations are ever cached, as for ``_profiles``.
-    """
-    profiles = _profiles(nx, ne)
-    labelled = [
-        p._replace(t0=_labels(p.t0), slice_t0=_labels(p.slice_t0)) for p in profiles
-    ]
-    ids: dict = {}
-    cls = tuple([ids.setdefault(p, len(ids)) for p in labelled])
-    packed = tuple([_packed(u) for u in _point_neighbourhoods(nx * ne)])
-    sup = {key: p.soft << _SUP for key, p in zip(packed, profiles)}
-    return cls, packed, sup, tuple(ids)
-
-
-def _labels(vals: tuple[int, ...]) -> tuple[int, ...]:
-    """Each value as the place of its first occurrence in ``vals``."""
-    return tuple(map(vals.index, vals))
-
-
-def _rows(nx: int, ne: int):
-    """One ``(i, size, keys)`` per orbit minimum i of the topologies of
-    (nx, ne), nx > 1, in order: the size of i's orbit and the fact keys
-    of the pairs (i, j) for every j.
-
-    A row's keys are the cross keys of i's class, read at the class of
-    each j and ORed with the soft bits of the supremum; cross keys are
-    computed for the classes that head a row, against every class.
-    """
-    cls, packed, sup, classes = _classes(nx, ne)
-    _, minima, sizes = _orbits(nx, ne)
-    heads = {cls[i] for i in minima}
-    cross = {c: [_pair_key(classes[c], q, 0) for q in classes] for c in heads}
-    for i, size in zip(minima, sizes):
-        row, ui = cross[cls[i]], packed[i]
-        yield i, size, [row[c] | sup[ui & uj] for c, uj in zip(cls, packed)]
-
-
-@lru_cache(maxsize=None)
-def _tally(nx: int, ne: int) -> dict:
-    """The census of factorization (nx, ne): each distinct fact key of its
-    pairs to ``[count, *positions]``, the labelled number of pairs with
-    the key and its first positions (i, j), at most three, in the rows of
-    orbit minima.
-
-    Every row of G.i holds the keys of i's row, so a key's count is the
-    sum over rows of its count there times the orbit's size.  Every pair
-    lies in the orbit of a pair of some minimum's row that comes no later
-    in canonical order, so the first k labelled pairs with a key lie in
-    the orbits of its first k positions, and its first labelled pair is
-    its first position.  With |X| = 1 there is no pair of distinct
-    elements and the row's complement is empty, so every fact holds on
-    every pair: that census is one all-true key at the first three pairs,
-    and builds no profiles and no orbits.  At most eight factorizations
-    are ever cached, as for ``_profiles``; a census is never changed
-    once built, so two threads that build one at once build equal ones.
-    """
-    if nx == 1:
-        k = len(_point_neighbourhoods(ne))
-        first = range(k * k)[:_MAX_RECORDS_PER_CLAIM]
-        return {_ALL: [k * k, *(divmod(t, k) for t in first)]}
-    census: dict = {}
-    for i, size, keys in _rows(nx, ne):
-        for key, count in Counter(keys).items():
-            entry = census.setdefault(key, [0])
-            entry[0] += count * size
-            j = -1
-            for _ in range(min(count, _MAX_RECORDS_PER_CLAIM + 1 - len(entry))):
-                j = keys.index(key, j + 1)
-                entry.append((i, j))
-    return census
-
-
-def _pair_record(
-    claim_id: str, config: SearchConfig, k: int, i: int, j: int
-) -> CounterexampleRecord:
-    from .search import CounterexampleRecord, standard_context
-
-    nx, ne = config.factorizations()[k]
-    ctx, us = standard_context(nx, ne), _point_neighbourhoods(nx * ne)
-    names = (ctx.universe.elements, ctx.parameters.parameters)
-    return CounterexampleRecord(claim_id, *names, _members(us[i]), _members(us[j]))
-
-
-def _first_violation(
-    config: SearchConfig, claim: Claim
-) -> CounterexampleRecord | None:
-    """The first violating space of a corpus, in canonical or seed order.
-
-    A random corpus is keyed one space at a time, up to the first
-    violation.  An exhaustive one reads the census of each factorization
-    in turn: the first violating space of the first that has one is the
-    earliest first position of its violating keys.
-    """
-
-    def bad(key: int) -> bool:
-        facts = _decode(key)
-        return claim.premise(facts) and not claim.conclusion(facts)
-
-    if config.mode != "exhaustive":
-        from .search import _space, record_for
-
-        ctx, draws = _random_draws(config)
-        u = next((u for key, u in draws if bad(key)), None)
-        return None if u is None else record_for(claim.id, _space(ctx, u))
-    for k, (nx, ne) in enumerate(config.factorizations()):
-        firsts = [entry[1] for key, entry in _tally(nx, ne).items() if bad(key)]
-        if firsts:
-            return _pair_record(claim.id, config, k, *min(firsts))
-    return None
-
-
-def _report(
-    corpus: str, claims: Sequence[Claim], censuses: Sequence[dict], records: Callable
-) -> ImplicationReport:
-    """Run each claim once per fact key of each census, weighted by its
-    count.
-
-    A census maps each distinct key of a part of the corpus to its count
-    followed by its first positions there, in corpus order; position
-    ``pos`` of the k-th census is ``(k, *pos)``, and ``records(claim_id,
-    positions)`` turns the first violating positions, at most
-    ``_MAX_RECORDS_PER_CLAIM``, into records.
-    """
-    from .search import ClaimResult, ImplicationReport
-
-    table = [
-        (_decode(key), count, [(k, *pos) for pos in positions])
-        for k, census in enumerate(censuses)
-        for key, (count, *positions) in census.items()
-    ]
-    total = sum(count for _, count, _ in table)
-    results = {}
-    for c in claims:
-        res = results[c.id] = ClaimResult(c.id, tested=total)
-        violating = []
-        for facts, count, positions in table:
-            if c.premise(facts):
-                res.premise_hits += count
-                if not c.conclusion(facts):
-                    res.violation_count += count
-                    violating += positions
-        res.records = records(c.id, sorted(violating)[:_MAX_RECORDS_PER_CLAIM])
-    return ImplicationReport(corpus, results)
-
-
-def _random_draws(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
-    """The context of a random config and its spaces in seed order, each
-    as its fact key and the ``U`` of its two topologies, keyed straight
-    from the seeded draws: no soft set, topology or space is built.
-
-    The indiscrete topology is profiled once per call, and a space with
-    an indiscrete component takes the other's soft bits for its
-    supremum's, since ``U1_p & full`` is ``U1_p``: they are the OR of
-    both topologies' bits, as the indiscrete topology has none with two
-    or more elements, and with one element every topology has all three.
-    """
-    from .search import _random_neighbourhoods, standard_context
-
-    ctx = standard_context(config.max_universe, config.n_params)
-    kernel, first = _kernel(ctx), 2 * config.seed
-    full = (ctx.full_mask,) * (ctx.nx * ctx.ne)
-    indiscrete = kernel.profile(full)
-
-    def key(u1, u2):
-        p = indiscrete if u1 == full else kernel.profile(u1)
-        q = indiscrete if u2 == full else kernel.profile(u2)
-        if u1 == full or u2 == full:  # the supremum is the other topology
-            sup = p.soft | q.soft
-        else:
-            sup = kernel.soft(list(map(and_, u1, u2)))
-        return _pair_key(p, q, sup << _SUP)
-
-    us = _random_neighbourhoods(ctx, range(first, first + 2 * config.samples))
-    return ctx, ((key(u1, u2), (u1, u2)) for u1, u2 in zip(us, us))
-
-
-def _verify_keyed(
-    keyed: Iterable[tuple], space: Callable, claims: Sequence[Claim], corpus: str
-) -> ImplicationReport:
-    """The report of a corpus given in order as (fact key, item) pairs,
-    from one census whose positions are (index, item), so the first
-    violating positions give the records of the spaces ``space(item)``."""
-    census: dict = {}
-    for index, (key, item) in enumerate(keyed):
-        entry = census.setdefault(key, [0])
-        entry[0] += 1
-        if len(entry) <= _MAX_RECORDS_PER_CLAIM:
-            entry.append((index, item))
-
-    def records(claim_id, positions):
-        from .search import record_for
-
-        return [record_for(claim_id, space(item)) for _, _, item in positions]
-
-    return _report(corpus, claims, [census], records)
-
-
-def _verify_over_spaces(
-    spaces: Iterable[BiSoftSpace], claims: Sequence[Claim], corpus: str
-) -> ImplicationReport:
-    """The report of a corpus of explicit spaces, each keyed on its own."""
-    keyed = ((_space_key(s), s) for s in spaces)
-    return _verify_keyed(keyed, lambda s: s, claims, corpus)
-
-
-def _verify_random(config: SearchConfig, claims: Sequence[Claim]) -> ImplicationReport:
-    """The report of a random config, keyed from its draws; only the
-    spaces of records are built."""
-    from .search import _space
-
-    ctx, draws = _random_draws(config)
-    return _verify_keyed(draws, lambda u: _space(ctx, u), claims, config.describe())
-
-
-def _verify_exhaustive(
-    config: SearchConfig, claims: Sequence[Claim]
-) -> ImplicationReport:
-    """The report of an exhaustive corpus, from the censuses of its
-    factorizations in canonical order: position (k, i, j) is the pair
-    (i, j) of factorization k.
-
-    A claim's first three violating spaces lie in the orbits of its first
-    three violating positions, so those orbits are expanded, sorted and
-    cut to three; the positions of an |X| = 1 census are its first three
-    pairs already.
-    """
-    sizes = config.factorizations()
-
-    def labelled(k, i, j):
-        nx, ne = sizes[k]
-        return [(k, g[i], g[j]) for g in _orbits(nx, ne)[0]] if nx > 1 else [(k, i, j)]
-
-    def records(claim_id, positions):
-        spaces = {space for pos in positions for space in labelled(*pos)}
-        return [
-            _pair_record(claim_id, config, *pos)
-            for pos in sorted(spaces)[:_MAX_RECORDS_PER_CLAIM]
-        ]
-
-    censuses = [_tally(nx, ne) for nx, ne in sizes]
-    return _report(config.describe(), claims, censuses, records)

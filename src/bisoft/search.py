@@ -6,30 +6,45 @@ classical topology on |X|*|E| points.  Enumerating the topologies on up
 to four points (1, 4, 29, 355 of them) therefore enumerates every soft
 topology over every context with |X|*|E| <= 4, and because the packed
 bitmask layout is shared by both readings the reinterpretation is the
-identity on masks.  ``scan`` enumerates them as preorders, their
-vectors of minimal open neighbourhoods ``U``.
+identity on masks.  ``_point_neighbourhoods`` enumerates them as
+preorders, their vectors of minimal open neighbourhoods ``U``.
 
 A space claim in ``CLAIMS`` is a premise and a conclusion over named
 facts of one space, and the registry is the only place a claim's logic
-lives.  One fact function in ``scan`` produces the facts, off a profile
-of integers read from each topology's minimal open neighbourhoods, as
-one int per space with a bit per fact, and each claim runs once per
-distinct key, weighted by its count.  Explicit corpora and ``replay``
-profile one space at a time.  Random corpora and random-mode hunts key
-each space straight from the ``U`` its two seeds draw, and build a space
-only for a record.  A rough claim reads a reach vector and a target
-mask, and rough hunts read reach vectors straight from pairs of ``U``.
+lives.  The one fact function in ``scan`` produces the facts, off a
+profile of integers read from each topology's minimal open
+neighbourhoods, as one int per space with a bit per fact, the fact key,
+and each claim runs once per distinct key, weighted by its count.  A
+report reads a census, a dict from each distinct key to its count and
+its first positions:
 
-Every fact is unchanged when the universe and the parameters are
-relabelled together, so the exhaustive scan keys the pairs (i, j) of
-each orbit minimum i of S_|X| x S_|E| on the topologies against every j
-and weights them by the size of i's orbit, so counts stay exact labelled
-counts (Brinkmann and McKay, J. Integer Sequences, 2005).  The first
-violating position is then the first violating space, and a report's
-records come from expanding the orbits of its first three.  Pairs whose
-topologies have equal profiles share a key up to the supremum's soft
-bits, so one cross key per pair of profile classes builds each row, and
-every report and hunt reads one census of keys per factorization.
+* explicit corpora and ``replay`` profile one space at a time;
+* random corpora and random-mode hunts key each space from the ``U``
+  of its two topologies as its seeds draw them, in seed order, and
+  build a ``BiSoftSpace`` only for the records.  One draw in five or so
+  is the indiscrete topology (every ``U_p`` the full mask), so a call
+  profiles it once and every draw equal to it reuses that profile; with
+  an indiscrete component the supremum is the other topology, whose
+  soft bits its profile holds.  Nothing is kept between calls: a
+  repeated call draws and keys every space again;
+* the exhaustive scan profiles each topology on |X|*|E| points once per
+  factorization (|X|, |E|).  Every fact is unchanged when the universe
+  and the parameters are relabelled together, so the scan keys the
+  pairs (i, j) of each orbit minimum i of S_|X| x S_|E| on the
+  topologies against every j and weights them by the size of i's orbit,
+  so counts stay exact labelled counts (Brinkmann and McKay, J. Integer
+  Sequences, 2005).  The first violating position is then the first
+  violating space, and a report's records come from expanding the
+  orbits of its first three.  Topologies with equal profiles, a profile
+  class, give equal keys up to the supremum's soft bits, which are ORed
+  in last, so one cross key per pair of profile classes builds each
+  row.  Each factorization's census is built once and kept, so every
+  exhaustive report and hunt after the first calls no ``_pair_key``;
+  with |X| = 1 every fact holds on every pair, so those factorizations
+  are one all-true key each.
+
+A rough claim reads a reach vector and a target mask, and rough hunts
+read reach vectors straight from pairs of ``U``.
 
 The test suite compares the facts with a member-quantifying oracle
 (``tests/member_oracle.py``) field by field, the scan's reports with the
@@ -41,27 +56,67 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import product
+from array import array
+from collections import Counter
+from functools import lru_cache
+from itertools import permutations, product
+from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import UnknownClaimError
 from .rough import _lower, _reach, _reaches, _upper
+from .scan import (
+    _ALL, _SUP, _Profile, _decode, _kernel, _pair_key, _space_key, space_facts
+)
 from .softset import Context, SoftSet, _Value
 from .space import BiSoftSpace
-from .topology import SoftTopology, minimal_neighbourhoods
+from .topology import SoftTopology, _union_closure, minimal_neighbourhoods
 
 EXHAUSTIVE_POINT_BOUND = 4  # topologies on <= 4 points are enumerable (355 on 4)
+_MAX_RECORDS_PER_CLAIM = 3
 
 
 # ---------------------------------------------------------------------------
 # enumeration of point topologies
 
 
+@lru_cache(maxsize=None)
+def _point_neighbourhoods(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every topology on n points as its ``U``, in canonical order.
+
+    A vector is the ``U`` of a topology exactly when p lies in U_p and q in
+    U_p forces U_q inside U_p, that is when "q lies in U_p" is a preorder
+    (Evans, Harary and Lynn, CACM 1967); the members are the unions of the
+    U_p.  The vectors are built point by point, each U_p checked against
+    the points before it, and sorted by their member family read as a
+    bitset: listing the members in decreasing order compares families the
+    way their bitsets do.
+    """
+    if not 1 <= n <= EXHAUSTIVE_POINT_BOUND:
+        raise ValueError(
+            f"exhaustive enumeration supports 1..{EXHAUSTIVE_POINT_BOUND} points"
+        )
+    vectors = [()]
+    for p in range(n):
+        vectors = [
+            u + (up,)
+            for u in vectors
+            for up in range(1 << n)
+            if up >> p & 1
+            and all(
+                (not up >> q & 1 or uq | up == up)
+                and (not uq >> p & 1 or up | uq == uq)
+                for q, uq in enumerate(u)
+            )
+        ]
+    return tuple(
+        sorted(vectors, key=lambda u: sorted(_union_closure(u), reverse=True))
+    )
+
+
 def enumerate_topologies(n_points: int) -> Iterable[SoftTopology]:
     """Stream every topology on an n-point set exactly once, as a soft
     topology over n elements and one parameter."""
-    from .scan import _point_neighbourhoods
-
     ctx = standard_context(n_points, 1)
     for u in _point_neighbourhoods(n_points):
         yield SoftTopology._from_neighbourhoods(ctx, u)
@@ -134,6 +189,44 @@ def random_space(ctx: Context, seed: int) -> BiSoftSpace:
 def random_spaces(ctx: Context, count: int, seed: int) -> Iterable[BiSoftSpace]:
     for k in range(count):
         yield random_space(ctx, seed + k)
+
+
+def _random_pairs(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
+    """The context of a random config and the ``U`` of its spaces' two
+    topologies in seed order, drawn from seeds 2 * seed onwards as
+    ``random_spaces`` draws them."""
+    ctx = standard_context(config.max_universe, config.n_params)
+    first = 2 * config.seed
+    us = _random_neighbourhoods(ctx, range(first, first + 2 * config.samples))
+    return ctx, zip(us, us)
+
+
+def _random_draws(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
+    """The context of a random config and its spaces in seed order, each
+    as its fact key and the ``U`` of its two topologies, keyed straight
+    from the seeded draws: no soft set, topology or space is built.
+
+    The indiscrete topology is profiled once per call, and a space with
+    an indiscrete component takes the other's soft bits for its
+    supremum's, since ``U1_p & full`` is ``U1_p``: they are the OR of
+    both topologies' bits, as the indiscrete topology has none with two
+    or more elements, and with one element every topology has all three.
+    """
+    ctx, pairs = _random_pairs(config)
+    kernel = _kernel(ctx)
+    full = (ctx.full_mask,) * (ctx.nx * ctx.ne)
+    indiscrete = kernel.profile(full)
+
+    def key(u1, u2):
+        p = indiscrete if u1 == full else kernel.profile(u1)
+        q = indiscrete if u2 == full else kernel.profile(u2)
+        if u1 == full or u2 == full:  # the supremum is the other topology
+            sup = p.soft | q.soft
+        else:
+            sup = kernel.soft(list(map(and_, u1, u2)))
+        return _pair_key(p, q, sup << _SUP)
+
+    return ctx, ((key(*u), u) for u in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +637,158 @@ def replay(record: CounterexampleRecord) -> bool:
             return False
         reach, a = _reaches(space), target.mask
         return claim.premise(reach, a) and not claim.conclusion(reach, a)
-    from .scan import space_facts
-
     facts = space_facts(space)
     return claim.premise(facts) and not claim.conclusion(facts)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive censuses
+
+
+@lru_cache(maxsize=None)
+def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
+    """Profiles of every topology on nx*ne points, in enumeration order.
+
+    ``_point_neighbourhoods`` rejects nx*ne > EXHAUSTIVE_POINT_BOUND, so
+    at most eight factorizations are ever cached.
+    """
+    kernel = _kernel(standard_context(nx, ne))
+    return tuple(map(kernel.profile, _point_neighbourhoods(nx * ne)))
+
+
+def _orbit_minima(perms: Sequence[array], k: int) -> tuple[tuple, tuple]:
+    """The minimum of each orbit of ``perms`` on range(k), in order, and
+    the orbit's size; ``perms`` must be a group, so its orbit of j is
+    {g[j] for g in perms}, and j is met before the rest of its orbit
+    exactly when it is the orbit's minimum."""
+    sizes = {min(o): len(o) for o in ({g[j] for g in perms} for j in range(k))}
+    return tuple(sizes), tuple(sizes.values())
+
+
+@lru_cache(maxsize=None)
+def _orbits(nx: int, ne: int) -> tuple[tuple[array, ...], tuple, tuple]:
+    """The group G = S_nx x S_ne on the topologies of (nx, ne), relabelling
+    point e * nx + x as tau(e) * nx + sigma(x), and its orbits.  The image
+    of a topology under g has the ``U`` with U'_g(p) = g(U_p).
+
+    Returns ``(action, minima, sizes)``: ``action`` has one row per
+    element of G, the index of the image of every topology, and each
+    orbit of G on the topologies has its minimum in ``minima`` and its
+    size at the same place in ``sizes``.  The facts of a space do not
+    change under G, so the pairs (g(i), j) for all j have the keys of the
+    pairs (i, j) for all j, and the census keys the rows of orbit minima
+    alone.  At most eight factorizations are ever cached, as for
+    ``_profiles``.
+    """
+    n = nx * ne
+    us = _point_neighbourhoods(n)
+    index = {u: k for k, u in enumerate(us)}
+    action = []
+    for sigma in permutations(range(nx)):
+        for tau in permutations(range(ne)):
+            image = [tau[p // nx] * nx + sigma[p % nx] for p in range(n)]
+            relabel = [
+                sum(1 << image[p] for p in range(n) if m >> p & 1)
+                for m in range(1 << n)
+            ]
+            source = sorted(range(n), key=image.__getitem__)  # g(source[q]) = q
+            action.append(
+                array("H", [index[tuple([relabel[u[p]] for p in source])] for u in us])
+            )
+    return (tuple(action), *_orbit_minima(action, len(us)))
+
+
+def _packed(u: Sequence[int]) -> int:
+    """A topology's ``U`` in one int, n bits per point: the supremum of two
+    topologies is then the one whose packed ``U`` is the AND of theirs."""
+    return sum(up << (p * len(u)) for p, up in enumerate(u))
+
+
+@lru_cache(maxsize=None)
+def _classes(nx: int, ne: int) -> tuple[tuple, tuple, dict, tuple]:
+    """The profile classes of the topologies on nx*ne points.
+
+    ``_pair_key`` reads nothing of a topology but the ``first``,
+    ``second`` and T0 fields of its profile, and a space's supremum only
+    ORs in its three soft bits, which no cross test touches, so a pair's
+    key is the cross key of its two classes ORed with the supremum's soft
+    bits.  ``_pair_key`` reads the vectors ``t0`` and ``slice_t0`` only
+    through which of their places hold equal values, so a class is the
+    profiles that agree on ``first``, ``second``, ``strong_t0`` and the
+    first-occurrence labels of the two vectors (``soft`` is part of
+    ``first``).  Returns ``(cls, packed, sup, classes)``: each topology's
+    class id and packed ``U``, the supremum's soft bits keyed by packed
+    ``U``, and one profile per class, its vectors labelled (355
+    topologies on four points have 18 classes over 2x2 and 16 over 4x1).
+    At most eight factorizations are ever cached, as for ``_profiles``.
+    """
+    profiles = _profiles(nx, ne)
+    labelled = [
+        p._replace(t0=_labels(p.t0), slice_t0=_labels(p.slice_t0)) for p in profiles
+    ]
+    ids: dict = {}
+    cls = tuple([ids.setdefault(p, len(ids)) for p in labelled])
+    packed = tuple([_packed(u) for u in _point_neighbourhoods(nx * ne)])
+    sup = {key: p.soft << _SUP for key, p in zip(packed, profiles)}
+    return cls, packed, sup, tuple(ids)
+
+
+def _labels(vals: tuple[int, ...]) -> tuple[int, ...]:
+    """Each value as the place of its first occurrence in ``vals``."""
+    return tuple(map(vals.index, vals))
+
+
+def _rows(nx: int, ne: int):
+    """One ``(i, size, keys)`` per orbit minimum i of the topologies of
+    (nx, ne), nx > 1, in order: the size of i's orbit and the fact keys
+    of the pairs (i, j) for every j.
+
+    A row's keys are the cross keys of i's class, read at the class of
+    each j and ORed with the soft bits of the supremum; cross keys are
+    computed for the classes that head a row, against every class.
+    """
+    cls, packed, sup, classes = _classes(nx, ne)
+    _, minima, sizes = _orbits(nx, ne)
+    heads = {cls[i] for i in minima}
+    cross = {c: [_pair_key(classes[c], q, 0) for q in classes] for c in heads}
+    for i, size in zip(minima, sizes):
+        row, ui = cross[cls[i]], packed[i]
+        yield i, size, [row[c] | sup[ui & uj] for c, uj in zip(cls, packed)]
+
+
+@lru_cache(maxsize=None)
+def _tally(nx: int, ne: int) -> dict:
+    """The census of factorization (nx, ne): each distinct fact key of its
+    pairs to ``[count, *positions]``, the labelled number of pairs with
+    the key and its first positions (i, j), at most three, in the rows of
+    orbit minima.
+
+    Every row of G.i holds the keys of i's row, so a key's count is the
+    sum over rows of its count there times the orbit's size.  Every pair
+    lies in the orbit of a pair of some minimum's row that comes no later
+    in canonical order, so the first k labelled pairs with a key lie in
+    the orbits of its first k positions, and its first labelled pair is
+    its first position.  With |X| = 1 there is no pair of distinct
+    elements and the row's complement is empty, so every fact holds on
+    every pair: that census is one all-true key at the first three pairs,
+    and builds no profiles and no orbits.  At most eight factorizations
+    are ever cached, as for ``_profiles``; a census is never changed
+    once built, so two threads that build one at once build equal ones.
+    """
+    if nx == 1:
+        k = len(_point_neighbourhoods(ne))
+        first = range(k * k)[:_MAX_RECORDS_PER_CLAIM]
+        return {_ALL: [k * k, *(divmod(t, k) for t in first)]}
+    census: dict = {}
+    for i, size, keys in _rows(nx, ne):
+        for key, count in Counter(keys).items():
+            entry = census.setdefault(key, [0])
+            entry[0] += count * size
+            j = -1
+            for _ in range(min(count, _MAX_RECORDS_PER_CLAIM + 1 - len(entry))):
+                j = keys.index(key, j + 1)
+                entry.append((i, j))
+    return census
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +842,101 @@ class ImplicationReport(_Value, frozen=False):
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _report(
+    corpus: str, claims: Sequence[Claim], censuses: Sequence[dict], records: Callable
+) -> ImplicationReport:
+    """Run each claim once per fact key of each census, weighted by its
+    count.
+
+    A census maps each distinct key of a part of the corpus to its count
+    followed by its first positions there, in corpus order; position
+    ``pos`` of the k-th census is ``(k, *pos)``, and ``records(claim_id,
+    positions)`` turns the first violating positions, at most
+    ``_MAX_RECORDS_PER_CLAIM``, into records.
+    """
+    table = [
+        (_decode(key), count, [(k, *pos) for pos in positions])
+        for k, census in enumerate(censuses)
+        for key, (count, *positions) in census.items()
+    ]
+    total = sum(count for _, count, _ in table)
+    results = {}
+    for c in claims:
+        res = results[c.id] = ClaimResult(c.id, tested=total)
+        violating = []
+        for facts, count, positions in table:
+            if c.premise(facts):
+                res.premise_hits += count
+                if not c.conclusion(facts):
+                    res.violation_count += count
+                    violating += positions
+        res.records = records(c.id, sorted(violating)[:_MAX_RECORDS_PER_CLAIM])
+    return ImplicationReport(corpus, results)
+
+
+def _verify_keyed(
+    keyed: Iterable[tuple], space: Callable, claims: Sequence[Claim], corpus: str
+) -> ImplicationReport:
+    """The report of a corpus given in order as (fact key, item) pairs,
+    from one census whose positions are (index, item), so the first
+    violating positions give the records of the spaces ``space(item)``."""
+    census: dict = {}
+    for index, (key, item) in enumerate(keyed):
+        entry = census.setdefault(key, [0])
+        entry[0] += 1
+        if len(entry) <= _MAX_RECORDS_PER_CLAIM:
+            entry.append((index, item))
+
+    def records(claim_id, positions):
+        return [record_for(claim_id, space(item)) for _, _, item in positions]
+
+    return _report(corpus, claims, [census], records)
+
+
+def _verify_over_spaces(
+    spaces: Iterable[BiSoftSpace], claims: Sequence[Claim], corpus: str
+) -> ImplicationReport:
+    """The report of a corpus of explicit spaces, each keyed on its own."""
+    keyed = ((_space_key(s), s) for s in spaces)
+    return _verify_keyed(keyed, lambda s: s, claims, corpus)
+
+
+def _verify_random(config: SearchConfig, claims: Sequence[Claim]) -> ImplicationReport:
+    """The report of a random config, keyed from its draws; only the
+    spaces of records are built."""
+    ctx, draws = _random_draws(config)
+    return _verify_keyed(draws, lambda u: _space(ctx, u), claims, config.describe())
+
+
+def _verify_exhaustive(
+    config: SearchConfig, claims: Sequence[Claim]
+) -> ImplicationReport:
+    """The report of an exhaustive corpus, from the censuses of its
+    factorizations in canonical order: position (k, i, j) is the pair
+    (i, j) of factorization k.
+
+    A claim's first three violating spaces lie in the orbits of its first
+    three violating positions, so those orbits are expanded, sorted and
+    cut to three; the positions of an |X| = 1 census are its first three
+    pairs already.
+    """
+    sizes = config.factorizations()
+
+    def labelled(k, i, j):
+        nx, ne = sizes[k]
+        return [(k, g[i], g[j]) for g in _orbits(nx, ne)[0]] if nx > 1 else [(k, i, j)]
+
+    def records(claim_id, positions):
+        spaces = {space for pos in positions for space in labelled(*pos)}
+        return [
+            _pair_record(claim_id, *sizes[k], i, j)
+            for k, i, j in sorted(spaces)[:_MAX_RECORDS_PER_CLAIM]
+        ]
+
+    censuses = [_tally(nx, ne) for nx, ne in sizes]
+    return _report(config.describe(), claims, censuses, records)
+
+
 def verify_implications(
     corpus: Union[SearchConfig, Iterable[BiSoftSpace]],
     claim_ids: Optional[Sequence[str]] = None,
@@ -625,8 +961,6 @@ def verify_implications(
     rough = [c.id for c in claims if c.kind == "rough"]
     if rough:
         raise ValueError(f"rough claims {rough} need targets; use find_counterexample")
-    from .scan import _verify_exhaustive, _verify_over_spaces, _verify_random
-
     if isinstance(corpus, SearchConfig):
         if corpus.mode == "exhaustive":
             return _verify_exhaustive(corpus, claims)
@@ -635,6 +969,38 @@ def verify_implications(
     if not spaces:
         raise ValueError("corpus must not be empty")
     return _verify_over_spaces(spaces, claims, f"explicit:{len(spaces)} spaces")
+
+
+def _pair_record(
+    claim_id: str, nx: int, ne: int, i: int, j: int
+) -> CounterexampleRecord:
+    """The record of the pair (i, j) of the topologies of (nx, ne)."""
+    us = _point_neighbourhoods(nx * ne)
+    return record_for(claim_id, _space(standard_context(nx, ne), (us[i], us[j])))
+
+
+def _first_violation(config: SearchConfig, claim: Claim) -> CounterexampleRecord | None:
+    """The first violating space of a corpus, in canonical or seed order.
+
+    A random corpus is keyed one space at a time, up to the first
+    violation.  An exhaustive one reads the census of each factorization
+    in turn: the first violating space of the first that has one is the
+    earliest first position of its violating keys.
+    """
+
+    def bad(key: int) -> bool:
+        facts = _decode(key)
+        return claim.premise(facts) and not claim.conclusion(facts)
+
+    if config.mode != "exhaustive":
+        ctx, draws = _random_draws(config)
+        u = next((u for key, u in draws if bad(key)), None)
+        return None if u is None else record_for(claim.id, _space(ctx, u))
+    for nx, ne in config.factorizations():
+        firsts = [entry[1] for key, entry in _tally(nx, ne).items() if bad(key)]
+        if firsts:
+            return _pair_record(claim.id, nx, ne, *min(firsts))
+    return None
 
 
 def find_counterexample(
@@ -651,8 +1017,6 @@ def find_counterexample(
     claim = get_claim(claim_id)
     if claim.kind == "rough":
         return _find_rough_counterexample(claim, config)
-    from .scan import _first_violation
-
     return _first_violation(config, claim)
 
 
@@ -676,17 +1040,13 @@ def _find_rough_counterexample(
         return record_for(claim.id, _space(ctx, u), target=SoftSet(ctx, mask))
 
     if config.mode == "random":
-        ctx = standard_context(config.max_universe, config.n_params)
+        ctx, pairs = _random_pairs(config)
         rng, top = random.Random(config.seed + 7919), ctx.full_mask + 1
-        first = 2 * config.seed
-        us = _random_neighbourhoods(ctx, range(first, first + 2 * config.samples))
-        for u in zip(us, us):
+        for u in pairs:
             reach, mask = _reach(ctx, *u), rng.randrange(top)
             if claim.premise(reach, mask) and not claim.conclusion(reach, mask):
                 return record(ctx, u, mask)
         return None
-    from .scan import _point_neighbourhoods
-
     for nx, ne in config.factorizations():
         ctx, passed = standard_context(nx, ne), set()
         us = _point_neighbourhoods(nx * ne)

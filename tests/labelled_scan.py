@@ -1,5 +1,5 @@
 """Unreduced labelled scan: the reference for the orbit scan in
-``bisoft.scan``.
+``bisoft.search``.
 
 It walks every ordered topology pair of every factorization, counts the
 pairs per fact vector and keeps each vector's first three positions, the
@@ -21,20 +21,15 @@ for the hunt that reads reach vectors straight from pairs of ``U``.
 import random
 from functools import lru_cache
 
-from bisoft.scan import (
-    _SUP,
-    _decode,
-    _members,
-    _pair_key,
-    _point_neighbourhoods,
-    _profiles,
-)
+from bisoft.scan import _SUP, _decode, _pair_key
 from bisoft.search import (
     Claim,
     ClaimResult,
     CounterexampleRecord,
     ImplicationReport,
     SearchConfig,
+    _point_neighbourhoods,
+    _profiles,
     get_claim,
     random_spaces,
     record_for,
@@ -43,7 +38,7 @@ from bisoft.search import (
 from bisoft.rough import _reaches
 from bisoft.space import BiSoftSpace
 from bisoft.softset import SoftSet
-from bisoft.topology import SoftTopology
+from bisoft.topology import SoftTopology, _union_closure
 
 MAX_RECORDS = 3
 
@@ -52,7 +47,7 @@ MAX_RECORDS = 3
 def _point_topologies(n):
     """All topologies on n points as sorted member tuples, in canonical
     order."""
-    return tuple(_members(u) for u in _point_neighbourhoods(n))
+    return tuple(tuple(sorted(_union_closure(u))) for u in _point_neighbourhoods(n))
 
 
 def as_soft_topology(opens, ctx):

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, JSON stability."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -38,6 +39,18 @@ class TestValidate:
         assert code == 2
         assert "INVALID" in out
         assert "union" in out
+
+    def test_unreadable_path_exits_1(self, capsys, tmp_path):
+        # a directory, a file whose bytes are not text and a name too long
+        # to look up each end in one error line naming the path, not in a
+        # traceback
+        undecodable = tmp_path / "undecodable.json"
+        undecodable.write_bytes(b"\xff\xfe\x7b")
+        for path in (str(tmp_path), str(undecodable), "a" * 300):
+            code, out, err = run(capsys, "validate", path)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: cannot read {path!r}: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "patch",
@@ -369,11 +382,15 @@ def _imported(*args):
 CLI = {"cli", "errors"}
 FIXTURE_READING = CLI | {"fixtures", "softset", "space", "topology"}
 DECIDING = FIXTURE_READING | {"axioms", "scan"}
-# the bisoft submodules each entry point loads: import bisoft none, search
-# neither axioms nor fixtures, the fixture commands none of search, scan
-# and axioms, and the deciding commands neither search nor rough
+KERNEL = {"errors", "scan", "softset", "space", "topology"}
+# the bisoft submodules each entry point loads: import bisoft none, the
+# fact kernel and the checkers neither search nor rough, search neither
+# axioms nor fixtures, the fixture commands none of search, scan and
+# axioms, and the deciding commands neither search nor rough
 ENTRY_POINTS = {
     "import": (["-c", "import bisoft"], set()),
+    "kernel": (["-c", "import bisoft.scan"], KERNEL),
+    "checkers": (["-c", "import bisoft.axioms"], KERNEL | {"axioms"}),
     "search": (
         ["-m", "bisoft", "search", "--max-x", "2", "--params", "1", "--json"],
         CLI | {"rough", "scan", "search", "softset", "space", "topology"},
@@ -400,6 +417,33 @@ ENTRY_POINTS = {
 def test_each_entry_point_loads_only_its_modules(entry):
     args, loaded = ENTRY_POINTS[entry]
     assert _imported(*args) == (0, {f"bisoft.{m}" for m in loaded})
+
+
+def _imports_sibling(node):
+    """Whether an import statement names a module of the package."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.split(".")[0] == "bisoft"
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "bisoft" for a in node.names)
+    return False
+
+
+def test_only_the_cli_imports_sibling_modules_in_functions():
+    # the modules import each other at their tops, so the imports between
+    # them go one way; each command of cli imports what it runs when it runs
+    src = Path(__file__).resolve().parent.parent / "src" / "bisoft"
+    late = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                late |= {
+                    f"{path.name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if _imports_sibling(inner)
+                }
+    assert late == set()
 
 
 def test_help_lists_the_builtin_fixtures(capsys, monkeypatch):

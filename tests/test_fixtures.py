@@ -125,6 +125,9 @@ def test_unknown_space_topology_rejected():
 def test_bad_json_rejected():
     with pytest.raises(FixtureError):
         loads_fixture("{not json")
+    # nested past the recursion limit, which json.loads documents
+    with pytest.raises(FixtureError):
+        loads_fixture("[" * 100_000)
 
 
 def test_unknown_path_mentions_builtins():

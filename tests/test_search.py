@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bisoft.errors import InvalidTopologyError, UnknownClaimError
 import bisoft.scan as scan
+import bisoft.search as search
 from bisoft.scan import (
     _ALL,
     _BY_VALUE,
@@ -18,17 +19,10 @@ from bisoft.scan import (
     _PairFacts,
     _bits,
     _decode,
-    _first_violation,
     _mutual_pairs,
-    _orbits,
     _pair_key,
     _place,
-    _point_neighbourhoods,
-    _rows,
     _space_key,
-    _tally,
-    _verify_exhaustive,
-    _verify_over_spaces,
     profile,
     space_facts,
 )
@@ -39,7 +33,14 @@ from bisoft.search import (
     CounterexampleRecord,
     SearchConfig,
     TRUE_CLAIM_IDS,
+    _first_violation,
+    _orbits,
+    _point_neighbourhoods,
     _random_neighbourhoods,
+    _rows,
+    _tally,
+    _verify_exhaustive,
+    _verify_over_spaces,
     enumerate_topologies,
     find_counterexample,
     get_claim,
@@ -959,7 +960,7 @@ class TestOrbitScan:
             calls.append(1)
             return _pair_key(p, q, sup_bits)
 
-        monkeypatch.setattr(scan, "_pair_key", counted)
+        monkeypatch.setattr(search, "_pair_key", counted)
         cfg = SearchConfig(4, 4)
         report = verify_implications(cfg)
         calls.clear()
@@ -970,21 +971,21 @@ class TestOrbitScan:
         # cold: one cross key per class heading a row and class of a partner,
         # and one orbit pass per factorization with |X| > 1
         passes = []
-        orbit_minima = scan._orbit_minima
+        orbit_minima = search._orbit_minima
 
         def counted_minima(perms, k):
             passes.append(len(perms))
             return orbit_minima(perms, k)
 
-        monkeypatch.setattr(scan, "_orbit_minima", counted_minima)
-        scan._tally.cache_clear()
-        scan._orbits.cache_clear()
+        monkeypatch.setattr(search, "_orbit_minima", counted_minima)
+        search._tally.cache_clear()
+        search._orbits.cache_clear()
         assert verify_implications(cfg) == report
         heads = pairs = 0
         group_orders = []
         for nx, ne in cfg.factorizations():
             if nx > 1:
-                cls, *_, classes = scan._classes(nx, ne)
+                cls, *_, classes = search._classes(nx, ne)
                 action, minima, _ = _orbits(nx, ne)
                 heads += len({cls[i] for i in minima}) * len(classes)
                 pairs += len(minima) * len(cls)
@@ -997,7 +998,7 @@ class TestOrbitScan:
         # keys and build equal censuses, so no interleaving changes a report
         cfg = SearchConfig(4, 4)
         expected = verify_implications(cfg).to_json()
-        scan._tally.cache_clear()
+        search._tally.cache_clear()
         reports = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
