@@ -1,9 +1,15 @@
 """Command line surface: fixture I/O, axiom reports, and search runs.
 
-Exit codes: 0 success, 1 usage or parse problem, 2 a topology failed
-validation, 3 a counterexample or implication violation was found, 141
-(128 + SIGPIPE, as a shell reports a writer killed by it) stdout was
-closed before the output was written.
+The commands render what the library computes.  ``fixtures`` owns the
+fixture document format, which ``subspace`` writes through
+``serialize_fixture``, and ``--json`` writes the library's tables as they
+are: ``json`` writes their tuples as arrays.
+
+Exit codes: 0 success, 1 usage or parse problem (any ``BisoftError``
+but an invalid topology), 2 a topology failed validation, 3 a
+counterexample or implication violation was found, 141 (128 + SIGPIPE,
+as a shell reports a writer killed by it) stdout was closed before the
+output was written.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ EXIT_COUNTEREXAMPLE = 3
 EXIT_CLOSED_STDOUT = 141
 
 
-class _UsageError(Exception):
+class _UsageError(BisoftError):
     pass
 
 
@@ -88,35 +94,30 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if all_valid else EXIT_INVALID
 
 
-def _space_or_die(doc: FixtureDocument, name: str) -> BiSoftSpace:
-    if name not in doc.space_pairs:
-        known = ", ".join(doc.space_pairs) or "none declared"
-        raise FixtureError(f"unknown space {name!r} (spaces: {known})")
-    return doc.space(name)
-
-
 def _cmd_axioms(args) -> int:
     from .axioms import axiom_report
     from .fixtures import load_fixture
 
     doc = load_fixture(args.file)
-    s = _space_or_die(doc, args.space)
+    s = doc.space(args.space)
     rep = axiom_report(s, strict_orientation=args.strict_orientation)
     t1n, t2n = doc.space_pairs[args.space]
     if args.json:
-        payload = {
-            "space": args.space,
-            "soft": {t1n: rep.soft1, t2n: rep.soft2},
-            "pairwise": rep.pairwise,
-            "strong": rep.strong,
-            "hausdorff_char": rep.hausdorff,
-            "sup": rep.sup,
-            "slices": rep.slices,
-            "witnesses": {k: list(v) for k, v in rep.witnesses.items()},
-        }
+        pairwise = dict(rep.pairwise)
         if rep.strict_pairwise_t0 is not None:
-            payload["pairwise"]["t0_strict"] = rep.strict_pairwise_t0
-        _dump(payload)
+            pairwise["t0_strict"] = rep.strict_pairwise_t0
+        _dump(
+            {
+                "space": args.space,
+                "soft": {t1n: rep.soft1, t2n: rep.soft2},
+                "pairwise": pairwise,
+                "strong": rep.strong,
+                "hausdorff_char": rep.hausdorff,
+                "sup": rep.sup,
+                "slices": rep.slices,
+                "witnesses": rep.witnesses,
+            }
+        )
         return EXIT_OK
     ctx = s.context
     print(
@@ -170,7 +171,7 @@ def _cmd_sup(args) -> int:
     from .space import sup_topology
 
     doc = load_fixture(args.file)
-    s = _space_or_die(doc, args.space)
+    s = doc.space(args.space)
     sup = sup_topology(s)
     ordered = _sup_display_order(s, sup)
     if args.json:
@@ -178,9 +179,7 @@ def _cmd_sup(args) -> int:
             {
                 "space": args.space,
                 "size": len(sup),
-                "members": [
-                    {p: list(v) for p, v in m.table().items()} for m in ordered
-                ],
+                "members": [m.table() for m in ordered],
             }
         )
         return EXIT_OK
@@ -196,7 +195,7 @@ def _cmd_slice(args) -> int:
     from .space import slice_space
 
     doc = load_fixture(args.file)
-    s = _space_or_die(doc, args.space)
+    s = doc.space(args.space)
     if args.param not in s.context.parameters.parameters:
         raise FixtureError(f"unknown parameter {args.param!r}")
     b = slice_space(s, args.param)
@@ -226,47 +225,29 @@ def _cmd_slice(args) -> int:
 
 
 def _cmd_subspace(args) -> int:
-    from .fixtures import load_fixture
+    from .fixtures import FixtureDocument, load_fixture, serialize_fixture
     from .softset import SoftSet
     from .space import subspace
 
     doc = load_fixture(args.file)
-    s = _space_or_die(doc, args.space)
+    s = doc.space(args.space)
     keep = [e.strip() for e in args.keep.split(",") if e.strip()]
     try:
         sub = subspace(s, keep)
     except ValueError as exc:  # an unknown element, or nothing kept
         raise _UsageError(f"--keep: {exc}") from None
     ctx = sub.context
-    trivial = {0, ctx.full_mask}
-    named: dict[int, str] = {}
-    soft_sets = {}
-    counter = 0
-    for mask in sorted(set(sub.t1.masks()) | set(sub.t2.masks())):
-        if mask in trivial:
-            continue
-        counter += 1
-        name = f"S{counter}"
-        named[mask] = name
-        soft_sets[name] = {
-            p: list(v) for p, v in SoftSet(ctx, mask).table().items()
-        }
-    t1n, t2n = doc.space_pairs[args.space]
-
-    def members(t):
-        return ["Phi", "X"] + [
-            named[m] for m in t.masks() if m not in trivial
-        ]
-
-    _dump(
-        {
-            "universe": list(ctx.universe.elements),
-            "parameters": list(ctx.parameters.parameters),
-            "soft_sets": soft_sets,
-            "topologies": {t1n: members(sub.t1), t2n: members(sub.t2)},
-            "spaces": {args.space: [t1n, t2n]},
-        }
-    )
+    # the members of either topology but Phi and X, named S1.. in mask order
+    masks = sorted((set(sub.t1.masks()) | set(sub.t2.masks())) - {0, ctx.full_mask})
+    named = {m: f"S{i}" for i, m in enumerate(masks, 1)}
+    pair = doc.space_pairs[args.space]
+    topologies = {
+        tn: ("Phi", "X", *(named[m] for m in t.masks() if m in named))
+        for tn, t in zip(pair, (sub.t1, sub.t2))
+    }
+    soft_sets = {name: SoftSet(ctx, m) for m, name in named.items()}
+    spaces = {args.space: pair}
+    _dump(serialize_fixture(FixtureDocument(ctx, soft_sets, topologies, spaces)))
     return EXIT_OK
 
 
@@ -275,35 +256,32 @@ def _cmd_rough(args) -> int:
     from .rough import rough_regions
 
     doc = load_fixture(args.file)
-    s = _space_or_die(doc, args.space)
+    s = doc.space(args.space)
     target_name = args.target or doc.target
     if target_name is None:
         raise _UsageError("no --target given and the fixture declares none")
     target = doc.resolve(target_name)
     result = rough_regions(s, target)
+    regions = {
+        "lower": result.lower,
+        "upper": result.upper,
+        "pos": result.pos,
+        "neg": result.neg,
+        "bnd": result.bnd,
+    }
     if args.json:
         _dump(
             {
                 "space": args.space,
                 "target": target_name,
-                "lower": {p: list(v) for p, v in result.lower.table().items()},
-                "upper": {p: list(v) for p, v in result.upper.table().items()},
-                "pos": {p: list(v) for p, v in result.pos.table().items()},
-                "neg": {p: list(v) for p, v in result.neg.table().items()},
-                "bnd": {p: list(v) for p, v in result.bnd.table().items()},
+                **{label: value.table() for label, value in regions.items()},
                 "definable": result.definable,
             }
         )
         return EXIT_OK
     print(f"rough approximation of {target_name} in {args.space}:")
     print(f"  target: {_fmt_soft(target)}")
-    for label, value in (
-        ("lower", result.lower),
-        ("upper", result.upper),
-        ("pos", result.pos),
-        ("neg", result.neg),
-        ("bnd", result.bnd),
-    ):
+    for label, value in regions.items():
         print(f"  {label:5}: {_fmt_soft(value)}")
     print(f"  definable: {result.definable}")
     return EXIT_OK
@@ -449,17 +427,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InvalidTopologyError as exc:
         print("invalid topology:", file=sys.stderr)
         for v in exc.violations:
@@ -474,9 +444,6 @@ def _run(argv: list[str] | None) -> int:
             + ", ".join(known),
             file=sys.stderr,
         )
-        return EXIT_USAGE
-    except FixtureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BisoftError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,10 +65,13 @@ class FixtureDocument(_Value, frozen=False):
         return validate_topology(self.members_of(name), self.context)
 
     def space(self, name: str) -> BiSoftSpace:
+        """Validated space; an undeclared name raises FixtureError listing
+        the declared ones, as ``unknown space 'Q' (spaces: S)``."""
         try:
             t1_name, t2_name = self.space_pairs[name]
         except KeyError:
-            raise FixtureError(f"unknown space name {name!r}") from None
+            known = ", ".join(self.space_pairs) or "none declared"
+            raise FixtureError(f"unknown space {name!r} (spaces: {known})") from None
         return BiSoftSpace(self.topology(t1_name), self.topology(t2_name))
 
     def name_of(self, s: SoftSet) -> Optional[str]:

@@ -73,6 +73,10 @@ from .space import BiSoftSpace
 from .topology import SoftTopology, _union_closure, minimal_neighbourhoods
 
 EXHAUSTIVE_POINT_BOUND = 4  # topologies on <= 4 points are enumerable (355 on 4)
+# a random draw keeps a |X|*|E|-bit U_p per point, so its memory grows with
+# the square of the points: one draw peaks at 257 MB at 16,384 x 1 and at
+# 363 MB at 8,192 x 2 under CPython 3.11
+RANDOM_POINT_BOUND = 1 << 14
 _MAX_RECORDS_PER_CLAIM = 3
 
 
@@ -492,7 +496,8 @@ class SearchConfig(_Value):
 
     Exhaustive mode walks every factorization (|X|, |E|) within the
     bounds whose product stays at or below four points; random mode
-    draws seeded spaces at exactly (max_universe, n_params).
+    draws seeded spaces at exactly (max_universe, n_params), at most
+    ``RANDOM_POINT_BOUND`` points.
     """
 
     __match_args__ = ("max_universe", "n_params", "mode", "samples", "seed")
@@ -517,6 +522,10 @@ class SearchConfig(_Value):
                 )
         if mode == "random" and samples < 1:
             raise ValueError("random mode needs a positive sample count")
+        if mode == "random" and max_universe * n_params > RANDOM_POINT_BOUND:
+            raise ValueError(
+                f"random mode is limited to {RANDOM_POINT_BOUND} points (|X| * |E|)"
+            )
         if seed < 0:
             # random.seed(-k) seeds like k: seed -1 would draw the
             # topologies of seeds 2 and 1 (its own are -2 and -1)

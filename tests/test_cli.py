@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from bisoft.cli import EXIT_CLOSED_STDOUT, build_parser, main
 from bisoft.fixtures import load_fixture, loads_fixture, serialize_fixture
+from bisoft.search import SearchConfig
 
 
 def run(capsys, *argv):
@@ -157,6 +158,26 @@ class TestSubspace:
 
         assert pairwise_soft_t0(s)
 
+    @pytest.mark.parametrize("name", ["t0a", "t1a", "rough"])
+    def test_soft_sets_are_the_nontrivial_members_in_mask_order(
+        self, capsys, fx, name
+    ):
+        from bisoft.space import subspace
+
+        keep = fx(name).context.universe.elements[:3]
+        code, out, _ = run(
+            capsys, "subspace", name, "--space", "S", "--keep", ",".join(keep)
+        )
+        sub = subspace(fx(name).space("S"), keep)
+        masks = sorted({*sub.t1.masks(), *sub.t2.masks()} - {0, sub.context.full_mask})
+        doc = loads_fixture(out)
+        assert code == 0 and doc.context == sub.context and len(masks) >= 2
+        assert {n: s.mask for n, s in doc.soft_sets.items()} == {
+            f"S{i}": m for i, m in enumerate(masks, 1)
+        }
+        assert doc.topology("T1").masks() == sub.t1.masks()
+        assert doc.topology("T2").masks() == sub.t2.masks()
+
     def test_unknown_or_empty_keep_exits_1(self, capsys):
         for keep, message in (("zz", "'zz'"), (",", "must not be empty")):
             code, out, err = run(
@@ -165,6 +186,74 @@ class TestSubspace:
             assert code == 1, keep
             assert out == ""
             assert err.startswith("error: ") and message in err, err
+
+
+def _sweep(name):
+    """Every fixture command on a builtin fixture, as text and ``--json``,
+    ``subspace`` on every prefix and suffix of the universe, and the error
+    cases: an unknown space, parameter and target, and an unknown or empty
+    ``--keep``."""
+    doc = load_fixture(name)
+    elements = doc.context.universe.elements
+    runs = [["validate", name], ["axioms", name, "--space", "Q"]]
+    for space in doc.space_pairs:
+        at = [name, "--space", space]
+        runs += [
+            ["axioms", *at],
+            ["axioms", *at, "--strict-orientation"],
+            ["sup", *at],
+            ["rough", *at],
+            ["rough", *at, "--target", [*doc.soft_sets][0]],
+            *(["slice", *at, "--param", p] for p in doc.context.parameters.parameters),
+        ]
+        keeps = {
+            ",".join(part)
+            for k in range(1, len(elements) + 1)
+            for part in (elements[:k], elements[-k:])
+        }
+        errors = [
+            ["slice", *at, "--param", "Q"],
+            ["rough", *at, "--target", "Q"],
+            ["subspace", *at, "--keep", "zz"],
+            ["subspace", *at, "--keep", ","],
+        ]
+        runs += [["subspace", *at, "--keep", k] for k in sorted(keeps)] + errors
+    return runs + [[*argv, "--json"] for argv in runs if argv[0] != "subspace"]
+
+
+def _sweep_digest(name):
+    """The sha256 of the argv, exit code, stdout and stderr of each run."""
+    digest = hashlib.sha256()
+    for argv in _sweep(name):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+    return digest.hexdigest()
+
+
+FIXTURE_DIGESTS = {
+    "basic": "62f4af2643f44e6117ffb3770b4bc3680a46d832b9998c14b2c014d6999126d5",
+    "bisoft1": "6fd35b7f54e1e028caae27c6745844d3c4b21da404ad506ec9842f778cc318d0",
+    "param": "ae9744e51cc5ded0cb6c5323f942287d32dded0d4a7b9b5a6f363fde5ba5937d",
+    "rough": "00e1920952aa912ff5ca9b222fd99e1ba4e6ae28a03722b6b4932d6d7ed05829",
+    "sup": "bceaa99de67132a7e6b7c6811214eb09fd288f25a8fbdd0f2f3fc8ce116d255e",
+    "t0a": "5dad10f1559daf8fd8994178bfc13e535fca363ec891e565c139fc0eca355769",
+    "t0b": "792865fcbc162a2822ac0b57cda637825b1a178bdf02ef9e407065b1ff2bf49b",
+    "t0d": "656e95dfa476eb9877fdaad67802c6c3429d8345e0d3e67c9e95dc5b41354d35",
+    "t1a": "3d9628b3dc8dc646d192914cc201e43ae961d8967edee4768026ba72d66b0f8f",
+    "t1b": "1878a0c1a69537d98b97ce860177ca3eb42d8dc8bdd8da336ec95f27a56b2fcc",
+    "t1c": "5a280d20c0303d1a2c0e633d756beae62307f9bbbdc2d0778fb9684ce47889a6",
+    "t2a": "db303a4e8c1c2834a6840c6b72b0a77f52a0f19390d72f6575b3604b3bdf072c",
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_DIGESTS)
+def test_fixture_commands_are_pinned(name):
+    # the bytes every fixture command prints, and its exit code, fixed
+    # across versions: the CLI renders what the library computes, and a
+    # simpler renderer must print the same
+    assert _sweep_digest(name) == FIXTURE_DIGESTS[name]
 
 
 class TestRough:
@@ -308,6 +397,17 @@ class TestSearch:
         assert code == 1
         assert out == ""
         assert "positive sample count" in err
+
+    @pytest.mark.parametrize("size", ["16385 --params 1", "8193 --params 2"])
+    def test_random_point_bound_usage_error(self, capsys, size):
+        # past 2^14 points a single draw would take gigabytes; the bound is
+        # checked before anything is drawn
+        argv = f"search --max-x {size} --random 1 --json".split()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: random mode is limited to 16384 points (|X| * |E|)\n"
+        SearchConfig(16384, 1, "random", 1)  # at the bound: accepted
+        SearchConfig(8192, 2, "random", 1)
 
     def test_alias_accepted(self, capsys):
         code, out, _ = run(

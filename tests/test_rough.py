@@ -2,8 +2,17 @@
 
 import random
 
-from bisoft.rough import lower_approx, rough_regions, upper_approx
-from bisoft.search import random_space, standard_context
+import pytest
+
+from bisoft.rough import (
+    _lower,
+    _reach,
+    _upper,
+    lower_approx,
+    rough_regions,
+    upper_approx,
+)
+from bisoft.search import _point_neighbourhoods, random_space, standard_context
 from bisoft.softset import (
     SoftSet,
     absolute_soft_set,
@@ -163,3 +172,43 @@ class TestLaws:
             up = upper_approx(s, a)
             assert soft_subset(lower_approx(s, lo), lo)
             assert soft_subset(up, upper_approx(s, up))
+
+
+class TestEveryReachVector:
+    """The laws on every reach vector at 4 x 1, each with all 16 targets.
+    The approximations read a space only through its reach vector, the
+    reach vectors at nx x ne are the ne-tuples of those at nx x 1, and
+    each law compares sets inside one block, so these settle the laws for
+    every space with |X| <= 4, whatever |E|."""
+
+    @pytest.fixture(scope="class")
+    def reaches(self):
+        ctx = standard_context(4, 1)
+        us = _point_neighbourhoods(4)
+        reaches = {_reach(ctx, u1, u2) for u1 in us for u2 in us}
+        assert len(reaches) == 3602
+        return reaches
+
+    def test_sandwich_and_duality(self, reaches):
+        for r in reaches:
+            for a in range(16):
+                lo, up = _lower(r, a), _upper(r, a)
+                assert lo & ~a == 0 and a & ~up == 0, (r, a)
+                assert up == 15 & ~_lower(r, 15 & ~a), (r, a)
+
+    def test_idempotence_exactly_when_the_reach_relation_is_transitive(
+        self, reaches
+    ):
+        # p reaches q when q lies in r_p; the relation is reflexive, and
+        # L(L(A)) = L(A) for every A exactly when it is also transitive,
+        # as is U(U(A)) = U(A) (Yao, Inf. Sci. 1998)
+        outcomes = set()
+        for r in reaches:
+            lower = all(_lower(r, _lower(r, a)) == _lower(r, a) for a in range(16))
+            upper = all(_upper(r, _upper(r, a)) == _upper(r, a) for a in range(16))
+            transitive = all(
+                r[q] | r[p] == r[p] for p in range(4) for q in range(4) if r[p] >> q & 1
+            )
+            assert lower == upper == transitive, r
+            outcomes.add(transitive)
+        assert outcomes == {True, False}
