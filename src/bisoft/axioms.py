@@ -32,7 +32,6 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import NamedTuple, Optional
 
-from .errors import UnknownElementError
 from .scan import space_verdicts
 from .softset import SoftSet, _Value
 from .space import BiSoftSpace
@@ -145,8 +144,6 @@ def point_closure_intersection(s: BiSoftSpace, element: str) -> PointClosure:
     so the intersection is the closure of ``N1(x)``.
     """
     ctx = s.context
-    if element not in ctx.universe.elements:
-        raise UnknownElementError(element)
     n1 = s.t1.element_neighbourhoods()[ctx.element_index(element)]
     return PointClosure(soft_closure(s.t2, SoftSet(ctx, n1)), False)
 

@@ -19,12 +19,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    BisoftError,
-    FixtureError,
-    InvalidTopologyError,
-    UnknownClaimError,
-)
+from .errors import BisoftError, InvalidTopologyError, UnknownClaimError
 
 # Each command imports the modules it uses when it runs, so that a command
 # loads only those.  The annotations name their types without importing
@@ -195,10 +190,7 @@ def _cmd_slice(args) -> int:
     from .space import slice_space
 
     doc = load_fixture(args.file)
-    s = doc.space(args.space)
-    if args.param not in s.context.parameters.parameters:
-        raise FixtureError(f"unknown parameter {args.param!r}")
-    b = slice_space(s, args.param)
+    b = slice_space(doc.space(args.space), args.param)
     t1n, t2n = doc.space_pairs[args.space]
     opens1 = [sorted(m.table()[args.param]) for m in b.t1.members]
     opens2 = [sorted(m.table()[args.param]) for m in b.t2.members]

@@ -12,9 +12,15 @@ class ContextMismatchError(BisoftError):
 class UnknownElementError(BisoftError, KeyError):
     """An element name is not part of the universe."""
 
+    def __str__(self):
+        return f"unknown element {self.args[0]!r}"
+
 
 class UnknownParameterError(BisoftError, KeyError):
     """A parameter name is not part of the parameter set."""
+
+    def __str__(self):
+        return f"unknown parameter {self.args[0]!r}"
 
 
 class InvalidTopologyError(BisoftError):

@@ -122,7 +122,8 @@ def parse_fixture(data: dict) -> FixtureDocument:
         try:
             soft_sets[name] = extend_parameters(table, ctx)
         except KeyError as exc:
-            raise FixtureError(f"soft set {name!r}: unknown name {exc}") from None
+            msg = f"soft set {name!r}: unknown name {exc.args[0]!r}"
+            raise FixtureError(msg) from None
 
     topologies = _object(data.get("topologies", {}), "$.topologies")
     target = data.get("target")

@@ -25,12 +25,14 @@ both being soft T2 too.  One topology is soft T2 when its ``N(x)``, each
 holding x's row, have |X x E| bits in all.  A finite T1 topology is
 discrete, so a slice is T2 exactly when it is T1.
 
-A topology settles all of these alone, with its soft axioms and its T1
-tests, and a profile keeps them in two keys, one for each place in a
-space, whose AND is the space's share of them.  The T0 family is tested
-on the pair of topologies: a space is pairwise T0 when the pairs
-``(N1(x), N2(x))`` are distinct, its slices when the pairs of ``U_p``
-cut to p's block are, and strong T0 ANDs one bitset of each topology
+So each of these facts, and pairwise T1, which asks both topologies to
+be soft T1, holds exactly when it holds of both topologies alone, by
+their soft axioms and whether every slice is T1.  A profile keeps those
+bits of one topology, and ``_pair_key`` alone combines two profiles.
+The T0 family is tested on the pair of topologies: a space is pairwise
+T0 when the pairs ``(N1(x), N2(x))`` are distinct, its slices when the
+pairs of ``U_p`` cut to p's block are, and strong T0 when no row of one
+topology's unseparated pairs meets the same row of the other's
 (``_Profile``).  A profile is computed in a few passes over the elements
 and points, and a space's supremum contributes its three soft bits
 alone.  What a profile reads of a context, its block mask and each
@@ -81,7 +83,6 @@ def _decode(key: int) -> _PairFacts:
 
 
 _ALL = (1 << len(_PairFacts._fields)) - 1
-_SOFT = 0b111  # soft T0, T1, T2, as ``_soft`` returns them
 _T2_SOFT = _PairFacts._fields.index("t2_soft_t0")  # the second topology's soft bits
 _SUP = _PairFacts._fields.index("sup_soft_t0")  # and the supremum's start here
 _PW_T0 = _bits("pairwise_t0", "hereditary_t0")
@@ -94,14 +95,10 @@ _THM1 = _bits("thm1_agrees")
 
 
 class _Profile(NamedTuple):
-    """One soft topology over a context, read off its ``U``.
+    """One soft topology over a context, read off its ``U``: plain data,
+    which ``_pair_key`` alone turns into a fact key.
 
-    ``first`` and ``second`` are fact keys holding what the topology
-    settles alone as the first or the second topology of a space, with
-    every bit the other topology settles set, so that a space's keys AND
-    to the facts its topologies settle apart: the soft axioms, pairwise
-    T1, which needs both topologies soft T1, and the facts that hold
-    exactly when both topologies are soft T2 or both have T1 slices (the
+    ``soft`` and ``slices_t1`` are what the topology settles alone (the
     module docstring).  Every slice is T1 when the ``U_p`` cut to p's
     block, each holding p, have |X x E| bits in all.
 
@@ -117,50 +114,27 @@ class _Profile(NamedTuple):
     Likewise a slice is a topology on X with the neighbourhoods
     ``block_e(U_(x,e))``, and ``slice_t0`` is each ``U_p`` cut to p's
     block; points of two blocks never share a cut ``U_p``.  ``meet`` has
-    no such shortcut, so ``strong_t0`` is the bitset of the pairs x < y
-    each in the other's ``meet``, bit x * |X| + y, and ``_pair_key`` ANDs
-    two of them.  With one parameter, meeting a row is containing it, so
+    no such shortcut, so row x of ``strong_t0`` holds the y > x each in
+    x's ``meet`` and x in theirs, and ``_pair_key`` ANDs the rows of two
+    profiles.  With one parameter, meeting a row is containing it, so
     strong T0 is pairwise T0 and ``strong_t0`` is None.
     """
 
     soft: int  # soft T0, T1, T2 as bits 0, 1, 2
-    first: int
-    second: int
+    slices_t1: bool  # every slice is T1
     t0: tuple[int, ...]  # N(x) for each element x
-    strong_t0: int | None  # pairs x < y each in the other's meet
+    strong_t0: tuple[int, ...] | None  # row x: the y > x each in the other's meet
     slice_t0: tuple[int, ...]  # U_p cut to p's block for each point p
 
 
-# Split points between the paths below, from timings on CPython 3.11:
-# ORing values into place one by one beats pairwise merging up to about
-# 200 slots; walking meet masks bit by bit beats transposing them as text
-# up to about 24.
-_BY_VALUE = 192
+# Walking meet masks bit by bit beats transposing them as text up to
+# about 24 masks, from timings on CPython 3.11.
 _WALKED = 24
 
 
-def _place(vals: Sequence[int], width: int) -> int:
-    """``vals[i]`` in slot i of ``width`` bits.  Past ``_BY_VALUE`` values,
-    neighbouring slots are merged pairwise, so each round copies the
-    result's bits once and the whole takes about log2(len(vals)) copies
-    rather than one per value."""
-    if len(vals) <= _BY_VALUE:
-        out = 0
-        for i, v in enumerate(vals):
-            if v:
-                out |= v << i * width
-        return out
-    vals = list(vals)
-    while len(vals) > 1:
-        pairs = zip(vals[::2], vals[1::2])
-        vals = [a | b << width for a, b in pairs] + vals[len(vals) & ~1 :]
-        width *= 2
-    return vals[0]
-
-
-def _mutual_pairs(masks: Sequence[int]) -> int:
-    """Bit x * len(masks) + y for each pair x < y each in the other's mask,
-    placed one row at a time.
+def _mutual_pairs(masks: Sequence[int]) -> tuple[int, ...]:
+    """Row x for each mask x: bit y for each y > x such that y is in x's
+    mask and x in y's.
 
     Row x is x's mask above x ANDed with the column of the masks at x.
     Up to ``_WALKED`` masks are walked bit by bit; more are transposed as
@@ -169,7 +143,7 @@ def _mutual_pairs(masks: Sequence[int]) -> int:
     """
     k = len(masks)
     if k <= _WALKED:
-        bits = 0
+        rows = []
         for x, m in enumerate(masks):
             row, y, m = 0, x, m >> x + 1
             while m:  # y walks the bits of x's mask above x
@@ -177,13 +151,12 @@ def _mutual_pairs(masks: Sequence[int]) -> int:
                 if m & 1 and masks[y] >> x & 1:
                     row |= 1 << y
                 m >>= 1
-            if row:
-                bits |= row << (x * k)
-        return bits
+            rows.append(row)
+        return tuple(rows)
     digits = "".join([format(m, f"0{k}b") for m in reversed(masks)])
     columns = [int(digits[k - 1 - x :: k], 2) for x in range(k)]
-    rows = [m & c >> x + 1 << x + 1 for x, (m, c) in enumerate(zip(masks, columns))]
-    return _place(rows, k)
+    pairs = enumerate(zip(masks, columns))
+    return tuple([m & c >> x + 1 << x + 1 for x, (m, c) in pairs])
 
 
 class _Kernel:
@@ -227,7 +200,6 @@ class _Kernel:
     def profile(self, u: Sequence[int]) -> _Profile:
         """See ``profile``."""
         nbhd = _row_neighbourhoods(u, self.nx)
-        soft = self._soft(nbhd)
         strong_t0 = None
         if self.ne > 1:
             meets = [v & self.block for v in nbhd]
@@ -235,20 +207,8 @@ class _Kernel:
                 meets = [m | v >> s & self.block for m, v in zip(meets, nbhd)]
             strong_t0 = _mutual_pairs(meets)
         own = tuple(map(and_, u, self.own))
-        alone = (
-            (soft >> 1 & 1) * _PW_T1
-            | (soft >> 2) * _T2
-            | (sum(map(int.bit_count, own)) == self.n) * _SLICES_T1
-            | _THM1
-        )
-        return _Profile(
-            soft,
-            soft | _SOFT << _T2_SOFT | alone,
-            _SOFT | soft << _T2_SOFT | alone,
-            nbhd,
-            strong_t0,
-            own,
-        )
+        slices_t1 = sum(map(int.bit_count, own)) == self.n
+        return _Profile(self._soft(nbhd), slices_t1, nbhd, strong_t0, own)
 
     def key(self, u1: Sequence[int], u2: Sequence[int]) -> int:
         """The fact key of the space whose topologies are ``u1`` and ``u2``;
@@ -279,13 +239,16 @@ def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
     """The fact key of the space (p, q) whose supremum's soft axioms are
     ``sup_bits``, already in bits ``_SUP`` to ``_SUP + 2``.
 
-    The facts each topology settles alone, every fact but the T0 family
-    (the module docstring), come from ANDing ``p.first`` with
-    ``q.second``.  The space is pairwise T0 when either topology is soft
-    T0, its ``N(x)`` being distinct, or the pairs ``(N1(x), N2(x))`` are
+    Every fact but the T0 family holds exactly when it holds of both
+    topologies alone (the module docstring): pairwise T1 when both are
+    soft T1, the facts of ``_T2`` when both are soft T2, and the slices'
+    T1 and T2 when both have T1 slices; ``thm1_agrees`` always holds.
+    The space is pairwise T0 when either topology is soft T0, its
+    ``N(x)`` being distinct, or the pairs ``(N1(x), N2(x))`` are
     distinct; its slices are pairwise T0 when the pairs of cut ``U_p``
-    are; and it is strong T0 when the two ``strong_t0`` bitsets share no
-    bit, or, with one parameter, when it is pairwise T0 (``_Profile``).
+    are; and it is strong T0 when no row of ``p.strong_t0`` meets the
+    same row of ``q.strong_t0``, or, with one parameter, when it is
+    pairwise T0 (``_Profile``).
 
     The subspace on Y has the neighbourhoods N(x) & Y's rows, so a test of
     x, y in Y that passes on X passes on Y: the T0 and T1 tests read only
@@ -294,11 +257,15 @@ def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
     T0, T1 or T2 on every subspace exactly when it is on X, and each
     hereditary bit is set with its pairwise bit.
     """
-    key = p.first & q.second | sup_bits
+    both = p.soft & q.soft
+    key = p.soft | q.soft << _T2_SOFT | sup_bits | _THM1
+    key |= (both >> 1 & 1) * _PW_T1 | (both >> 2) * _T2
+    if p.slices_t1 and q.slices_t1:
+        key |= _SLICES_T1
     t0 = (p.soft | q.soft) & 1 or _distinct(p.t0, q.t0)
     if t0:
         key |= _PW_T0
-    if t0 if p.strong_t0 is None else not p.strong_t0 & q.strong_t0:
+    if t0 if p.strong_t0 is None else not any(map(and_, p.strong_t0, q.strong_t0)):
         key |= _STRONG_T0
     if _distinct(p.slice_t0, q.slice_t0):
         key |= _SLICES_T0

@@ -717,17 +717,16 @@ def _packed(u: Sequence[int]) -> int:
 def _classes(nx: int, ne: int) -> tuple[tuple, tuple, dict, tuple]:
     """The profile classes of the topologies on nx*ne points.
 
-    ``_pair_key`` reads nothing of a topology but the ``first``,
-    ``second`` and T0 fields of its profile, and a space's supremum only
-    ORs in its three soft bits, which no cross test touches, so a pair's
-    key is the cross key of its two classes ORed with the supremum's soft
-    bits.  ``_pair_key`` reads the vectors ``t0`` and ``slice_t0`` only
-    through which of their places hold equal values, so a class is the
-    profiles that agree on ``first``, ``second``, ``strong_t0`` and the
-    first-occurrence labels of the two vectors (``soft`` is part of
-    ``first``).  Returns ``(cls, packed, sup, classes)``: each topology's
-    class id and packed ``U``, the supremum's soft bits keyed by packed
-    ``U``, and one profile per class, its vectors labelled (355
+    ``_pair_key`` reads nothing of a topology but its profile, and a
+    space's supremum only ORs in its three soft bits, which no cross test
+    touches, so a pair's key is the cross key of its two classes ORed
+    with the supremum's soft bits.  ``_pair_key`` reads the vectors ``t0``
+    and ``slice_t0`` only through which of their places hold equal
+    values, so a class is the profiles that agree on ``soft``,
+    ``slices_t1``, the ``strong_t0`` rows and the first-occurrence labels
+    of the two vectors.  Returns ``(cls, packed, sup, classes)``: each
+    topology's class id and packed ``U``, the supremum's soft bits keyed
+    by packed ``U``, and one profile per class, its vectors labelled (355
     topologies on four points have 18 classes over 2x2 and 16 over 4x1).
     At most eight factorizations are ever cached, as for ``_profiles``.
     """

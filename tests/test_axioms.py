@@ -15,7 +15,7 @@ from bisoft.axioms import (
     strong_t0,
     strong_t1,
 )
-from bisoft.errors import InvalidTopologyError
+from bisoft.errors import InvalidTopologyError, UnknownElementError
 from bisoft.softset import (
     Context,
     SoftSet,
@@ -203,6 +203,12 @@ class TestPointClosureIntersection:
         got = point_closure_intersection(BiSoftSpace(t, t), "a")
         assert not got.vacuous
         assert got.value == absolute_soft_set(ctx)
+
+    def test_unknown_element_is_named(self):
+        s = BiSoftSpace(discrete(CTX), discrete(CTX))
+        with pytest.raises(UnknownElementError) as exc:
+            point_closure_intersection(s, "zz")
+        assert str(exc.value) == "unknown element 'zz'"
 
 
 class TestAxiomReport:

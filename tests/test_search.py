@@ -13,7 +13,6 @@ import bisoft.scan as scan
 import bisoft.search as search
 from bisoft.scan import (
     _ALL,
-    _BY_VALUE,
     _SUP,
     _WALKED,
     _PairFacts,
@@ -21,7 +20,6 @@ from bisoft.scan import (
     _decode,
     _mutual_pairs,
     _pair_key,
-    _place,
     _space_key,
     profile,
     space_facts,
@@ -770,31 +768,21 @@ class TestProfileKernel:
         names = [*expected, "slice t0", "slice t1"]
         assert seen >= {(name, value) for name in names for value in (False, True)}
 
-    @pytest.mark.parametrize(
-        "k", [0, 1, 2, _WALKED, _WALKED + 1, 101, _BY_VALUE, _BY_VALUE + 1]
-    )
+    @pytest.mark.parametrize("k", [0, 1, 2, _WALKED, _WALKED + 1, 101])
     def test_placing_and_transposing_agree_with_bit_loops(self, k):
-        # past the split points the bitsets are merged pairwise and the
-        # masks transposed as text; both must give the bit-by-bit result
+        # past the split point the masks are transposed as text; both
+        # paths must give the rows of a pair loop
         rng = random.Random(k)
-        for width, dense in product((1, 7, 8, 13, k + 3), (True, False)):
-            vals = [
-                rng.getrandbits(width) if dense else 1 << rng.randrange(width)
-                for _ in range(k)
-            ]
-            placed = sum(v << i * width for i, v in enumerate(vals))
-            assert _place(vals, width) == placed
         for density in (0.1, 0.5, 0.9):
             masks = [
                 sum(1 << y for y in range(k) if y == x or rng.random() < density)
                 for x in range(k)
             ]
-            expected = sum(
-                1 << (x * k + y)
-                for x, y in combinations(range(k), 2)
-                if masks[x] >> y & 1 and masks[y] >> x & 1
-            )
-            assert _mutual_pairs(masks) == expected
+            expected = [0] * k
+            for x, y in combinations(range(k), 2):
+                if masks[x] >> y & 1 and masks[y] >> x & 1:
+                    expected[x] |= 1 << y
+            assert _mutual_pairs(masks) == tuple(expected)
 
     @settings(max_examples=80)
     @given(preorder_spaces())

@@ -64,6 +64,17 @@ class TestContext:
         with pytest.raises(UnknownParameterError):
             extend_parameters({"e9": ["h1"]}, CTX)
 
+    def test_unknown_name_errors_read_as_messages(self):
+        # both are KeyErrors, whose own str would be the bare repr 'h9'
+        with pytest.raises(UnknownElementError) as element:
+            CTX.element_index("h9")
+        with pytest.raises(UnknownParameterError) as parameter:
+            CTX.parameter_index("e9")
+        assert str(element.value) == "unknown element 'h9'"
+        assert str(parameter.value) == "unknown parameter 'e9'"
+        assert isinstance(element.value, KeyError)
+        assert element.value.args == ("h9",) and parameter.value.args == ("e9",)
+
 
 class TestUnion:
     def test_worked_example(self, fx):
