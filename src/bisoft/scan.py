@@ -49,13 +49,14 @@ off the two profiles.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import and_
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import and_, or_, xor
 from typing import NamedTuple, Sequence
 
 from .softset import Context
 from .space import BiSoftSpace
-from .topology import _row_neighbourhoods
+from .topology import _row_neighbourhoods, _set_bits
 
 
 # The facts the space claims read; bit k of a fact key is field k.
@@ -196,6 +197,35 @@ class _Kernel:
     def soft(self, u: Sequence[int]) -> int:
         """Soft T0, T1 and T2, as bits 0, 1 and 2, of the topology ``u``."""
         return self._soft(_row_neighbourhoods(u, self.nx))
+
+    def meet_soft(self, u: Sequence[int], lanes: Sequence, every: int) -> tuple:
+        """``soft`` of the meet of ``u`` with many topologies j at once, the
+        topology whose ``U_p`` is ``u[p] & U_p^j``, as three bitsets over j:
+        those where it is soft T0, T1 and T2.
+
+        Bit j of lane ``lanes[p][q]`` is set when q lies in ``U_p^j``, and
+        ``every`` holds every j.  The definitions are ``_soft``'s, one lane
+        of ``N(x)`` per point q: T0 when the ``N(x)`` are distinct, T1 when
+        no ``N(x)`` holds all of another element's row, T2 when none holds
+        a point of another row, that is when each is x's row.  A meet that
+        holds all of a row holds a point of it, and T1 and T2 are ANDed
+        with T0, so the three bitsets nest.
+        """
+        nx = self.nx
+        nbhd = [[0] * self.n for _ in range(nx)]  # lanes of N(x) per point q
+        for p, (up, row) in enumerate(zip(u, lanes)):
+            for q in _set_bits(up):  # the meet's U_p keeps the lanes of u[p]
+                nbhd[p % nx][q] |= row[q]
+        t0 = every
+        for a, b in combinations(nbhd, 2):
+            t0 &= reduce(or_, map(xor, a, b))
+        spill = inside = 0
+        for x, row in enumerate(nbhd):
+            for y in range(nx):
+                if y != x:
+                    spill |= reduce(or_, row[y::nx])
+                    inside |= reduce(and_, row[y::nx])
+        return t0, t0 & ~inside, t0 & ~spill
 
     def profile(self, u: Sequence[int]) -> _Profile:
         """See ``profile``."""

@@ -33,15 +33,20 @@ its first positions:
   pairs (i, j) of each orbit minimum i of S_|X| x S_|E| on the
   topologies against every j and weights them by the size of i's orbit,
   so counts stay exact labelled counts (Brinkmann and McKay, J. Integer
-  Sequences, 2005).  The first violating position is then the first
-  violating space, and a report's records come from expanding the
-  orbits of its first three.  Topologies with equal profiles, a profile
-  class, give equal keys up to the supremum's soft bits, which are ORed
-  in last, so one cross key per pair of profile classes builds each
-  row.  Each factorization's census is built once and kept, so every
-  exhaustive report and hunt after the first calls no ``_pair_key``;
-  with |X| = 1 every fact holds on every pair, so those factorizations
-  are one all-true key each.
+  Sequences, 2005); the orbits are walked once each, from their minima.
+  The first violating position is then the first violating space, and a
+  report's records come from expanding the orbits of its first three.
+  A row splits every partner j at once, in int bitsets over j, the
+  lanes: by j's profile class, whose cross key with i's class is
+  computed once per pair of classes, as topologies with equal profiles
+  give equal keys up to the supremum's soft bits, and by those soft
+  bits, read off the lanes of ``U_i & U_j``.  Each factorization's
+  census is built once and kept, and so is each corpus's census, the
+  factorizations' merged, so every exhaustive report and hunt after the
+  first calls no ``_pair_key`` and computes no lanes, and a report runs
+  each claim once per distinct key (95 at 4x4); with |X| = 1 every fact
+  holds on every pair, so those factorizations are one all-true key
+  each.
 
 A rough claim reads a reach vector and a target mask, and rough hunts
 read reach vectors straight from pairs of ``U``.
@@ -56,10 +61,8 @@ from __future__ import annotations
 
 import json
 import random
-from array import array
-from collections import Counter
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -70,7 +73,7 @@ from .scan import (
 )
 from .softset import Context, SoftSet, _Value
 from .space import BiSoftSpace
-from .topology import SoftTopology, _union_closure, minimal_neighbourhoods
+from .topology import SoftTopology, _set_bits, _union_closure, minimal_neighbourhoods
 
 EXHAUSTIVE_POINT_BOUND = 4  # topologies on <= 4 points are enumerable (355 on 4)
 # a random draw keeps a |X|*|E|-bit U_p per point, so its memory grows with
@@ -665,56 +668,78 @@ def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
     return tuple(map(kernel.profile, _point_neighbourhoods(nx * ne)))
 
 
-def _orbit_minima(perms: Sequence[array], k: int) -> tuple[tuple, tuple]:
-    """The minimum of each orbit of ``perms`` on range(k), in order, and
-    the orbit's size; ``perms`` must be a group, so its orbit of j is
-    {g[j] for g in perms}, and j is met before the rest of its orbit
-    exactly when it is the orbit's minimum."""
-    sizes = {min(o): len(o) for o in ({g[j] for g in perms} for j in range(k))}
+@lru_cache(maxsize=None)
+def _relabellings(nx: int, ne: int) -> tuple[tuple[list, list], ...]:
+    """The group G = S_nx x S_ne, relabelling point e * nx + x as
+    tau(e) * nx + sigma(x): each g as ``(source, image)``, with
+    g(source[q]) = q and ``image[m]`` the image of mask m.  The image of
+    a topology under g has the ``U`` with U'_g(p) = g(U_p)."""
+    n, out = nx * ne, []
+    for sigma, tau in product(permutations(range(nx)), permutations(range(ne))):
+        g = [tau[p // nx] * nx + sigma[p % nx] for p in range(n)]
+        image = [sum(1 << g[p] for p in _set_bits(m)) for m in range(1 << n)]
+        out.append((sorted(range(n), key=g.__getitem__), image))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _index(n: int) -> dict:
+    """The place of each topology on n points, by its ``U``."""
+    return {u: k for k, u in enumerate(_point_neighbourhoods(n))}
+
+
+def _images(nx: int, ne: int, i: int) -> list[int]:
+    """The image of topology i of (nx, ne) under each g in G, in the order
+    of ``_relabellings``, so the images of a pair (i, j) are ``zip`` of
+    those of i and of j."""
+    u, index = _point_neighbourhoods(nx * ne)[i], _index(nx * ne)
+    return [index[tuple([g[u[p]] for p in src])] for src, g in _relabellings(nx, ne)]
+
+
+@lru_cache(maxsize=None)
+def _orbits(nx: int, ne: int) -> tuple[tuple, tuple]:
+    """The orbits of G on the topologies of (nx, ne), as ``(minima,
+    sizes)``: each orbit's minimum, in order, and its size.
+
+    The topologies are walked in order, and the first of an orbit met is
+    its minimum, whose images under G are the whole orbit; so each orbit
+    is walked once, from its minimum, and no table of G's action on every
+    topology is kept.  The facts of a space do not change under G, so the
+    pairs (g(i), j) for all j have the keys of the pairs (i, j) for all j,
+    and the census keys the rows of orbit minima alone; a report then
+    runs each claim once per distinct key (95 at 4x4).  At most eight
+    factorizations are ever cached, as for ``_profiles``.
+    """
+    seen, sizes = set(), {}
+    for i in range(len(_point_neighbourhoods(nx * ne))):
+        if i not in seen:
+            orbit = set(_images(nx, ne, i))
+            seen |= orbit
+            sizes[i] = len(orbit)
     return tuple(sizes), tuple(sizes.values())
 
 
 @lru_cache(maxsize=None)
-def _orbits(nx: int, ne: int) -> tuple[tuple[array, ...], tuple, tuple]:
-    """The group G = S_nx x S_ne on the topologies of (nx, ne), relabelling
-    point e * nx + x as tau(e) * nx + sigma(x), and its orbits.  The image
-    of a topology under g has the ``U`` with U'_g(p) = g(U_p).
+def _lanes(n: int) -> list[list[int]]:
+    """The topologies on n points in lanes, int bitsets over them: bit j
+    of ``lanes[p][q]`` is set when q lies in U_p of topology j.
 
-    Returns ``(action, minima, sizes)``: ``action`` has one row per
-    element of G, the index of the image of every topology, and each
-    orbit of G on the topologies has its minimum in ``minima`` and its
-    size at the same place in ``sizes``.  The facts of a space do not
-    change under G, so the pairs (g(i), j) for all j have the keys of the
-    pairs (i, j) for all j, and the census keys the rows of orbit minima
-    alone.  At most eight factorizations are ever cached, as for
-    ``_profiles``.
+    Each point's values of U_p are gathered with the topologies that take
+    them, and each value's set bits add its topologies to their lanes.  At
+    most four point counts are ever cached.
     """
-    n = nx * ne
-    us = _point_neighbourhoods(n)
-    index = {u: k for k, u in enumerate(us)}
-    action = []
-    for sigma in permutations(range(nx)):
-        for tau in permutations(range(ne)):
-            image = [tau[p // nx] * nx + sigma[p % nx] for p in range(n)]
-            relabel = [
-                sum(1 << image[p] for p in range(n) if m >> p & 1)
-                for m in range(1 << n)
-            ]
-            source = sorted(range(n), key=image.__getitem__)  # g(source[q]) = q
-            action.append(
-                array("H", [index[tuple([relabel[u[p]] for p in source])] for u in us])
-            )
-    return (tuple(action), *_orbit_minima(action, len(us)))
+    lanes = [[0] * n for _ in range(n)]
+    for p in range(n):
+        takers: dict = {}
+        for j, u in enumerate(_point_neighbourhoods(n)):
+            takers[u[p]] = takers.get(u[p], 0) | 1 << j
+        for up, js in takers.items():
+            for q in _set_bits(up):
+                lanes[p][q] |= js
+    return lanes
 
 
-def _packed(u: Sequence[int]) -> int:
-    """A topology's ``U`` in one int, n bits per point: the supremum of two
-    topologies is then the one whose packed ``U`` is the AND of theirs."""
-    return sum(up << (p * len(u)) for p, up in enumerate(u))
-
-
-@lru_cache(maxsize=None)
-def _classes(nx: int, ne: int) -> tuple[tuple, tuple, dict, tuple]:
+def _classes(nx: int, ne: int) -> tuple[list, dict]:
     """The profile classes of the topologies on nx*ne points.
 
     ``_pair_key`` reads nothing of a topology but its profile, and a
@@ -724,44 +749,24 @@ def _classes(nx: int, ne: int) -> tuple[tuple, tuple, dict, tuple]:
     and ``slice_t0`` only through which of their places hold equal
     values, so a class is the profiles that agree on ``soft``,
     ``slices_t1``, the ``strong_t0`` rows and the first-occurrence labels
-    of the two vectors.  Returns ``(cls, packed, sup, classes)``: each
-    topology's class id and packed ``U``, the supremum's soft bits keyed
-    by packed ``U``, and one profile per class, its vectors labelled (355
-    topologies on four points have 18 classes over 2x2 and 16 over 4x1).
-    At most eight factorizations are ever cached, as for ``_profiles``.
+    of the two vectors.  Returns ``(labelled, members)``: each topology's
+    profile with its vectors labelled, which names its class, and each
+    class's topologies as a bitset over them (355 topologies on four
+    points have 18 classes over 2x2 and 16 over 4x1).
     """
-    profiles = _profiles(nx, ne)
     labelled = [
-        p._replace(t0=_labels(p.t0), slice_t0=_labels(p.slice_t0)) for p in profiles
+        p._replace(t0=_labels(p.t0), slice_t0=_labels(p.slice_t0))
+        for p in _profiles(nx, ne)
     ]
-    ids: dict = {}
-    cls = tuple([ids.setdefault(p, len(ids)) for p in labelled])
-    packed = tuple([_packed(u) for u in _point_neighbourhoods(nx * ne)])
-    sup = {key: p.soft << _SUP for key, p in zip(packed, profiles)}
-    return cls, packed, sup, tuple(ids)
+    members: dict = {}
+    for j, p in enumerate(labelled):
+        members[p] = members.get(p, 0) | 1 << j
+    return labelled, members
 
 
 def _labels(vals: tuple[int, ...]) -> tuple[int, ...]:
     """Each value as the place of its first occurrence in ``vals``."""
     return tuple(map(vals.index, vals))
-
-
-def _rows(nx: int, ne: int):
-    """One ``(i, size, keys)`` per orbit minimum i of the topologies of
-    (nx, ne), nx > 1, in order: the size of i's orbit and the fact keys
-    of the pairs (i, j) for every j.
-
-    A row's keys are the cross keys of i's class, read at the class of
-    each j and ORed with the soft bits of the supremum; cross keys are
-    computed for the classes that head a row, against every class.
-    """
-    cls, packed, sup, classes = _classes(nx, ne)
-    _, minima, sizes = _orbits(nx, ne)
-    heads = {cls[i] for i in minima}
-    cross = {c: [_pair_key(classes[c], q, 0) for q in classes] for c in heads}
-    for i, size in zip(minima, sizes):
-        row, ui = cross[cls[i]], packed[i]
-        yield i, size, [row[c] | sup[ui & uj] for c, uj in zip(cls, packed)]
 
 
 @lru_cache(maxsize=None)
@@ -771,31 +776,74 @@ def _tally(nx: int, ne: int) -> dict:
     the key and its first positions (i, j), at most three, in the rows of
     orbit minima.
 
-    Every row of G.i holds the keys of i's row, so a key's count is the
-    sum over rows of its count there times the orbit's size.  Every pair
-    lies in the orbit of a pair of some minimum's row that comes no later
-    in canonical order, so the first k labelled pairs with a key lie in
-    the orbits of its first k positions, and its first labelled pair is
-    its first position.  With |X| = 1 there is no pair of distinct
-    elements and the row's complement is empty, so every fact holds on
-    every pair: that census is one all-true key at the first three pairs,
-    and builds no profiles and no orbits.  At most eight factorizations
-    are ever cached, as for ``_profiles``; a census is never changed
-    once built, so two threads that build one at once build equal ones.
+    The row of orbit minimum i splits every partner j at once, in bitsets
+    over j: by j's profile class, whose cross key with i's class is
+    computed once per class heading a row, and by the soft axioms of the
+    supremum, which ``_Kernel.meet_soft`` reads off the lanes.  Each cell
+    of a class's cross key and a supremum pattern is one key of the row,
+    so its count is the cell's bit count and its first positions are the
+    cell's lowest bits.  Every row of G.i holds the keys of i's row, so a
+    key's count is the sum over rows of its count there times the orbit's
+    size.  Every pair lies in the orbit of a pair of some minimum's row
+    that comes no later in canonical order, so the first k labelled pairs
+    with a key lie in the orbits of its first k positions, and its first
+    labelled pair is its first position.  With |X| = 1 there is no pair
+    of distinct elements and the row's complement is empty, so every fact
+    holds on every pair: that census is one all-true key at the first
+    three pairs, and builds no profiles, orbits or lanes.  ``_census``
+    merges the factorizations' censuses, so a report runs each claim once
+    per distinct key (95 at 4x4).  At most eight factorizations are ever
+    cached, as for ``_profiles``; a census is never changed once built,
+    so two threads that build one at once build equal ones.
     """
+    us = _point_neighbourhoods(nx * ne)
     if nx == 1:
-        k = len(_point_neighbourhoods(ne))
+        k = len(us)
         first = range(k * k)[:_MAX_RECORDS_PER_CLAIM]
         return {_ALL: [k * k, *(divmod(t, k) for t in first)]}
+    kernel, lanes = _kernel(standard_context(nx, ne)), _lanes(nx * ne)
+    labelled, members = _classes(nx, ne)
+    every = (1 << len(us)) - 1
+    cells: dict = {}  # class heading a row -> its cross keys -> their partners
     census: dict = {}
-    for i, size, keys in _rows(nx, ne):
-        for key, count in Counter(keys).items():
+    for i, size in zip(*_orbits(nx, ne)):
+        head = labelled[i]
+        if head not in cells:
+            cross = cells[head] = {}
+            for q, js in members.items():
+                key = _pair_key(head, q, 0)
+                cross[key] = cross.get(key, 0) | js
+        t0, t1, t2 = kernel.meet_soft(us[i], lanes, every)
+        sups = ((0, every ^ t0), (1, t0 ^ t1), (3, t1 ^ t2), (7, t2))
+        for key, js in cells[head].items():
+            for soft, sup_js in sups:
+                cell = js & sup_js
+                if cell:
+                    entry = census.setdefault(key | soft << _SUP, [0])
+                    entry[0] += cell.bit_count() * size
+                    if len(entry) <= _MAX_RECORDS_PER_CLAIM:
+                        room = _MAX_RECORDS_PER_CLAIM + 1 - len(entry)
+                        entry += [(i, j) for j in islice(_set_bits(cell), room)]
+    return census
+
+
+@lru_cache(maxsize=None)
+def _census(sizes: tuple[tuple[int, int], ...]) -> dict:
+    """The census of the exhaustive corpus of factorizations ``sizes``, in
+    canonical order: each distinct key of its pairs to its count and its
+    first positions (k, i, j), at most three, the pair (i, j) of
+    factorization k, merged from the factorizations' censuses in turn.
+
+    A census is kept per tuple of factorizations, and there are at most
+    16: ``max_x`` is at most four, and ``params`` past four adds none.
+    """
+    census: dict = {}
+    for k, size in enumerate(sizes):
+        for key, (count, *positions) in _tally(*size).items():
             entry = census.setdefault(key, [0])
-            entry[0] += count * size
-            j = -1
-            for _ in range(min(count, _MAX_RECORDS_PER_CLAIM + 1 - len(entry))):
-                j = keys.index(key, j + 1)
-                entry.append((i, j))
+            entry[0] += count
+            room = _MAX_RECORDS_PER_CLAIM + 1 - len(entry)
+            entry += [(k, *pos) for pos in positions[:room]]
     return census
 
 
@@ -851,34 +899,33 @@ class ImplicationReport(_Value, frozen=False):
 
 
 def _report(
-    corpus: str, claims: Sequence[Claim], censuses: Sequence[dict], records: Callable
+    corpus: str, claims: Sequence[Claim], census: dict, records: Callable
 ) -> ImplicationReport:
-    """Run each claim once per fact key of each census, weighted by its
-    count.
+    """Run each claim once per distinct fact key of a census (95 at 4x4),
+    weighted by its count.
 
-    A census maps each distinct key of a part of the corpus to its count
-    followed by its first positions there, in corpus order; position
-    ``pos`` of the k-th census is ``(k, *pos)``, and ``records(claim_id,
+    A census maps each distinct key of the corpus to its count followed
+    by its first positions, in corpus order, and ``records(claim_id,
     positions)`` turns the first violating positions, at most
     ``_MAX_RECORDS_PER_CLAIM``, into records.
     """
     table = [
-        (_decode(key), count, [(k, *pos) for pos in positions])
-        for k, census in enumerate(censuses)
+        (_decode(key), count, positions)
         for key, (count, *positions) in census.items()
     ]
     total = sum(count for _, count, _ in table)
     results = {}
     for c in claims:
-        res = results[c.id] = ClaimResult(c.id, tested=total)
-        violating = []
+        premise, conclusion = c.premise, c.conclusion
+        hits, violations, violating = 0, 0, []
         for facts, count, positions in table:
-            if c.premise(facts):
-                res.premise_hits += count
-                if not c.conclusion(facts):
-                    res.violation_count += count
+            if premise(facts):
+                hits += count
+                if not conclusion(facts):
+                    violations += count
                     violating += positions
-        res.records = records(c.id, sorted(violating)[:_MAX_RECORDS_PER_CLAIM])
+        first = records(c.id, sorted(violating)[:_MAX_RECORDS_PER_CLAIM])
+        results[c.id] = ClaimResult(c.id, total, hits, violations, first)
     return ImplicationReport(corpus, results)
 
 
@@ -896,9 +943,9 @@ def _verify_keyed(
             entry.append((index, item))
 
     def records(claim_id, positions):
-        return [record_for(claim_id, space(item)) for _, _, item in positions]
+        return [record_for(claim_id, space(item)) for _, item in positions]
 
-    return _report(corpus, claims, [census], records)
+    return _report(corpus, claims, census, records)
 
 
 def _verify_over_spaces(
@@ -919,30 +966,29 @@ def _verify_random(config: SearchConfig, claims: Sequence[Claim]) -> Implication
 def _verify_exhaustive(
     config: SearchConfig, claims: Sequence[Claim]
 ) -> ImplicationReport:
-    """The report of an exhaustive corpus, from the censuses of its
+    """The report of an exhaustive corpus, from the census of its
     factorizations in canonical order: position (k, i, j) is the pair
     (i, j) of factorization k.
 
     A claim's first three violating spaces lie in the orbits of its first
-    three violating positions, so those orbits are expanded, sorted and
-    cut to three; the positions of an |X| = 1 census are its first three
-    pairs already.
+    three violating positions, so the orbits of those three alone are
+    expanded, sorted and cut to three.  The positions of an |X| = 1
+    factorization are its first three pairs already, and their orbits
+    hold no earlier pair.
     """
-    sizes = config.factorizations()
-
-    def labelled(k, i, j):
-        nx, ne = sizes[k]
-        return [(k, g[i], g[j]) for g in _orbits(nx, ne)[0]] if nx > 1 else [(k, i, j)]
+    sizes = tuple(config.factorizations())
 
     def records(claim_id, positions):
-        spaces = {space for pos in positions for space in labelled(*pos)}
+        spaces = set()
+        for k, i, j in positions:
+            images = (_images(*sizes[k], t) for t in (i, j))
+            spaces.update((k, *pair) for pair in zip(*images))
         return [
             _pair_record(claim_id, *sizes[k], i, j)
             for k, i, j in sorted(spaces)[:_MAX_RECORDS_PER_CLAIM]
         ]
 
-    censuses = [_tally(nx, ne) for nx, ne in sizes]
-    return _report(config.describe(), claims, censuses, records)
+    return _report(config.describe(), claims, _census(sizes), records)
 
 
 def verify_implications(

@@ -23,8 +23,9 @@ raises ``TooManyMembersError`` rather than exhausting memory.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from operator import or_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ContextMismatchError, InvalidTopologyError, TooManyMembersError
 from .softset import Context, ParameterSet, SoftSet, _Value
@@ -56,18 +57,25 @@ class Violation(_Value):
         return f"{op} of {a!r} and {b!r} escapes the family ({self.missing!r})"
 
 
+# each binary digit as a byte 0 or 1, a selector for ``compress``
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_bits(m: int) -> Iterator[int]:
+    """The places of the set bits of ``m >= 0``, lowest first, read off
+    its binary digits in one pass of C code."""
+    return compress(count(), bin(m)[:1:-1].encode().translate(_DIGIT_BYTES))
+
+
 def minimal_neighbourhoods(masks: Iterable[int], n_points: int) -> tuple[int, ...]:
     """``U_p`` for each point p < n_points: the AND of the masks containing
-    p, or the full mask when none does; in a topology, the smallest open."""
+    p, or the full mask when none does; in a topology, the smallest open.
+    Each mask is ANDed into the ``U_p`` of its own points."""
     full = (1 << n_points) - 1
-    masks = [m for m in masks if m != full]  # ANDing the full mask changes nothing
-    out = []
-    for p in range(n_points):
-        u = full
-        for m in masks:
-            if m >> p & 1:
-                u &= m
-        out.append(u)
+    out = [full] * n_points
+    for m in masks:
+        for p in _set_bits(m):
+            out[p] &= m
     return tuple(out)
 
 

@@ -9,7 +9,9 @@ pointwise intersection of the pair's, and its facts come from the same
 profiles and fact key as the scan's; the dual-route tests check those
 against the member oracle.
 
-It also keeps the member views of the enumeration that only the tests
+It also keeps ``group_action``, the full action of the relabellings of
+universe and parameters on every topology, the reference for the orbit
+walk in ``bisoft.search``, and the member views of the enumeration that only the tests
 read: ``_point_topologies``, each topology as its sorted members, and
 ``as_soft_topology``, the soft topology those members form;
 ``iter_spaces``, every space of a config in canonical or seed order; and
@@ -20,6 +22,7 @@ for the hunt that reads reach vectors straight from pairs of ``U``.
 
 import random
 from functools import lru_cache
+from itertools import permutations
 
 from bisoft.scan import _SUP, _decode, _pair_key
 from bisoft.search import (
@@ -71,6 +74,29 @@ def iter_spaces(config: SearchConfig):
         for t1 in topos:
             for t2 in topos:
                 yield BiSoftSpace(t1, t2)
+
+
+@lru_cache(maxsize=None)
+def group_action(nx, ne):
+    """The group S_nx x S_ne as one row per element, the index of the image
+    of every topology of (nx, ne): the relabelling sends point e * nx + x
+    to tau(e) * nx + sigma(x), and a topology's image has U'_g(p) = g(U_p).
+    """
+    n = nx * ne
+    us = _point_neighbourhoods(n)
+    action = []
+    for sigma in permutations(range(nx)):
+        for tau in permutations(range(ne)):
+            image = [tau[p // nx] * nx + sigma[p % nx] for p in range(n)]
+            relabel = [
+                sum(1 << image[p] for p in range(n) if m >> p & 1)
+                for m in range(1 << n)
+            ]
+            source = sorted(range(n), key=image.__getitem__)  # g(source[q]) = q
+            action.append(
+                [_index(n)[tuple([relabel[u[p]] for p in source])] for u in us]
+            )
+    return action
 
 
 @lru_cache(maxsize=None)

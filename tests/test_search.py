@@ -32,10 +32,11 @@ from bisoft.search import (
     SearchConfig,
     TRUE_CLAIM_IDS,
     _first_violation,
+    _images,
+    _lanes,
     _orbits,
     _point_neighbourhoods,
     _random_neighbourhoods,
-    _rows,
     _tally,
     _verify_exhaustive,
     _verify_over_spaces,
@@ -62,6 +63,7 @@ from bisoft.topology import (
 from labelled_scan import (
     _point_topologies,
     as_soft_topology,
+    group_action,
     iter_spaces,
     labelled_counts,
     labelled_report,
@@ -898,34 +900,77 @@ class TestOrbitScan:
 
     @pytest.mark.parametrize("nx,ne", SearchConfig(4, 4).factorizations())
     def test_representatives_are_orbit_minima_weighted_by_orbit_size(self, nx, ne):
-        action, minima, sizes = _orbits(nx, ne)
+        action = group_action(nx, ne)
         k = len(_point_topologies(nx * ne))
         assert len(set(map(tuple, action))) == len(action)
         assert all(sorted(g) == list(range(k)) for g in action)
-        assert list(minima) == sorted(minima)
-        for i, size in zip(minima, sizes):
-            orbit = {g[i] for g in action}
-            assert min(orbit) == i
-            assert len(orbit) == size
+        orbits = {}
+        for j in range(k):
+            orbit = frozenset(g[j] for g in action)
+            orbits.setdefault(min(orbit), len(orbit))
+        minima, sizes = _orbits(nx, ne)
+        assert list(minima) == sorted(orbits)
+        assert list(sizes) == [orbits[i] for i in minima]
         # the orbits partition the topologies, so the rows of the minima
         # weighted by orbit size cover every pair
         assert sum(sizes) == k
         assert sum(size * k for size in sizes) == k * k
 
-    def test_row_keys_match_labelled_pair_keys(self):
+    @pytest.mark.parametrize("nx,ne", [(2, 1), (3, 1), (2, 2), (1, 3)])
+    def test_images_expand_pairs_as_the_group_action(self, nx, ne):
+        # what a report's records expand: the orbit of each first position
+        action = group_action(nx, ne)
+        k = len(_point_topologies(nx * ne))
+        rng = random.Random(nx * 10 + ne)
+        for _ in range(30):
+            i, j = rng.randrange(k), rng.randrange(k)
+            expected = {(g[i], g[j]) for g in action}
+            assert set(zip(_images(nx, ne, i), _images(nx, ne, j))) == expected
+
+    def test_lanes_hold_every_neighbourhood(self):
+        for n in range(1, EXHAUSTIVE_POINT_BOUND + 1):
+            lanes = _lanes(n)
+            for j, u in enumerate(_point_neighbourhoods(n)):
+                for p in range(n):
+                    column = sum((lanes[p][q] >> j & 1) << q for q in range(n))
+                    assert column == u[p], (n, j, p)
+
+    def test_lane_supremum_bits_match_kernel_soft_on_every_pair(self):
         seen = set()
         for nx, ne in SearchConfig(4, 4).factorizations():
-            if nx > 1:
-                seen.add((nx, ne))
-                k = len(_point_topologies(nx * ne))
-                rows = list(_rows(nx, ne))
-                assert [(i, size) for i, size, _ in rows] == list(
-                    zip(*_orbits(nx, ne)[1:])
-                )
-                for i, _, keys in rows:
-                    expected = [pair_key(nx, ne, i, j) for j in range(k)]
-                    assert keys == expected, (nx, ne, i)
+            if nx == 1:
+                continue
+            seen.add((nx, ne))
+            kernel = scan._kernel(standard_context(nx, ne))
+            us = _point_neighbourhoods(nx * ne)
+            every = (1 << len(us)) - 1
+            for ui in us:
+                t0, t1, t2 = kernel.meet_soft(ui, _lanes(nx * ne), every)
+                for j, uj in enumerate(us):
+                    bits = (t0 >> j & 1) | (t1 >> j & 1) << 1 | (t2 >> j & 1) << 2
+                    assert bits == kernel.soft([a & b for a, b in zip(ui, uj)])
         assert seen == {(2, 1), (3, 1), (4, 1), (2, 2)}
+
+    def test_five_point_orbits_count_unlabelled_topologies(self, monkeypatch):
+        # 139 topologies on five points up to homeomorphism (OEIS A001930),
+        # 6,942 labelled (A000798); the bound is raised for this test only
+        caches = (search._point_neighbourhoods, search._relabellings,
+                  search._index, search._orbits)
+        monkeypatch.setattr(search, "EXHAUSTIVE_POINT_BOUND", 5)
+        try:
+            minima, sizes = _orbits(5, 1)
+            assert len(minima) == 139
+            assert sum(sizes) == len(_point_neighbourhoods(5)) == 6942
+        finally:
+            for cached in caches:
+                cached.cache_clear()
+
+    def test_corpus_censuses_stay_bounded(self):
+        search._census.cache_clear()
+        for max_x in range(1, EXHAUSTIVE_POINT_BOUND + 1):
+            for params in range(1, 9):
+                verify_implications(SearchConfig(max_x, params))
+        assert search._census.cache_info().currsize <= 16
 
     def test_first_census_positions_are_labelled_first_positions(self):
         # what an exhaustive hunt returns: the earliest first position of
@@ -942,44 +987,43 @@ class TestOrbitScan:
                     assert pair_key(nx, ne, i, j) == key
 
     def test_repeat_scans_and_hunts_compute_no_pair_key(self, monkeypatch):
-        calls = []
+        calls, meets = [], []
 
         def counted(p, q, sup_bits):
             calls.append(1)
             return _pair_key(p, q, sup_bits)
 
+        meet_soft = scan._Kernel.meet_soft
+
+        def counted_meets(kernel, u, lanes, every):
+            meets.append(1)
+            return meet_soft(kernel, u, lanes, every)
+
         monkeypatch.setattr(search, "_pair_key", counted)
+        monkeypatch.setattr(scan._Kernel, "meet_soft", counted_meets)
         cfg = SearchConfig(4, 4)
         report = verify_implications(cfg)
         calls.clear()
+        meets.clear()
         assert verify_implications(cfg) == report
         for claim_id in GAP_SPACE_CLAIM_IDS:
             find_counterexample(claim_id, cfg)
-        assert len(calls) == 0
-        # cold: one cross key per class heading a row and class of a partner,
-        # and one orbit pass per factorization with |X| > 1
-        passes = []
-        orbit_minima = search._orbit_minima
-
-        def counted_minima(perms, k):
-            passes.append(len(perms))
-            return orbit_minima(perms, k)
-
-        monkeypatch.setattr(search, "_orbit_minima", counted_minima)
+        assert len(calls) == len(meets) == 0
+        # cold: one cross key per class heading a row and class of a
+        # partner, and one set of supremum lanes per orbit minimum
         search._tally.cache_clear()
-        search._orbits.cache_clear()
+        search._census.cache_clear()
         assert verify_implications(cfg) == report
-        heads = pairs = 0
-        group_orders = []
+        heads = pairs = rows = 0
         for nx, ne in cfg.factorizations():
             if nx > 1:
-                cls, *_, classes = search._classes(nx, ne)
-                action, minima, _ = _orbits(nx, ne)
-                heads += len({cls[i] for i in minima}) * len(classes)
-                pairs += len(minima) * len(cls)
-                group_orders.append(len(action))
+                labelled, members = search._classes(nx, ne)
+                minima, _ = _orbits(nx, ne)
+                heads += len({labelled[i] for i in minima}) * len(members)
+                pairs += len(minima) * len(labelled)
+                rows += len(minima)
         assert len(calls) == heads == 469 < pairs
-        assert passes == group_orders
+        assert len(meets) == rows == 148
 
     def test_threads_filling_cross_keys_agree(self):
         # threads that build one census at once each fill their own cross
@@ -987,6 +1031,7 @@ class TestOrbitScan:
         cfg = SearchConfig(4, 4)
         expected = verify_implications(cfg).to_json()
         search._tally.cache_clear()
+        search._census.cache_clear()
         reports = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1009,7 +1054,7 @@ class TestOrbitScan:
     @pytest.mark.parametrize("nx,ne", [(2, 2), (1, 3), (3, 1)])
     def test_relabelling_preserves_every_fact(self, nx, ne):
         rng = random.Random(nx * 10 + ne)
-        action = _orbits(nx, ne)[0]
+        action = group_action(nx, ne)
         k = len(_point_topologies(nx * ne))
         for _ in range(40):
             i, j = rng.randrange(k), rng.randrange(k)
