@@ -44,11 +44,7 @@ def _reach(ctx: Context, u1: tuple[int, ...], u2: tuple[int, ...]) -> tuple[int,
     """Per point p: ``(U1_p ∪ U2_p) ∩ blk(p)``, what both slice
     neighbourhoods of p cover at p's parameter, for the topologies whose
     ``U`` are ``u1`` and ``u2``."""
-    nx, out = ctx.nx, []
-    for s in range(0, nx * ctx.ne, nx):
-        blk = ctx.block_mask << s
-        out += [(a | b) & blk for a, b in zip(u1[s : s + nx], u2[s : s + nx])]
-    return tuple(out)
+    return tuple([(a | b) & blk for a, b, blk in zip(u1, u2, ctx.blocks)])
 
 
 def _reaches(s: BiSoftSpace) -> tuple[int, ...]:

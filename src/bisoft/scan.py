@@ -35,12 +35,14 @@ pairs of ``U_p`` cut to p's block are, and strong T0 when no row of one
 topology's unseparated pairs meets the same row of the other's
 (``_Profile``).  A profile is computed in a few passes over the elements
 and points, and a space's supremum contributes its three soft bits
-alone.  What a profile reads of a context, its block mask and each
-point's block, is computed once per context, in a ``_Kernel``.  Every
-corpus of ``search`` goes through ``_pair_key``, and each claim reads
-the ``_PairFacts`` of a distinct key, decoded once; ``_space_key`` and
-``space_facts`` key one space at a time, for explicit corpora and
-``replay``.
+alone.  ``profile``, ``soft`` and ``meet_soft`` are functions of the
+context and the ``U`` vectors they are given: what they read of the
+context, its block mask and each point's block (``Context.blocks``),
+is derived when the context is built, and nothing is kept after a
+call.  Every corpus of ``search`` goes through ``_pair_key``, and each
+claim reads the ``_PairFacts`` of a distinct key, decoded once;
+``_space_key`` and ``space_facts`` key one space at a time, for explicit
+corpora and ``replay``.
 
 The public checkers of ``axioms`` read their verdicts off the same key
 too, through ``space_verdicts``, which also reads each parameter's slice
@@ -160,98 +162,63 @@ def _mutual_pairs(masks: Sequence[int]) -> tuple[int, ...]:
     return tuple([m & c >> x + 1 << x + 1 for x, (m, c) in pairs])
 
 
-class _Kernel:
-    """``profile`` and the supremum's soft axioms over one context, with
-    what they read of the context computed once: a block's mask, the
-    parameter blocks' starts and each point's block."""
+def _soft(ctx: Context, nbhd: Sequence[int]) -> int:
+    """Soft T0, T1 and T2, as bits 0, 1 and 2, of the topology over ``ctx``
+    whose ``N(x)`` are ``nbhd``.
 
-    __slots__ = "nx", "n", "ne", "block", "starts", "own"
-
-    def __init__(self, ctx: Context):
-        nx, n = ctx.nx, ctx.nx * ctx.ne
-        self.nx, self.n, self.ne = nx, n, ctx.ne
-        self.block = ctx.block_mask
-        self.starts = range(nx, n, nx)
-        self.own = [ctx.block_mask << (p - p % nx) for p in range(n)]
-
-    def _soft(self, nbhd: Sequence[int]) -> int:
-        """Soft T0, T1 and T2, as bits 0, 1 and 2, of the topology whose
-        ``N(x)`` are ``nbhd``.
-
-        The topology is T0 when the ``N(x)`` are distinct, T2 when no
-        ``N(x)`` meets another and T1 when every cont(x) is {x}.  N(x)
-        holds x's row, so the ``N(x)`` are disjoint exactly when each is
-        x's row, that is when they have |X x E| bits in all; then each
-        cont(x) is {x}, and T2 implies T1.  N(x) = N(y) puts y in cont(x),
-        so T1 implies T0, and without T0 there is no soft bit to compute.
-        """
-        if len(set(nbhd)) < self.nx:
-            return 0
-        if sum(map(int.bit_count, nbhd)) == self.n:
-            return 0b111
-        cont = [v & self.block for v in nbhd]
-        for s in self.starts:
-            cont = [c & v >> s for c, v in zip(cont, nbhd)]
-        return 1 | (sum(map(int.bit_count, cont)) == self.nx) << 1
-
-    def soft(self, u: Sequence[int]) -> int:
-        """Soft T0, T1 and T2, as bits 0, 1 and 2, of the topology ``u``."""
-        return self._soft(_row_neighbourhoods(u, self.nx))
-
-    def meet_soft(self, u: Sequence[int], lanes: Sequence, every: int) -> tuple:
-        """``soft`` of the meet of ``u`` with many topologies j at once, the
-        topology whose ``U_p`` is ``u[p] & U_p^j``, as three bitsets over j:
-        those where it is soft T0, T1 and T2.
-
-        Bit j of lane ``lanes[p][q]`` is set when q lies in ``U_p^j``, and
-        ``every`` holds every j.  The definitions are ``_soft``'s, one lane
-        of ``N(x)`` per point q: T0 when the ``N(x)`` are distinct, T1 when
-        no ``N(x)`` holds all of another element's row, T2 when none holds
-        a point of another row, that is when each is x's row.  A meet that
-        holds all of a row holds a point of it, and T1 and T2 are ANDed
-        with T0, so the three bitsets nest.
-        """
-        nx = self.nx
-        nbhd = [[0] * self.n for _ in range(nx)]  # lanes of N(x) per point q
-        for p, (up, row) in enumerate(zip(u, lanes)):
-            for q in _set_bits(up):  # the meet's U_p keeps the lanes of u[p]
-                nbhd[p % nx][q] |= row[q]
-        t0 = every
-        for a, b in combinations(nbhd, 2):
-            t0 &= reduce(or_, map(xor, a, b))
-        spill = inside = 0
-        for x, row in enumerate(nbhd):
-            for y in range(nx):
-                if y != x:
-                    spill |= reduce(or_, row[y::nx])
-                    inside |= reduce(and_, row[y::nx])
-        return t0, t0 & ~inside, t0 & ~spill
-
-    def profile(self, u: Sequence[int]) -> _Profile:
-        """See ``profile``."""
-        nbhd = _row_neighbourhoods(u, self.nx)
-        strong_t0 = None
-        if self.ne > 1:
-            meets = [v & self.block for v in nbhd]
-            for s in self.starts:
-                meets = [m | v >> s & self.block for m, v in zip(meets, nbhd)]
-            strong_t0 = _mutual_pairs(meets)
-        own = tuple(map(and_, u, self.own))
-        slices_t1 = sum(map(int.bit_count, own)) == self.n
-        return _Profile(self._soft(nbhd), slices_t1, nbhd, strong_t0, own)
-
-    def key(self, u1: Sequence[int], u2: Sequence[int]) -> int:
-        """The fact key of the space whose topologies are ``u1`` and ``u2``;
-        its supremum's ``U_p`` is ``U1_p & U2_p``."""
-        sup = self.soft(list(map(and_, u1, u2)))
-        return _pair_key(self.profile(u1), self.profile(u2), sup << _SUP)
+    The topology is T0 when the ``N(x)`` are distinct, T2 when no ``N(x)``
+    meets another and T1 when every cont(x) is {x}.  N(x) holds x's row,
+    so the ``N(x)`` are disjoint exactly when each is x's row, that is
+    when they have |X x E| bits in all; then each cont(x) is {x}, and T2
+    implies T1.  N(x) = N(y) puts y in cont(x), so T1 implies T0, and
+    without T0 there is no soft bit to compute.
+    """
+    nx = ctx.nx
+    if len(set(nbhd)) < nx:
+        return 0
+    n = nx * ctx.ne
+    if sum(map(int.bit_count, nbhd)) == n:
+        return 0b111
+    cont = [v & ctx.block_mask for v in nbhd]
+    for s in range(nx, n, nx):
+        cont = [c & v >> s for c, v in zip(cont, nbhd)]
+    return 1 | (sum(map(int.bit_count, cont)) == nx) << 1
 
 
-@lru_cache(maxsize=8)
-def _kernel(ctx: Context) -> _Kernel:
-    """The kernel of a context, kept for the last few contexts met: it
-    holds constants only, never a profile or a key."""
-    return _Kernel(ctx)
+def soft(ctx: Context, u: Sequence[int]) -> int:
+    """Soft T0, T1 and T2, as bits 0, 1 and 2, of the topology over ``ctx``
+    whose ``U_p`` is ``u[p]``."""
+    return _soft(ctx, _row_neighbourhoods(u, ctx.nx))
+
+
+def meet_soft(ctx: Context, u: Sequence[int], lanes: Sequence, every: int) -> tuple:
+    """``soft`` of the meet of ``u`` with many topologies j at once, the
+    topology whose ``U_p`` is ``u[p] & U_p^j``, as three bitsets over j:
+    those where it is soft T0, T1 and T2.
+
+    Bit j of lane ``lanes[p][q]`` is set when q lies in ``U_p^j``, and
+    ``every`` holds every j.  The definitions are ``_soft``'s, one lane of
+    ``N(x)`` per point q: T0 when the ``N(x)`` are distinct, T1 when no
+    ``N(x)`` holds all of another element's row, T2 when none holds a
+    point of another row, that is when each is x's row.  A meet that holds
+    all of a row holds a point of it, and T1 and T2 are ANDed with T0, so
+    the three bitsets nest.
+    """
+    nx = ctx.nx
+    nbhd = [[0] * len(u) for _ in range(nx)]  # lanes of N(x) per point q
+    for p, (up, row) in enumerate(zip(u, lanes)):
+        for q in _set_bits(up):  # the meet's U_p keeps the lanes of u[p]
+            nbhd[p % nx][q] |= row[q]
+    t0 = every
+    for a, b in combinations(nbhd, 2):
+        t0 &= reduce(or_, map(xor, a, b))
+    spill = inside = 0
+    for x, row in enumerate(nbhd):
+        for y in range(nx):
+            if y != x:
+                spill |= reduce(or_, row[y::nx])
+                inside |= reduce(and_, row[y::nx])
+    return t0, t0 & ~inside, t0 & ~spill
 
 
 def profile(ctx: Context, u: Sequence[int]) -> _Profile:
@@ -259,10 +226,21 @@ def profile(ctx: Context, u: Sequence[int]) -> _Profile:
 
     With one parameter the slice is the topology itself, so ``slice_t0``
     repeats ``t0``, and strong T0 is pairwise T0.  Otherwise the slices
-    sit side by side as the ``U_p`` cut to their own blocks, and the
-    slice at e is T1 when each of block e's is {p}.
+    sit side by side as the ``U_p`` cut to their own blocks,
+    ``ctx.blocks``, and the slice at e is T1 when each of block e's is
+    {p}.
     """
-    return _kernel(ctx).profile(u)
+    nx, block = ctx.nx, ctx.block_mask
+    nbhd = _row_neighbourhoods(u, nx)
+    strong_t0 = None
+    if ctx.ne > 1:
+        meets = [v & block for v in nbhd]
+        for s in range(nx, len(u), nx):
+            meets = [m | v >> s & block for m, v in zip(meets, nbhd)]
+        strong_t0 = _mutual_pairs(meets)
+    cut = tuple(map(and_, u, ctx.blocks))
+    slices_t1 = sum(map(int.bit_count, cut)) == len(u)
+    return _Profile(_soft(ctx, nbhd), slices_t1, nbhd, strong_t0, cut)
 
 
 def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
@@ -308,8 +286,11 @@ def _distinct(a: Sequence[int], b: Sequence[int]) -> bool:
 
 
 def _space_key(s: BiSoftSpace) -> int:
-    """The fact key of one space, read off the ``U`` of its two topologies."""
-    return _kernel(s.context).key(s.t1.neighbourhoods(), s.t2.neighbourhoods())
+    """The fact key of one space, read off the ``U`` of its two topologies;
+    its supremum's ``U_p`` is ``U1_p & U2_p``."""
+    ctx, u1, u2 = s.context, s.t1.neighbourhoods(), s.t2.neighbourhoods()
+    sup = soft(ctx, list(map(and_, u1, u2)))
+    return _pair_key(profile(ctx, u1), profile(ctx, u2), sup << _SUP)
 
 
 def space_facts(s: BiSoftSpace) -> _PairFacts:
@@ -328,12 +309,11 @@ def space_verdicts(s: BiSoftSpace) -> tuple[_PairFacts, dict[str, dict[str, bool
     slices are T1, their cut ``U_p`` having 2*nx bits in all; then it is
     pairwise T2 as well, since a finite T1 topology is discrete.
     """
-    kernel = _kernel(s.context)
-    u1, u2 = s.t1.neighbourhoods(), s.t2.neighbourhoods()
-    p, q = kernel.profile(u1), kernel.profile(u2)
-    facts = _decode(_pair_key(p, q, kernel.soft(list(map(and_, u1, u2))) << _SUP))
-    nx, slices = kernel.nx, {}
-    for e, name in enumerate(s.context.parameters.parameters):
+    ctx, u1, u2 = s.context, s.t1.neighbourhoods(), s.t2.neighbourhoods()
+    p, q = profile(ctx, u1), profile(ctx, u2)
+    facts = _decode(_pair_key(p, q, soft(ctx, list(map(and_, u1, u2))) << _SUP))
+    nx, slices = ctx.nx, {}
+    for e, name in enumerate(ctx.parameters.parameters):
         block = slice(e * nx, e * nx + nx)
         cut1, cut2 = p.slice_t0[block], q.slice_t0[block]
         t1 = sum(map(int.bit_count, cut1 + cut2)) == 2 * nx

@@ -69,7 +69,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from .errors import UnknownClaimError
 from .rough import _lower, _reach, _reaches, _upper
 from .scan import (
-    _ALL, _SUP, _Profile, _decode, _kernel, _pair_key, _space_key, space_facts
+    _ALL, _SUP, _Profile, _decode, _pair_key, _space_key, meet_soft, profile, soft,
+    space_facts,
 )
 from .softset import Context, SoftSet, _Value
 from .space import BiSoftSpace
@@ -77,8 +78,8 @@ from .topology import SoftTopology, _set_bits, _union_closure, minimal_neighbour
 
 EXHAUSTIVE_POINT_BOUND = 4  # topologies on <= 4 points are enumerable (355 on 4)
 # a random draw keeps a |X|*|E|-bit U_p per point, so its memory grows with
-# the square of the points: one draw peaks at 257 MB at 16,384 x 1 and at
-# 363 MB at 8,192 x 2 under CPython 3.11
+# the square of the points: one draw peaks at 222 MB at 16,384 x 1 and at
+# 338 MB at 8,192 x 2 under CPython 3.11
 RANDOM_POINT_BOUND = 1 << 14
 _MAX_RECORDS_PER_CLAIM = 3
 
@@ -220,17 +221,16 @@ def _random_draws(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
     or more elements, and with one element every topology has all three.
     """
     ctx, pairs = _random_pairs(config)
-    kernel = _kernel(ctx)
     full = (ctx.full_mask,) * (ctx.nx * ctx.ne)
-    indiscrete = kernel.profile(full)
+    indiscrete = profile(ctx, full)
 
     def key(u1, u2):
-        p = indiscrete if u1 == full else kernel.profile(u1)
-        q = indiscrete if u2 == full else kernel.profile(u2)
+        p = indiscrete if u1 == full else profile(ctx, u1)
+        q = indiscrete if u2 == full else profile(ctx, u2)
         if u1 == full or u2 == full:  # the supremum is the other topology
             sup = p.soft | q.soft
         else:
-            sup = kernel.soft(list(map(and_, u1, u2)))
+            sup = soft(ctx, list(map(and_, u1, u2)))
         return _pair_key(p, q, sup << _SUP)
 
     return ctx, ((key(*u), u) for u in pairs)
@@ -541,8 +541,7 @@ class SearchConfig(_Value):
         out = [
             (nx, ne)
             for nx in range(1, self.max_universe + 1)
-            for ne in range(1, self.n_params + 1)
-            if nx * ne <= EXHAUSTIVE_POINT_BOUND
+            for ne in range(1, min(self.n_params, EXHAUSTIVE_POINT_BOUND // nx) + 1)
         ]
         return sorted(out, key=lambda p: (p[0] * p[1], p[0]))
 
@@ -664,8 +663,8 @@ def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
     ``_point_neighbourhoods`` rejects nx*ne > EXHAUSTIVE_POINT_BOUND, so
     at most eight factorizations are ever cached.
     """
-    kernel = _kernel(standard_context(nx, ne))
-    return tuple(map(kernel.profile, _point_neighbourhoods(nx * ne)))
+    ctx = standard_context(nx, ne)
+    return tuple([profile(ctx, u) for u in _point_neighbourhoods(nx * ne)])
 
 
 @lru_cache(maxsize=None)
@@ -779,7 +778,7 @@ def _tally(nx: int, ne: int) -> dict:
     The row of orbit minimum i splits every partner j at once, in bitsets
     over j: by j's profile class, whose cross key with i's class is
     computed once per class heading a row, and by the soft axioms of the
-    supremum, which ``_Kernel.meet_soft`` reads off the lanes.  Each cell
+    supremum, which ``meet_soft`` reads off the lanes.  Each cell
     of a class's cross key and a supremum pattern is one key of the row,
     so its count is the cell's bit count and its first positions are the
     cell's lowest bits.  Every row of G.i holds the keys of i's row, so a
@@ -801,7 +800,7 @@ def _tally(nx: int, ne: int) -> dict:
         k = len(us)
         first = range(k * k)[:_MAX_RECORDS_PER_CLAIM]
         return {_ALL: [k * k, *(divmod(t, k) for t in first)]}
-    kernel, lanes = _kernel(standard_context(nx, ne)), _lanes(nx * ne)
+    ctx, lanes = standard_context(nx, ne), _lanes(nx * ne)
     labelled, members = _classes(nx, ne)
     every = (1 << len(us)) - 1
     cells: dict = {}  # class heading a row -> its cross keys -> their partners
@@ -813,13 +812,13 @@ def _tally(nx: int, ne: int) -> dict:
             for q, js in members.items():
                 key = _pair_key(head, q, 0)
                 cross[key] = cross.get(key, 0) | js
-        t0, t1, t2 = kernel.meet_soft(us[i], lanes, every)
+        t0, t1, t2 = meet_soft(ctx, us[i], lanes, every)
         sups = ((0, every ^ t0), (1, t0 ^ t1), (3, t1 ^ t2), (7, t2))
         for key, js in cells[head].items():
-            for soft, sup_js in sups:
+            for sup, sup_js in sups:
                 cell = js & sup_js
                 if cell:
-                    entry = census.setdefault(key | soft << _SUP, [0])
+                    entry = census.setdefault(key | sup << _SUP, [0])
                     entry[0] += cell.bit_count() * size
                     if len(entry) <= _MAX_RECORDS_PER_CLAIM:
                         room = _MAX_RECORDS_PER_CLAIM + 1 - len(entry)

@@ -116,9 +116,10 @@ class ParameterSet(_Value):
 class Context(_Value):
     """A (universe, parameter set) pair; every soft value carries one.
 
-    Sizes, masks, element rows and the name-to-index maps are derived once
-    at construction.  They are excluded from equality, hashing and repr, so
-    a context compares and prints by its two name lists alone.
+    Sizes, masks, element rows, each point's block mask and the
+    name-to-index maps are derived once at construction.  They are
+    excluded from equality, hashing and repr, so a context compares and
+    prints by its two name lists alone.
     """
 
     __match_args__ = ("universe", "parameters")
@@ -126,14 +127,17 @@ class Context(_Value):
     def __init__(self, universe: Universe, parameters: ParameterSet):
         elements, names = universe.elements, parameters.parameters
         nx, ne = len(elements), len(names)
+        block = (1 << nx) - 1
         fields = dict(
             universe=universe,
             parameters=parameters,
             nx=nx,
             ne=ne,
             full_mask=(1 << (nx * ne)) - 1,
-            block_mask=(1 << nx) - 1,
+            block_mask=block,
             rows=tuple(sum(1 << (e * nx + x) for e in range(ne)) for x in range(nx)),
+            # each point's parameter block; a block's nx points share one int
+            blocks=tuple([b for s in range(0, nx * ne, nx) for b in [block << s] * nx]),
             _element_ids={name: i for i, name in enumerate(elements)},
             _parameter_ids={name: i for i, name in enumerate(names)},
         )

@@ -1,8 +1,10 @@
 """Model search: enumeration, random generation, claims, dual routes."""
 
+import gc
 import random
 import sys
 import threading
+import tracemalloc
 from itertools import chain, combinations, product
 
 import pytest
@@ -354,6 +356,15 @@ class TestVerifyImplications:
         )
         assert verify_implications(cfg).to_json() == verify_implications(cfg).to_json()
 
+    def test_exhaustive_params_past_the_point_bound_add_nothing(self):
+        # no factorization of at most four points has more than four
+        # parameters, so the parameter bound past four adds nothing
+        big, small = SearchConfig(4, 10**12), SearchConfig(4, 4)
+        assert big.factorizations() == small.factorizations()
+        assert big.describe() == small.describe()
+        reports = [verify_implications(c).to_json() for c in (big, small)]
+        assert reports[0] == reports[1]
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             verify_implications([])
@@ -472,13 +483,13 @@ class TestRandomCorpora:
         # nothing is kept between calls: each profiles the indiscrete
         # topology once and every other topology of every space it keys
         calls = []
-        kernel_profile = scan._Kernel.profile
+        plain_profile = search.profile
 
-        def counted(kernel, u):
+        def counted(ctx, u):
             calls.append(1)
-            return kernel_profile(kernel, u)
+            return plain_profile(ctx, u)
 
-        monkeypatch.setattr(scan._Kernel, "profile", counted)
+        monkeypatch.setattr(search, "profile", counted)
         cfg = SearchConfig(4, 2, mode="random", samples=100, seed=1)
         ctx = standard_context(4, 2)
         full = (ctx.full_mask,) * 8
@@ -497,6 +508,27 @@ class TestRandomCorpora:
             hunts.append((record, len(calls)))
         assert hunts[0] == hunts[1] and hunts[0][0] is not None
         assert 0 < hunts[0][1] < 2 * cfg.samples
+
+    def test_random_search_leaves_nothing_behind(self):
+        # a profile reads of its context only fields the context derives
+        # when built, so no per-context state outlives a call; the blocks
+        # are each point's parameter block
+        cfg = SearchConfig(4096, 2, mode="random", samples=1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            verify_implications(cfg)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
+        for nx, ne in ((1, 4), (4, 1), (3, 2), (300, 2)):
+            ctx = standard_context(nx, ne)
+            assert len(ctx.blocks) == nx * ne
+            for p, block in enumerate(ctx.blocks):
+                assert block == ctx.block_mask << (p - p % ctx.nx)
 
 
 class TestDualRoute:
@@ -941,14 +973,14 @@ class TestOrbitScan:
             if nx == 1:
                 continue
             seen.add((nx, ne))
-            kernel = scan._kernel(standard_context(nx, ne))
+            ctx = standard_context(nx, ne)
             us = _point_neighbourhoods(nx * ne)
             every = (1 << len(us)) - 1
             for ui in us:
-                t0, t1, t2 = kernel.meet_soft(ui, _lanes(nx * ne), every)
+                t0, t1, t2 = scan.meet_soft(ctx, ui, _lanes(nx * ne), every)
                 for j, uj in enumerate(us):
                     bits = (t0 >> j & 1) | (t1 >> j & 1) << 1 | (t2 >> j & 1) << 2
-                    assert bits == kernel.soft([a & b for a, b in zip(ui, uj)])
+                    assert bits == scan.soft(ctx, [a & b for a, b in zip(ui, uj)])
         assert seen == {(2, 1), (3, 1), (4, 1), (2, 2)}
 
     def test_five_point_orbits_count_unlabelled_topologies(self, monkeypatch):
@@ -993,14 +1025,14 @@ class TestOrbitScan:
             calls.append(1)
             return _pair_key(p, q, sup_bits)
 
-        meet_soft = scan._Kernel.meet_soft
+        meet_soft = search.meet_soft
 
-        def counted_meets(kernel, u, lanes, every):
+        def counted_meets(ctx, u, lanes, every):
             meets.append(1)
-            return meet_soft(kernel, u, lanes, every)
+            return meet_soft(ctx, u, lanes, every)
 
         monkeypatch.setattr(search, "_pair_key", counted)
-        monkeypatch.setattr(scan._Kernel, "meet_soft", counted_meets)
+        monkeypatch.setattr(search, "meet_soft", counted_meets)
         cfg = SearchConfig(4, 4)
         report = verify_implications(cfg)
         calls.clear()
