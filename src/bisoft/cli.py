@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .errors import BisoftError, InvalidTopologyError, UnknownClaimError
+from .errors import BisoftError, InvalidTopologyError
 
 # Each command imports the modules it uses when it runs, so that a command
 # loads only those.  The annotations name their types without importing
@@ -427,16 +427,6 @@ def _run(argv: list[str] | None) -> int:
         for v in exc.violations:
             print(f"  {v}", file=sys.stderr)
         return EXIT_INVALID
-    except UnknownClaimError as exc:
-        from .search import CLAIM_ALIASES, CLAIMS
-
-        known = sorted(set(CLAIMS) | set(CLAIM_ALIASES))
-        print(
-            f"error: unknown claim {exc.args[0]!r}; known claims: "
-            + ", ".join(known),
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     except BisoftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

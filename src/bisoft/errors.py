@@ -44,4 +44,9 @@ class FixtureError(BisoftError):
 
 
 class UnknownClaimError(BisoftError, KeyError):
-    """A claim identifier is not registered."""
+    """A claim identifier is not registered; ``args`` are the identifier
+    followed by the registered identifiers."""
+
+    def __str__(self):
+        claim_id, *known = self.args
+        return f"unknown claim {claim_id!r}; known claims: " + ", ".join(known)

@@ -15,13 +15,16 @@ lives.  The one fact function in ``scan`` produces the facts, off a
 profile of integers read from each topology's minimal open
 neighbourhoods, as one int per space with a bit per fact, the fact key,
 and each claim runs once per distinct key, weighted by its count.  A
-report reads a census, a dict from each distinct key to its count and
-its first positions:
+report reads a census, a dict from each distinct key to its count; a
+violated claim's records and a hunt's counterexample both come from one
+walk, ``_corpus``'s stream of the violating spaces in corpus order:
 
 * explicit corpora and ``replay`` profile one space at a time;
 * random corpora and random-mode hunts key each space from the ``U``
   of its two topologies as its seeds draw them, in seed order, and
-  build a ``BiSoftSpace`` only for the records.  One draw in five or so
+  build a ``BiSoftSpace`` only for the records.  A census counts the
+  draws, and a claim's walk draws them again up to the violations it
+  is asked for, so a hunt stops at its first.  One draw in five or so
   is the indiscrete topology (every ``U_p`` the full mask), so a call
   profiles it once and every draw equal to it reuses that profile; with
   an indiscrete component the supremum is the other topology, whose
@@ -34,19 +37,20 @@ its first positions:
   topologies against every j and weights them by the size of i's orbit,
   so counts stay exact labelled counts (Brinkmann and McKay, J. Integer
   Sequences, 2005); the orbits are walked once each, from their minima.
-  The first violating position is then the first violating space, and a
-  report's records come from expanding the orbits of its first three.
+  A claim's walk takes the factorizations in order and expands the
+  orbits of the first three violating positions of each, so a hunt
+  builds no factorization past the first that holds a violation.
   A row splits every partner j at once, in int bitsets over j, the
   lanes: by j's profile class, whose cross key with i's class is
   computed once per pair of classes, as topologies with equal profiles
   give equal keys up to the supremum's soft bits, and by those soft
   bits, read off the lanes of ``U_i & U_j``.  Each factorization's
   census is built once and kept, and so is each corpus's census, the
-  factorizations' merged, so every exhaustive report and hunt after the
-  first calls no ``_pair_key`` and computes no lanes, and a report runs
-  each claim once per distinct key (95 at 4x4); with |X| = 1 every fact
-  holds on every pair, so those factorizations are one all-true key
-  each.
+  factorizations' counts merged, so every exhaustive report and hunt
+  after the first calls no ``_pair_key`` and computes no lanes, and a
+  report runs each claim once per distinct key (95 at 4x4); with
+  |X| = 1 every fact holds on every pair, so those factorizations are
+  one all-true key each.
 
 A rough claim reads a reach vector and a target mask, and rough hunts
 read reach vectors straight from pairs of ``U``.
@@ -61,7 +65,8 @@ from __future__ import annotations
 
 import json
 import random
-from functools import lru_cache
+from collections import Counter
+from functools import lru_cache, partial
 from itertools import islice, permutations, product
 from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -209,10 +214,10 @@ def _random_pairs(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
     return ctx, zip(us, us)
 
 
-def _random_draws(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
-    """The context of a random config and its spaces in seed order, each
-    as its fact key and the ``U`` of its two topologies, keyed straight
-    from the seeded draws: no soft set, topology or space is built.
+def _random_draws(config: SearchConfig) -> Iterator[tuple]:
+    """The spaces of a random config in seed order, each as its fact key
+    and the ``U`` of its two topologies, keyed straight from the seeded
+    draws: no soft set, topology or space is built.
 
     The indiscrete topology is profiled once per call, and a space with
     an indiscrete component takes the other's soft bits for its
@@ -233,7 +238,7 @@ def _random_draws(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
             sup = soft(ctx, list(map(and_, u1, u2)))
         return _pair_key(p, q, sup << _SUP)
 
-    return ctx, ((key(*u), u) for u in pairs)
+    return ((key(*u), u) for u in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +492,8 @@ def get_claim(claim_id: str) -> Claim:
     try:
         return CLAIMS[cid]
     except KeyError:
-        raise UnknownClaimError(claim_id) from None
+        known = sorted(set(CLAIMS) | set(CLAIM_ALIASES))
+        raise UnknownClaimError(claim_id, *known) from None
 
 
 # ---------------------------------------------------------------------------
@@ -786,11 +792,12 @@ def _tally(nx: int, ne: int) -> dict:
     size.  Every pair lies in the orbit of a pair of some minimum's row
     that comes no later in canonical order, so the first k labelled pairs
     with a key lie in the orbits of its first k positions, and its first
-    labelled pair is its first position.  With |X| = 1 there is no pair
+    labelled pair is its first position; only a claim's exhaustive walk
+    in ``_corpus`` reads the positions.  With |X| = 1 there is no pair
     of distinct elements and the row's complement is empty, so every fact
     holds on every pair: that census is one all-true key at the first
     three pairs, and builds no profiles, orbits or lanes.  ``_census``
-    merges the factorizations' censuses, so a report runs each claim once
+    merges the factorizations' counts, so a report runs each claim once
     per distinct key (95 at 4x4).  At most eight factorizations are ever
     cached, as for ``_profiles``; a census is never changed once built,
     so two threads that build one at once build equal ones.
@@ -827,22 +834,18 @@ def _tally(nx: int, ne: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _census(sizes: tuple[tuple[int, int], ...]) -> dict:
-    """The census of the exhaustive corpus of factorizations ``sizes``, in
-    canonical order: each distinct key of its pairs to its count and its
-    first positions (k, i, j), at most three, the pair (i, j) of
-    factorization k, merged from the factorizations' censuses in turn.
+def _census(sizes: tuple[tuple[int, int], ...]) -> Counter:
+    """The census of the exhaustive corpus of factorizations ``sizes``:
+    each distinct key of its pairs to its count, merged from the counts
+    of the factorizations' censuses.
 
     A census is kept per tuple of factorizations, and there are at most
     16: ``max_x`` is at most four, and ``params`` past four adds none.
     """
-    census: dict = {}
-    for k, size in enumerate(sizes):
-        for key, (count, *positions) in _tally(*size).items():
-            entry = census.setdefault(key, [0])
-            entry[0] += count
-            room = _MAX_RECORDS_PER_CLAIM + 1 - len(entry)
-            entry += [(k, *pos) for pos in positions[:room]]
+    census: Counter = Counter()
+    for size in sizes:
+        for key, (count, *_) in _tally(*size).items():
+            census[key] += count
     return census
 
 
@@ -898,96 +901,81 @@ class ImplicationReport(_Value, frozen=False):
 
 
 def _report(
-    corpus: str, claims: Sequence[Claim], census: dict, records: Callable
+    claims: Sequence[Claim], corpus: str, census: Callable, violations: Callable
 ) -> ImplicationReport:
-    """Run each claim once per distinct fact key of a census (95 at 4x4),
-    weighted by its count.
-
-    A census maps each distinct key of the corpus to its count followed
-    by its first positions, in corpus order, and ``records(claim_id,
-    positions)`` turns the first violating positions, at most
-    ``_MAX_RECORDS_PER_CLAIM``, into records.
-    """
-    table = [
-        (_decode(key), count, positions)
-        for key, (count, *positions) in census.items()
-    ]
-    total = sum(count for _, count, _ in table)
+    """Run each claim once per distinct fact key of a corpus (95 at 4x4),
+    weighted by its count, off the triple ``_corpus`` returns; a violated
+    claim's records are the first ``_MAX_RECORDS_PER_CLAIM`` spaces of
+    its violations stream."""
+    table = [(_decode(key), count) for key, count in census().items()]
+    total = sum(count for _, count in table)
     results = {}
     for c in claims:
-        premise, conclusion = c.premise, c.conclusion
-        hits, violations, violating = 0, 0, []
-        for facts, count, positions in table:
-            if premise(facts):
+        hits = violated = 0
+        for facts, count in table:
+            if c.premise(facts):
                 hits += count
-                if not conclusion(facts):
-                    violations += count
-                    violating += positions
-        first = records(c.id, sorted(violating)[:_MAX_RECORDS_PER_CLAIM])
-        results[c.id] = ClaimResult(c.id, total, hits, violations, first)
+                if not c.conclusion(facts):
+                    violated += count
+        records = islice(violations(c), _MAX_RECORDS_PER_CLAIM) if violated else ()
+        results[c.id] = ClaimResult(c.id, total, hits, violated, list(records))
     return ImplicationReport(corpus, results)
 
 
-def _verify_keyed(
-    keyed: Iterable[tuple], space: Callable, claims: Sequence[Claim], corpus: str
-) -> ImplicationReport:
-    """The report of a corpus given in order as (fact key, item) pairs,
-    from one census whose positions are (index, item), so the first
-    violating positions give the records of the spaces ``space(item)``."""
-    census: dict = {}
-    for index, (key, item) in enumerate(keyed):
-        entry = census.setdefault(key, [0])
-        entry[0] += 1
-        if len(entry) <= _MAX_RECORDS_PER_CLAIM:
-            entry.append((index, item))
-
-    def records(claim_id, positions):
-        return [record_for(claim_id, space(item)) for _, item in positions]
-
-    return _report(corpus, claims, census, records)
+def _violates(claim: Claim, key: int) -> bool:
+    facts = _decode(key)
+    return claim.premise(facts) and not claim.conclusion(facts)
 
 
-def _verify_over_spaces(
-    spaces: Iterable[BiSoftSpace], claims: Sequence[Claim], corpus: str
-) -> ImplicationReport:
-    """The report of a corpus of explicit spaces, each keyed on its own."""
-    keyed = ((_space_key(s), s) for s in spaces)
-    return _verify_keyed(keyed, lambda s: s, claims, corpus)
+def _corpus(corpus: Union[SearchConfig, Iterable[BiSoftSpace]]) -> tuple:
+    """A corpus as ``(description, census, violations)``: ``census()`` maps
+    each distinct fact key of its spaces to their count, and
+    ``violations(claim)`` is a lazy stream of the records of the spaces
+    that violate a space claim, in corpus order, so a hunt stops at its
+    first.
 
-
-def _verify_random(config: SearchConfig, claims: Sequence[Claim]) -> ImplicationReport:
-    """The report of a random config, keyed from its draws; only the
-    spaces of records are built."""
-    ctx, draws = _random_draws(config)
-    return _verify_keyed(draws, lambda u: _space(ctx, u), claims, config.describe())
-
-
-def _verify_exhaustive(
-    config: SearchConfig, claims: Sequence[Claim]
-) -> ImplicationReport:
-    """The report of an exhaustive corpus, from the census of its
-    factorizations in canonical order: position (k, i, j) is the pair
-    (i, j) of factorization k.
-
-    A claim's first three violating spaces lie in the orbits of its first
-    three violating positions, so the orbits of those three alone are
-    expanded, sorted and cut to three.  The positions of an |X| = 1
-    factorization are its first three pairs already, and their orbits
-    hold no earlier pair.
+    Explicit corpora key each space once.  Random configs count their
+    draws and walk them again for each stream.  Exhaustive configs read
+    the kept census of their factorizations, and each stream walks the
+    factorizations in canonical order: a factorization's first three
+    violating spaces lie in the orbits of its first three violating
+    positions in ``_tally``, so those orbits alone are expanded, sorted
+    and cut to three.  The stream holds every violating space of a
+    factorization with fewer, so its first three are the corpus's.
     """
-    sizes = tuple(config.factorizations())
+    if isinstance(corpus, SearchConfig) and corpus.mode == "exhaustive":
+        sizes = tuple(corpus.factorizations())
 
-    def records(claim_id, positions):
-        spaces = set()
-        for k, i, j in positions:
-            images = (_images(*sizes[k], t) for t in (i, j))
-            spaces.update((k, *pair) for pair in zip(*images))
-        return [
-            _pair_record(claim_id, *sizes[k], i, j)
-            for k, i, j in sorted(spaces)[:_MAX_RECORDS_PER_CLAIM]
-        ]
+        def violations(c):
+            for nx, ne in sizes:
+                tally = _tally(nx, ne).items()
+                firsts = sorted(
+                    ij for key, entry in tally if _violates(c, key) for ij in entry[1:]
+                )
+                pairs = set()
+                for i, j in firsts[:_MAX_RECORDS_PER_CLAIM]:
+                    pairs.update(zip(_images(nx, ne, i), _images(nx, ne, j)))
+                us = _point_neighbourhoods(nx * ne)
+                for i, j in sorted(pairs)[:_MAX_RECORDS_PER_CLAIM]:
+                    space = _space(standard_context(nx, ne), (us[i], us[j]))
+                    yield record_for(c.id, space)
 
-    return _report(config.describe(), claims, _census(sizes), records)
+        return corpus.describe(), partial(_census, sizes), violations
+    if isinstance(corpus, SearchConfig):
+        description, walk = corpus.describe(), partial(_random_draws, corpus)
+        space = partial(_space, standard_context(corpus.max_universe, corpus.n_params))
+    else:
+        spaces = list(corpus)
+        if not spaces:
+            raise ValueError("corpus must not be empty")
+        description = f"explicit:{len(spaces)} spaces"
+        keyed = [(_space_key(s), s) for s in spaces]
+        walk, space = partial(iter, keyed), lambda s: s
+
+    def violations(c):
+        return (record_for(c.id, space(x)) for key, x in walk() if _violates(c, key))
+
+    return description, lambda: Counter(key for key, _ in walk()), violations
 
 
 def verify_implications(
@@ -999,13 +987,15 @@ def verify_implications(
     ``claim_ids`` defaults to every claim expected to hold; gap claims may
     be named too.  Every corpus is read by the one fact function in
     ``scan``, off the minimal open neighbourhoods of each topology, and
-    each claim runs once per distinct fact key; the records are the first
-    three violating spaces in corpus order.  Random configs are keyed from
-    their seeded ``U`` draws.  Exhaustive configs key the pairs of orbit
-    minima of the relabellings of universe and parameters and weight them
-    by orbit size, so ``tested``, ``premise_hits`` and violation counts
-    are exact labelled counts.  Rough claims quantify over targets as well
-    as spaces and are rejected here; ``find_counterexample`` searches them.
+    its census counts each distinct fact key, so each claim runs once per
+    key; the records of a violated claim are the first three of the one
+    ordered walk ``find_counterexample`` takes.  Random configs are keyed
+    from their seeded ``U`` draws.  Exhaustive configs key the pairs of
+    orbit minima of the relabellings of universe and parameters and
+    weight them by orbit size, so ``tested``, ``premise_hits`` and
+    violation counts are exact labelled counts.  Rough claims quantify
+    over targets as well as spaces and are rejected here;
+    ``find_counterexample`` searches them.
     """
     ids = tuple(claim_ids) if claim_ids is not None else TRUE_CLAIM_IDS
     if not ids:
@@ -1014,46 +1004,7 @@ def verify_implications(
     rough = [c.id for c in claims if c.kind == "rough"]
     if rough:
         raise ValueError(f"rough claims {rough} need targets; use find_counterexample")
-    if isinstance(corpus, SearchConfig):
-        if corpus.mode == "exhaustive":
-            return _verify_exhaustive(corpus, claims)
-        return _verify_random(corpus, claims)
-    spaces = list(corpus)
-    if not spaces:
-        raise ValueError("corpus must not be empty")
-    return _verify_over_spaces(spaces, claims, f"explicit:{len(spaces)} spaces")
-
-
-def _pair_record(
-    claim_id: str, nx: int, ne: int, i: int, j: int
-) -> CounterexampleRecord:
-    """The record of the pair (i, j) of the topologies of (nx, ne)."""
-    us = _point_neighbourhoods(nx * ne)
-    return record_for(claim_id, _space(standard_context(nx, ne), (us[i], us[j])))
-
-
-def _first_violation(config: SearchConfig, claim: Claim) -> CounterexampleRecord | None:
-    """The first violating space of a corpus, in canonical or seed order.
-
-    A random corpus is keyed one space at a time, up to the first
-    violation.  An exhaustive one reads the census of each factorization
-    in turn: the first violating space of the first that has one is the
-    earliest first position of its violating keys.
-    """
-
-    def bad(key: int) -> bool:
-        facts = _decode(key)
-        return claim.premise(facts) and not claim.conclusion(facts)
-
-    if config.mode != "exhaustive":
-        ctx, draws = _random_draws(config)
-        u = next((u for key, u in draws if bad(key)), None)
-        return None if u is None else record_for(claim.id, _space(ctx, u))
-    for nx, ne in config.factorizations():
-        firsts = [entry[1] for key, entry in _tally(nx, ne).items() if bad(key)]
-        if firsts:
-            return _pair_record(claim.id, nx, ne, *min(firsts))
-    return None
+    return _report(claims, *_corpus(corpus))
 
 
 def find_counterexample(
@@ -1061,16 +1012,18 @@ def find_counterexample(
 ) -> Optional[CounterexampleRecord]:
     """First space (in canonical or seed order) refuting the claim, if any.
 
-    A space claim reads each space's facts through the fact function in
-    ``scan``: exhaustive configs read the census of each factorization,
-    random ones key their draws up to the first violation.  Rough claims
-    try the targets of each space (random configs: one seeded target
-    each) in ``_find_rough_counterexample``.
+    A space claim takes the first record of its violations stream
+    (``_corpus``): random configs key their draws up to the first
+    violation, exhaustive ones read the census of each factorization in
+    turn, and no later factorization is built.  Rough claims try the
+    targets of each space (random configs: one seeded target each) in
+    ``_find_rough_counterexample``.
     """
     claim = get_claim(claim_id)
     if claim.kind == "rough":
         return _find_rough_counterexample(claim, config)
-    return _first_violation(config, claim)
+    _, _, violations = _corpus(config)
+    return next(violations(claim), None)
 
 
 def _find_rough_counterexample(

@@ -31,17 +31,17 @@ from bisoft.search import (
     Claim,
     EXHAUSTIVE_POINT_BOUND,
     CounterexampleRecord,
+    ImplicationReport,
     SearchConfig,
     TRUE_CLAIM_IDS,
-    _first_violation,
+    _corpus,
     _images,
     _lanes,
     _orbits,
     _point_neighbourhoods,
     _random_neighbourhoods,
+    _report,
     _tally,
-    _verify_exhaustive,
-    _verify_over_spaces,
     enumerate_topologies,
     find_counterexample,
     get_claim,
@@ -199,6 +199,17 @@ class TestClaims:
     def test_unknown_claim(self):
         with pytest.raises(UnknownClaimError):
             get_claim("no-such-claim")
+
+    def test_unknown_claim_message_lists_known_claims(self):
+        # the registry words the message, so the CLI prints it as it
+        # prints any other BisoftError
+        with pytest.raises(UnknownClaimError) as info:
+            get_claim("nope")
+        known = sorted(set(CLAIMS) | set(search.CLAIM_ALIASES))
+        assert info.value.args[0] == "nope"
+        assert str(info.value) == "unknown claim 'nope'; known claims: " + ", ".join(
+            known
+        )
 
     def test_gap_claims_witnessed_by_fixtures(self, fx):
         witnesses = {
@@ -385,9 +396,10 @@ class TestVerifyImplications:
         cfg = SearchConfig(max_universe=2, n_params=1)
         # two pairwise T1 spaces, both pairwise T2: evaluated, not vacuous
         held = verify_implications(cfg, ["pairwise-t1-implies-pairwise-t2"])
-        public = _verify_over_spaces(
-            iter_spaces(cfg), [CLAIMS["pairwise-t1-implies-pairwise-t2"]], cfg.describe()
+        explicit = verify_implications(
+            iter_spaces(cfg), ["pairwise-t1-implies-pairwise-t2"]
         )
+        public = ImplicationReport(cfg.describe(), explicit.results)
         assert held.to_json() == public.to_json()
         assert held.results["pairwise-t1-implies-pairwise-t2"].premise_hits == 2
         refuted = verify_implications(cfg, ["pairwise-t0-implies-pairwise-t1"])
@@ -442,9 +454,9 @@ class TestRandomCorpora:
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=SearchConfig.describe)
     def test_reports_match_explicit_corpus_of_the_same_spaces(self, cfg):
-        claims = [CLAIMS[c] for c in SPACE_CLAIM_IDS]
         keyed = verify_implications(cfg, SPACE_CLAIM_IDS)
-        explicit = _verify_over_spaces(self.spaces(cfg), claims, cfg.describe())
+        spaces = verify_implications(self.spaces(cfg), SPACE_CLAIM_IDS)
+        explicit = ImplicationReport(cfg.describe(), spaces.results)
         assert keyed.to_json() == explicit.to_json()
         # gap claims are refuted on the small contexts, so records are
         # compared too
@@ -509,6 +521,27 @@ class TestRandomCorpora:
         assert hunts[0] == hunts[1] and hunts[0][0] is not None
         assert 0 < hunts[0][1] < 2 * cfg.samples
 
+    def test_random_hunts_stop_at_their_first_violation(self, monkeypatch):
+        # a hunt draws its corpus lazily: of 10**8 spaces it keys those up
+        # to the first violating one, at most two profiles each
+        claim = get_claim("pairwise-t0-implies-pairwise-t1")
+        spaces = random_spaces(standard_context(4, 2), 10**8, 0)
+        for drawn, s in enumerate(spaces, 1):
+            facts = space_facts(s)
+            if claim.premise(facts) and not claim.conclusion(facts):
+                break
+        calls = []
+        plain_profile = search.profile
+
+        def counted(ctx, u):
+            calls.append(1)
+            return plain_profile(ctx, u)
+
+        monkeypatch.setattr(search, "profile", counted)
+        cfg = SearchConfig(4, 2, "random", 10**8, 0)
+        assert find_counterexample(claim.id, cfg) == record_for(claim.id, s)
+        assert 0 < len(calls) <= 2 * drawn
+
     def test_random_search_leaves_nothing_behind(self):
         # a profile reads of its context only fields the context derives
         # when built, so no per-context state outlives a call; the blocks
@@ -550,9 +583,8 @@ class TestDualRoute:
         for (max_x, params), refuted in refuted_by_size.items():
             cfg = SearchConfig(max_universe=max_x, n_params=params)
             scan = verify_implications(cfg, SPACE_CLAIM_IDS)
-            public = _verify_over_spaces(
-                iter_spaces(cfg), [CLAIMS[c] for c in SPACE_CLAIM_IDS], cfg.describe()
-            )
+            spaces = verify_implications(iter_spaces(cfg), SPACE_CLAIM_IDS)
+            public = ImplicationReport(cfg.describe(), spaces.results)
             assert scan.to_json() == public.to_json(), cfg
             assert {
                 cid for cid, r in scan.results.items() if r.violation_count
@@ -1116,8 +1148,10 @@ class TestOrbitScan:
         )
         cfg = SearchConfig(max_x, params)
         labelled = labelled_report(cfg, [claim])
-        assert _verify_exhaustive(cfg, [claim]).to_json() == labelled.to_json()
-        assert _first_violation(cfg, claim) == labelled.results[claim.id].records[0]
+        description, census, violations = _corpus(cfg)
+        report = _report([claim], description, census, violations)
+        assert report.to_json() == labelled.to_json()
+        assert next(violations(claim)) == labelled.results[claim.id].records[0]
 
     def test_vector_counts_match_labelled_scan(self):
         for nx, ne in SearchConfig(4, 4).factorizations():
@@ -1156,5 +1190,5 @@ class TestOrbitScan:
                 if record is not None and record_for(claim.id, s) == record:
                     return
 
-        public = _verify_over_spaces(spaces_through_record(), [claim], "")
+        public = verify_implications(spaces_through_record(), [claim_id])
         assert public.results[claim.id].records[:1] == ([record] if record else [])
