@@ -35,14 +35,22 @@ pairs of ``U_p`` cut to p's block are, and strong T0 when no row of one
 topology's unseparated pairs meets the same row of the other's
 (``_Profile``).  A profile is computed in a few passes over the elements
 and points, and a space's supremum contributes its three soft bits
-alone.  ``profile``, ``soft`` and ``meet_soft`` are functions of the
-context and the ``U`` vectors they are given: what they read of the
-context, its block mask and each point's block (``Context.blocks``),
-is derived when the context is built, and nothing is kept after a
-call.  Every corpus of ``search`` goes through ``_pair_key``, and each
-claim reads the ``_PairFacts`` of a distinct key, decoded once;
-``_space_key`` and ``space_facts`` key one space at a time, for explicit
-corpora and ``replay``.
+alone.  ``profile`` and ``soft`` are functions of the context and the
+``U`` vectors they are given: what they read of the context, its block
+mask and each point's block (``Context.blocks``), is derived when the
+context is built, and nothing is kept after a call.
+
+``lane_profile`` and ``lane_keys`` are the same two steps for many
+spaces at once, bit-sliced (Biham, FSE 1997): the ``U`` of many
+topologies held in lanes, int bitsets with one bit per topology, and
+each test of ``profile`` and ``_pair_key`` made as a few big-int
+operations on those lanes (``lane_broadcast`` holds one topology in
+every lane).  ``lane_keys`` returns each distinct key with the bitset of
+the spaces that have it.  ``search`` keys the exhaustive rows and the
+random blocks of few elements there, and every other space alone
+through ``_pair_key``; each claim reads the ``_PairFacts`` of a distinct
+key, decoded once.  ``_space_key`` and ``space_facts`` key one space at a
+time, for explicit corpora and ``replay``.
 
 The public checkers of ``axioms`` read their verdicts off the same key
 too, through ``space_verdicts``, which also reads each parameter's slice
@@ -58,7 +66,7 @@ from typing import NamedTuple, Sequence
 
 from .softset import Context
 from .space import BiSoftSpace
-from .topology import _row_neighbourhoods, _set_bits
+from .topology import _row_neighbourhoods
 
 
 # The facts the space claims read; bit k of a fact key is field k.
@@ -191,34 +199,141 @@ def soft(ctx: Context, u: Sequence[int]) -> int:
     return _soft(ctx, _row_neighbourhoods(u, ctx.nx))
 
 
-def meet_soft(ctx: Context, u: Sequence[int], lanes: Sequence, every: int) -> tuple:
-    """``soft`` of the meet of ``u`` with many topologies j at once, the
-    topology whose ``U_p`` is ``u[p] & U_p^j``, as three bitsets over j:
-    those where it is soft T0, T1 and T2.
+class _Lanes(NamedTuple):
+    """A ``_Profile`` of many topologies j at once, in lanes: int bitsets
+    over j.  Bit j of ``u[p][q]`` is set when q lies in ``U_p^j``; every
+    other field is a bitset, or a list of bitsets, of the j at which the
+    named test passes, which ``lane_keys`` alone turns into fact keys.
 
-    Bit j of lane ``lanes[p][q]`` is set when q lies in ``U_p^j``, and
-    ``every`` holds every j.  The definitions are ``_soft``'s, one lane of
-    ``N(x)`` per point q: T0 when the ``N(x)`` are distinct, T1 when no
-    ``N(x)`` holds all of another element's row, T2 when none holds a
-    point of another row, that is when each is x's row.  A meet that holds
-    all of a row holds a point of it, and T1 and T2 are ANDed with T0, so
-    the three bitsets nest.
+    ``t0`` holds, per pair x < y of elements, the j at which ``N(x)`` and
+    ``N(y)`` differ; ``slice_t0``, per pair of points of one block, those
+    at which their cut ``U_p`` differ; and ``strong_t0``, per pair x < y,
+    those at which each is in the other's ``meet``, or None with one
+    parameter, where strong T0 is pairwise T0 (``_Profile``).
     """
-    nx = ctx.nx
-    nbhd = [[0] * len(u) for _ in range(nx)]  # lanes of N(x) per point q
-    for p, (up, row) in enumerate(zip(u, lanes)):
-        for q in _set_bits(up):  # the meet's U_p keeps the lanes of u[p]
-            nbhd[p % nx][q] |= row[q]
-    t0 = every
-    for a, b in combinations(nbhd, 2):
-        t0 &= reduce(or_, map(xor, a, b))
+
+    u: list[list[int]]  # u[p][q]: the j with q in U_p
+    soft: tuple[int, int, int]  # the j that are soft T0, T1, T2
+    slices_t1: int  # the j whose every slice is T1
+    t0: list[int]  # per pair x < y: the j with N(x) != N(y)
+    strong_t0: list[int] | None  # per pair x < y: the j with each in the other's meet
+    slice_t0: list[int]  # per pair of points of a block: the j with distinct cut U_p
+
+
+def _lane_soft(nx: int, u: Sequence[Sequence[int]], every: int) -> tuple:
+    """``_soft`` in lanes: ``(t0, meets, soft)`` of the topologies j whose
+    ``U_p`` lanes are ``u``.
+
+    One lane of ``N(x)`` per point q, the OR of x's row of ``u``.  The
+    definitions are ``_soft``'s: T0 when the ``N(x)`` are distinct, T1
+    when no ``N(x)`` holds all of another element's row, T2 when none
+    holds a point of another row, that is when each is x's row.  A
+    neighbourhood that holds all of a row holds a point of it, and T1 and
+    T2 are ANDed with T0, so the three bitsets nest.  ``t0`` is the list
+    of ``N(x) != N(y)`` per pair x < y and ``meets[x][y]`` the j at which
+    ``N(x)`` meets y's row, which strong T0 reads.
+    """
+    nbhd = [[reduce(or_, col) for col in zip(*u[x::nx])] for x in range(nx)]
+    t0 = [reduce(or_, map(xor, a, b)) for a, b in combinations(nbhd, 2)]
+    meets = [[reduce(or_, row[y::nx]) for y in range(nx)] for row in nbhd]
     spill = inside = 0
     for x, row in enumerate(nbhd):
         for y in range(nx):
             if y != x:
-                spill |= reduce(or_, row[y::nx])
+                spill |= meets[x][y]
                 inside |= reduce(and_, row[y::nx])
-    return t0, t0 & ~inside, t0 & ~spill
+    sep = reduce(and_, t0, every)
+    return t0, meets, (sep, sep & ~inside, sep & ~spill)
+
+
+def lane_profile(ctx: Context, u: list[list[int]], every: int) -> _Lanes:
+    """The profiles of the topologies j over ``ctx`` whose ``U_p`` lanes
+    are ``u``, in lanes; ``every`` holds every j.
+
+    A slice's cut ``U_p`` is p's lanes at the points of p's block: every
+    slice is T1 where no point's cut holds another, and the slices of
+    two topologies are pairwise T0 where, for each pair of points of a
+    block, one topology's cuts differ (``_Profile``).
+    """
+    nx, ne = ctx.nx, ctx.ne
+    t0, meets, soft_bits = _lane_soft(nx, u, every)
+    strong = None
+    if ne > 1:
+        strong = [meets[x][y] & meets[y][x] for x, y in combinations(range(nx), 2)]
+    cuts = [row[p - p % nx : p - p % nx + nx] for p, row in enumerate(u)]
+    spill = 0
+    for p, cut in enumerate(cuts):
+        spill |= reduce(or_, cut[: p % nx], 0) | reduce(or_, cut[p % nx + 1 :], 0)
+    slice_t0 = [
+        reduce(or_, map(xor, cuts[p], cuts[r]))
+        for s in range(0, nx * ne, nx)
+        for p, r in combinations(range(s, s + nx), 2)
+    ]
+    return _Lanes(u, soft_bits, every & ~spill, t0, strong, slice_t0)
+
+
+def lane_broadcast(ctx: Context, u: Sequence[int], every: int) -> _Lanes:
+    """``lane_profile`` of the topology whose ``U_p`` is ``u[p]`` held in
+    every lane of ``every``: each lane and each test is every bit or
+    none, so the tests are read off its ``profile`` once."""
+    nx, n, p = ctx.nx, len(u), profile(ctx, u)
+    pairs = list(combinations(range(nx), 2))
+    blocks = [ab for s in range(0, n, nx) for ab in combinations(range(s, s + nx), 2)]
+    strong = None
+    if p.strong_t0 is not None:
+        strong = [every * (p.strong_t0[x] >> y & 1) for x, y in pairs]
+    return _Lanes(
+        [[every * (up >> q & 1) for q in range(n)] for up in u],
+        tuple(every * (p.soft >> k & 1) for k in range(3)),
+        every * p.slices_t1,
+        [every * (p.t0[x] != p.t0[y]) for x, y in pairs],
+        strong,
+        [every * (p.slice_t0[a] != p.slice_t0[b]) for a, b in blocks],
+    )
+
+
+def lane_keys(ctx: Context, a: _Lanes, b: _Lanes, every: int) -> dict[int, int]:
+    """The fact key of each space (a_j, b_j), as each distinct key to the
+    bitset of the j that have it; ``_pair_key`` in lanes.
+
+    Each fact is a bitset over j: the soft bits of both profiles, those
+    of the supremum, whose ``U_p`` lanes are ``a.u & b.u``, and the tests
+    ``_pair_key`` makes, each read off both profiles' lanes at once.  The
+    spaces are then split by one fact after another, so a cell is one key
+    and its bit count is the key's count.
+    """
+    sup_u = [list(map(and_, r, s)) for r, s in zip(a.u, b.u)]
+    sup = _lane_soft(ctx.nx, sup_u, every)[2]
+    t0 = reduce(and_, map(or_, a.t0, b.t0), every)
+    if a.strong_t0 is None:
+        strong = t0
+    else:
+        strong = every & ~reduce(or_, map(and_, a.strong_t0, b.strong_t0), 0)
+    facts = [
+        *zip((1, 2, 4), a.soft),
+        *zip((1 << _T2_SOFT, 2 << _T2_SOFT, 4 << _T2_SOFT), b.soft),
+        *zip((1 << _SUP, 2 << _SUP, 4 << _SUP), sup),
+        (_PW_T0, t0),
+        (_PW_T1, a.soft[1] & b.soft[1]),
+        (_T2, a.soft[2] & b.soft[2]),
+        (_SLICES_T1, a.slices_t1 & b.slices_t1),
+        (_STRONG_T0, strong),
+        (_SLICES_T0, reduce(and_, map(or_, a.slice_t0, b.slice_t0), every)),
+    ]
+    cells = {_THM1: every}
+    for bits, holds in facts:
+        if holds == every:  # no cell splits
+            cells = {key | bits: js for key, js in cells.items()}
+        elif holds:
+            split = {}
+            for key, js in cells.items():
+                hit = js & holds
+                if hit:
+                    split[key | bits] = hit
+                if hit != js:
+                    split[key] = js ^ hit
+            cells = split
+    return cells
 
 
 def profile(ctx: Context, u: Sequence[int]) -> _Profile:

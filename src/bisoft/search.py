@@ -11,44 +11,47 @@ preorders, their vectors of minimal open neighbourhoods ``U``.
 
 A space claim in ``CLAIMS`` is a premise and a conclusion over named
 facts of one space, and the registry is the only place a claim's logic
-lives.  The one fact function in ``scan`` produces the facts, off a
-profile of integers read from each topology's minimal open
-neighbourhoods, as one int per space with a bit per fact, the fact key,
-and each claim runs once per distinct key, weighted by its count.  A
+lives.  The fact kernel in ``scan`` produces the facts, off a profile of
+integers read from each topology's minimal open neighbourhoods, as one
+int per space with a bit per fact, the fact key: ``_pair_key`` keys one
+space, and ``lane_keys`` many at once.  Each claim runs once per
+distinct key, weighted by its count.  A
 report reads a census, a dict from each distinct key to its count; a
 violated claim's records and a hunt's counterexample both come from one
 walk, ``_corpus``'s stream of the violating spaces in corpus order:
 
 * explicit corpora and ``replay`` profile one space at a time;
-* random corpora and random-mode hunts key each space from the ``U``
-  of its two topologies as its seeds draw them, in seed order, and
-  build a ``BiSoftSpace`` only for the records.  A census counts the
-  draws, and a claim's walk draws them again up to the violations it
-  is asked for, so a hunt stops at its first.  One draw in five or so
-  is the indiscrete topology (every ``U_p`` the full mask), so a call
-  profiles it once and every draw equal to it reuses that profile; with
-  an indiscrete component the supremum is the other topology, whose
-  soft bits its profile holds.  Nothing is kept between calls: a
-  repeated call draws and keys every space again;
-* the exhaustive scan profiles each topology on |X|*|E| points once per
-  factorization (|X|, |E|).  Every fact is unchanged when the universe
-  and the parameters are relabelled together, so the scan keys the
-  pairs (i, j) of each orbit minimum i of S_|X| x S_|E| on the
-  topologies against every j and weights them by the size of i's orbit,
-  so counts stay exact labelled counts (Brinkmann and McKay, J. Integer
-  Sequences, 2005); the orbits are walked once each, from their minima.
-  A claim's walk takes the factorizations in order and expands the
-  orbits of the first three violating positions of each, so a hunt
-  builds no factorization past the first that holds a violation.
-  A row splits every partner j at once, in int bitsets over j, the
-  lanes: by j's profile class, whose cross key with i's class is
-  computed once per pair of classes, as topologies with equal profiles
-  give equal keys up to the supremum's soft bits, and by those soft
-  bits, read off the lanes of ``U_i & U_j``.  Each factorization's
-  census is built once and kept, and so is each corpus's census, the
-  factorizations' counts merged, so every exhaustive report and hunt
-  after the first calls no ``_pair_key`` and computes no lanes, and a
-  report runs each claim once per distinct key (95 at 4x4); with
+* random corpora and random-mode hunts draw each space's two subbases
+  from its seeds, in seed order, and build a ``BiSoftSpace`` only for
+  the records.  A corpus of few elements and many spaces is keyed in
+  blocks of up to ``_BLOCK`` spaces, in lanes: each subbasis slot's masks
+  are transposed into one bitset over the block per point, the ``U`` of
+  every topology of the block follow in |X x E|^2 operations, and
+  ``scan.lane_keys`` gives each key with the bitset of the block's
+  spaces that have it.  Any other corpus keys each space alone, from its
+  two ``U``; one draw in five or so is the indiscrete topology (every
+  ``U_p`` the full mask), which a call profiles once.  ``_in_lanes``
+  chooses from the sizes alone.  A census counts the keys, and a claim's
+  walk draws the corpus again up to the violations it is asked for, so
+  a hunt stops at most one block past its first.  Nothing is kept
+  between calls: a repeated call draws and keys every space again;
+* the exhaustive scan keys each factorization (|X|, |E|) once.  Every
+  fact is unchanged when the universe and the parameters are relabelled
+  together, so the scan keys the pairs (i, j) of each orbit minimum i of
+  S_|X| x S_|E| on the topologies against every j and weights them by
+  the size of i's orbit, so counts stay exact labelled counts (Brinkmann
+  and McKay, J. Integer Sequences, 2005); the orbits are walked once
+  each, from their minima.  A row keys every partner j at once through
+  ``scan.lane_keys``: the partners' lanes are the enumerated ``U``
+  transposed (``_lanes``), profiled once per factorization, and i's are
+  its ``U`` and profile broadcast, every bit set or none.  A claim's
+  walk takes the factorizations in order; the first violating space of
+  each is its least violating first position, and only the next two
+  expand orbits, so a hunt builds no factorization past the first that
+  holds a violation.  Each factorization's census is built once and kept, and
+  so is each corpus's census, the factorizations' counts merged, so
+  every exhaustive report and hunt after the first computes no lanes,
+  and a report runs each claim once per distinct key (95 at 4x4); with
   |X| = 1 every fact holds on every pair, so those factorizations are
   one all-true key each.
 
@@ -66,16 +69,16 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from functools import lru_cache, partial
-from itertools import islice, permutations, product
-from operator import and_
+from functools import lru_cache, partial, reduce
+from itertools import islice, permutations, product, repeat, zip_longest
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import UnknownClaimError
 from .rough import _lower, _reach, _reaches, _upper
 from .scan import (
-    _ALL, _SUP, _Profile, _decode, _pair_key, _space_key, meet_soft, profile, soft,
-    space_facts,
+    _ALL, _SUP, _decode, _pair_key, _space_key, lane_broadcast, lane_keys, lane_profile,
+    profile, soft, space_facts,
 )
 from .softset import Context, SoftSet, _Value
 from .space import BiSoftSpace
@@ -149,31 +152,35 @@ def random_soft_set(ctx: Context, rng: random.Random) -> SoftSet:
     return SoftSet(ctx, rng.randrange(ctx.full_mask + 1))
 
 
-def _random_neighbourhoods(ctx: Context, seeds: Iterable[int]) -> Iterator[tuple]:
-    """The ``U`` each seed draws: ``randint(0, 4)`` subbasis masks, each
+def _random_subbases(ctx: Context, seeds: Iterable[int]) -> Iterator[tuple]:
+    """The subbasis each seed draws: ``randint(0, 4)`` masks, each
     ``randrange(full_mask + 1)``, from one ``Random`` reseeded per seed.
 
     Both draws are spelled out as CPython's own rule for a value below m:
     ``getrandbits(m.bit_length())`` drawn again until it is below m, so
-    the stream is the same.  An empty subbasis draws the indiscrete ``U``.
+    the stream is the same.
     """
-    rng, n, top = random.Random(), ctx.nx * ctx.ne, ctx.full_mask + 1
-    bits, width, full = rng.getrandbits, top.bit_length(), (ctx.full_mask,) * n
+    rng, top = random.Random(), ctx.full_mask + 1
+    bits, width = rng.getrandbits, top.bit_length()
     for seed in seeds:
         rng.seed(seed)
         size = bits(3)
         while size > 4:
             size = bits(3)
-        if not size:
-            yield full
-            continue
         subbasis = []
         for _ in range(size):
             m = bits(width)
             while m >= top:
                 m = bits(width)
             subbasis.append(m)
-        yield minimal_neighbourhoods(subbasis, n)
+        yield tuple(subbasis)
+
+
+def _random_neighbourhoods(ctx: Context, seeds: Iterable[int]) -> Iterator[tuple]:
+    """The ``U`` each seed draws: the minimal neighbourhoods of its
+    subbasis, every ``U_p`` the full mask for an empty one."""
+    n = ctx.nx * ctx.ne
+    return (minimal_neighbourhoods(s, n) for s in _random_subbases(ctx, seeds))
 
 
 def random_soft_topology(ctx: Context, seed: int) -> SoftTopology:
@@ -214,10 +221,78 @@ def _random_pairs(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
     return ctx, zip(us, us)
 
 
-def _random_draws(config: SearchConfig) -> Iterator[tuple]:
-    """The spaces of a random config in seed order, each as its fact key
-    and the ``U`` of its two topologies, keyed straight from the seeded
-    draws: no soft set, topology or space is built.
+# Spaces keyed in lanes at once, at most this many: a hunt draws at most
+# one block past its first violation.  A block's lanes hold |X x E|^2 ints
+# per topology, so contexts of more than _LANE_POINTS points key each space
+# alone.
+_BLOCK = 1024
+_LANE_POINTS = 64
+
+
+def _in_lanes(nx: int, ne: int, samples: int) -> bool:
+    """Whether a random corpus of ``samples`` spaces at nx x ne is keyed in
+    lanes, chosen from the sizes alone.  A block's lanes cost about
+    |X|^2 + |X x E| times what keying one space alone does (timings in
+    the README's search engine section)."""
+    n = nx * ne
+    return n <= _LANE_POINTS and nx * nx + n < min(samples, _BLOCK)
+
+
+def _random_blocks(config: SearchConfig) -> Iterator[tuple[dict, list]]:
+    """The spaces of a random config in seed order, in blocks: each block
+    as the cells of its fact keys, each distinct key to the bitset of the
+    block's spaces that have it, and the two subbases of each space.
+
+    ``_in_lanes`` chooses from the sizes alone: a block of lanes keys up to
+    ``_BLOCK`` spaces at once (``_block_keys``), and otherwise each block is
+    one space keyed alone (``_random_draws``).  No soft set, topology or
+    space is built, and nothing is kept between calls.
+    """
+    ctx = standard_context(config.max_universe, config.n_params)
+    first = 2 * config.seed
+    subbases = _random_subbases(ctx, range(first, first + 2 * config.samples))
+    pairs = zip(subbases, subbases)
+    if not _in_lanes(ctx.nx, ctx.ne, config.samples):
+        return _random_draws(ctx, pairs)
+    size = min(config.samples, _BLOCK)
+    blocks = iter(lambda: list(islice(pairs, size)), [])
+    return ((_block_keys(ctx, block), block) for block in blocks)
+
+
+def _block_keys(ctx: Context, block: list) -> dict[int, int]:
+    """The cells of the spaces whose subbasis pairs are ``block``, keyed in
+    lanes, one bit per space (``scan.lane_keys``)."""
+    n, every = ctx.nx * ctx.ne, (1 << len(block)) - 1
+    a, b = (lane_profile(ctx, _subbasis_lanes(n, s, every), every) for s in zip(*block))
+    return lane_keys(ctx, a, b, every)
+
+
+def _subbasis_lanes(n: int, subbases: Sequence[tuple], every: int) -> list[list[int]]:
+    """The topologies on n points generated by ``subbases`` in lanes, int
+    bitsets over them: bit j of ``lanes[p][q]`` is set when q lies in
+    U_p of topology j; ``every`` holds every j.
+
+    Each subbasis slot's masks are transposed into one lane per point,
+    through their binary digits written one after another.  q lies in
+    U_p exactly when every member of the subbasis that holds p holds q,
+    so the lane of q in U_p is the AND over slots of "the slot's mask
+    misses p or holds q"; a missing slot is the empty mask, which
+    constrains nothing.
+    """
+    lanes, spec = [[every] * n for _ in range(n)], repeat(f"0{n}b")
+    for masks in zip_longest(*subbases, fillvalue=0):
+        digits = "".join(map(format, reversed(masks), spec))
+        held = [int(digits[n - 1 - p :: n], 2) for p in range(n)]
+        for hp, row in zip(held, lanes):
+            if hp:
+                row[:] = [v & (~hp | hq) for v, hq in zip(row, held)]
+    return lanes
+
+
+def _random_draws(ctx: Context, pairs: Iterable[tuple]) -> Iterator[tuple]:
+    """Each space of a stream of subbasis pairs as a block of its own, its
+    fact key and its pair, keyed alone from the ``U`` of its two
+    topologies.
 
     The indiscrete topology is profiled once per call, and a space with
     an indiscrete component takes the other's soft bits for its
@@ -225,8 +300,8 @@ def _random_draws(config: SearchConfig) -> Iterator[tuple]:
     both topologies' bits, as the indiscrete topology has none with two
     or more elements, and with one element every topology has all three.
     """
-    ctx, pairs = _random_pairs(config)
-    full = (ctx.full_mask,) * (ctx.nx * ctx.ne)
+    n = ctx.nx * ctx.ne
+    full = (ctx.full_mask,) * n
     indiscrete = profile(ctx, full)
 
     def key(u1, u2):
@@ -238,7 +313,8 @@ def _random_draws(config: SearchConfig) -> Iterator[tuple]:
             sup = soft(ctx, list(map(and_, u1, u2)))
         return _pair_key(p, q, sup << _SUP)
 
-    return ((key(*u), u) for u in pairs)
+    for pair in pairs:
+        yield {key(*map(minimal_neighbourhoods, pair, (n, n))): 1}, [pair]
 
 
 # ---------------------------------------------------------------------------
@@ -663,17 +739,6 @@ def replay(record: CounterexampleRecord) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _profiles(nx: int, ne: int) -> tuple[_Profile, ...]:
-    """Profiles of every topology on nx*ne points, in enumeration order.
-
-    ``_point_neighbourhoods`` rejects nx*ne > EXHAUSTIVE_POINT_BOUND, so
-    at most eight factorizations are ever cached.
-    """
-    ctx = standard_context(nx, ne)
-    return tuple([profile(ctx, u) for u in _point_neighbourhoods(nx * ne)])
-
-
-@lru_cache(maxsize=None)
 def _relabellings(nx: int, ne: int) -> tuple[tuple[list, list], ...]:
     """The group G = S_nx x S_ne, relabelling point e * nx + x as
     tau(e) * nx + sigma(x): each g as ``(source, image)``, with
@@ -713,7 +778,7 @@ def _orbits(nx: int, ne: int) -> tuple[tuple, tuple]:
     pairs (g(i), j) for all j have the keys of the pairs (i, j) for all j,
     and the census keys the rows of orbit minima alone; a report then
     runs each claim once per distinct key (95 at 4x4).  At most eight
-    factorizations are ever cached, as for ``_profiles``.
+    factorizations are ever cached, as for ``_tally``.
     """
     seen, sizes = set(), {}
     for i in range(len(_point_neighbourhoods(nx * ne))):
@@ -726,52 +791,11 @@ def _orbits(nx: int, ne: int) -> tuple[tuple, tuple]:
 
 @lru_cache(maxsize=None)
 def _lanes(n: int) -> list[list[int]]:
-    """The topologies on n points in lanes, int bitsets over them: bit j
-    of ``lanes[p][q]`` is set when q lies in U_p of topology j.
-
-    Each point's values of U_p are gathered with the topologies that take
-    them, and each value's set bits add its topologies to their lanes.  At
-    most four point counts are ever cached.
-    """
-    lanes = [[0] * n for _ in range(n)]
-    for p in range(n):
-        takers: dict = {}
-        for j, u in enumerate(_point_neighbourhoods(n)):
-            takers[u[p]] = takers.get(u[p], 0) | 1 << j
-        for up, js in takers.items():
-            for q in _set_bits(up):
-                lanes[p][q] |= js
-    return lanes
-
-
-def _classes(nx: int, ne: int) -> tuple[list, dict]:
-    """The profile classes of the topologies on nx*ne points.
-
-    ``_pair_key`` reads nothing of a topology but its profile, and a
-    space's supremum only ORs in its three soft bits, which no cross test
-    touches, so a pair's key is the cross key of its two classes ORed
-    with the supremum's soft bits.  ``_pair_key`` reads the vectors ``t0``
-    and ``slice_t0`` only through which of their places hold equal
-    values, so a class is the profiles that agree on ``soft``,
-    ``slices_t1``, the ``strong_t0`` rows and the first-occurrence labels
-    of the two vectors.  Returns ``(labelled, members)``: each topology's
-    profile with its vectors labelled, which names its class, and each
-    class's topologies as a bitset over them (355 topologies on four
-    points have 18 classes over 2x2 and 16 over 4x1).
-    """
-    labelled = [
-        p._replace(t0=_labels(p.t0), slice_t0=_labels(p.slice_t0))
-        for p in _profiles(nx, ne)
-    ]
-    members: dict = {}
-    for j, p in enumerate(labelled):
-        members[p] = members.get(p, 0) | 1 << j
-    return labelled, members
-
-
-def _labels(vals: tuple[int, ...]) -> tuple[int, ...]:
-    """Each value as the place of its first occurrence in ``vals``."""
-    return tuple(map(vals.index, vals))
+    """The topologies on n points in lanes (``_subbasis_lanes``): a
+    topology's ``U`` is a subbasis of it.  At most four point counts are
+    ever cached."""
+    us = _point_neighbourhoods(n)
+    return _subbasis_lanes(n, us, (1 << len(us)) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -781,55 +805,45 @@ def _tally(nx: int, ne: int) -> dict:
     the key and its first positions (i, j), at most three, in the rows of
     orbit minima.
 
-    The row of orbit minimum i splits every partner j at once, in bitsets
-    over j: by j's profile class, whose cross key with i's class is
-    computed once per class heading a row, and by the soft axioms of the
-    supremum, which ``meet_soft`` reads off the lanes.  Each cell
-    of a class's cross key and a supremum pattern is one key of the row,
-    so its count is the cell's bit count and its first positions are the
-    cell's lowest bits.  Every row of G.i holds the keys of i's row, so a
-    key's count is the sum over rows of its count there times the orbit's
-    size.  Every pair lies in the orbit of a pair of some minimum's row
-    that comes no later in canonical order, so the first k labelled pairs
-    with a key lie in the orbits of its first k positions, and its first
-    labelled pair is its first position; only a claim's exhaustive walk
-    in ``_corpus`` reads the positions.  With |X| = 1 there is no pair
-    of distinct elements and the row's complement is empty, so every fact
-    holds on every pair: that census is one all-true key at the first
-    three pairs, and builds no profiles, orbits or lanes.  ``_census``
-    merges the factorizations' counts, so a report runs each claim once
-    per distinct key (95 at 4x4).  At most eight factorizations are ever
-    cached, as for ``_profiles``; a census is never changed once built,
-    so two threads that build one at once build equal ones.
+    The row of orbit minimum i keys every partner j at once, in lanes
+    over j (``scan.lane_keys``): the partners' lane profile is computed
+    once per factorization from ``_lanes``, and i's is its ``U``
+    broadcast as constant lanes, every bit set or none, with its tests
+    read off its profile (``scan.lane_broadcast``).  Each cell is one
+    key of the row, so its count is the cell's bit count and its first
+    positions are the cell's lowest bits.  Every row of G.i holds the
+    keys of i's row, so a key's count is the sum over rows of its count
+    there times the orbit's size.  Every pair lies in the orbit of a pair
+    of some minimum's row that comes no later in canonical order, so the
+    first k labelled pairs with a key lie in the orbits of its first k
+    positions, and its first labelled pair is its first position; only a
+    claim's exhaustive walk in ``_corpus`` reads the positions.  With
+    |X| = 1 there is no pair of distinct elements and the row's
+    complement is empty, so every fact holds on every pair: that census
+    is one all-true key at the first three pairs, and builds no orbits or
+    lanes.  ``_census`` merges the factorizations' counts, so a report
+    runs each claim once per distinct key (95 at 4x4).  At most eight
+    factorizations are ever cached, as ``_point_neighbourhoods`` rejects
+    more than ``EXHAUSTIVE_POINT_BOUND`` points; a census is never changed
+    once built, so two threads that build one at once build equal ones.
     """
-    us = _point_neighbourhoods(nx * ne)
+    n = nx * ne
+    us = _point_neighbourhoods(n)
     if nx == 1:
         k = len(us)
         first = range(k * k)[:_MAX_RECORDS_PER_CLAIM]
         return {_ALL: [k * k, *(divmod(t, k) for t in first)]}
-    ctx, lanes = standard_context(nx, ne), _lanes(nx * ne)
-    labelled, members = _classes(nx, ne)
-    every = (1 << len(us)) - 1
-    cells: dict = {}  # class heading a row -> its cross keys -> their partners
+    ctx, every = standard_context(nx, ne), (1 << len(us)) - 1
+    partners = lane_profile(ctx, _lanes(n), every)
     census: dict = {}
     for i, size in zip(*_orbits(nx, ne)):
-        head = labelled[i]
-        if head not in cells:
-            cross = cells[head] = {}
-            for q, js in members.items():
-                key = _pair_key(head, q, 0)
-                cross[key] = cross.get(key, 0) | js
-        t0, t1, t2 = meet_soft(ctx, us[i], lanes, every)
-        sups = ((0, every ^ t0), (1, t0 ^ t1), (3, t1 ^ t2), (7, t2))
-        for key, js in cells[head].items():
-            for sup, sup_js in sups:
-                cell = js & sup_js
-                if cell:
-                    entry = census.setdefault(key | sup << _SUP, [0])
-                    entry[0] += cell.bit_count() * size
-                    if len(entry) <= _MAX_RECORDS_PER_CLAIM:
-                        room = _MAX_RECORDS_PER_CLAIM + 1 - len(entry)
-                        entry += [(i, j) for j in islice(_set_bits(cell), room)]
+        row = lane_broadcast(ctx, us[i], every)
+        for key, js in lane_keys(ctx, row, partners, every).items():
+            entry = census.setdefault(key, [0])
+            entry[0] += js.bit_count() * size
+            if len(entry) <= _MAX_RECORDS_PER_CLAIM:
+                room = _MAX_RECORDS_PER_CLAIM + 1 - len(entry)
+                entry += [(i, j) for j in islice(_set_bits(js), room)]
     return census
 
 
@@ -932,50 +946,72 @@ def _corpus(corpus: Union[SearchConfig, Iterable[BiSoftSpace]]) -> tuple:
     each distinct fact key of its spaces to their count, and
     ``violations(claim)`` is a lazy stream of the records of the spaces
     that violate a space claim, in corpus order, so a hunt stops at its
-    first.
+    first.  Each stream tests each distinct key once.
 
-    Explicit corpora key each space once.  Random configs count their
-    draws and walk them again for each stream.  Exhaustive configs read
-    the kept census of their factorizations, and each stream walks the
-    factorizations in canonical order: a factorization's first three
-    violating spaces lie in the orbits of its first three violating
-    positions in ``_tally``, so those orbits alone are expanded, sorted
-    and cut to three.  The stream holds every violating space of a
-    factorization with fewer, so its first three are the corpus's.
+    Explicit corpora key each space once, and random configs walk their
+    blocks (``_random_blocks``) for the census and again for each stream:
+    a block's cells are counted by their bit counts, and a stream takes
+    the violating cells' bits lowest first.  Exhaustive configs read the
+    kept census of their factorizations, and each stream walks the
+    factorizations in canonical order: a factorization's first violating
+    space is its least violating first position in ``_tally``, and its
+    second and third lie in the orbits of its first three violating
+    positions, which alone are expanded once the first is taken.  The
+    stream holds every violating space of a factorization with fewer
+    than three, so its first three are the corpus's.
     """
     if isinstance(corpus, SearchConfig) and corpus.mode == "exhaustive":
         sizes = tuple(corpus.factorizations())
 
         def violations(c):
+            violates = lru_cache(maxsize=None)(partial(_violates, c))
             for nx, ne in sizes:
                 tally = _tally(nx, ne).items()
-                firsts = sorted(
-                    ij for key, entry in tally if _violates(c, key) for ij in entry[1:]
-                )
+                positions = [entry[1:] for key, entry in tally if violates(key)]
+                if not positions:
+                    continue
+                ctx, us = standard_context(nx, ne), _point_neighbourhoods(nx * ne)
+                i, j = min(ijs[0] for ijs in positions)
+                yield record_for(c.id, _space(ctx, (us[i], us[j])))
+                firsts = sorted(ij for ijs in positions for ij in ijs)
                 pairs = set()
                 for i, j in firsts[:_MAX_RECORDS_PER_CLAIM]:
                     pairs.update(zip(_images(nx, ne, i), _images(nx, ne, j)))
-                us = _point_neighbourhoods(nx * ne)
-                for i, j in sorted(pairs)[:_MAX_RECORDS_PER_CLAIM]:
-                    space = _space(standard_context(nx, ne), (us[i], us[j]))
-                    yield record_for(c.id, space)
+                for i, j in sorted(pairs)[1:_MAX_RECORDS_PER_CLAIM]:
+                    yield record_for(c.id, _space(ctx, (us[i], us[j])))
 
         return corpus.describe(), partial(_census, sizes), violations
     if isinstance(corpus, SearchConfig):
-        description, walk = corpus.describe(), partial(_random_draws, corpus)
-        space = partial(_space, standard_context(corpus.max_universe, corpus.n_params))
+        description, walk = corpus.describe(), partial(_random_blocks, corpus)
+        ctx = standard_context(corpus.max_universe, corpus.n_params)
+        n = ctx.nx * ctx.ne
+
+        def space(pair):
+            return _space(ctx, [minimal_neighbourhoods(s, n) for s in pair])
+
     else:
         spaces = list(corpus)
         if not spaces:
             raise ValueError("corpus must not be empty")
         description = f"explicit:{len(spaces)} spaces"
-        keyed = [(_space_key(s), s) for s in spaces]
+        keyed = [({_space_key(s): 1}, [s]) for s in spaces]
         walk, space = partial(iter, keyed), lambda s: s
 
-    def violations(c):
-        return (record_for(c.id, space(x)) for key, x in walk() if _violates(c, key))
+    def census():
+        counts: Counter = Counter()
+        for cells, _ in walk():
+            for key, js in cells.items():
+                counts[key] += js.bit_count()
+        return counts
 
-    return description, lambda: Counter(key for key, _ in walk()), violations
+    def violations(c):
+        violates = lru_cache(maxsize=None)(partial(_violates, c))
+        for cells, xs in walk():
+            bad = reduce(or_, [js for key, js in cells.items() if violates(key)], 0)
+            for j in _set_bits(bad):
+                yield record_for(c.id, space(xs[j]))
+
+    return description, census, violations
 
 
 def verify_implications(
@@ -985,15 +1021,16 @@ def verify_implications(
     """Check space claims over a corpus; violations are data, not errors.
 
     ``claim_ids`` defaults to every claim expected to hold; gap claims may
-    be named too.  Every corpus is read by the one fact function in
-    ``scan``, off the minimal open neighbourhoods of each topology, and
-    its census counts each distinct fact key, so each claim runs once per
-    key; the records of a violated claim are the first three of the one
-    ordered walk ``find_counterexample`` takes.  Random configs are keyed
-    from their seeded ``U`` draws.  Exhaustive configs key the pairs of
-    orbit minima of the relabellings of universe and parameters and
-    weight them by orbit size, so ``tested``, ``premise_hits`` and
-    violation counts are exact labelled counts.  Rough claims quantify
+    be named too.  Every corpus is read by the fact kernel in ``scan``,
+    off the minimal open neighbourhoods of each topology, and its census
+    counts each distinct fact key, so each claim runs once per key; the
+    records of a violated claim are the first three of the one ordered
+    walk ``find_counterexample`` takes.  Random configs are keyed from
+    their seeded subbasis draws, in blocks of lanes or one space at a
+    time.  Exhaustive configs key the rows of orbit minima of the
+    relabellings of universe and parameters in lanes and weight them by
+    orbit size, so ``tested``, ``premise_hits`` and violation counts are
+    exact labelled counts.  Rough claims quantify
     over targets as well as spaces and are rejected here;
     ``find_counterexample`` searches them.
     """

@@ -24,7 +24,7 @@ import random
 from functools import lru_cache
 from itertools import permutations
 
-from bisoft.scan import _SUP, _decode, _pair_key
+from bisoft.scan import _SUP, _decode, _pair_key, profile
 from bisoft.search import (
     Claim,
     ClaimResult,
@@ -32,7 +32,6 @@ from bisoft.search import (
     ImplicationReport,
     SearchConfig,
     _point_neighbourhoods,
-    _profiles,
     get_claim,
     random_spaces,
     record_for,
@@ -113,6 +112,13 @@ def pair_key(nx, ne, i, j):
 
 
 @lru_cache(maxsize=None)
+def _profiles(nx, ne):
+    """The profile of every topology of (nx, ne), in canonical order."""
+    ctx = standard_context(nx, ne)
+    return [profile(ctx, u) for u in _point_neighbourhoods(nx * ne)]
+
+
+@lru_cache(maxsize=None)
 def labelled_counts(nx, ne):
     """Pairs per fact vector over (nx, ne), and each vector's first
     ``MAX_RECORDS`` positions (i, j)."""
@@ -138,7 +144,7 @@ def labelled_report(config: SearchConfig, claim_ids) -> ImplicationReport:
     total = 0
     for k, (nx, ne) in enumerate(sizes):
         counts, firsts = labelled_counts(nx, ne)
-        total += len(_profiles(nx, ne)) ** 2
+        total += len(_point_neighbourhoods(nx * ne)) ** 2
         for vec, n in counts.items():
             table.append((vec, n, [(k, i, j) for i, j in firsts[vec]]))
     results = {}

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from itertools import chain, combinations, product
 
 import pytest
@@ -58,6 +59,7 @@ from bisoft.space import BiSoftSpace
 from bisoft.softset import SoftSet
 from bisoft.topology import (
     SoftTopology,
+    _set_bits,
     generate_topology,
     minimal_neighbourhoods,
     topology_violations,
@@ -491,27 +493,42 @@ class TestRandomCorpora:
         assert any(u1 == full and u2 != full for u1, u2 in pairs)
         assert any(u2 == full and u1 != full for u1, u2 in pairs)
 
+    @settings(max_examples=40)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.integers(-3, 3) | st.integers(4, 120),
+        st.integers(0, 10**6),
+    )
+    def test_census_counts_each_drawn_space_key(self, nx, ne, offset, seed):
+        # on both sides of the path choice and at it: samples = |X|^2 +
+        # |X x E| keys one space at a time, one more keys them in lanes
+        samples = max(1, nx * nx + nx * ne + offset)
+        cfg = SearchConfig(nx, ne, mode="random", samples=samples, seed=seed)
+        assert search._in_lanes(nx, ne, samples) == (offset > 0)
+        _, census, _ = _corpus(cfg)
+        spaces = random_spaces(standard_context(nx, ne), samples, seed)
+        assert census() == Counter(map(_space_key, spaces))
+
     def test_repeat_calls_profile_every_draw_again(self, monkeypatch):
-        # nothing is kept between calls: each profiles the indiscrete
-        # topology once and every other topology of every space it keys
+        # nothing is kept between calls: each keys every block of its
+        # corpus again, here one block of lanes
         calls = []
-        plain_profile = search.profile
+        plain_keys = search.lane_keys
 
-        def counted(ctx, u):
+        def counted(*args):
             calls.append(1)
-            return plain_profile(ctx, u)
+            return plain_keys(*args)
 
-        monkeypatch.setattr(search, "profile", counted)
+        monkeypatch.setattr(search, "lane_keys", counted)
         cfg = SearchConfig(4, 2, mode="random", samples=100, seed=1)
-        ctx = standard_context(4, 2)
-        full = (ctx.full_mask,) * 8
-        drawn = list(_random_neighbourhoods(ctx, range(2, 2 + 2 * cfg.samples)))
+        assert search._in_lanes(4, 2, cfg.samples)
         counts, reports = [], []
         for _ in range(2):
             calls.clear()
             reports.append(verify_implications(cfg).to_json())
             counts.append(len(calls))
-        assert counts == [1 + sum(u != full for u in drawn)] * 2 == [157] * 2
+        assert counts == [1] * 2
         assert reports[0] == reports[1]
         hunts = []
         for _ in range(2):
@@ -519,28 +536,30 @@ class TestRandomCorpora:
             record = find_counterexample("pairwise-t0-implies-pairwise-t1", cfg)
             hunts.append((record, len(calls)))
         assert hunts[0] == hunts[1] and hunts[0][0] is not None
-        assert 0 < hunts[0][1] < 2 * cfg.samples
+        assert hunts[0][1] == 1
 
     def test_random_hunts_stop_at_their_first_violation(self, monkeypatch):
-        # a hunt draws its corpus lazily: of 10**8 spaces it keys those up
-        # to the first violating one, at most two profiles each
+        # a hunt draws its corpus lazily: of 10**8 spaces it draws those up
+        # to the first violating one's block, at most one block past it
         claim = get_claim("pairwise-t0-implies-pairwise-t1")
         spaces = random_spaces(standard_context(4, 2), 10**8, 0)
         for drawn, s in enumerate(spaces, 1):
             facts = space_facts(s)
             if claim.premise(facts) and not claim.conclusion(facts):
                 break
-        calls = []
-        plain_profile = search.profile
+        seeds = []
+        plain_subbases = search._random_subbases
 
-        def counted(ctx, u):
-            calls.append(1)
-            return plain_profile(ctx, u)
+        def counted(ctx, stream):
+            for subbasis in plain_subbases(ctx, stream):
+                seeds.append(1)
+                yield subbasis
 
-        monkeypatch.setattr(search, "profile", counted)
+        monkeypatch.setattr(search, "_random_subbases", counted)
         cfg = SearchConfig(4, 2, "random", 10**8, 0)
+        assert search._in_lanes(4, 2, cfg.samples)
         assert find_counterexample(claim.id, cfg) == record_for(claim.id, s)
-        assert 0 < len(calls) <= 2 * drawn
+        assert 2 * drawn <= len(seeds) <= 2 * (drawn + search._BLOCK)
 
     def test_random_search_leaves_nothing_behind(self):
         # a profile reads of its context only fields the context derives
@@ -769,7 +788,7 @@ class TestProfileKernel:
     @settings(max_examples=100)
     @given(preorder_spaces())
     def test_supremum_bits_are_ored_in_last(self, drawn):
-        # what lets a row share one cross key per class pair
+        # the supremum's soft bits are given to the key, which only ORs them in
         ctx, u1, u2 = drawn
         p, q = profile(ctx, u1), profile(ctx, u2)
         cross = _pair_key(p, q, 0)
@@ -999,21 +1018,25 @@ class TestOrbitScan:
                     column = sum((lanes[p][q] >> j & 1) << q for q in range(n))
                     assert column == u[p], (n, j, p)
 
-    def test_lane_supremum_bits_match_kernel_soft_on_every_pair(self):
-        seen = set()
-        for nx, ne in SearchConfig(4, 4).factorizations():
-            if nx == 1:
-                continue
-            seen.add((nx, ne))
-            ctx = standard_context(nx, ne)
-            us = _point_neighbourhoods(nx * ne)
-            every = (1 << len(us)) - 1
-            for ui in us:
-                t0, t1, t2 = scan.meet_soft(ctx, ui, _lanes(nx * ne), every)
-                for j, uj in enumerate(us):
-                    bits = (t0 >> j & 1) | (t1 >> j & 1) << 1 | (t2 >> j & 1) << 2
-                    assert bits == scan.soft(ctx, [a & b for a, b in zip(ui, uj)])
-        assert seen == {(2, 1), (3, 1), (4, 1), (2, 2)}
+    @pytest.mark.parametrize("nx,ne", [(2, 1), (3, 1), (2, 2), (4, 1)])
+    def test_lane_keys_match_space_key_on_every_pair(self, nx, ne):
+        # every topology as the broadcast row of the exhaustive scan, keyed
+        # in lanes against every partner, bit by bit against _space_key;
+        # the row read off a profile is the row profiled in lanes
+        ctx, n = standard_context(nx, ne), nx * ne
+        us = _point_neighbourhoods(n)
+        every = (1 << len(us)) - 1
+        partners = scan.lane_profile(ctx, _lanes(n), every)
+        spaces = [SoftTopology._from_neighbourhoods(ctx, u) for u in us]
+        for i, ui in enumerate(us):
+            row = scan.lane_broadcast(ctx, ui, every)
+            assert row == scan.lane_profile(ctx, row.u, every)
+            cells = scan.lane_keys(ctx, row, partners, every)
+            assert sum(cells.values()) == every
+            for key, js in cells.items():
+                for j in _set_bits(js):
+                    space = BiSoftSpace(spaces[i], spaces[j])
+                    assert _space_key(space) == key, (nx, ne, i, j)
 
     def test_five_point_orbits_count_unlabelled_topologies(self, monkeypatch):
         # 139 topologies on five points up to homeomorphism (OEIS A001930),
@@ -1051,47 +1074,39 @@ class TestOrbitScan:
                     assert pair_key(nx, ne, i, j) == key
 
     def test_repeat_scans_and_hunts_compute_no_pair_key(self, monkeypatch):
-        calls, meets = [], []
+        calls, rows = [], []
 
         def counted(p, q, sup_bits):
             calls.append(1)
             return _pair_key(p, q, sup_bits)
 
-        meet_soft = search.meet_soft
+        lane_keys = search.lane_keys
 
-        def counted_meets(ctx, u, lanes, every):
-            meets.append(1)
-            return meet_soft(ctx, u, lanes, every)
+        def counted_rows(*args):
+            rows.append(1)
+            return lane_keys(*args)
 
         monkeypatch.setattr(search, "_pair_key", counted)
-        monkeypatch.setattr(search, "meet_soft", counted_meets)
+        monkeypatch.setattr(search, "lane_keys", counted_rows)
         cfg = SearchConfig(4, 4)
         report = verify_implications(cfg)
         calls.clear()
-        meets.clear()
+        rows.clear()
         assert verify_implications(cfg) == report
         for claim_id in GAP_SPACE_CLAIM_IDS:
             find_counterexample(claim_id, cfg)
-        assert len(calls) == len(meets) == 0
-        # cold: one cross key per class heading a row and class of a
-        # partner, and one set of supremum lanes per orbit minimum
+        assert len(calls) == len(rows) == 0
+        # cold: one row of lanes per orbit minimum, and no key alone
         search._tally.cache_clear()
         search._census.cache_clear()
         assert verify_implications(cfg) == report
-        heads = pairs = rows = 0
-        for nx, ne in cfg.factorizations():
-            if nx > 1:
-                labelled, members = search._classes(nx, ne)
-                minima, _ = _orbits(nx, ne)
-                heads += len({labelled[i] for i in minima}) * len(members)
-                pairs += len(minima) * len(labelled)
-                rows += len(minima)
-        assert len(calls) == heads == 469 < pairs
-        assert len(meets) == rows == 148
+        minima = sum(len(_orbits(nx, ne)[0]) for nx, ne in cfg.factorizations() if nx > 1)
+        assert len(calls) == 0
+        assert len(rows) == minima == 148
 
     def test_threads_filling_cross_keys_agree(self):
-        # threads that build one census at once each fill their own cross
-        # keys and build equal censuses, so no interleaving changes a report
+        # threads that build one census at once each key their own rows
+        # and build equal censuses, so no interleaving changes a report
         cfg = SearchConfig(4, 4)
         expected = verify_implications(cfg).to_json()
         search._tally.cache_clear()
