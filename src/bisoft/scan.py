@@ -44,8 +44,7 @@ context is built, and nothing is kept after a call.
 spaces at once, bit-sliced (Biham, FSE 1997): the ``U`` of many
 topologies held in lanes, int bitsets with one bit per topology, and
 each test of ``profile`` and ``_pair_key`` made as a few big-int
-operations on those lanes (``lane_broadcast`` holds one topology in
-every lane).  ``lane_keys`` returns each distinct key with the bitset of
+operations on those lanes.  ``lane_keys`` returns each distinct key with the bitset of
 the spaces that have it.  ``search`` keys the exhaustive rows and the
 random blocks of few elements there, and every other space alone
 through ``_pair_key``; each claim reads the ``_PairFacts`` of a distinct
@@ -270,26 +269,6 @@ def lane_profile(ctx: Context, u: list[list[int]], every: int) -> _Lanes:
         for p, r in combinations(range(s, s + nx), 2)
     ]
     return _Lanes(u, soft_bits, every & ~spill, t0, strong, slice_t0)
-
-
-def lane_broadcast(ctx: Context, u: Sequence[int], every: int) -> _Lanes:
-    """``lane_profile`` of the topology whose ``U_p`` is ``u[p]`` held in
-    every lane of ``every``: each lane and each test is every bit or
-    none, so the tests are read off its ``profile`` once."""
-    nx, n, p = ctx.nx, len(u), profile(ctx, u)
-    pairs = list(combinations(range(nx), 2))
-    blocks = [ab for s in range(0, n, nx) for ab in combinations(range(s, s + nx), 2)]
-    strong = None
-    if p.strong_t0 is not None:
-        strong = [every * (p.strong_t0[x] >> y & 1) for x, y in pairs]
-    return _Lanes(
-        [[every * (up >> q & 1) for q in range(n)] for up in u],
-        tuple(every * (p.soft >> k & 1) for k in range(3)),
-        every * p.slices_t1,
-        [every * (p.t0[x] != p.t0[y]) for x, y in pairs],
-        strong,
-        [every * (p.slice_t0[a] != p.slice_t0[b]) for a, b in blocks],
-    )
 
 
 def lane_keys(ctx: Context, a: _Lanes, b: _Lanes, every: int) -> dict[int, int]:

@@ -44,12 +44,12 @@ walk, ``_corpus``'s stream of the violating spaces in corpus order:
   each, from their minima.  A row keys every partner j at once through
   ``scan.lane_keys``: the partners' lanes are the enumerated ``U``
   transposed (``_lanes``), profiled once per factorization, and i's are
-  its ``U`` and profile broadcast, every bit set or none.  A claim's
-  walk takes the factorizations in order; the first violating space of
-  each is its least violating first position, and only the next two
-  expand orbits, so a hunt builds no factorization past the first that
-  holds a violation.  Each factorization's census is built once and kept, and
-  so is each corpus's census, the factorizations' counts merged, so
+  its ``U`` broadcast, every bit set or none, profiled the same way.  A
+  claim's walk takes the factorizations in order; the first violating
+  space of each is its least violating first position, and only the
+  next two expand orbits, so a hunt builds no factorization past the
+  first that holds a violation.  Each factorization's census is built
+  once and kept, and so is each corpus's census, the factorizations' counts merged, so
   every exhaustive report and hunt after the first computes no lanes,
   and a report runs each claim once per distinct key (95 at 4x4); with
   |X| = 1 every fact holds on every pair, so those factorizations are
@@ -77,7 +77,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from .errors import UnknownClaimError
 from .rough import _lower, _reach, _reaches, _upper
 from .scan import (
-    _ALL, _SUP, _decode, _pair_key, _space_key, lane_broadcast, lane_keys, lane_profile,
+    _ALL, _SUP, _decode, _pair_key, _space_key, lane_keys, lane_profile,
     profile, soft, space_facts,
 )
 from .softset import Context, SoftSet, _Value
@@ -212,19 +212,22 @@ def random_spaces(ctx: Context, count: int, seed: int) -> Iterable[BiSoftSpace]:
 
 
 def _random_pairs(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
-    """The context of a random config and the ``U`` of its spaces' two
+    """The context of a random config and the subbases of its spaces' two
     topologies in seed order, drawn from seeds 2 * seed onwards as
     ``random_spaces`` draws them."""
     ctx = standard_context(config.max_universe, config.n_params)
     first = 2 * config.seed
-    us = _random_neighbourhoods(ctx, range(first, first + 2 * config.samples))
-    return ctx, zip(us, us)
+    subbases = _random_subbases(ctx, range(first, first + 2 * config.samples))
+    return ctx, zip(subbases, subbases)
 
 
 # Spaces keyed in lanes at once, at most this many: a hunt draws at most
-# one block past its first violation.  A block's lanes hold |X x E|^2 ints
-# per topology, so contexts of more than _LANE_POINTS points key each space
-# alone.
+# one block past its first violation.  _LANE_POINTS is a memory bound, not
+# a speed one: a block's lanes hold |X x E|^2 ints of up to _BLOCK bits
+# (164 bytes each) per topology, 0.67 MB at 64 points, and a 64-point
+# census peaks at about 2.4 MB; a 1 x 1000 block would hold 164 MB.  So
+# contexts of more points key each space alone, though at 65-160 points
+# lanes are 3-4 times faster (the README's search engine section).
 _BLOCK = 1024
 _LANE_POINTS = 64
 
@@ -248,10 +251,7 @@ def _random_blocks(config: SearchConfig) -> Iterator[tuple[dict, list]]:
     one space keyed alone (``_random_draws``).  No soft set, topology or
     space is built, and nothing is kept between calls.
     """
-    ctx = standard_context(config.max_universe, config.n_params)
-    first = 2 * config.seed
-    subbases = _random_subbases(ctx, range(first, first + 2 * config.samples))
-    pairs = zip(subbases, subbases)
+    ctx, pairs = _random_pairs(config)
     if not _in_lanes(ctx.nx, ctx.ne, config.samples):
         return _random_draws(ctx, pairs)
     size = min(config.samples, _BLOCK)
@@ -807,9 +807,8 @@ def _tally(nx: int, ne: int) -> dict:
 
     The row of orbit minimum i keys every partner j at once, in lanes
     over j (``scan.lane_keys``): the partners' lane profile is computed
-    once per factorization from ``_lanes``, and i's is its ``U``
-    broadcast as constant lanes, every bit set or none, with its tests
-    read off its profile (``scan.lane_broadcast``).  Each cell is one
+    once per factorization from ``_lanes``, and i's from its ``U``
+    broadcast as constant lanes, every bit set or none.  Each cell is one
     key of the row, so its count is the cell's bit count and its first
     positions are the cell's lowest bits.  Every row of G.i holds the
     keys of i's row, so a key's count is the sum over rows of its count
@@ -837,7 +836,8 @@ def _tally(nx: int, ne: int) -> dict:
     partners = lane_profile(ctx, _lanes(n), every)
     census: dict = {}
     for i, size in zip(*_orbits(nx, ne)):
-        row = lane_broadcast(ctx, us[i], every)
+        row = [[every * (up >> q & 1) for q in range(n)] for up in us[i]]
+        row = lane_profile(ctx, row, every)
         for key, js in lane_keys(ctx, row, partners, every).items():
             entry = census.setdefault(key, [0])
             entry[0] += js.bit_count() * size
@@ -1085,7 +1085,9 @@ def _find_rough_counterexample(
     if config.mode == "random":
         ctx, pairs = _random_pairs(config)
         rng, top = random.Random(config.seed + 7919), ctx.full_mask + 1
-        for u in pairs:
+        n = ctx.nx * ctx.ne
+        for pair in pairs:
+            u = [minimal_neighbourhoods(s, n) for s in pair]
             reach, mask = _reach(ctx, *u), rng.randrange(top)
             if claim.premise(reach, mask) and not claim.conclusion(reach, mask):
                 return record(ctx, u, mask)

@@ -510,6 +510,17 @@ class TestRandomCorpora:
         spaces = random_spaces(standard_context(nx, ne), samples, seed)
         assert census() == Counter(map(_space_key, spaces))
 
+    def test_point_cap_keys_wide_contexts_alone(self):
+        # 1 x 65 with 200 samples passes the size test, but 65 points is
+        # past the memory cap on a block's lanes, so each space is keyed
+        # alone, and the census is still every drawn space's key
+        nx, ne, samples = 1, search._LANE_POINTS + 1, 200
+        assert nx * nx + nx * ne < samples
+        assert not search._in_lanes(nx, ne, samples)
+        _, census, _ = _corpus(SearchConfig(nx, ne, "random", samples, 3))
+        spaces = random_spaces(standard_context(nx, ne), samples, 3)
+        assert census() == Counter(map(_space_key, spaces))
+
     def test_repeat_calls_profile_every_draw_again(self, monkeypatch):
         # nothing is kept between calls: each keys every block of its
         # corpus again, here one block of lanes
@@ -1022,15 +1033,19 @@ class TestOrbitScan:
     def test_lane_keys_match_space_key_on_every_pair(self, nx, ne):
         # every topology as the broadcast row of the exhaustive scan, keyed
         # in lanes against every partner, bit by bit against _space_key;
-        # the row read off a profile is the row profiled in lanes
+        # the broadcast row's soft and slice tests are its profile's in
+        # every lane
         ctx, n = standard_context(nx, ne), nx * ne
         us = _point_neighbourhoods(n)
         every = (1 << len(us)) - 1
         partners = scan.lane_profile(ctx, _lanes(n), every)
         spaces = [SoftTopology._from_neighbourhoods(ctx, u) for u in us]
         for i, ui in enumerate(us):
-            row = scan.lane_broadcast(ctx, ui, every)
-            assert row == scan.lane_profile(ctx, row.u, every)
+            row = [[every * (up >> q & 1) for q in range(n)] for up in ui]
+            row = scan.lane_profile(ctx, row, every)
+            p = scan.profile(ctx, ui)
+            assert row.soft == tuple(every * (p.soft >> k & 1) for k in range(3))
+            assert row.slices_t1 == every * p.slices_t1
             cells = scan.lane_keys(ctx, row, partners, every)
             assert sum(cells.values()) == every
             for key, js in cells.items():
