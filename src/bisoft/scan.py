@@ -2,9 +2,9 @@
 
 ``profile`` summarises a soft topology over any context in integers read
 off its minimal open neighbourhoods ``U``, and ``_pair_key`` reads every
-fact of a space off the profiles of its two topologies and the soft axioms
-of their supremum, whose ``U_p`` is ``U1_p & U2_p``, as one int, the fact
-key.  Bit k of a key is field k of ``_PairFacts``:
+fact of a space off the profiles of its two topologies, including the
+soft axioms of their supremum, whose ``U_p`` is ``U1_p & U2_p``, as one
+int, the fact key.  Bit k of a key is field k of ``_PairFacts``:
 
 * bits 0-2 and 3-5 are soft T0, T1, T2 of the first and second topology,
   and 6-8 those of the supremum;
@@ -34,22 +34,24 @@ T0 when the pairs ``(N1(x), N2(x))`` are distinct, its slices when the
 pairs of ``U_p`` cut to p's block are, and strong T0 when no row of one
 topology's unseparated pairs meets the same row of the other's
 (``_Profile``).  A profile is computed in a few passes over the elements
-and points, and a space's supremum contributes its three soft bits
-alone.  ``profile`` and ``soft`` are functions of the context and the
-``U`` vectors they are given: what they read of the context, its block
-mask and each point's block (``Context.blocks``), is derived when the
-context is built, and nothing is kept after a call.
+and points and keeps its ``U``, and a space's supremum contributes its
+three soft bits alone, which ``_pair_key`` reads off the two profiles'
+``U``.  ``profile`` and ``_pair_key`` are functions of the context and
+what they are given: what they read of the context, its block mask and
+each point's block (``Context.blocks``), is derived when the context is
+built, and nothing is kept after a call.
 
 ``lane_profile`` and ``lane_keys`` are the same two steps for many
 spaces at once, bit-sliced (Biham, FSE 1997): the ``U`` of many
 topologies held in lanes, int bitsets with one bit per topology, and
 each test of ``profile`` and ``_pair_key`` made as a few big-int
-operations on those lanes.  ``lane_keys`` returns each distinct key with the bitset of
-the spaces that have it.  ``search`` keys the exhaustive rows and the
-random blocks of few elements there, and every other space alone
-through ``_pair_key``; each claim reads the ``_PairFacts`` of a distinct
-key, decoded once.  ``_space_key`` and ``space_facts`` key one space at a
-time, for explicit corpora and ``replay``.
+operations on those lanes.  ``lane_keys`` returns each distinct key
+with the bitset of the spaces that have it.  ``search`` keys the
+exhaustive rows and the random blocks of few elements there, and every
+other space alone through ``_pair_key``; each claim reads the
+``_PairFacts`` of a distinct key, decoded once.  ``_space_key`` and
+``space_facts`` key one space at a time, for explicit corpora and
+``replay``.
 
 The public checkers of ``axioms`` read their verdicts off the same key
 too, through ``space_verdicts``, which also reads each parameter's slice
@@ -65,7 +67,7 @@ from typing import NamedTuple, Sequence
 
 from .softset import Context
 from .space import BiSoftSpace
-from .topology import _row_neighbourhoods
+from .topology import _columns, _row_neighbourhoods
 
 
 # The facts the space claims read; bit k of a fact key is field k.
@@ -108,9 +110,10 @@ class _Profile(NamedTuple):
     """One soft topology over a context, read off its ``U``: plain data,
     which ``_pair_key`` alone turns into a fact key.
 
-    ``soft`` and ``slices_t1`` are what the topology settles alone (the
-    module docstring).  Every slice is T1 when the ``U_p`` cut to p's
-    block, each holding p, have |X x E| bits in all.
+    ``u`` is the ``U`` itself, which the supremum of two topologies is
+    read off.  ``soft`` and ``slices_t1`` are what the topology settles
+    alone (the module docstring).  Every slice is T1 when the ``U_p`` cut
+    to p's block, each holding p, have |X x E| bits in all.
 
     The T0 fields are what ``_pair_key`` reads of the T0 family, from
     the containment masks of each element x: ``cont(x)``, the elements
@@ -130,6 +133,7 @@ class _Profile(NamedTuple):
     strong T0 is pairwise T0 and ``strong_t0`` is None.
     """
 
+    u: Sequence[int]  # U_p for each point p
     soft: int  # soft T0, T1, T2 as bits 0, 1, 2
     slices_t1: bool  # every slice is T1
     t0: tuple[int, ...]  # N(x) for each element x
@@ -147,9 +151,8 @@ def _mutual_pairs(masks: Sequence[int]) -> tuple[int, ...]:
     mask and x in y's.
 
     Row x is x's mask above x ANDed with the column of the masks at x.
-    Up to ``_WALKED`` masks are walked bit by bit; more are transposed as
-    text: the masks written as binary digits one after another, whose
-    every k-th digit is a column.
+    Up to ``_WALKED`` masks are walked bit by bit; more are transposed
+    (``topology._columns``).
     """
     k = len(masks)
     if k <= _WALKED:
@@ -163,9 +166,7 @@ def _mutual_pairs(masks: Sequence[int]) -> tuple[int, ...]:
                 m >>= 1
             rows.append(row)
         return tuple(rows)
-    digits = "".join([format(m, f"0{k}b") for m in reversed(masks)])
-    columns = [int(digits[k - 1 - x :: k], 2) for x in range(k)]
-    pairs = enumerate(zip(masks, columns))
+    pairs = enumerate(zip(masks, _columns(masks, k)))
     return tuple([m & c >> x + 1 << x + 1 for x, (m, c) in pairs])
 
 
@@ -190,12 +191,6 @@ def _soft(ctx: Context, nbhd: Sequence[int]) -> int:
     for s in range(nx, n, nx):
         cont = [c & v >> s for c, v in zip(cont, nbhd)]
     return 1 | (sum(map(int.bit_count, cont)) == nx) << 1
-
-
-def soft(ctx: Context, u: Sequence[int]) -> int:
-    """Soft T0, T1 and T2, as bits 0, 1 and 2, of the topology over ``ctx``
-    whose ``U_p`` is ``u[p]``."""
-    return _soft(ctx, _row_neighbourhoods(u, ctx.nx))
 
 
 class _Lanes(NamedTuple):
@@ -334,14 +329,15 @@ def profile(ctx: Context, u: Sequence[int]) -> _Profile:
         strong_t0 = _mutual_pairs(meets)
     cut = tuple(map(and_, u, ctx.blocks))
     slices_t1 = sum(map(int.bit_count, cut)) == len(u)
-    return _Profile(_soft(ctx, nbhd), slices_t1, nbhd, strong_t0, cut)
+    return _Profile(u, _soft(ctx, nbhd), slices_t1, nbhd, strong_t0, cut)
 
 
-def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
-    """The fact key of the space (p, q) whose supremum's soft axioms are
-    ``sup_bits``, already in bits ``_SUP`` to ``_SUP + 2``.
+def _pair_key(ctx: Context, p: _Profile, q: _Profile) -> int:
+    """The fact key of the space (p, q) over ``ctx``.
 
-    Every fact but the T0 family holds exactly when it holds of both
+    The supremum's soft axioms are read off its ``U``, ``p.u & q.u``, as
+    ``lane_keys`` reads them off ``a.u & b.u``.  Every fact outside the
+    supremum's and the T0 family holds exactly when it holds of both
     topologies alone (the module docstring): pairwise T1 when both are
     soft T1, the facts of ``_T2`` when both are soft T2, and the slices'
     T1 and T2 when both have T1 slices; ``thm1_agrees`` always holds.
@@ -359,8 +355,9 @@ def _pair_key(p: _Profile, q: _Profile, sup_bits: int) -> int:
     T0, T1 or T2 on every subspace exactly when it is on X, and each
     hereditary bit is set with its pairwise bit.
     """
+    sup = _soft(ctx, _row_neighbourhoods(tuple(map(and_, p.u, q.u)), ctx.nx))
     both = p.soft & q.soft
-    key = p.soft | q.soft << _T2_SOFT | sup_bits | _THM1
+    key = p.soft | q.soft << _T2_SOFT | sup << _SUP | _THM1
     key |= (both >> 1 & 1) * _PW_T1 | (both >> 2) * _T2
     if p.slices_t1 and q.slices_t1:
         key |= _SLICES_T1
@@ -380,11 +377,9 @@ def _distinct(a: Sequence[int], b: Sequence[int]) -> bool:
 
 
 def _space_key(s: BiSoftSpace) -> int:
-    """The fact key of one space, read off the ``U`` of its two topologies;
-    its supremum's ``U_p`` is ``U1_p & U2_p``."""
+    """The fact key of one space, read off the ``U`` of its two topologies."""
     ctx, u1, u2 = s.context, s.t1.neighbourhoods(), s.t2.neighbourhoods()
-    sup = soft(ctx, list(map(and_, u1, u2)))
-    return _pair_key(profile(ctx, u1), profile(ctx, u2), sup << _SUP)
+    return _pair_key(ctx, profile(ctx, u1), profile(ctx, u2))
 
 
 def space_facts(s: BiSoftSpace) -> _PairFacts:
@@ -405,7 +400,7 @@ def space_verdicts(s: BiSoftSpace) -> tuple[_PairFacts, dict[str, dict[str, bool
     """
     ctx, u1, u2 = s.context, s.t1.neighbourhoods(), s.t2.neighbourhoods()
     p, q = profile(ctx, u1), profile(ctx, u2)
-    facts = _decode(_pair_key(p, q, soft(ctx, list(map(and_, u1, u2))) << _SUP))
+    facts = _decode(_pair_key(ctx, p, q))
     nx, slices = ctx.nx, {}
     for e, name in enumerate(ctx.parameters.parameters):
         block = slice(e * nx, e * nx + nx)

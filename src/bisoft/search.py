@@ -22,19 +22,22 @@ walk, ``_corpus``'s stream of the violating spaces in corpus order:
 
 * explicit corpora and ``replay`` profile one space at a time;
 * random corpora and random-mode hunts draw each space's two subbases
-  from its seeds, in seed order, and build a ``BiSoftSpace`` only for
-  the records.  A corpus of few elements and many spaces is keyed in
-  blocks of up to ``_BLOCK`` spaces, in lanes: each subbasis slot's masks
-  are transposed into one bitset over the block per point, the ``U`` of
-  every topology of the block follow in |X x E|^2 operations, and
-  ``scan.lane_keys`` gives each key with the bitset of the block's
-  spaces that have it.  Any other corpus keys each space alone, from its
-  two ``U``; one draw in five or so is the indiscrete topology (every
-  ``U_p`` the full mask), which a call profiles once.  ``_in_lanes``
-  chooses from the sizes alone.  A census counts the keys, and a claim's
-  walk draws the corpus again up to the violations it is asked for, so
-  a hunt stops at most one block past its first.  Nothing is kept
-  between calls: a repeated call draws and keys every space again;
+  from its seeds, in seed order, from the one seed stream of
+  ``_random_pairs`` that ``random_space`` and ``random_spaces`` read too,
+  and build a ``BiSoftSpace`` only for the records.  A corpus of few
+  elements and many spaces is keyed in blocks of up to ``_BLOCK``
+  spaces, in lanes: each subbasis slot's masks are transposed
+  (``topology._columns``) into one bitset over the block per point, the
+  ``U`` of every topology of the block follow in |X x E|^2 operations,
+  and ``scan.lane_keys`` gives each key with the bitset of the block's
+  spaces that have it.  Any other corpus keys each space alone, from the
+  profiles of its two ``U`` through ``_pair_key``; one draw in five or
+  so is the indiscrete topology (every ``U_p`` the full mask), which a
+  call profiles on its first draw and reuses after.  ``_in_lanes``
+  chooses from the sizes alone.  A census counts the keys, and a
+  claim's walk draws the corpus again up to the violations it is asked
+  for, so a hunt stops at most one block past its first.  Nothing is
+  kept between calls: a repeated call draws and keys every space again;
 * the exhaustive scan keys each factorization (|X|, |E|) once.  Every
   fact is unchanged when the universe and the parameters are relabelled
   together, so the scan keys the pairs (i, j) of each orbit minimum i of
@@ -70,24 +73,26 @@ import json
 import random
 from collections import Counter
 from functools import lru_cache, partial, reduce
-from itertools import islice, permutations, product, repeat, zip_longest
-from operator import and_, or_
+from itertools import islice, permutations, product, zip_longest
+from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import UnknownClaimError
 from .rough import _lower, _reach, _reaches, _upper
 from .scan import (
-    _ALL, _SUP, _decode, _pair_key, _space_key, lane_keys, lane_profile,
-    profile, soft, space_facts,
+    _ALL, _decode, _pair_key, _space_key, lane_keys, lane_profile, profile,
+    space_facts,
 )
 from .softset import Context, SoftSet, _Value
 from .space import BiSoftSpace
-from .topology import SoftTopology, _set_bits, _union_closure, minimal_neighbourhoods
+from .topology import (
+    SoftTopology, _columns, _set_bits, _union_closure, minimal_neighbourhoods,
+)
 
 EXHAUSTIVE_POINT_BOUND = 4  # topologies on <= 4 points are enumerable (355 on 4)
 # a random draw keeps a |X|*|E|-bit U_p per point, so its memory grows with
-# the square of the points: one draw peaks at 222 MB at 16,384 x 1 and at
-# 338 MB at 8,192 x 2 under CPython 3.11
+# the square of the points: one draw peaks at 187 MB at 16,384 x 1 and at
+# 285 MB at 8,192 x 2 under CPython 3.11
 RANDOM_POINT_BOUND = 1 << 14
 _MAX_RECORDS_PER_CLAIM = 3
 
@@ -176,11 +181,21 @@ def _random_subbases(ctx: Context, seeds: Iterable[int]) -> Iterator[tuple]:
         yield tuple(subbasis)
 
 
-def _random_neighbourhoods(ctx: Context, seeds: Iterable[int]) -> Iterator[tuple]:
-    """The ``U`` each seed draws: the minimal neighbourhoods of its
-    subbasis, every ``U_p`` the full mask for an empty one."""
+def _generated(ctx: Context, subbases: Iterable[tuple]) -> list[tuple]:
+    """The ``U`` of the topology each subbasis generates: its minimal
+    neighbourhoods, every ``U_p`` the full mask for an empty one."""
     n = ctx.nx * ctx.ne
-    return (minimal_neighbourhoods(s, n) for s in _random_subbases(ctx, seeds))
+    return [minimal_neighbourhoods(s, n) for s in subbases]
+
+
+def _random_pairs(ctx: Context, count: int, seed: int) -> Iterator[tuple]:
+    """The subbases of the two topologies of the spaces drawn from seeds
+    ``seed`` to ``seed + count - 1``, in seed order: space k's topologies
+    are drawn from seeds 2k and 2k + 1, so the stream reads seeds
+    2 * seed to 2 * (seed + count) - 1.  Every random space and corpus is
+    drawn here."""
+    subbases = _random_subbases(ctx, range(2 * seed, 2 * (seed + count)))
+    return zip(subbases, subbases)
 
 
 def random_soft_topology(ctx: Context, seed: int) -> SoftTopology:
@@ -190,35 +205,26 @@ def random_soft_topology(ctx: Context, seed: int) -> SoftTopology:
     random soft set; identical (context, seed) always gives an identical
     member list.
     """
-    (u,) = _random_neighbourhoods(ctx, [seed])
+    (u,) = _generated(ctx, _random_subbases(ctx, [seed]))
     return SoftTopology._from_neighbourhoods(ctx, u)
 
 
-def _space(ctx: Context, u: tuple) -> BiSoftSpace:
+def _space(ctx: Context, u: Sequence[tuple]) -> BiSoftSpace:
     """The space whose two topologies have the ``U`` vectors ``u``."""
     return BiSoftSpace(*(SoftTopology._from_neighbourhoods(ctx, ui) for ui in u))
 
 
 def random_space(ctx: Context, seed: int) -> BiSoftSpace:
-    return BiSoftSpace(
-        random_soft_topology(ctx, 2 * seed),
-        random_soft_topology(ctx, 2 * seed + 1),
-    )
+    """The space drawn from ``seed``: its topologies are the
+    ``random_soft_topology`` of seeds 2 * seed and 2 * seed + 1."""
+    return next(random_spaces(ctx, 1, seed))
 
 
-def random_spaces(ctx: Context, count: int, seed: int) -> Iterable[BiSoftSpace]:
-    for k in range(count):
-        yield random_space(ctx, seed + k)
-
-
-def _random_pairs(config: SearchConfig) -> tuple[Context, Iterator[tuple]]:
-    """The context of a random config and the subbases of its spaces' two
-    topologies in seed order, drawn from seeds 2 * seed onwards as
-    ``random_spaces`` draws them."""
-    ctx = standard_context(config.max_universe, config.n_params)
-    first = 2 * config.seed
-    subbases = _random_subbases(ctx, range(first, first + 2 * config.samples))
-    return ctx, zip(subbases, subbases)
+def random_spaces(ctx: Context, count: int, seed: int) -> Iterator[BiSoftSpace]:
+    """The spaces drawn from seeds ``seed`` to ``seed + count - 1``, in
+    seed order and lazily (``_random_pairs``)."""
+    for pair in _random_pairs(ctx, count, seed):
+        yield _space(ctx, _generated(ctx, pair))
 
 
 # Spaces keyed in lanes at once, at most this many: a hunt draws at most
@@ -241,20 +247,21 @@ def _in_lanes(nx: int, ne: int, samples: int) -> bool:
     return n <= _LANE_POINTS and nx * nx + n < min(samples, _BLOCK)
 
 
-def _random_blocks(config: SearchConfig) -> Iterator[tuple[dict, list]]:
-    """The spaces of a random config in seed order, in blocks: each block
-    as the cells of its fact keys, each distinct key to the bitset of the
-    block's spaces that have it, and the two subbases of each space.
+def _random_blocks(ctx: Context, samples: int, seed: int) -> Iterator[tuple]:
+    """The ``samples`` spaces over ``ctx`` from ``seed`` on, in seed order,
+    in blocks: each block as the cells of its fact keys, each distinct key
+    to the bitset of the block's spaces that have it, and the two
+    subbases of each space.
 
     ``_in_lanes`` chooses from the sizes alone: a block of lanes keys up to
     ``_BLOCK`` spaces at once (``_block_keys``), and otherwise each block is
     one space keyed alone (``_random_draws``).  No soft set, topology or
     space is built, and nothing is kept between calls.
     """
-    ctx, pairs = _random_pairs(config)
-    if not _in_lanes(ctx.nx, ctx.ne, config.samples):
+    pairs = _random_pairs(ctx, samples, seed)
+    if not _in_lanes(ctx.nx, ctx.ne, samples):
         return _random_draws(ctx, pairs)
-    size = min(config.samples, _BLOCK)
+    size = min(samples, _BLOCK)
     blocks = iter(lambda: list(islice(pairs, size)), [])
     return ((_block_keys(ctx, block), block) for block in blocks)
 
@@ -272,17 +279,15 @@ def _subbasis_lanes(n: int, subbases: Sequence[tuple], every: int) -> list[list[
     bitsets over them: bit j of ``lanes[p][q]`` is set when q lies in
     U_p of topology j; ``every`` holds every j.
 
-    Each subbasis slot's masks are transposed into one lane per point,
-    through their binary digits written one after another.  q lies in
-    U_p exactly when every member of the subbasis that holds p holds q,
-    so the lane of q in U_p is the AND over slots of "the slot's mask
-    misses p or holds q"; a missing slot is the empty mask, which
-    constrains nothing.
+    Each subbasis slot's masks are transposed into one lane per point
+    (``topology._columns``).  q lies in U_p exactly when every member of
+    the subbasis that holds p holds q, so the lane of q in U_p is the AND
+    over slots of "the slot's mask misses p or holds q"; a missing slot
+    is the empty mask, which constrains nothing.
     """
-    lanes, spec = [[every] * n for _ in range(n)], repeat(f"0{n}b")
+    lanes = [[every] * n for _ in range(n)]
     for masks in zip_longest(*subbases, fillvalue=0):
-        digits = "".join(map(format, reversed(masks), spec))
-        held = [int(digits[n - 1 - p :: n], 2) for p in range(n)]
+        held = _columns(masks, n)
         for hp, row in zip(held, lanes):
             if hp:
                 row[:] = [v & (~hp | hq) for v, hq in zip(row, held)]
@@ -294,27 +299,24 @@ def _random_draws(ctx: Context, pairs: Iterable[tuple]) -> Iterator[tuple]:
     fact key and its pair, keyed alone from the ``U`` of its two
     topologies.
 
-    The indiscrete topology is profiled once per call, and a space with
-    an indiscrete component takes the other's soft bits for its
-    supremum's, since ``U1_p & full`` is ``U1_p``: they are the OR of
-    both topologies' bits, as the indiscrete topology has none with two
-    or more elements, and with one element every topology has all three.
+    An empty subbasis, about one draw in five, gives the indiscrete
+    topology, every ``U_p`` the full mask; it is profiled on its first
+    draw, and every later draw of it reuses that profile.
     """
-    n = ctx.nx * ctx.ne
-    full = (ctx.full_mask,) * n
-    indiscrete = profile(ctx, full)
+    full = (ctx.full_mask,) * (ctx.nx * ctx.ne)
+    indiscrete = None
 
-    def key(u1, u2):
-        p = indiscrete if u1 == full else profile(ctx, u1)
-        q = indiscrete if u2 == full else profile(ctx, u2)
-        if u1 == full or u2 == full:  # the supremum is the other topology
-            sup = p.soft | q.soft
-        else:
-            sup = soft(ctx, list(map(and_, u1, u2)))
-        return _pair_key(p, q, sup << _SUP)
+    def profiled(u):
+        nonlocal indiscrete
+        if u != full:
+            return profile(ctx, u)
+        if indiscrete is None:
+            indiscrete = profile(ctx, full)
+        return indiscrete
 
     for pair in pairs:
-        yield {key(*map(minimal_neighbourhoods, pair, (n, n))): 1}, [pair]
+        p, q = map(profiled, _generated(ctx, pair))
+        yield {_pair_key(ctx, p, q): 1}, [pair]
 
 
 # ---------------------------------------------------------------------------
@@ -982,12 +984,12 @@ def _corpus(corpus: Union[SearchConfig, Iterable[BiSoftSpace]]) -> tuple:
 
         return corpus.describe(), partial(_census, sizes), violations
     if isinstance(corpus, SearchConfig):
-        description, walk = corpus.describe(), partial(_random_blocks, corpus)
         ctx = standard_context(corpus.max_universe, corpus.n_params)
-        n = ctx.nx * ctx.ne
+        description = corpus.describe()
+        walk = partial(_random_blocks, ctx, corpus.samples, corpus.seed)
 
         def space(pair):
-            return _space(ctx, [minimal_neighbourhoods(s, n) for s in pair])
+            return _space(ctx, _generated(ctx, pair))
 
     else:
         spaces = list(corpus)
@@ -1083,11 +1085,10 @@ def _find_rough_counterexample(
         return record_for(claim.id, _space(ctx, u), target=SoftSet(ctx, mask))
 
     if config.mode == "random":
-        ctx, pairs = _random_pairs(config)
+        ctx = standard_context(config.max_universe, config.n_params)
         rng, top = random.Random(config.seed + 7919), ctx.full_mask + 1
-        n = ctx.nx * ctx.ne
-        for pair in pairs:
-            u = [minimal_neighbourhoods(s, n) for s in pair]
+        for pair in _random_pairs(ctx, config.samples, config.seed):
+            u = _generated(ctx, pair)
             reach, mask = _reach(ctx, *u), rng.randrange(top)
             if claim.premise(reach, mask) and not claim.conclusion(reach, mask):
                 return record(ctx, u, mask)

@@ -316,9 +316,4 @@ def extend_parameters(
 
 def restrict(a: SoftSet, keep: Iterable[str]) -> SoftSet:
     """Intersect every parameter's subset with ``keep``; context unchanged."""
-    ctx = a.context
-    block = ctx.subset_mask(keep)
-    ymask = 0
-    for e in range(ctx.ne):
-        ymask |= block << (e * ctx.nx)
-    return SoftSet(ctx, a.mask & ymask)
+    return SoftSet(a.context, a.mask & constant_soft_set(keep, a.context).mask)

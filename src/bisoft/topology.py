@@ -23,7 +23,7 @@ raises ``TooManyMembersError`` rather than exhausting memory.
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -65,6 +65,14 @@ def _set_bits(m: int) -> Iterator[int]:
     """The places of the set bits of ``m >= 0``, lowest first, read off
     its binary digits in one pass of C code."""
     return compress(count(), bin(m)[:1:-1].encode().translate(_DIGIT_BYTES))
+
+
+def _columns(masks: Sequence[int], width: int) -> list[int]:
+    """The columns of ``masks``, each below ``2**width``: bit j of column q
+    is bit q of ``masks[j]``.  The masks are written as binary digits one
+    after another, whose every width-th digit is a column."""
+    digits = "".join(map(format, reversed(masks), repeat(f"0{width}b")))
+    return [int(digits[width - 1 - q :: width], 2) for q in range(width)]
 
 
 def minimal_neighbourhoods(masks: Iterable[int], n_points: int) -> tuple[int, ...]:

@@ -4,10 +4,10 @@
 It walks every ordered topology pair of every factorization, counts the
 pairs per fact vector and keeps each vector's first three positions, the
 way the exhaustive scan did before it walked one pair per symmetry orbit.
-Each pair's supremum is found here, as the topology whose ``U`` is the
-pointwise intersection of the pair's, and its facts come from the same
-profiles and fact key as the scan's; the dual-route tests check those
-against the member oracle.
+Each pair's facts come from the same profiles and fact key as the one
+space keyed alone, whose supremum has the pointwise intersection of the
+pair's ``U``; the dual-route tests check those against the member
+oracle.
 
 It also keeps ``group_action``, the full action of the relabellings of
 universe and parameters on every topology, the reference for the orbit
@@ -24,7 +24,7 @@ import random
 from functools import lru_cache
 from itertools import permutations
 
-from bisoft.scan import _SUP, _decode, _pair_key, profile
+from bisoft.scan import _decode, _pair_key, profile
 from bisoft.search import (
     Claim,
     ClaimResult,
@@ -105,17 +105,16 @@ def _index(n):
 
 def pair_key(nx, ne, i, j):
     """The fact key of the pair (i, j) of topologies over (nx, ne)."""
-    us = _point_neighbourhoods(nx * ne)
-    sup = _index(nx * ne)[tuple(a & b for a, b in zip(us[i], us[j]))]
-    profiles = _profiles(nx, ne)
-    return _pair_key(profiles[i], profiles[j], profiles[sup].soft << _SUP)
+    ctx, profiles = _profiles(nx, ne)
+    return _pair_key(ctx, profiles[i], profiles[j])
 
 
 @lru_cache(maxsize=None)
 def _profiles(nx, ne):
-    """The profile of every topology of (nx, ne), in canonical order."""
+    """The context of (nx, ne) and the profile of each of its topologies,
+    in canonical order."""
     ctx = standard_context(nx, ne)
-    return [profile(ctx, u) for u in _point_neighbourhoods(nx * ne)]
+    return ctx, [profile(ctx, u) for u in _point_neighbourhoods(nx * ne)]
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,6 @@ import bisoft.scan as scan
 import bisoft.search as search
 from bisoft.scan import (
     _ALL,
-    _SUP,
     _WALKED,
     _PairFacts,
     _bits,
@@ -24,7 +23,6 @@ from bisoft.scan import (
     _mutual_pairs,
     _pair_key,
     _space_key,
-    profile,
     space_facts,
 )
 from bisoft.search import (
@@ -40,7 +38,6 @@ from bisoft.search import (
     _lanes,
     _orbits,
     _point_neighbourhoods,
-    _random_neighbourhoods,
     _report,
     _tally,
     enumerate_topologies,
@@ -48,6 +45,7 @@ from bisoft.search import (
     get_claim,
     random_soft_set,
     random_soft_topology,
+    random_space,
     random_spaces,
     record_for,
     replay,
@@ -59,6 +57,7 @@ from bisoft.space import BiSoftSpace
 from bisoft.softset import SoftSet
 from bisoft.topology import (
     SoftTopology,
+    _columns,
     _set_bits,
     generate_topology,
     minimal_neighbourhoods,
@@ -175,12 +174,27 @@ class TestRandomGeneration:
         # subbasis that random_soft_set gives, and the topology it generates;
         # past 32 points a subbasis mask takes several getrandbits words
         ctx = standard_context(nx, ne)
-        drawn = list(_random_neighbourhoods(ctx, range(200)))
+        drawn = search._generated(ctx, search._random_subbases(ctx, range(200)))
         for seed, u in enumerate(drawn):
             rng = random.Random(seed)
             subbasis = [random_soft_set(ctx, rng) for _ in range(rng.randint(0, 4))]
             assert u == generate_topology(ctx, subbasis).neighbourhoods(), seed
             assert u == random_soft_topology(ctx, seed).neighbourhoods(), seed
+
+    @pytest.mark.parametrize(
+        "nx,ne,count,seed", [(1, 1, 4, 0), (3, 2, 6, 0), (4, 2, 5, 17), (12, 1, 3, 1000)]
+    )
+    def test_random_spaces_follow_one_seed_layout(self, nx, ne, count, seed):
+        # space k of a corpus from seed s is the space of seed s + k, whose
+        # topologies are the random topologies of seeds 2(s + k) and
+        # 2(s + k) + 1
+        ctx = standard_context(nx, ne)
+        spaces = list(random_spaces(ctx, count, seed))
+        assert len(spaces) == count
+        for k, space in enumerate(spaces):
+            assert space == random_space(ctx, seed + k)
+            assert space.t1 == random_soft_topology(ctx, 2 * (seed + k))
+            assert space.t2 == random_soft_topology(ctx, 2 * (seed + k) + 1)
 
     @pytest.mark.parametrize("mode", ["exhaustive", "random"])
     def test_negative_seed_rejected(self, mode):
@@ -481,14 +495,15 @@ class TestRandomCorpora:
         "cfg", [c for c in CONFIGS if c.max_universe == 4], ids=SearchConfig.describe
     )
     def test_corpus_meets_both_indiscrete_branches(self, cfg):
-        # the keyed route reuses one profile of the indiscrete topology and
-        # takes the other component's soft bits for the supremum's; the
-        # parity tests above cover that only where both cases are drawn
+        # the parity tests above cover a space with an indiscrete first or
+        # second component, whose supremum is the other topology, only
+        # where both cases are drawn
         ctx = standard_context(cfg.max_universe, cfg.n_params)
         full = (ctx.full_mask,) * (cfg.max_universe * cfg.n_params)
-        first = 2 * cfg.seed
-        us = list(_random_neighbourhoods(ctx, range(first, first + 2 * cfg.samples)))
-        pairs = list(zip(us[::2], us[1::2]))
+        pairs = [
+            search._generated(ctx, pair)
+            for pair in search._random_pairs(ctx, cfg.samples, cfg.seed)
+        ]
         # each implies that the corpus draws the indiscrete topology
         assert any(u1 == full and u2 != full for u1, u2 in pairs)
         assert any(u2 == full and u1 != full for u1, u2 in pairs)
@@ -509,6 +524,34 @@ class TestRandomCorpora:
         _, census, _ = _corpus(cfg)
         spaces = random_spaces(standard_context(nx, ne), samples, seed)
         assert census() == Counter(map(_space_key, spaces))
+
+    def test_draws_keyed_alone_profile_the_indiscrete_topology_lazily(
+        self, monkeypatch
+    ):
+        # the indiscrete topology is profiled on its first draw, if any:
+        # a corpus keyed one space at a time with no indiscrete draw never
+        # profiles the full U, and one with several profiles it once
+        ctx = standard_context(5, 3)
+        full = (ctx.full_mask,) * 15
+        profiled = []
+        plain_profile = search.profile
+
+        def counted(c, u):
+            profiled.append(u == full)
+            return plain_profile(c, u)
+
+        monkeypatch.setattr(search, "profile", counted)
+        for samples, seed, indiscrete in ((3, 2, 0), (12, 5, 5)):
+            assert not search._in_lanes(5, 3, samples)
+            pairs = search._random_pairs(ctx, samples, seed)
+            drawn = [u for pair in pairs for u in search._generated(ctx, pair)]
+            assert drawn.count(full) == indiscrete
+            profiled.clear()
+            _, census, _ = _corpus(SearchConfig(5, 3, "random", samples, seed))
+            spaces = random_spaces(ctx, samples, seed)
+            assert census() == Counter(map(_space_key, spaces))
+            assert profiled.count(True) == min(indiscrete, 1)
+            assert len(profiled) == 2 * samples - indiscrete + min(indiscrete, 1)
 
     def test_point_cap_keys_wide_contexts_alone(self):
         # 1 x 65 with 200 samples passes the size test, but 65 points is
@@ -796,16 +839,6 @@ class TestProfileKernel:
         assert _decode(_space_key(from_u))._asdict() == oracle.facts(listed)
         assert _space_key(listed) == _space_key(from_u)
 
-    @settings(max_examples=100)
-    @given(preorder_spaces())
-    def test_supremum_bits_are_ored_in_last(self, drawn):
-        # the supremum's soft bits are given to the key, which only ORs them in
-        ctx, u1, u2 = drawn
-        p, q = profile(ctx, u1), profile(ctx, u2)
-        cross = _pair_key(p, q, 0)
-        for sup in range(8):
-            assert _pair_key(p, q, sup << _SUP) == cross | sup << _SUP
-
     def test_t0_verdicts_match_a_pair_loop_on_large_preorders(self):
         # the key compares the pairs of the two topologies' N(x) and cut
         # U_p, and ANDs their meet bitsets; here every verdict is found
@@ -879,6 +912,15 @@ class TestProfileKernel:
                 if masks[x] >> y & 1 and masks[y] >> x & 1:
                     expected[x] |= 1 << y
             assert _mutual_pairs(masks) == tuple(expected)
+        # the shape of a subbasis slot over a block of spaces: many masks
+        # of few bits, where a space with fewer masks has an empty slot
+        width = k + 1
+        masks = [rng.getrandbits(width) for _ in range(search._BLOCK)]
+        masks[0] = masks[-1] = masks[len(masks) // 2] = 0
+        expected = [
+            sum((m >> q & 1) << j for j, m in enumerate(masks)) for q in range(width)
+        ]
+        assert _columns(masks, width) == expected
 
     @settings(max_examples=80)
     @given(preorder_spaces())
@@ -1091,9 +1133,9 @@ class TestOrbitScan:
     def test_repeat_scans_and_hunts_compute_no_pair_key(self, monkeypatch):
         calls, rows = [], []
 
-        def counted(p, q, sup_bits):
+        def counted(*args):
             calls.append(1)
-            return _pair_key(p, q, sup_bits)
+            return _pair_key(*args)
 
         lane_keys = search.lane_keys
 
