@@ -41,16 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt_soft(s: SoftSet) -> str:
-    return ", ".join(
-        "%s={%s}" % (p, ",".join(v)) for p, v in s.table().items()
-    )
-
-
 def _fmt_member(doc: FixtureDocument, s: SoftSet) -> str:
     name = doc.name_of(s)
-    body = _fmt_soft(s)
-    return f"{name}: {body}" if name else body
+    return f"{name}: {s}" if name else str(s)
 
 
 def _dump(payload: dict) -> None:
@@ -272,9 +265,9 @@ def _cmd_rough(args) -> int:
         )
         return EXIT_OK
     print(f"rough approximation of {target_name} in {args.space}:")
-    print(f"  target: {_fmt_soft(target)}")
+    print(f"  target: {target}")
     for label, value in regions.items():
-        print(f"  {label:5}: {_fmt_soft(value)}")
+        print(f"  {label:5}: {value}")
     print(f"  definable: {result.definable}")
     return EXIT_OK
 
@@ -310,10 +303,10 @@ def _cmd_search(args) -> int:
             print(f"claim {args.claim}: counterexample found")
             space = record.space()
             print(f"  universe: {', '.join(record.universe)}")
-            print(f"  T1 members: {[_fmt_soft(m) for m in space.t1.members]}")
-            print(f"  T2 members: {[_fmt_soft(m) for m in space.t2.members]}")
+            print(f"  T1 members: {[str(m) for m in space.t1.members]}")
+            print(f"  T2 members: {[str(m) for m in space.t2.members]}")
             if record.target_mask is not None:
-                print(f"  target: {_fmt_soft(record.target())}")
+                print(f"  target: {record.target()}")
         return EXIT_COUNTEREXAMPLE
     report = verify_implications(config)
     if args.json:

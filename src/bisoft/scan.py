@@ -28,18 +28,18 @@ discrete, so a slice is T2 exactly when it is T1.
 So each of these facts, and pairwise T1, which asks both topologies to
 be soft T1, holds exactly when it holds of both topologies alone, by
 their soft axioms and whether every slice is T1.  A profile keeps those
-bits of one topology, and ``_pair_key`` alone combines two profiles.
-The T0 family is tested on the pair of topologies: a space is pairwise
-T0 when the pairs ``(N1(x), N2(x))`` are distinct, its slices when the
-pairs of ``U_p`` cut to p's block are, and strong T0 when no row of one
-topology's unseparated pairs meets the same row of the other's
-(``_Profile``).  A profile is computed in a few passes over the elements
-and points and keeps its ``U``, and a space's supremum contributes its
-three soft bits alone, which ``_pair_key`` reads off the two profiles'
-``U``.  ``profile`` and ``_pair_key`` are functions of the context and
-what they are given: what they read of the context, its block mask and
-each point's block (``Context.blocks``), is derived when the context is
-built, and nothing is kept after a call.
+bits of one topology, its ``U`` and its ``N(x)`` vector, and
+``_pair_key`` alone combines two profiles.  The T0 family is tested on
+the pair of topologies: a space is pairwise T0 when the pairs
+``(N1(x), N2(x))`` are distinct, its slices when the pairs of ``U_p``
+cut to p's block are, and strong T0 when no two elements are each in
+the other's meet mask in both topologies (``_pair_key``).  A profile is
+computed in a few passes over the elements and points, and a space's
+supremum contributes its three soft bits alone, which ``_pair_key``
+reads off the two profiles' ``U``.  ``profile`` and ``_pair_key`` are
+functions of the context and what they are given: what they read of the
+context, its block mask and each point's block (``Context.blocks``), is
+derived when the context is built, and nothing is kept after a call.
 
 ``lane_profile`` and ``lane_keys`` are the same two steps for many
 spaces at once, bit-sliced (Biham, FSE 1997): the ``U`` of many
@@ -110,63 +110,29 @@ class _Profile(NamedTuple):
     """One soft topology over a context, read off its ``U``: plain data,
     which ``_pair_key`` alone turns into a fact key.
 
-    ``u`` is the ``U`` itself, which the supremum of two topologies is
-    read off.  ``soft`` and ``slices_t1`` are what the topology settles
-    alone (the module docstring).  Every slice is T1 when the ``U_p`` cut
-    to p's block, each holding p, have |X x E| bits in all.
-
-    The T0 fields are what ``_pair_key`` reads of the T0 family, from
-    the containment masks of each element x: ``cont(x)``, the elements
-    whose row ``N(x)`` contains (the AND of ``N(x)``'s parameter blocks),
-    and ``meet(x)``, those whose row it meets (their OR).  A topology
-    leaves x and y unseparated when each is in the other's mask.  Since y
-    is in cont(x) exactly when ``N(y) ⊆ N(x)``, x and y are each in the
-    other's ``cont`` exactly when ``N(x) = N(y)``; so a space is pairwise
-    T0 exactly when the pairs ``(N1(x), N2(x))`` are distinct, and ``t0``
-    is the ``N(x)`` vector.
-    Likewise a slice is a topology on X with the neighbourhoods
-    ``block_e(U_(x,e))``, and ``slice_t0`` is each ``U_p`` cut to p's
-    block; points of two blocks never share a cut ``U_p``.  ``meet`` has
-    no such shortcut, so row x of ``strong_t0`` holds the y > x each in
-    x's ``meet`` and x in theirs, and ``_pair_key`` ANDs the rows of two
-    profiles.  With one parameter, meeting a row is containing it, so
-    strong T0 is pairwise T0 and ``strong_t0`` is None.
+    ``u`` is the ``U`` itself, which the supremum of two topologies and
+    the slices' T0 are read off, and ``t0`` the ``N(x)`` vector, which
+    the pairwise and strong T0 are read off.  ``soft`` and ``slices_t1``
+    are what the topology settles alone (the module docstring).  A
+    profile holds no data on pairs of one topology's elements: it serves
+    one space, whose T0 family ``_pair_key`` tests on the pair of
+    topologies, and strong T0 only where it can hold.
     """
 
     u: Sequence[int]  # U_p for each point p
     soft: int  # soft T0, T1, T2 as bits 0, 1, 2
     slices_t1: bool  # every slice is T1
     t0: tuple[int, ...]  # N(x) for each element x
-    strong_t0: tuple[int, ...] | None  # row x: the y > x each in the other's meet
-    slice_t0: tuple[int, ...]  # U_p cut to p's block for each point p
-
-
-# Walking meet masks bit by bit beats transposing them as text up to
-# about 24 masks, from timings on CPython 3.11.
-_WALKED = 24
 
 
 def _mutual_pairs(masks: Sequence[int]) -> tuple[int, ...]:
     """Row x for each mask x: bit y for each y > x such that y is in x's
     mask and x in y's.
 
-    Row x is x's mask above x ANDed with the column of the masks at x.
-    Up to ``_WALKED`` masks are walked bit by bit; more are transposed
-    (``topology._columns``).
+    Row x is x's mask above x ANDed with the column of the masks at x,
+    read off their transpose (``topology._columns``).
     """
-    k = len(masks)
-    if k <= _WALKED:
-        rows = []
-        for x, m in enumerate(masks):
-            row, y, m = 0, x, m >> x + 1
-            while m:  # y walks the bits of x's mask above x
-                y += 1
-                if m & 1 and masks[y] >> x & 1:
-                    row |= 1 << y
-                m >>= 1
-            rows.append(row)
-        return tuple(rows)
-    pairs = enumerate(zip(masks, _columns(masks, k)))
+    pairs = enumerate(zip(masks, _columns(masks, len(masks))))
     return tuple([m & c >> x + 1 << x + 1 for x, (m, c) in pairs])
 
 
@@ -194,16 +160,18 @@ def _soft(ctx: Context, nbhd: Sequence[int]) -> int:
 
 
 class _Lanes(NamedTuple):
-    """A ``_Profile`` of many topologies j at once, in lanes: int bitsets
+    """A profile of many topologies j at once, in lanes: int bitsets
     over j.  Bit j of ``u[p][q]`` is set when q lies in ``U_p^j``; every
     other field is a bitset, or a list of bitsets, of the j at which the
     named test passes, which ``lane_keys`` alone turns into fact keys.
 
+    Unlike a ``_Profile``, lanes keep per-topology pair data, since one
+    partner profile serves every row of an exhaustive factorization:
     ``t0`` holds, per pair x < y of elements, the j at which ``N(x)`` and
     ``N(y)`` differ; ``slice_t0``, per pair of points of one block, those
     at which their cut ``U_p`` differ; and ``strong_t0``, per pair x < y,
     those at which each is in the other's ``meet``, or None with one
-    parameter, where strong T0 is pairwise T0 (``_Profile``).
+    parameter, where strong T0 is pairwise T0 (``_pair_key``).
     """
 
     u: list[list[int]]  # u[p][q]: the j with q in U_p
@@ -247,7 +215,7 @@ def lane_profile(ctx: Context, u: list[list[int]], every: int) -> _Lanes:
     A slice's cut ``U_p`` is p's lanes at the points of p's block: every
     slice is T1 where no point's cut holds another, and the slices of
     two topologies are pairwise T0 where, for each pair of points of a
-    block, one topology's cuts differ (``_Profile``).
+    block, one topology's cuts differ (``_pair_key``).
     """
     nx, ne = ctx.nx, ctx.ne
     t0, meets, soft_bits = _lane_soft(nx, u, every)
@@ -313,23 +281,33 @@ def lane_keys(ctx: Context, a: _Lanes, b: _Lanes, every: int) -> dict[int, int]:
 def profile(ctx: Context, u: Sequence[int]) -> _Profile:
     """The profile of the topology over ``ctx`` whose ``U_p`` is ``u[p]``.
 
-    With one parameter the slice is the topology itself, so ``slice_t0``
-    repeats ``t0``, and strong T0 is pairwise T0.  Otherwise the slices
-    sit side by side as the ``U_p`` cut to their own blocks,
-    ``ctx.blocks``, and the slice at e is T1 when each of block e's is
-    {p}.
+    The slices sit side by side as the ``U_p`` cut to their own blocks,
+    ``ctx.blocks``, and every slice is T1 when each cut ``U_p`` is {p},
+    tested point by point up to the first that is not.
     """
-    nx, block = ctx.nx, ctx.block_mask
-    nbhd = _row_neighbourhoods(u, nx)
-    strong_t0 = None
-    if ctx.ne > 1:
-        meets = [v & block for v in nbhd]
-        for s in range(nx, len(u), nx):
-            meets = [m | v >> s & block for m, v in zip(meets, nbhd)]
-        strong_t0 = _mutual_pairs(meets)
-    cut = tuple(map(and_, u, ctx.blocks))
-    slices_t1 = sum(map(int.bit_count, cut)) == len(u)
-    return _Profile(u, _soft(ctx, nbhd), slices_t1, nbhd, strong_t0, cut)
+    nbhd = _row_neighbourhoods(u, ctx.nx)
+    slices_t1 = all(map((1).__eq__, map(int.bit_count, map(and_, u, ctx.blocks))))
+    return _Profile(u, _soft(ctx, nbhd), slices_t1, nbhd)
+
+
+def _cut(ctx: Context, u: Sequence[int]) -> tuple[int, ...]:
+    """Each ``U_p`` cut to p's block: the slices' neighbourhoods side by
+    side; points of two blocks never share a cut ``U_p``."""
+    return tuple(map(and_, u, ctx.blocks))
+
+
+def _meets(ctx: Context, nbhd: Sequence[int]) -> list[int]:
+    """``meet(x)`` for each element x: the elements whose row ``N(x)``
+    meets, the OR of ``N(x)``'s parameter blocks.  The blocks are folded
+    in halves, the upper ones ORed onto the lower, so |E| blocks take
+    about log2 |E| passes."""
+    meets, blocks = list(nbhd), ctx.ne
+    while blocks > 1:
+        blocks = blocks + 1 >> 1
+        s = blocks * ctx.nx
+        low = (1 << s) - 1
+        meets = [v & low | v >> s for v in meets]
+    return meets
 
 
 def _pair_key(ctx: Context, p: _Profile, q: _Profile) -> int:
@@ -341,12 +319,25 @@ def _pair_key(ctx: Context, p: _Profile, q: _Profile) -> int:
     topologies alone (the module docstring): pairwise T1 when both are
     soft T1, the facts of ``_T2`` when both are soft T2, and the slices'
     T1 and T2 when both have T1 slices; ``thm1_agrees`` always holds.
-    The space is pairwise T0 when either topology is soft T0, its
-    ``N(x)`` being distinct, or the pairs ``(N1(x), N2(x))`` are
-    distinct; its slices are pairwise T0 when the pairs of cut ``U_p``
-    are; and it is strong T0 when no row of ``p.strong_t0`` meets the
-    same row of ``q.strong_t0``, or, with one parameter, when it is
-    pairwise T0 (``_Profile``).
+
+    The T0 family is read off the pair, from the containment masks of
+    each element x: ``cont(x)``, the elements whose row ``N(x)``
+    contains (the AND of ``N(x)``'s parameter blocks), and ``meet(x)``,
+    those whose row it meets (their OR).  A topology leaves x and y
+    unseparated when each is in the other's mask.  Since y is in cont(x)
+    exactly when ``N(y) ⊆ N(x)``, x and y are each in the other's
+    ``cont`` exactly when ``N(x) = N(y)``: so the space is pairwise T0
+    when either topology is soft T0, its ``N(x)`` being distinct, or the
+    pairs ``(N1(x), N2(x))`` are distinct.  A slice is a topology on X
+    with the neighbourhoods ``block_e(U_(x,e))``, so the slices are
+    pairwise T0 when the pairs of cut ``U_p`` are distinct.  ``meet`` has
+    no such shortcut: the space is strong T0 when no x < y are each in
+    the other's ``meet`` in both topologies, the mutual pairs of the AND
+    of the two meet vectors.  Equal ``(N1(x), N2(x))`` hold both rows, so
+    they meet each other's rows in both topologies, and strong T0 implies
+    pairwise T0; with one parameter, meeting a row is containing it, so
+    strong T0 is pairwise T0.  So the meet masks are built only for a
+    pairwise T0 space with more than one parameter.
 
     The subspace on Y has the neighbourhoods N(x) & Y's rows, so a test of
     x, y in Y that passes on X passes on Y: the T0 and T1 tests read only
@@ -361,12 +352,13 @@ def _pair_key(ctx: Context, p: _Profile, q: _Profile) -> int:
     key |= (both >> 1 & 1) * _PW_T1 | (both >> 2) * _T2
     if p.slices_t1 and q.slices_t1:
         key |= _SLICES_T1
-    t0 = (p.soft | q.soft) & 1 or _distinct(p.t0, q.t0)
-    if t0:
+    if (p.soft | q.soft) & 1 or _distinct(p.t0, q.t0):
         key |= _PW_T0
-    if t0 if p.strong_t0 is None else not any(map(and_, p.strong_t0, q.strong_t0)):
-        key |= _STRONG_T0
-    if _distinct(p.slice_t0, q.slice_t0):
+        if ctx.ne == 1 or not any(
+            _mutual_pairs(list(map(and_, _meets(ctx, p.t0), _meets(ctx, q.t0))))
+        ):
+            key |= _STRONG_T0
+    if _distinct(_cut(ctx, p.u), _cut(ctx, q.u)):
         key |= _SLICES_T0
     return key
 
@@ -393,18 +385,17 @@ def space_verdicts(s: BiSoftSpace) -> tuple[_PairFacts, dict[str, dict[str, bool
     public checkers of ``axioms`` read every verdict here.
 
     Block e's points are the places e*nx to (e+1)*nx - 1 of the cut
-    vectors ``slice_t0``.  The slice at e is pairwise T0 when the pairs of
+    vectors (``_cut``).  The slice at e is pairwise T0 when the pairs of
     its cut ``U_p`` are distinct, and pairwise T1 when both topologies'
     slices are T1, their cut ``U_p`` having 2*nx bits in all; then it is
     pairwise T2 as well, since a finite T1 topology is discrete.
     """
     ctx, u1, u2 = s.context, s.t1.neighbourhoods(), s.t2.neighbourhoods()
-    p, q = profile(ctx, u1), profile(ctx, u2)
-    facts = _decode(_pair_key(ctx, p, q))
-    nx, slices = ctx.nx, {}
+    facts = _decode(_pair_key(ctx, profile(ctx, u1), profile(ctx, u2)))
+    nx, cuts1, cuts2, slices = ctx.nx, _cut(ctx, u1), _cut(ctx, u2), {}
     for e, name in enumerate(ctx.parameters.parameters):
         block = slice(e * nx, e * nx + nx)
-        cut1, cut2 = p.slice_t0[block], q.slice_t0[block]
+        cut1, cut2 = cuts1[block], cuts2[block]
         t1 = sum(map(int.bit_count, cut1 + cut2)) == 2 * nx
         slices[name] = {"t0": _distinct(cut1, cut2), "t1": t1, "t2": t1}
     return facts, slices

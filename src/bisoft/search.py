@@ -31,12 +31,14 @@ walk, ``_corpus``'s stream of the violating spaces in corpus order:
   ``U`` of every topology of the block follow in |X x E|^2 operations,
   and ``scan.lane_keys`` gives each key with the bitset of the block's
   spaces that have it.  Any other corpus keys each space alone, from the
-  profiles of its two ``U`` through ``_pair_key``; one draw in five or
-  so is the indiscrete topology (every ``U_p`` the full mask), which a
-  call profiles on its first draw and reuses after.  ``_in_lanes``
-  chooses from the sizes alone.  A census counts the keys, and a
-  claim's walk draws the corpus again up to the violations it is asked
-  for, so a hunt stops at most one block past its first.  Nothing is
+  profiles of its two ``U`` through ``_pair_key``.  A lane profile keeps
+  per-topology pair data, since one partner profile serves every row of
+  an exhaustive factorization; a single profile keeps none, since it
+  serves one space, whose T0 family ``_pair_key`` tests on the pair,
+  and strong T0 only where it can hold.  ``_in_lanes`` chooses from the
+  sizes alone.  A census counts the keys, and a claim's walk draws the
+  corpus again up to the violations it is asked for, so a hunt stops at
+  most one block past its first.  Nothing is
   kept between calls: a repeated call draws and keys every space again;
 * the exhaustive scan keys each factorization (|X|, |E|) once.  Every
   fact is unchanged when the universe and the parameters are relabelled
@@ -91,8 +93,8 @@ from .topology import (
 
 EXHAUSTIVE_POINT_BOUND = 4  # topologies on <= 4 points are enumerable (355 on 4)
 # a random draw keeps a |X|*|E|-bit U_p per point, so its memory grows with
-# the square of the points: one draw peaks at 187 MB at 16,384 x 1 and at
-# 285 MB at 8,192 x 2 under CPython 3.11
+# the square of the points: the seed-0 draw peaks at 134 MB at 16,384 x 1
+# and at 151 MB at 8,192 x 2 under CPython 3.11
 RANDOM_POINT_BOUND = 1 << 14
 _MAX_RECORDS_PER_CLAIM = 3
 
@@ -233,7 +235,7 @@ def random_spaces(ctx: Context, count: int, seed: int) -> Iterator[BiSoftSpace]:
 # (164 bytes each) per topology, 0.67 MB at 64 points, and a 64-point
 # census peaks at about 2.4 MB; a 1 x 1000 block would hold 164 MB.  So
 # contexts of more points key each space alone, though at 65-160 points
-# lanes are 3-4 times faster (the README's search engine section).
+# lanes are 2-5 times faster (the README's search engine section).
 _BLOCK = 1024
 _LANE_POINTS = 64
 
@@ -296,26 +298,10 @@ def _subbasis_lanes(n: int, subbases: Sequence[tuple], every: int) -> list[list[
 
 def _random_draws(ctx: Context, pairs: Iterable[tuple]) -> Iterator[tuple]:
     """Each space of a stream of subbasis pairs as a block of its own, its
-    fact key and its pair, keyed alone from the ``U`` of its two
-    topologies.
-
-    An empty subbasis, about one draw in five, gives the indiscrete
-    topology, every ``U_p`` the full mask; it is profiled on its first
-    draw, and every later draw of it reuses that profile.
-    """
-    full = (ctx.full_mask,) * (ctx.nx * ctx.ne)
-    indiscrete = None
-
-    def profiled(u):
-        nonlocal indiscrete
-        if u != full:
-            return profile(ctx, u)
-        if indiscrete is None:
-            indiscrete = profile(ctx, full)
-        return indiscrete
-
+    fact key and its pair, keyed alone from the profiles of the ``U`` of
+    its two topologies."""
     for pair in pairs:
-        p, q = map(profiled, _generated(ctx, pair))
+        p, q = (profile(ctx, u) for u in _generated(ctx, pair))
         yield {_pair_key(ctx, p, q): 1}, [pair]
 
 

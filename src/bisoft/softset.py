@@ -116,10 +116,11 @@ class ParameterSet(_Value):
 class Context(_Value):
     """A (universe, parameter set) pair; every soft value carries one.
 
-    Sizes, masks, element rows, each point's block mask and the
-    name-to-index maps are derived once at construction.  They are
-    excluded from equality, hashing and repr, so a context compares and
-    prints by its two name lists alone.
+    Sizes, masks, one row pattern, each point's block mask and the
+    name-to-index maps are derived once at construction; ``rows`` and
+    ``row`` shift the pattern.  They are excluded from equality, hashing
+    and repr, so a context compares and prints by its two name lists
+    alone.
     """
 
     __match_args__ = ("universe", "parameters")
@@ -135,7 +136,8 @@ class Context(_Value):
             ne=ne,
             full_mask=(1 << (nx * ne)) - 1,
             block_mask=block,
-            rows=tuple(sum(1 << (e * nx + x) for e in range(ne)) for x in range(nx)),
+            # element 0's row; element x's is this shifted by x
+            _row0=sum(1 << e * nx for e in range(ne)),
             # each point's parameter block; a block's nx points share one int
             blocks=tuple([b for s in range(0, nx * ne, nx) for b in [block << s] * nx]),
             _element_ids={name: i for i, name in enumerate(elements)},
@@ -173,9 +175,14 @@ class Context(_Value):
         except KeyError:
             raise UnknownParameterError(name) from None
 
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Each element's row, in universe order, computed on read."""
+        return tuple([self._row0 << x for x in range(self.nx)])
+
     def row(self, element: str) -> int:
         """Bits of one element across every parameter block."""
-        return self.rows[self.element_index(element)]
+        return self._row0 << self.element_index(element)
 
     def subset_mask(self, names: Iterable[str]) -> int:
         mask = 0
@@ -238,11 +245,14 @@ class SoftSet(_Value):
     def __invert__(self) -> "SoftSet":
         return soft_complement(self)
 
+    def __str__(self) -> str:
+        """The table, one ``e={x,y}`` entry per parameter."""
+        return ", ".join("%s={%s}" % (p, ",".join(v)) for p, v in self.table().items())
+
     def __repr__(self) -> str:
-        parts = ", ".join(
-            "%s={%s}" % (p, ",".join(v)) for p, v in self.table().items()
-        )
-        return f"SoftSet({parts})"
+        # called, not dispatched through str(self): a class that borrows
+        # this __repr__ may keep object.__str__, which calls repr
+        return f"SoftSet({SoftSet.__str__(self)})"
 
 
 def _same_context(a: SoftSet, b: SoftSet) -> Context:
@@ -292,12 +302,9 @@ def point_soft_set(element: str, ctx: Context) -> SoftSet:
 
 
 def constant_soft_set(elements: Iterable[str], ctx: Context) -> SoftSet:
-    """Constant table with the same subset at every parameter."""
-    block = ctx.subset_mask(elements)
-    mask = 0
-    for e in range(ctx.ne):
-        mask |= block << (e * ctx.nx)
-    return SoftSet(ctx, mask)
+    """Constant table with the same subset at every parameter: the
+    subset's block copied into each parameter block by one product."""
+    return SoftSet(ctx, ctx.subset_mask(elements) * ctx._row0)
 
 
 def extend_parameters(

@@ -309,6 +309,18 @@ class TestSearch:
         assert code == 0
         assert "no counterexample" in out
 
+    def test_not_found_json_payload(self, capsys):
+        code, out, _ = run(
+            capsys, "search", "--claim", "upper-idempotence-equality",
+            "--max-x", "2", "--params", "1", "--random", "20", "--json",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "claim": "upper-idempotence-equality",
+            "corpus": "random:20 spaces at |X|=2,|E|=1, seed=0",
+            "found": False,
+        }
+
     def test_matrix_run_ok(self, capsys):
         code, out, _ = run(capsys, "search", "--max-x", "2", "--params", "2")
         assert code == 0

@@ -122,6 +122,11 @@ def test_unknown_space_topology_rejected():
         )
 
 
+def test_unknown_topology_name_rejected(fx):
+    with pytest.raises(FixtureError, match="^unknown topology name 'Q'$"):
+        fx("t0a").members_of("Q")
+
+
 def test_bad_json_rejected():
     with pytest.raises(FixtureError):
         loads_fixture("{not json")

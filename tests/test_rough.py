@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bisoft.errors import ContextMismatchError
 from bisoft.rough import (
     _lower,
     _reach,
@@ -35,6 +36,14 @@ class TestWorkedExample:
             "Green": (),
             "Blue": ("x1", "x3"),
         }
+
+    def test_target_from_another_context_raises(self, fx):
+        doc = fx("rough")
+        other = null_soft_set(standard_context(2, 1))
+        with pytest.raises(
+            ContextMismatchError, match="^target lives over a different context$"
+        ):
+            lower_approx(doc.space("S"), other)
 
     def test_upper(self, fx):
         doc = fx("rough")

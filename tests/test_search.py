@@ -16,7 +16,6 @@ import bisoft.scan as scan
 import bisoft.search as search
 from bisoft.scan import (
     _ALL,
-    _WALKED,
     _PairFacts,
     _bits,
     _decode,
@@ -392,6 +391,10 @@ class TestVerifyImplications:
         reports = [verify_implications(c).to_json() for c in (big, small)]
         assert reports[0] == reports[1]
 
+    def test_random_mode_has_one_factorization(self):
+        cfg = SearchConfig(7, 3, mode="random", samples=5)
+        assert cfg.factorizations() == [(7, 3)]
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             verify_implications([])
@@ -525,33 +528,19 @@ class TestRandomCorpora:
         spaces = random_spaces(standard_context(nx, ne), samples, seed)
         assert census() == Counter(map(_space_key, spaces))
 
-    def test_draws_keyed_alone_profile_the_indiscrete_topology_lazily(
-        self, monkeypatch
-    ):
-        # the indiscrete topology is profiled on its first draw, if any:
-        # a corpus keyed one space at a time with no indiscrete draw never
-        # profiles the full U, and one with several profiles it once
+    def test_draws_keyed_alone_profile_the_indiscrete_topology_lazily(self):
+        # corpora keyed one space at a time, without and with indiscrete
+        # draws, census every drawn space's key
         ctx = standard_context(5, 3)
         full = (ctx.full_mask,) * 15
-        profiled = []
-        plain_profile = search.profile
-
-        def counted(c, u):
-            profiled.append(u == full)
-            return plain_profile(c, u)
-
-        monkeypatch.setattr(search, "profile", counted)
         for samples, seed, indiscrete in ((3, 2, 0), (12, 5, 5)):
             assert not search._in_lanes(5, 3, samples)
             pairs = search._random_pairs(ctx, samples, seed)
             drawn = [u for pair in pairs for u in search._generated(ctx, pair)]
             assert drawn.count(full) == indiscrete
-            profiled.clear()
             _, census, _ = _corpus(SearchConfig(5, 3, "random", samples, seed))
             spaces = random_spaces(ctx, samples, seed)
             assert census() == Counter(map(_space_key, spaces))
-            assert profiled.count(True) == min(indiscrete, 1)
-            assert len(profiled) == 2 * samples - indiscrete + min(indiscrete, 1)
 
     def test_point_cap_keys_wide_contexts_alone(self):
         # 1 x 65 with 200 samples passes the size test, but 65 points is
@@ -897,10 +886,10 @@ class TestProfileKernel:
         names = [*expected, "slice t0", "slice t1"]
         assert seen >= {(name, value) for name in names for value in (False, True)}
 
-    @pytest.mark.parametrize("k", [0, 1, 2, _WALKED, _WALKED + 1, 101])
+    @pytest.mark.parametrize("k", [0, 1, 2, 24, 25, 101])
     def test_placing_and_transposing_agree_with_bit_loops(self, k):
-        # past the split point the masks are transposed as text; both
-        # paths must give the rows of a pair loop
+        # the masks are transposed as text; the rows must be those of a
+        # pair loop
         rng = random.Random(k)
         for density in (0.1, 0.5, 0.9):
             masks = [
@@ -921,6 +910,42 @@ class TestProfileKernel:
             sum((m >> q & 1) << j for j, m in enumerate(masks)) for q in range(width)
         ]
         assert _columns(masks, width) == expected
+
+    def test_strong_t0_is_tested_only_behind_pairwise_t0(self, monkeypatch):
+        # strong T0 implies pairwise T0, and with one parameter it is
+        # pairwise T0, so a space's meet masks are transposed once, into
+        # the mutual pairs of both topologies at once, and only when it is
+        # pairwise T0 with more than one parameter
+        calls = []
+        plain = scan._mutual_pairs
+
+        def counted(masks):
+            calls.append(len(masks))
+            return plain(masks)
+
+        monkeypatch.setattr(scan, "_mutual_pairs", counted)
+        seen = set()
+        sizes = ((5, 3, 40), (4, 2, 40), (3, 5, 40), (12, 1, 20), (3, 1, 20))
+        for nx, ne, count in sizes:
+            ctx = standard_context(nx, ne)
+            singletons = [SoftSet(ctx, ctx.row(x)) for x in ctx.universe.elements]
+            extremes = [
+                BiSoftSpace(generate_topology(ctx), generate_topology(ctx)),
+                BiSoftSpace(*[generate_topology(ctx, singletons)] * 2),
+            ]
+            for s in chain(extremes, random_spaces(ctx, count, 5)):
+                calls.clear()
+                facts = _decode(_space_key(s))
+                assert calls == ([nx] if facts.pairwise_t0 and ne > 1 else [])
+                nbhd = (s.t1.element_neighbourhoods(), s.t2.element_neighbourhoods())
+                rows = ctx.rows
+                assert facts.strong_t0 == (not any(
+                    all(nb[x] & rows[y] and nb[y] & rows[x] for nb in nbhd)
+                    for x, y in combinations(range(nx), 2)
+                ))
+                seen.add((ne > 1, facts.pairwise_t0, facts.strong_t0))
+        assert seen >= {(True, False, False), (True, True, True), (True, True, False)}
+        assert seen >= {(False, False, False), (False, True, True)}
 
     @settings(max_examples=80)
     @given(preorder_spaces())
@@ -974,6 +999,13 @@ class TestRoughHunt:
                 found.append(cfg)
         assert found
 
+    @pytest.mark.parametrize("claim_id", ROUGH_CLAIM_IDS)
+    def test_random_hunt_that_finds_nothing_returns_none(self, claim_id):
+        # on two elements both approximations are idempotent on every
+        # drawn space and target
+        cfg = SearchConfig(2, 1, mode="random", samples=20, seed=0)
+        assert find_counterexample(claim_id, cfg) is None
+
     @settings(max_examples=100)
     @given(preorder_spaces())
     def test_equal_reach_vectors_give_equal_approximations(self, drawn):
@@ -995,6 +1027,15 @@ class TestRoughHunt:
 
 
 class TestRecords:
+    def test_record_without_target(self):
+        # a rough claim quantifies over targets, so a record without one
+        # refutes nothing
+        record = CounterexampleRecord(
+            "upper-idempotence-equality", ("x1",), ("e1",), (0, 1), (0, 1)
+        )
+        assert record.target() is None
+        assert replay(record) is False
+
     def test_non_topology_record_is_rejected(self):
         # {x1,x2} & {x1,x3} = {x1} is missing, and the topology this family
         # generates is discrete, so a U-reading checker would call it T2

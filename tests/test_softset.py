@@ -204,6 +204,34 @@ class TestMember:
             member("h9", null_soft_set(CTX))
 
 
+class TestOperators:
+    def test_operators_and_predicates(self):
+        a = make_soft(CTX, e1="h1 h2", e2="h3")
+        b = make_soft(CTX, e1="h2", e2="h1 h3")
+        assert (a | b).table() == {"e1": ("h1", "h2"), "e2": ("h1", "h3")}
+        assert (a & b).table() == {"e1": ("h2",), "e2": ("h3",)}
+        assert (a - b).table() == {"e1": ("h1",), "e2": ()}
+        assert (~a).table() == {"e1": ("h3",), "e2": ("h1", "h2")}
+        assert null_soft_set(CTX).is_null and not a.is_null
+        assert absolute_soft_set(CTX).is_absolute and not a.is_absolute
+        assert not null_soft_set(CTX).is_absolute
+
+    def test_str_is_the_table_and_repr_wraps_it(self):
+        a = make_soft(CTX, e1="h1 h2", e2="")
+        assert str(a) == "e1={h1,h2}, e2={}"
+        assert repr(a) == "SoftSet(e1={h1,h2}, e2={})"
+
+    def test_sizes_of_universe_and_parameters(self):
+        assert len(CTX.universe) == 3
+        assert len(CTX.parameters) == 2
+
+    def test_rows_shift_one_pattern(self):
+        # element x's row is element 0's shifted by x, computed on read
+        assert CTX.rows == (0b001001, 0b010010, 0b100100)
+        assert [CTX.row(x) for x in CTX.universe.elements] == list(CTX.rows)
+        assert constant_soft_set(["h1", "h3"], CTX).mask == 0b101101
+
+
 class TestBuilders:
     def test_point_soft_set(self):
         assert point_soft_set("h1", CTX).table() == {"e1": ("h1",), "e2": ("h1",)}

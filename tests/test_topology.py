@@ -107,6 +107,12 @@ class TestValidate:
         t = doc.topology("T")
         assert len(t) == 7
 
+    def test_empty_family_has_no_context(self):
+        with pytest.raises(
+            ValueError, match="^cannot infer context from an empty family$"
+        ):
+            validate_topology([])
+
     def test_indiscrete_is_valid(self):
         ctx = Context.of(["a", "b"], ["p"])
         t = validate_topology([null_soft_set(ctx), absolute_soft_set(ctx)])
@@ -273,6 +279,14 @@ class TestSoftClosure:
         t = fx("bisoft1").topology("T1")
         top = absolute_soft_set(t.context)
         assert soft_closure(t, top) == top
+
+    def test_set_from_another_context_raises(self, fx):
+        t = fx("bisoft1").topology("T1")
+        other = null_soft_set(Context.of(["a"], ["e"]))
+        with pytest.raises(
+            ContextMismatchError, match="^soft set and topology contexts differ$"
+        ):
+            soft_closure(t, other)
 
     def test_already_closed_set_is_its_own_closure(self, fx):
         doc = fx("t2a")
